@@ -20,7 +20,7 @@ the evaluated objective and is the safeguard the test suite runs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -60,9 +60,7 @@ def _grad_L2(state, obs, tables):
     Kxx = gaussian_kernel(x[:, None], x[None, :], h)
     Kyx = gaussian_kernel(y[:, None], x[None, :], h)
     T = (x[:, None] - x[None, :]) * Kxx - (y[:, None] - x[None, :]) * Kyx
-    rs = tables.kt_row_sums()
-    W = tables.Kt / rs[None, :] + tables.Kt / rs[:, None]
-    return -(W * T).sum(axis=0) / (state.n * h * h)
+    return -(tables.W * T).sum(axis=0) / (state.n * h * h)
 
 
 def _grad_Lparam(alpha, alpha_tilde, sigma_l, d_l, n):
@@ -151,67 +149,14 @@ def grad_total(
     return GradientBundle(d_x, d_z, d_b, d_a, d_om)
 
 
-class _Shadow:
-    """Attribute bag mirroring a container in a wider float dtype.
-
-    The objective code only reads attributes, so extended-precision copies
-    can stand in for the real containers during the finite-difference
-    evaluation. This keeps the oracle's central differences from being
-    swamped by cancellation in float64 (the objective itself is O(1) while
-    single-coordinate perturbations move it by O(step)).
-    """
-
-    def __init__(self, **attrs):
-        self.__dict__.update(attrs)
-
-
-def _widen(state, obs, tables, gaps):
-    ld = np.longdouble
-
-    def arr(a):
-        return np.asarray(a, dtype=ld)
-
-    wt = _Shadow(
-        h=tables.h,
-        T_s=tables.T_s,
-        T_l=tables.T_l,
-        Ky=arr(tables.Ky),
-        Kt=arr(tables.Kt),
-        rho0=arr(tables.rho0),
-        mu=arr(tables.mu),
-        ds=arr(tables.ds),
-        dl=arr(tables.dl),
-        n=tables.n,
-    )
-    wt.kt_row_sums = lambda: wt.n * wt.mu
-    wobs = _Shadow(times=arr(obs.times), values=arr(obs.values), n=obs.n)
-    wgaps = _Shadow(dt_phase=arr(gaps.dt_phase), dt_relax=arr(gaps.dt_relax))
-    wstate = _Shadow(
-        x=arr(state.x),
-        z=arr(state.z),
-        params=_Shadow(
-            b=arr(state.params.b),
-            a=arr(state.params.a),
-            omega=arr(state.params.omega),
-            n=state.params.n,
-        ),
-        priors=state.priors,
-        noise=state.noise,
-        n=state.n,
-    )
-    return wstate, wobs, wt, wgaps
-
-
-def _shadow_with(state, block: str, idx: int, value) -> "_Shadow":
-    if block in ("x", "z"):
-        arr = getattr(state, block).copy()
-        arr[idx] = value
-        out = _Shadow(**{**state.__dict__, block: arr})
-        return out
-    parr = {k: getattr(state.params, k) for k in ("b", "a", "omega")}
-    parr[block] = parr[block].copy()
-    parr[block][idx] = value
-    return _Shadow(**{**state.__dict__, "params": _Shadow(**parr, n=state.params.n)})
+def _perturbed(state, block: str, idx: int, value):
+    """``state`` with one coordinate of the x, z, b, a or omega block set to ``value``."""
+    owner = state if block in ("x", "z") else state.params
+    arr = getattr(owner, block).copy()
+    arr[idx] = value
+    if owner is state:
+        return replace(state, **{block: arr})
+    return replace(state, params=replace(owner, **{block: arr}))
 
 
 def fd_check(
@@ -232,7 +177,20 @@ def fd_check(
         raise ValueError("fd_check: step must be positive")
     g = grad_total(state, obs, tables, gaps, schedule)
     analytic = {"x": g.d_x, "z": g.d_z, "b": g.d_b, "a": g.d_a, "omega": g.d_omega}
-    wstate, wobs, wtables, wgaps = _widen(state, obs, tables, gaps)
+
+    # Extended precision keeps the central differences from being swamped by
+    # cancellation in float64: the objective is O(1) while single-coordinate
+    # perturbations move it by O(step).
+    def ld(a):
+        return np.asarray(a, dtype=np.longdouble)
+
+    p = state.params
+    wstate = replace(state, x=ld(state.x), z=ld(state.z),
+                     params=replace(p, b=ld(p.b), a=ld(p.a), omega=ld(p.omega)))
+    wobs = replace(obs, times=ld(obs.times), values=ld(obs.values))
+    wtables = replace(tables, Ky=ld(tables.Ky), Kt=ld(tables.Kt), rho0=ld(tables.rho0),
+                      W=ld(tables.W))
+    wgaps = EffectiveGaps(ld(gaps.dt_phase), ld(gaps.dt_relax))
     values = {
         "x": wstate.x,
         "z": wstate.z,
@@ -245,8 +203,8 @@ def fd_check(
         for i in range(state.n):
             v = vals[i]
             h = np.longdouble(step) * max(1.0, abs(float(v)))
-            hi = eval_total(_shadow_with(wstate, block, i, v + h), wobs, wtables, wgaps, schedule)
-            lo = eval_total(_shadow_with(wstate, block, i, v - h), wobs, wtables, wgaps, schedule)
+            hi = eval_total(_perturbed(wstate, block, i, v + h), wobs, wtables, wgaps, schedule)
+            lo = eval_total(_perturbed(wstate, block, i, v - h), wobs, wtables, wgaps, schedule)
             numeric = float((hi - lo) / (2.0 * h))
             a = float(analytic[block][i])
             err = abs(a - numeric) / max(abs(a), abs(numeric), 1e-12)

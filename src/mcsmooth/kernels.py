@@ -2,8 +2,9 @@
 
 The time kernel operates on kick-adjusted distances: the plain distance
 |t_i - t_j| is inflated by alpha_kick times the total intensity of kicks
-strictly between the two times, and the per-gap decay factors use the gap
-inflated by the kicks inside it. All tables are immutable after construction.
+strictly between the two times. Per-gap decay factors are not tabulated here;
+the objective derives them from ``oscillator.effective_gaps``. All tables are
+immutable after construction.
 """
 
 from __future__ import annotations
@@ -41,12 +42,13 @@ def gaussian_kernel(u, v, h):
 
 @dataclass(frozen=True)
 class KernelTables:
-    """Precomputed pairwise kernels, reference densities, and decay factors.
+    """Precomputed pairwise kernels, reference densities, and L2 weights.
 
     Ky[i, j] = K^y(y^i, y^j) with bandwidth h; Kt[i, j] = K^t over the
-    kick-adjusted distance with bandwidth T_l. rho0 and mu are the row means
-    of Ky and Kt. ds and dl are exp(-gap/T_s) and exp(-gap/T_l) of the
-    kick-inflated gaps, with ds[0] = dl[0] = 1 (no leading gap).
+    kick-adjusted distance with bandwidth T_l. rho0 holds the row means of Ky.
+    W[i, j] = Kt[i, j] / s_j + Kt[i, j] / s_i, with s_i = sum_l Kt[i, l], is
+    the symmetric time weighting of the distributional component L2 and of
+    its gradient.
     """
 
     h: float
@@ -55,17 +57,11 @@ class KernelTables:
     Ky: np.ndarray
     Kt: np.ndarray
     rho0: np.ndarray
-    mu: np.ndarray
-    ds: np.ndarray
-    dl: np.ndarray
+    W: np.ndarray
 
     @property
     def n(self) -> int:
         return self.rho0.size
-
-    def kt_row_sums(self) -> np.ndarray:
-        """Unnormalized time-kernel row sums, sum_l Kt[i, l] = n * mu[i]."""
-        return self.n * self.mu
 
 
 def build_tables(obs: ObservationSeries, kicks: KickSeries, T_s: float, T_l: float) -> KernelTables:
@@ -81,10 +77,7 @@ def build_tables(obs: ObservationSeries, kicks: KickSeries, T_s: float, T_l: flo
     dist = dist + kicks.alpha_kick * kicks.pairwise_intensity(t)
     Kt = np.exp(-(dist * dist) / (2.0 * T_l * T_l)) / (np.sqrt(2.0 * np.pi) * T_l)
 
-    inflated = obs.gaps() + kicks.alpha_kick * kicks.gap_intensity(t)
-    ds = np.exp(-inflated / T_s)
-    dl = np.exp(-inflated / T_l)
-
+    rs = obs.n * Kt.mean(axis=1)
     return KernelTables(
         h=h,
         T_s=float(T_s),
@@ -92,7 +85,5 @@ def build_tables(obs: ObservationSeries, kicks: KickSeries, T_s: float, T_l: flo
         Ky=Ky,
         Kt=Kt,
         rho0=Ky.mean(axis=1),
-        mu=Kt.mean(axis=1),
-        ds=ds,
-        dl=dl,
+        W=Kt / rs[None, :] + Kt / rs[:, None],
     )

@@ -4,7 +4,7 @@ L1 rewards point-wise kernel agreement of the surrogate x with the data y
 (mollified by epsilon), L2 rewards agreement of their time-modulated kernel
 densities, L3/L4 reward coherence with the oscillatory model's transition
 densities, and the three parameter components reward slow parameter drift.
-The total is the lambda-weighted sum.
+The total is the lambda-weighted sum, formed in ``WeightSchedule.total`` alone.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from .oscillator import (
     ParamTrajectory,
     transition_quantities,
 )
-from .timeseries import ObservationSeries
+from .timeseries import ObservationSeries, float_array
 
 __all__ = [
     "EstimationState",
@@ -49,8 +49,8 @@ class EstimationState:
     noise: ModelNoise
 
     def __post_init__(self):
-        x = np.asarray(self.x, dtype=float)
-        z = np.asarray(self.z, dtype=float)
+        x = float_array(self.x)
+        z = float_array(self.z)
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "z", z)
         if x.ndim != 1 or x.shape != z.shape or x.size != self.params.n:
@@ -90,6 +90,19 @@ class WeightSchedule:
     def any_param(self) -> bool:
         return bool(self.lam_b or self.lam_a or self.lam_omega)
 
+    def total(self, c: Components) -> float:
+        """The weighted sum of the components; zero-weight terms are skipped."""
+        total = 0.0
+        if self.lam1:
+            total += self.lam1 * c.L1
+        if self.lam2:
+            total += self.lam2 * c.L2
+        if self.lam3 or self.lam4:
+            total += self.lam3 * c.L3 + self.lam4 * c.L4
+        if self.any_param:
+            total += self.lam_b * c.L_b + self.lam_a * c.L_a + self.lam_omega * c.L_omega
+        return total
+
 
 class Components(NamedTuple):
     L1: float
@@ -107,11 +120,6 @@ def eval_L1(state: EstimationState, obs: ObservationSeries, tables: KernelTables
     return np.mean(np.log((1.0 - epsilon) * ky + epsilon * tables.rho0))
 
 
-def _l2_weights(tables: KernelTables) -> np.ndarray:
-    rs = tables.kt_row_sums()
-    return tables.Kt / rs[None, :] + tables.Kt / rs[:, None]
-
-
 def eval_L2(state: EstimationState, obs: ObservationSeries, tables: KernelTables) -> float:
     """Symmetrized time-weighted discrepancy between the x and y measures.
 
@@ -122,8 +130,7 @@ def eval_L2(state: EstimationState, obs: ObservationSeries, tables: KernelTables
     Kxx = gaussian_kernel(x[:, None], x[None, :], h)
     Kyx = gaussian_kernel(y[:, None], x[None, :], h)
     bracket = Kxx - 2.0 * Kyx + tables.Ky
-    W = _l2_weights(tables)
-    return -(W * bracket).sum() / (2.0 * state.n)
+    return -(tables.W * bracket).sum() / (2.0 * state.n)
 
 
 def eval_L3_L4(
@@ -177,19 +184,13 @@ def eval_total(
     gaps: EffectiveGaps,
     schedule: WeightSchedule,
 ) -> float:
-    """Weighted total objective; components with zero weight are skipped."""
-    total = 0.0
-    if schedule.lam1:
-        total += schedule.lam1 * eval_L1(state, obs, tables, schedule.epsilon)
-    if schedule.lam2:
-        total += schedule.lam2 * eval_L2(state, obs, tables)
-    if schedule.lam3 or schedule.lam4:
-        L3, L4 = eval_L3_L4(state, obs, tables, gaps)
-        total += schedule.lam3 * L3 + schedule.lam4 * L4
-    if schedule.any_param:
-        L_b, L_a, L_om = eval_Lparams(state, tables, gaps)
-        total += schedule.lam_b * L_b + schedule.lam_a * L_a + schedule.lam_omega * L_om
-    return total
+    """Weighted total objective; components with zero weight are not evaluated."""
+    s = schedule
+    L1 = eval_L1(state, obs, tables, s.epsilon) if s.lam1 else 0.0
+    L2 = eval_L2(state, obs, tables) if s.lam2 else 0.0
+    L3, L4 = eval_L3_L4(state, obs, tables, gaps) if s.lam3 or s.lam4 else (0.0, 0.0)
+    L_b, L_a, L_om = eval_Lparams(state, tables, gaps) if s.any_param else (0.0, 0.0, 0.0)
+    return s.total(Components(L1, L2, L3, L4, L_b, L_a, L_om))
 
 
 def eval_components(
@@ -198,16 +199,23 @@ def eval_components(
     tables: KernelTables,
     gaps: EffectiveGaps,
     epsilon: float,
+    start: Components | None = None,
+    moved=("x", "z", "params"),
 ) -> Components:
-    """All seven components, unweighted (for traces and diagnostics)."""
+    """All seven components, unweighted.
+
+    ``start`` may hold the components of an earlier state from which this
+    one differs only in the blocks named in ``moved``. L1 and L2 are then
+    copied from it unless x moved, and the three parameter components unless
+    the params moved. L3 and L4 are always evaluated.
+    """
     L3, L4 = eval_L3_L4(state, obs, tables, gaps)
-    L_b, L_a, L_om = eval_Lparams(state, tables, gaps)
-    return Components(
-        eval_L1(state, obs, tables, epsilon),
-        eval_L2(state, obs, tables),
-        L3,
-        L4,
-        L_b,
-        L_a,
-        L_om,
-    )
+    if start is None or "params" in moved:
+        L_b, L_a, L_om = eval_Lparams(state, tables, gaps)
+    else:
+        L_b, L_a, L_om = start.L_b, start.L_a, start.L_omega
+    if start is None or "x" in moved:
+        L1, L2 = eval_L1(state, obs, tables, epsilon), eval_L2(state, obs, tables)
+    else:
+        L1, L2 = start.L1, start.L2
+    return Components(L1, L2, L3, L4, L_b, L_a, L_om)

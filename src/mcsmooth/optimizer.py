@@ -22,13 +22,7 @@ import numpy as np
 
 from .gradients import grad_total
 from .kernels import KernelTables, build_tables, gaussian_kernel
-from .objective import (
-    Components,
-    EstimationState,
-    WeightSchedule,
-    eval_components,
-    eval_total,
-)
+from .objective import Components, EstimationState, WeightSchedule, eval_components
 from .oscillator import (
     EffectiveGaps,
     ModelNoise,
@@ -37,7 +31,7 @@ from .oscillator import (
     effective_gaps,
     to_polar,
 )
-from .timeseries import KickSeries, ObservationSeries
+from .timeseries import KickSeries, ObservationSeries, write_csv_rows
 
 __all__ = [
     "HyperConfig",
@@ -313,6 +307,12 @@ def run_stage(
     accepted step improves the objective by less than the tolerance. Raises
     StalledError after three consecutive iterations in which no backtracked
     step was nondecreasing.
+
+    Every line-search trial is scored by its components, and its objective
+    is their schedule-weighted sum. Components that depend on no masked
+    block (L1/L2 when x is fixed, the parameter components when the params
+    are fixed) are carried over from the stage's first row. The accepted
+    trial's components become its trace row, so no state is evaluated twice.
     """
     mask = frozenset(mask)
     if not mask <= {"x", "z", "params"}:
@@ -324,9 +324,16 @@ def run_stage(
         )
 
     trace = StageTrace(name=name)
-    L = eval_total(state, obs, tables, gaps, schedule)
+    first = eval_components(state, obs, tables, gaps, schedule.epsilon)
+    L = schedule.total(first)
     trace.objective.append(L)
-    trace.components.append(eval_components(state, obs, tables, gaps, schedule.epsilon))
+    trace.components.append(first)
+
+    def attempt(step):
+        """The trial state at this step size, its components and its objective."""
+        trial = _apply_step(state, grad, step, mask, floors)
+        comps = eval_components(trial, obs, tables, gaps, schedule.epsilon, first, mask)
+        return trial, comps, schedule.total(comps)
 
     eta = 0.5 * config.eta
     fails_in_row = 0
@@ -337,30 +344,26 @@ def run_stage(
         accepted = False
         if not config.line_search:
             eta_try = config.eta
-            trial = _apply_step(state, grad, eta_try, mask, floors)
-            L_new = eval_total(trial, obs, tables, gaps, schedule)
+            trial, comps, L_new = attempt(eta_try)
             if not math.isfinite(L_new):
                 raise ValueError("run_stage: non-finite objective without line search")
             accepted = True
         else:
-            trial = _apply_step(state, grad, eta_try, mask, floors)
-            L_new = eval_total(trial, obs, tables, gaps, schedule)
+            trial, comps, L_new = attempt(eta_try)
             if math.isfinite(L_new) and L_new >= L:
                 accepted = True
                 # The base step may be far below the problem's scale: expand
                 # while the objective keeps strictly improving.
-                for _attempt in range(config.max_backtracks):
+                for _ in range(config.max_backtracks):
                     eta_next = grow * eta_try
-                    candidate = _apply_step(state, grad, eta_next, mask, floors)
-                    L_cand = eval_total(candidate, obs, tables, gaps, schedule)
+                    candidate, c_cand, L_cand = attempt(eta_next)
                     if not (math.isfinite(L_cand) and L_cand > L_new):
                         break
-                    trial, L_new, eta_try = candidate, L_cand, eta_next
+                    trial, comps, L_new, eta_try = candidate, c_cand, L_cand, eta_next
             else:
-                for _attempt in range(config.max_backtracks):
+                for _ in range(config.max_backtracks):
                     eta_try *= config.backtrack_factor
-                    trial = _apply_step(state, grad, eta_try, mask, floors)
-                    L_new = eval_total(trial, obs, tables, gaps, schedule)
+                    trial, comps, L_new = attempt(eta_try)
                     if math.isfinite(L_new) and L_new >= L:
                         accepted = True
                         break
@@ -378,7 +381,7 @@ def run_stage(
         state, L = trial, L_new
         trace.iterations += 1
         trace.objective.append(L)
-        trace.components.append(eval_components(state, obs, tables, gaps, schedule.epsilon))
+        trace.components.append(comps)
         if abs(dL) < config.tolerance * (1.0 + abs(L)):
             trace.converged = True
             break
@@ -419,7 +422,6 @@ def estimate(
         state, obs, tables, gaps, w2, {"x", "z", "params"}, cfg.max_iter_stage2, cfg, floors, "stage2"
     )
 
-    comps = eval_components(state, obs, tables, gaps, eps)
     return EstimationResult(
         state=state,
         config=cfg,
@@ -428,7 +430,7 @@ def estimate(
         obs=obs,
         kicks=kicks_scaled,
         traces=(tr1a, tr1b, tr2),
-        components=comps,
+        components=tr2.components[-1],
     )
 
 
@@ -488,14 +490,6 @@ def density_estimate(values, times, tables: KernelTables, at_time: float, grid) 
 # ---------------------------------------------------------------------------
 # CSV output formats owned by this module (and their re-parsers).
 
-def _write_rows(path, rows) -> None:
-    from pathlib import Path
-
-    with Path(path).open("w", newline="", encoding="utf-8") as fh:
-        for row in rows:
-            fh.write(",".join(row) + "\n")
-
-
 def _read_columns(path, ncols: int, what: str) -> np.ndarray:
     from pathlib import Path
 
@@ -515,7 +509,7 @@ def write_states_csv(result: EstimationResult, path) -> None:
         tuple(repr(float(v)) for v in cols)
         for cols in zip(result.obs.times, s.x, s.z, p.b, p.a, p.omega)
     )
-    _write_rows(path, rows)
+    write_csv_rows(path, rows)
 
 
 def read_states_csv(path) -> dict[str, np.ndarray]:
@@ -533,7 +527,7 @@ def write_reconstruction_csv(times, values, dashed, path) -> None:
         (repr(float(t)), repr(float(v)), str(int(d)))
         for t, v, d in zip(times, values, dashed)
     )
-    _write_rows(path, rows)
+    write_csv_rows(path, rows)
 
 
 def read_reconstruction_csv(path) -> dict[str, np.ndarray]:
@@ -554,7 +548,7 @@ def write_densities_csv(grid, rho_x, rho_y, path) -> None:
         tuple(repr(float(v)) for v in cols)
         for cols in zip(grid, rho_x, rho_y)
     )
-    _write_rows(path, rows)
+    write_csv_rows(path, rows)
 
 
 def read_densities_csv(path) -> dict[str, np.ndarray]:
@@ -572,7 +566,7 @@ def write_trace_csv(traces, path) -> None:
                 yield (trace.name, str(it), repr(float(L))) + tuple(
                     repr(float(c)) for c in comps
                 )
-    _write_rows(path, rows())
+    write_csv_rows(path, rows())
 
 
 def read_trace_csv(path) -> dict[str, np.ndarray]:

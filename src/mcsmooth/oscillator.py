@@ -18,7 +18,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .timeseries import KickSeries, ObservationSeries
+from .timeseries import KickSeries, ObservationSeries, float_array
 
 __all__ = [
     "ParamTrajectory",
@@ -45,9 +45,9 @@ class ParamTrajectory:
     omega: np.ndarray
 
     def __post_init__(self):
-        b = np.asarray(self.b, dtype=float)
-        a = np.asarray(self.a, dtype=float)
-        omega = np.asarray(self.omega, dtype=float)
+        b = float_array(self.b)
+        a = float_array(self.a)
+        omega = float_array(self.omega)
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "omega", omega)

@@ -24,6 +24,17 @@ __all__ = [
 ]
 
 
+def float_array(a) -> np.ndarray:
+    """``a`` as a float64 array; a longdouble array is kept as it is.
+
+    Containers convert their arrays with this, so that the finite-difference
+    check can evaluate the objective on real containers in extended precision.
+    A float64 array comes back as the same object.
+    """
+    a = np.asarray(a)
+    return a if a.dtype == np.longdouble else a.astype(float, copy=False)
+
+
 @dataclass(frozen=True)
 class ObservationSeries:
     """Ordered (time, value) samples of a scalar signal.
@@ -37,8 +48,8 @@ class ObservationSeries:
     values: np.ndarray
 
     def __post_init__(self):
-        times = np.asarray(self.times, dtype=float)
-        values = np.asarray(self.values, dtype=float)
+        times = float_array(self.times)
+        values = float_array(self.values)
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "values", values)
         if times.ndim != 1 or values.ndim != 1 or times.shape != values.shape:
@@ -179,23 +190,39 @@ class MeasurementSpec:
             raise ValueError("MeasurementSpec: period must be positive")
 
 
-def _parse_two_column_csv(path: str | Path, op: str) -> tuple[np.ndarray, np.ndarray]:
+def read_csv_rows(path: str | Path, ncols: int, op: str) -> list[tuple[float, ...]]:
+    """Strictly parse a headerless CSV of ``ncols`` float columns.
+
+    Blank lines are skipped; a missing file, a row of another width, or an
+    unparsable field raises with the caller's ``op`` as message prefix.
+    """
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(f"{op}: file not found: {path}")
-    first, second = [], []
+    rows = []
     with path.open(newline="", encoding="utf-8") as fh:
         for lineno, row in enumerate(csv.reader(fh), start=1):
             if not row or (len(row) == 1 and not row[0].strip()):
                 continue
-            if len(row) != 2:
-                raise ValueError(f"{op}: line {lineno}: expected 2 columns, got {len(row)}")
+            if len(row) != ncols:
+                raise ValueError(f"{op}: line {lineno}: expected {ncols} columns, got {len(row)}")
             try:
-                first.append(float(row[0]))
-                second.append(float(row[1]))
+                rows.append(tuple(float(v) for v in row))
             except ValueError as exc:
                 raise ValueError(f"{op}: line {lineno}: parse failure: {row}") from exc
-    return np.asarray(first), np.asarray(second)
+    return rows
+
+
+def _two_columns(path: str | Path, op: str) -> np.ndarray:
+    """The two columns of a strict two-column CSV, as contiguous rows."""
+    return np.array(read_csv_rows(path, 2, op)).reshape(-1, 2).T.copy()
+
+
+def write_csv_rows(path: str | Path, rows) -> None:
+    """Write rows of already formatted fields as comma-joined lines."""
+    with Path(path).open("w", newline="", encoding="utf-8") as fh:
+        for row in rows:
+            fh.write(",".join(row) + "\n")
 
 
 def load_observations(path: str | Path) -> ObservationSeries:
@@ -203,7 +230,7 @@ def load_observations(path: str | Path) -> ObservationSeries:
 
     Raises on parse failure, non-monotone times, or fewer than two rows.
     """
-    times, values = _parse_two_column_csv(path, "load_observations")
+    times, values = _two_columns(path, "load_observations")
     if times.size < 2:
         raise ValueError(f"load_observations: need at least 2 rows, got {times.size}")
     if not np.all(np.diff(times) > 0):
@@ -220,7 +247,7 @@ def load_kicks(path: str | Path, T_s: float) -> KickSeries:
     """
     if T_s <= 0:
         raise ValueError("load_kicks: T_s must be positive")
-    times, intensities = _parse_two_column_csv(path, "load_kicks")
+    times, intensities = _two_columns(path, "load_kicks")
     if times.size == 0:
         return KickSeries.empty()
     if np.any(intensities < 0):
@@ -234,9 +261,8 @@ def load_kicks(path: str | Path, T_s: float) -> KickSeries:
 
 
 def write_observations(series: ObservationSeries, path: str | Path) -> None:
-    with Path(path).open("w", newline="", encoding="utf-8") as fh:
-        for t, v in zip(series.times, series.values):
-            fh.write(f"{float(t)!r},{float(v)!r}\n")
+    pairs = zip(series.times.tolist(), series.values.tolist())
+    write_csv_rows(path, ((repr(t), repr(v)) for t, v in pairs))
 
 
 def _nearest_index(times: np.ndarray, t: float) -> int:

@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .timeseries import ObservationSeries
+from .timeseries import ObservationSeries, read_csv_rows, write_csv_rows
 
 __all__ = [
     "UltradianParams",
@@ -29,10 +29,6 @@ __all__ = [
     "nutrition_rate",
     "ultradian_rhs",
     "simulate",
-    "f1",
-    "f2",
-    "f3",
-    "f4",
 ]
 
 
@@ -151,24 +147,8 @@ class NutritionSchedule:
 
     @classmethod
     def from_csv(cls, path) -> "NutritionSchedule":
-        import csv
-        from pathlib import Path
-
-        p = Path(path)
-        if not p.exists():
-            raise FileNotFoundError(f"load_nutrition: file not found: {p}")
-        rows = []
-        with p.open(newline="", encoding="utf-8") as fh:
-            for lineno, row in enumerate(csv.reader(fh), start=1):
-                if not row or (len(row) == 1 and not row[0].strip()):
-                    continue
-                if len(row) != 3:
-                    raise ValueError(f"load_nutrition: line {lineno}: expected 3 columns")
-                try:
-                    rows.append(tuple(float(v) for v in row))
-                except ValueError as exc:
-                    raise ValueError(f"load_nutrition: line {lineno}: parse failure") from exc
-        return cls(tuple(rows))
+        """Read "t_start,t_end,rate_mg_per_min" rows."""
+        return cls(tuple(read_csv_rows(path, 3, "load_nutrition")))
 
 
 def nutrition_rate(t: float, schedule: NutritionSchedule) -> float:
@@ -298,15 +278,8 @@ def simulate(
 
 def write_trace(result: SimulationResult, path) -> None:
     """Write the minute trace as "t,G_mg_dl,Ip,Ii,h1,h2,h3"."""
-    from pathlib import Path
-
-    with Path(path).open("w", newline="", encoding="utf-8") as fh:
-        for t, g, row in zip(result.times, result.glucose, result.states):
-            ip, ii, _, h1v, h2v, h3v = row
-            fh.write(
-                f"{float(t)!r},{float(g)!r},{float(ip)!r},{float(ii)!r},"
-                f"{float(h1v)!r},{float(h2v)!r},{float(h3v)!r}\n"
-            )
+    cols = np.column_stack((result.times, result.glucose, result.states[:, [0, 1, 3, 4, 5]]))
+    write_csv_rows(path, (map(repr, row.tolist()) for row in cols))
 
 
 def read_trace(path) -> SimulationResult:

@@ -6,6 +6,7 @@ from mcsmooth import (
     ObservationSeries,
     bandwidth_rule_of_thumb,
     build_tables,
+    effective_gaps,
     gaussian_kernel,
 )
 
@@ -40,6 +41,12 @@ class TestGaussianKernel:
             gaussian_kernel(0.0, 1.0, 0.0)
 
 
+def decays(obs, kicks, T_s, T_l):
+    """Per-gap decays exp(-dt_relax/T_s) and exp(-dt_relax/T_l), as the objective forms them."""
+    dt_relax = effective_gaps(obs, kicks).dt_relax
+    return np.exp(-dt_relax / T_s), np.exp(-dt_relax / T_l)
+
+
 def series(seed=0, n=12):
     rng = np.random.default_rng(seed)
     t = np.cumsum(rng.uniform(5, 60, n))
@@ -58,36 +65,37 @@ class TestBuildTables:
         obs = series(3)
         tab = build_tables(obs, KickSeries.empty(), T_s=100.0, T_l=400.0)
         assert np.allclose(tab.Ky.sum(axis=1) / obs.n, tab.rho0, rtol=0, atol=1e-15)
-        assert np.allclose(tab.Kt.sum(axis=1) / obs.n, tab.mu, rtol=0, atol=1e-15)
+        s = tab.Kt.sum(axis=1)
+        assert np.allclose(tab.W, tab.Kt / s[None, :] + tab.Kt / s[:, None], rtol=1e-14, atol=0)
 
     def test_tables_symmetric_positive(self):
         obs = series(5)
         tab = build_tables(obs, KickSeries.empty(), T_s=100.0, T_l=400.0)
-        for m in (tab.Ky, tab.Kt):
+        for m in (tab.Ky, tab.Kt, tab.W):
             assert np.array_equal(m, m.T)
             assert np.all(m > 0)
-        assert np.all(tab.rho0 > 0) and np.all(tab.mu > 0)
+        assert np.all(tab.rho0 > 0)
 
     def test_decay_factor_at_one_timescale(self):
         obs = ObservationSeries([0.0, 100.0], [0.0, 1.0])
-        tab = build_tables(obs, KickSeries.empty(), T_s=100.0, T_l=400.0)
-        assert tab.ds[1] == pytest.approx(np.exp(-1.0), rel=1e-14)
-        assert tab.ds[0] == 1.0 and tab.dl[0] == 1.0
+        ds, dl = decays(obs, KickSeries.empty(), T_s=100.0, T_l=400.0)
+        assert ds[1] == pytest.approx(np.exp(-1.0), rel=1e-14)
+        assert ds[0] == 1.0 and dl[0] == 1.0
 
     def test_ds_below_dl_when_scales_ordered(self):
         obs = series(7)
-        tab = build_tables(obs, KickSeries.empty(), T_s=100.0, T_l=400.0)
-        assert np.all(tab.ds[1:] <= tab.dl[1:])
-        assert np.all((tab.ds[1:] > 0) & (tab.ds[1:] < 1))
+        ds, dl = decays(obs, KickSeries.empty(), T_s=100.0, T_l=400.0)
+        assert np.all(ds[1:] <= dl[1:])
+        assert np.all((ds[1:] > 0) & (ds[1:] < 1))
 
     def test_kick_of_typical_intensity_scales_ds_by_inv_e(self):
         obs = ObservationSeries([0.0, 50.0, 150.0], [10.0, 20.0, 15.0])
         T_s = 100.0
         kicks = KickSeries([75.0], [2.0], typical_intensity=2.0).with_time_scale(T_s)
-        tab0 = build_tables(obs, KickSeries.empty(), T_s, 400.0)
-        tab1 = build_tables(obs, kicks, T_s, 400.0)
-        assert tab1.ds[2] == pytest.approx(tab0.ds[2] * np.exp(-1.0), rel=1e-12)
-        assert tab1.ds[1] == tab0.ds[1]
+        ds0, _ = decays(obs, KickSeries.empty(), T_s, 400.0)
+        ds1, _ = decays(obs, kicks, T_s, 400.0)
+        assert ds1[2] == pytest.approx(ds0[2] * np.exp(-1.0), rel=1e-12)
+        assert ds1[1] == ds0[1]
 
     def test_kicks_never_increase_time_couplings(self):
         obs = series(11)
@@ -97,7 +105,9 @@ class TestBuildTables:
         tab0 = build_tables(obs, KickSeries.empty(), 100.0, 400.0)
         tab1 = build_tables(obs, kicks, 100.0, 400.0)
         assert np.all(tab1.Kt <= tab0.Kt)
-        assert np.all(tab1.ds <= tab0.ds) and np.all(tab1.dl <= tab0.dl)
+        ds0, dl0 = decays(obs, KickSeries.empty(), 100.0, 400.0)
+        ds1, dl1 = decays(obs, kicks, 100.0, 400.0)
+        assert np.all(ds1 <= ds0) and np.all(dl1 <= dl0)
 
     def test_removing_kicks_restores_plain_tables(self):
         obs = series(13)
@@ -105,6 +115,9 @@ class TestBuildTables:
         with_k = build_tables(obs, kicks, 100.0, 400.0)
         without = build_tables(obs, KickSeries.empty(), 100.0, 400.0)
         assert not np.array_equal(with_k.Kt, without.Kt)
+        ds_without, _ = decays(obs, KickSeries.empty(), 100.0, 400.0)
+        assert not np.array_equal(decays(obs, kicks, 100.0, 400.0)[0], ds_without)
         again = build_tables(obs, KickSeries.empty(), 100.0, 400.0)
         assert np.array_equal(again.Kt, without.Kt)
-        assert np.array_equal(again.ds, without.ds)
+        assert np.array_equal(again.W, without.W)
+        assert np.array_equal(decays(obs, KickSeries.empty(), 100.0, 400.0)[0], ds_without)

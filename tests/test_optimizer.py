@@ -10,7 +10,12 @@ from mcsmooth import (
     ObservationSeries,
     WeightSchedule,
     density_estimate,
+    effective_gaps,
     estimate,
+    eval_components,
+    eval_L1,
+    eval_L2,
+    eval_total,
     initialize,
     reconstruct_trajectory,
     run_stage,
@@ -133,6 +138,21 @@ class TestRunStage:
         assert trace.objective[-1] > trace.objective[0]
         assert np.all(np.diff(trace.objective) >= 0)
 
+    def test_trace_rows_come_from_the_accepted_trials(self, cycle_series, quick_config):
+        state, cfg, tables = initialize(cycle_series, config=quick_config)
+        gaps = effective_gaps(cycle_series, KickSeries.empty())
+        sched = WeightSchedule(lam1=1.0, lam2=1.0, lam3=1.0, epsilon=cfg.epsilon)
+        out, trace = run_stage(state, cycle_series, tables, gaps, sched, {"z"}, 10, cfg)
+        assert trace.iterations > 0
+        # x never moves under mask {"z"}: L1 and L2 are the start state's
+        L1 = eval_L1(state, cycle_series, tables, cfg.epsilon)
+        L2 = eval_L2(state, cycle_series, tables)
+        assert all(c.L1 == L1 and c.L2 == L2 for c in trace.components)
+        assert trace.components[-1] == eval_components(out, cycle_series, tables, gaps, cfg.epsilon)
+        for L, c in zip(trace.objective, trace.components):
+            assert L == c.L1 + c.L2 + c.L3
+        assert trace.objective[-1] == eval_total(out, cycle_series, tables, gaps, sched)
+
     def test_unknown_mask_rejected(self, cycle_series, quick_config):
         state, cfg, tables = initialize(cycle_series, config=quick_config)
         from mcsmooth import effective_gaps
@@ -192,6 +212,17 @@ class TestEstimate:
         assert [t.name for t in res.traces] == ["stage1a", "stage1b", "stage2"]
         for trace in res.traces:
             assert np.all(np.diff(trace.objective) >= 0)
+
+    @pytest.mark.parametrize("with_kicks", [False, True])
+    def test_result_components_are_the_last_trace_row(self, quick_config, with_kicks):
+        obs = make_cycle_series(n=80)
+        kicks = None
+        if with_kicks:
+            kicks = KickSeries([obs.times[20] + 2.0, obs.times[50] + 2.0], [1.0, 3.0],
+                               typical_intensity=2.0)
+        res = estimate(obs, kicks, config=quick_config)
+        final = eval_components(res.state, obs, res.tables, res.gaps, res.config.epsilon)
+        assert res.components == res.traces[-1].components[-1] == final
 
     def test_stage_noise_protocol(self, quick_config):
         obs = make_cycle_series(n=80)

@@ -95,6 +95,16 @@ class TestNutrition:
         s = NutritionSchedule.from_csv(p)
         assert s.intervals == ((0.0, 100.0, 80.0), (200.0, 300.0, 50.0))
 
+    @pytest.mark.parametrize("text, message", [
+        ("0,100,80\n200,300\n", "load_nutrition: line 2: expected 3 columns"),
+        ("0,100,eighty\n", "load_nutrition: line 1: parse failure"),
+    ])
+    def test_csv_errors_name_the_loader(self, tmp_path, text, message):
+        p = tmp_path / "n.csv"
+        p.write_text(text, encoding="utf-8")
+        with pytest.raises(ValueError, match=message):
+            NutritionSchedule.from_csv(p)
+
 
 class TestRhs:
     def test_f2_zero_at_origin(self):
