@@ -39,10 +39,7 @@ from .oscillator import (
     ParamTrajectory,
     PolarState,
     effective_gaps,
-    param_transition_logpdf,
-    propagate_mean,
     to_polar,
-    transition_logpdfs,
 )
 from .timeseries import (
     KickSeries,

@@ -34,6 +34,7 @@ from .timeseries import (
     MeasurementSpec,
     load_kicks,
     load_observations,
+    read_csv_rows,
     subsample,
     write_observations,
 )
@@ -105,7 +106,7 @@ def _measurement_spec(args, cfg: dict) -> MeasurementSpec:
     if args.times is not None:
         explicit = tuple(_parse_float_list(args.times))
     elif args.times_file is not None:
-        explicit = tuple(np.loadtxt(args.times_file, ndmin=1, dtype=float))
+        explicit = tuple(t for (t,) in read_csv_rows(args.times_file, 1, "subsample"))
     elif "explicit_times" in meas:
         explicit = tuple(float(v) for v in meas["explicit_times"])
     gap_bounds = (
@@ -213,7 +214,7 @@ def _cmd_estimate(args) -> int:
     write_reconstruction_csv(grid, values, dashed, out / "reconstruction.csv")
 
     at_time = args.density_time if args.density_time is not None else 0.5 * (t0 + t1)
-    vgrid = _density_grid(result, result.config)
+    vgrid = _value_grid(result.state.x, obs.values, result.tables.h, result.config)
     rho_x = density_estimate(result.state.x, obs.times, result.tables, at_time, vgrid)
     rho_y = density_estimate(obs.values, obs.times, result.tables, at_time, vgrid)
     write_densities_csv(vgrid, rho_x, rho_y, out / "densities.csv")
@@ -228,10 +229,11 @@ def _cmd_estimate(args) -> int:
     return 0
 
 
-def _density_grid(result, hyper: HyperConfig) -> np.ndarray:
-    lo = min(result.state.x.min(), result.obs.values.min())
-    hi = max(result.state.x.max(), result.obs.values.max())
-    pad = hyper.density_grid_pad * result.tables.h
+def _value_grid(x, y, h: float, hyper: HyperConfig) -> np.ndarray:
+    """The density value grid: the range of x and y, padded by density_grid_pad bandwidths h."""
+    lo = min(x.min(), y.min())
+    hi = max(x.max(), y.max())
+    pad = hyper.density_grid_pad * h
     return np.linspace(lo - pad, hi + pad, hyper.density_grid_points)
 
 
@@ -258,10 +260,7 @@ def _cmd_densities(args) -> int:
 
     t0, t1 = obs.span
     at_times = _parse_float_list(args.at_times) if args.at_times else [0.5 * (t0 + t1)]
-    lo = min(float(x.min()), float(obs.values.min()))
-    hi = max(float(x.max()), float(obs.values.max()))
-    pad = hyper.density_grid_pad * tables.h
-    grid = np.linspace(lo - pad, hi + pad, hyper.density_grid_points)
+    grid = _value_grid(x, obs.values, tables.h, hyper)
 
     out_dir = _out_dir(args.out_dir, cfg)
     for at in at_times:

@@ -29,7 +29,7 @@ from .oscillator import (
     ParamPriors,
     ParamTrajectory,
     effective_gaps,
-    to_polar,
+    propagate,
 )
 from .timeseries import KickSeries, ObservationSeries, write_csv_rows
 
@@ -75,7 +75,6 @@ class HyperConfig:
     T_l: float | None = None
     epsilon: float = 0.1
     eta: float = 1.0
-    line_search: bool = True
     backtrack_factor: float = 0.5
     max_backtracks: int = 20
     max_iter_stage1a: int = 200
@@ -342,31 +341,24 @@ def run_stage(
         grad = grad_total(state, obs, tables, gaps, schedule)
         eta_try = 2.0 * eta
         accepted = False
-        if not config.line_search:
-            eta_try = config.eta
-            trial, comps, L_new = attempt(eta_try)
-            if not math.isfinite(L_new):
-                raise ValueError("run_stage: non-finite objective without line search")
+        trial, comps, L_new = attempt(eta_try)
+        if math.isfinite(L_new) and L_new >= L:
             accepted = True
+            # The base step may be far below the problem's scale: expand
+            # while the objective keeps strictly improving.
+            for _ in range(config.max_backtracks):
+                eta_next = grow * eta_try
+                candidate, c_cand, L_cand = attempt(eta_next)
+                if not (math.isfinite(L_cand) and L_cand > L_new):
+                    break
+                trial, comps, L_new, eta_try = candidate, c_cand, L_cand, eta_next
         else:
-            trial, comps, L_new = attempt(eta_try)
-            if math.isfinite(L_new) and L_new >= L:
-                accepted = True
-                # The base step may be far below the problem's scale: expand
-                # while the objective keeps strictly improving.
-                for _ in range(config.max_backtracks):
-                    eta_next = grow * eta_try
-                    candidate, c_cand, L_cand = attempt(eta_next)
-                    if not (math.isfinite(L_cand) and L_cand > L_new):
-                        break
-                    trial, comps, L_new, eta_try = candidate, c_cand, L_cand, eta_next
-            else:
-                for _ in range(config.max_backtracks):
-                    eta_try *= config.backtrack_factor
-                    trial, comps, L_new = attempt(eta_try)
-                    if math.isfinite(L_new) and L_new >= L:
-                        accepted = True
-                        break
+            for _ in range(config.max_backtracks):
+                eta_try *= config.backtrack_factor
+                trial, comps, L_new = attempt(eta_try)
+                if math.isfinite(L_new) and L_new >= L:
+                    accepted = True
+                    break
         eta = eta_try
         if not accepted:
             trace.line_search_failures += 1
@@ -446,28 +438,25 @@ def reconstruct_trajectory(result: EstimationResult, grid) -> tuple[np.ndarray, 
     grid = np.asarray(grid, dtype=float)
     t = result.obs.times
     state = result.state
-    b, a, om = state.params.b, state.params.a, state.params.omega
-    T_s = result.config.T_s
-    thr = result.config.dashed_gap_threshold
+    p = state.params
     kicks = result.kicks
 
     if grid.size and (grid.min() < t[0] or grid.max() > t[-1]):
         raise ValueError("reconstruct_trajectory: grid time outside the observation span")
 
-    values = np.empty(grid.size)
+    j = np.searchsorted(t, grid, side="right") - 1
+    values = state.x[j]
+    inside = grid != t[j]
+    g, j = grid[inside], j[inside]
+    dt_phase = g - t[j]
+    dt_relax = dt_phase + kicks.alpha_kick * kicks.intensity_between(t[j], g)
+    q = propagate(
+        state.x[j], state.z[j], p.b[j], p.b[j + 1], p.a[j + 1], p.omega[j],
+        dt_phase, dt_relax, result.config.T_s,
+    )
+    values[inside] = q.mean_x
     dashed = np.zeros(grid.size, dtype=bool)
-    for i, g in enumerate(grid):
-        j = int(np.searchsorted(t, g, side="right")) - 1
-        if g == t[j]:
-            values[i] = state.x[j]
-            continue
-        dt_phase = g - t[j]
-        dt_relax = dt_phase + kicks.alpha_kick * kicks.intensity_between(t[j], g)
-        pol = to_polar(state.x[j], state.z[j], b[j])
-        d_s = math.exp(-dt_relax / T_s)
-        r_plus = (1.0 - d_s) * a[j + 1] + d_s * pol.r
-        values[i] = b[j + 1] + r_plus * math.cos(pol.theta + om[j] * dt_phase)
-        dashed[i] = (t[j + 1] - t[j]) > thr
+    dashed[inside] = np.diff(t)[j] > result.config.dashed_gap_threshold
     return values, dashed
 
 

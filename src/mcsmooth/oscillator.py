@@ -27,9 +27,6 @@ __all__ = [
     "PolarState",
     "EffectiveGaps",
     "to_polar",
-    "propagate_mean",
-    "transition_logpdfs",
-    "param_transition_logpdf",
     "effective_gaps",
 ]
 
@@ -118,83 +115,24 @@ def to_polar(x, z, b) -> PolarState:
     return PolarState(r, theta)
 
 
-def propagate_mean(prev: PolarState, a_next, omega_prev, dt_phase, dt_relax, T_s: float) -> PolarState:
-    """Propagate (r, theta) across a gap.
-
-    The amplitude relaxes toward a_next with weight exp(-dt_relax / T_s);
-    the phase advances by omega_prev * dt_phase (raw gap, kicks excluded).
-    """
-    d_s = np.exp(-np.asarray(dt_relax) / T_s)
-    r_plus = (1.0 - d_s) * a_next + d_s * prev.r
-    theta_plus = prev.theta + np.asarray(omega_prev) * np.asarray(dt_phase)
-    return PolarState(r_plus, theta_plus)
-
-
-def _gauss_logpdf(x, mean, var):
-    d = np.asarray(x) - mean
-    return -0.5 * (LOG_2PI + np.log(var)) - (d * d) / (2.0 * var)
-
-
-def transition_logpdfs(
-    x_j,
-    z_j,
-    prev: PolarState,
-    b_j,
-    a_j,
-    omega_prev,
-    dt_phase,
-    dt_relax,
-    sigma: float,
-    T_s: float,
-):
-    """Log transition densities of (x_j, z_j) given the previous polar state.
-
-    x_j is Normal about b_j + r_plus cos(theta_plus) and z_j about
-    r_plus sin(theta_plus), both with variance sigma^2.
-    """
-    if sigma <= 0:
-        raise ValueError("transition_logpdfs: sigma must be positive")
-    plus = propagate_mean(prev, a_j, omega_prev, dt_phase, dt_relax, T_s)
-    mean_x = np.asarray(b_j, dtype=float) + plus.r * np.cos(plus.theta)
-    mean_z = plus.r * np.sin(plus.theta)
-    var = sigma * sigma
-    return _gauss_logpdf(x_j, mean_x, var), _gauss_logpdf(z_j, mean_z, var)
-
-
-def param_transition_logpdf(alpha_j, alpha_prev, alpha_tilde, sigma_l, dt_relax, T_l: float):
-    """Log density of a parameter transition relaxing toward its prior.
-
-    Normal with mean d_l alpha_prev + (1 - d_l) alpha_tilde and variance
-    (1 - d_l) sigma_l^2 where d_l = exp(-dt_relax / T_l). A zero gap makes
-    the variance degenerate and is rejected.
-    """
-    if sigma_l <= 0:
-        raise ValueError("param_transition_logpdf: sigma_l must be positive")
-    dt_relax = np.asarray(dt_relax, dtype=float)
-    if np.any(dt_relax <= 0):
-        raise ValueError("param_transition_logpdf: degenerate variance at zero gap")
-    d_l = np.exp(-dt_relax / T_l)
-    mean = d_l * np.asarray(alpha_prev, dtype=float) + (1.0 - d_l) * alpha_tilde
-    var = (1.0 - d_l) * sigma_l * sigma_l
-    return _gauss_logpdf(alpha_j, mean, var)
-
-
 def effective_gaps(obs: ObservationSeries, kicks: KickSeries) -> EffectiveGaps:
     """Raw and kick-inflated gaps for every observation index.
 
     dt_phase is always the raw gap; dt_relax adds alpha_kick times the
     intensity of kicks inside the gap [t^{j-1}, t^j).
     """
+    t = obs.times
     raw = obs.gaps()
-    relax = raw + kicks.alpha_kick * kicks.gap_intensity(obs.times)
+    relax = raw.copy()
+    relax[1:] += kicks.alpha_kick * kicks.intensity_between(t[:-1], t[1:])
     return EffectiveGaps(raw, relax)
 
 
 class TransitionQuantities(NamedTuple):
-    """Vectorized per-transition quantities shared by objective and gradients.
+    """Per-transition quantities shared by objective, gradients and reconstruction.
 
-    All arrays have length n - 1; entry k describes the transition from index
-    k into index k + 1.
+    Entry k describes the transition from the k-th source state across its
+    gap; for consecutive observations, from index k into index k + 1.
     """
 
     r_prev: np.ndarray
@@ -206,6 +144,23 @@ class TransitionQuantities(NamedTuple):
     mean_z: np.ndarray
 
 
+def propagate(x, z, b, b_next, a_next, omega, dt_phase, dt_relax, T_s: float) -> TransitionQuantities:
+    """Propagate source states (x, z) about their local means b across gaps.
+
+    The amplitude relaxes toward the target a_next with weight
+    d_s = exp(-dt_relax / T_s); the phase advances by omega * dt_phase (raw
+    gap, kicks excluded). The propagated mean is (b_next + r_plus cos phi,
+    r_plus sin phi). All arguments are equal-length arrays.
+    """
+    prev = to_polar(x, z, b)
+    d_s = np.exp(-dt_relax / T_s)
+    r_plus = (1.0 - d_s) * a_next + d_s * prev.r
+    phi = prev.theta + omega * dt_phase
+    mean_x = b_next + r_plus * np.cos(phi)
+    mean_z = r_plus * np.sin(phi)
+    return TransitionQuantities(prev.r, prev.theta, d_s, r_plus, phi, mean_x, mean_z)
+
+
 def transition_quantities(
     x: np.ndarray,
     z: np.ndarray,
@@ -213,10 +168,9 @@ def transition_quantities(
     gaps: EffectiveGaps,
     T_s: float,
 ) -> TransitionQuantities:
-    prev = to_polar(x[:-1], z[:-1], params.b[:-1])
-    d_s = np.exp(-gaps.dt_relax[1:] / T_s)
-    r_plus = (1.0 - d_s) * params.a[1:] + d_s * prev.r
-    phi = prev.theta + params.omega[:-1] * gaps.dt_phase[1:]
-    mean_x = params.b[1:] + r_plus * np.cos(phi)
-    mean_z = r_plus * np.sin(phi)
-    return TransitionQuantities(prev.r, prev.theta, d_s, r_plus, phi, mean_x, mean_z)
+    """The n - 1 transitions between consecutive observation indices."""
+    b, a, omega = params.b, params.a, params.omega
+    return propagate(
+        x[:-1], z[:-1], b[:-1], b[1:], a[1:], omega[:-1],
+        gaps.dt_phase[1:], gaps.dt_relax[1:], T_s,
+    )

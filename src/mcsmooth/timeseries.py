@@ -123,31 +123,16 @@ class KickSeries:
     def _cumulative(self) -> np.ndarray:
         return np.concatenate(([0.0], np.cumsum(self.intensities)))
 
-    def gap_intensity(self, times: np.ndarray) -> np.ndarray:
-        """Summed kick intensity inside every inter-observation gap.
+    def intensity_between(self, lo, hi):
+        """Summed intensity of kicks with lo <= k < hi, elementwise over arrays.
 
-        Gap j covers [t^{j-1}, t^j): a kick exactly at a measurement time
-        decouples the following transition, not the preceding one. Index 0 of
-        the result (no predecessor) is zero.
+        This half-open rule is the gap convention: a kick exactly at a
+        measurement time decouples the following transition, not the
+        preceding one.
         """
-        times = np.asarray(times, dtype=float)
-        out = np.zeros(times.size)
-        if self.n == 0:
-            return out
         cum = self._cumulative()
-        before = cum[np.searchsorted(self.times, times, side="left")]
-        out[1:] = before[1:] - before[:-1]
-        return out
-
-    def intensity_between(self, lo: float, hi: float) -> float:
-        """Summed intensity of kicks with lo <= k < hi (gap convention)."""
-        if self.n == 0:
-            return 0.0
-        cum = self._cumulative()
-        return float(
-            cum[np.searchsorted(self.times, hi, side="left")]
-            - cum[np.searchsorted(self.times, lo, side="left")]
-        )
+        below_hi = cum[np.searchsorted(self.times, hi, side="left")]
+        return below_hi - cum[np.searchsorted(self.times, lo, side="left")]
 
     def pairwise_intensity(self, times: np.ndarray) -> np.ndarray:
         """Summed intensity of kicks strictly between every pair of times."""

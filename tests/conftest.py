@@ -1,4 +1,11 @@
-"""Shared fixtures: random estimation states and canonical-truth generators."""
+"""Shared fixtures, canonical-truth generators, and the scalar model oracle.
+
+The oracle restates the transition densities and the gap reconstruction one
+transition or grid point at a time, apart from the package's vectorised
+``oscillator.propagate``; tests compare the package against it.
+"""
+
+import math
 
 import numpy as np
 import pytest
@@ -11,12 +18,89 @@ from mcsmooth import (
     ObservationSeries,
     ParamPriors,
     ParamTrajectory,
+    PolarState,
     build_tables,
     effective_gaps,
+    to_polar,
 )
 
 TRUE_B, TRUE_A, TRUE_PERIOD = 140.0, 30.0, 140.0
 TRUE_OMEGA = 2.0 * np.pi / TRUE_PERIOD
+LOG_2PI = float(np.log(2.0 * np.pi))
+
+
+# --- oracle: scalar transition densities and the per-point reconstruction
+
+def propagate_mean(prev: PolarState, a_next, omega_prev, dt_phase, dt_relax, T_s: float) -> PolarState:
+    """Propagate (r, theta) across a gap.
+
+    The amplitude relaxes toward a_next with weight exp(-dt_relax / T_s);
+    the phase advances by omega_prev * dt_phase (raw gap, kicks excluded).
+    """
+    d_s = np.exp(-np.asarray(dt_relax) / T_s)
+    r_plus = (1.0 - d_s) * a_next + d_s * prev.r
+    theta_plus = prev.theta + np.asarray(omega_prev) * np.asarray(dt_phase)
+    return PolarState(r_plus, theta_plus)
+
+
+def _gauss_logpdf(x, mean, var):
+    d = np.asarray(x) - mean
+    return -0.5 * (LOG_2PI + np.log(var)) - (d * d) / (2.0 * var)
+
+
+def transition_logpdfs(x_j, z_j, prev: PolarState, b_j, a_j, omega_prev, dt_phase, dt_relax,
+                       sigma: float, T_s: float):
+    """Log transition densities of (x_j, z_j) given the previous polar state.
+
+    x_j is Normal about b_j + r_plus cos(theta_plus) and z_j about
+    r_plus sin(theta_plus), both with variance sigma^2.
+    """
+    plus = propagate_mean(prev, a_j, omega_prev, dt_phase, dt_relax, T_s)
+    mean_x = np.asarray(b_j, dtype=float) + plus.r * np.cos(plus.theta)
+    mean_z = plus.r * np.sin(plus.theta)
+    var = sigma * sigma
+    return _gauss_logpdf(x_j, mean_x, var), _gauss_logpdf(z_j, mean_z, var)
+
+
+def param_transition_logpdf(alpha_j, alpha_prev, alpha_tilde, sigma_l, dt_relax, T_l: float):
+    """Log density of a parameter transition relaxing toward its prior.
+
+    Normal with mean d_l alpha_prev + (1 - d_l) alpha_tilde and variance
+    (1 - d_l) sigma_l^2 where d_l = exp(-dt_relax / T_l).
+    """
+    d_l = np.exp(-np.asarray(dt_relax, dtype=float) / T_l)
+    mean = d_l * np.asarray(alpha_prev, dtype=float) + (1.0 - d_l) * alpha_tilde
+    var = (1.0 - d_l) * sigma_l * sigma_l
+    return _gauss_logpdf(alpha_j, mean, var)
+
+
+def reconstruct_loop(result, grid):
+    """``reconstruct_trajectory`` one grid point at a time, in scalar arithmetic."""
+    grid = np.asarray(grid, dtype=float)
+    t = result.obs.times
+    state = result.state
+    b, a, om = state.params.b, state.params.a, state.params.omega
+    T_s = result.config.T_s
+    thr = result.config.dashed_gap_threshold
+    kicks = result.kicks
+    values = np.empty(grid.size)
+    dashed = np.zeros(grid.size, dtype=bool)
+    for i, g in enumerate(grid):
+        j = int(np.searchsorted(t, g, side="right")) - 1
+        if g == t[j]:
+            values[i] = state.x[j]
+            continue
+        dt_phase = g - t[j]
+        dt_relax = dt_phase + kicks.alpha_kick * float(kicks.intensity_between(t[j], g))
+        pol = to_polar(state.x[j], state.z[j], b[j])
+        d_s = math.exp(-dt_relax / T_s)
+        r_plus = (1.0 - d_s) * a[j + 1] + d_s * pol.r
+        values[i] = b[j + 1] + r_plus * math.cos(pol.theta + om[j] * dt_phase)
+        dashed[i] = (t[j + 1] - t[j]) > thr
+    return values, dashed
+
+
+# --- fixtures
 
 
 def make_cycle_series(n=200, spacing=5.0, noise=0.1 * TRUE_A, seed=42):

@@ -89,6 +89,19 @@ def test_subsample_h3_and_h1(dense_csv, tmp_path):
     assert load_observations(out1).n == 3
 
 
+def test_subsample_times_file_is_parsed_strictly(dense_csv, tmp_path, capsys):
+    times, out = tmp_path / "times.txt", tmp_path / "h1.csv"
+    times.write_text("2000\n2100", encoding="utf-8")  # no trailing newline
+    args = ["subsample", "--in", str(dense_csv), "--spec", "h1",
+            "--times-file", str(times), "--out", str(out)]
+    assert run_command(args) == 0
+    assert load_observations(out).n == 2
+    capsys.readouterr()
+    times.write_text("2000\n2100\nlate\n", encoding="utf-8")
+    assert run_command(args) == 1
+    assert "subsample: line 3" in capsys.readouterr().err
+
+
 def test_estimate_writes_all_outputs(dense_csv, tmp_path):
     obs_path = tmp_path / "obs.csv"
     assert run_command(["subsample", "--in", str(dense_csv), "--spec", "h2",

@@ -1,7 +1,11 @@
 import math
+from dataclasses import replace
+from functools import cache
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mcsmooth import (
     FrequencyEstimationError,
@@ -31,7 +35,7 @@ from mcsmooth.optimizer import (
     write_states_csv,
     write_trace_csv,
 )
-from conftest import TRUE_A, TRUE_B, TRUE_OMEGA, make_cycle_series
+from conftest import TRUE_A, TRUE_B, TRUE_OMEGA, make_cycle_series, reconstruct_loop
 
 
 class TestInitialize:
@@ -114,7 +118,7 @@ class TestRunStage:
 
         from mcsmooth import effective_gaps, grad_total
 
-        cfg = HyperConfig(eta=1e-300, line_search=False)
+        cfg = HyperConfig(eta=1e-300)
         state, cfg, tables = initialize(cycle_series, config=cfg)
         state = replace(state, x=state.x + 3.0)  # move off the L1/L2 peak
         gaps = effective_gaps(cycle_series, KickSeries.empty())
@@ -312,6 +316,66 @@ class TestReconstruct:
         res = self.result()
         with pytest.raises(ValueError, match="outside"):
             reconstruct_trajectory(res, [res.obs.times[-1] + 1.0])
+
+    def test_kick_relaxes_the_following_gap_only(self):
+        # The gap convention of effective_gaps: a kick at t_j inflates dt_relax
+        # inside (t_j, t_{j+1}), and leaves the gap ending at t_j alone.
+        res = self.result()
+        state, t, T_s = res.state, res.obs.times, res.config.T_s
+        j, tau = 10, 2.0
+        kicked = replace(res, kicks=KickSeries([t[j]], [2.0], typical_intensity=2.0)
+                         .with_time_scale(T_s))
+        before = [t[j - 1] + tau]
+        assert reconstruct_trajectory(kicked, before)[0] == reconstruct_trajectory(res, before)[0]
+        pol = to_polar(state.x[j], state.z[j], state.params.b[j])
+        ds = math.exp(-(tau + T_s) / T_s)  # one typical kick adds one T_s
+        r_t = (1 - ds) * state.params.a[j + 1] + ds * pol.r
+        want = state.params.b[j + 1] + r_t * math.cos(pol.theta + state.params.omega[j] * tau)
+        got, _ = reconstruct_trajectory(kicked, [t[j] + tau])
+        assert got[0] == pytest.approx(want, rel=1e-12)
+        assert got[0] != reconstruct_trajectory(res, [t[j] + tau])[0][0]
+
+
+@cache
+def irregular_result():
+    """An estimate over irregular 3-9 min gaps; gaps longer than the median are
+    dashed, and the median gap itself is not."""
+    rng = np.random.default_rng(8)
+    t = np.cumsum(rng.uniform(3.0, 9.0, 50))
+    y = TRUE_B + TRUE_A * np.cos(TRUE_OMEGA * t) + rng.normal(0.0, 3.0, t.size)
+    cfg = HyperConfig(max_iter_stage1a=10, max_iter_stage1b=10, max_iter_stage2=20,
+                      dashed_gap_threshold=float(np.median(np.diff(t))))
+    return estimate(ObservationSeries(t, y), config=cfg)
+
+
+@st.composite
+def grids_and_kicks(draw):
+    """A grid inside the span, with observation times among its points, and kicks
+    that may sit exactly at observation times."""
+    t = irregular_result().obs.times.tolist()
+    anywhere = st.floats(t[0], t[-1], allow_nan=False)
+    at_obs = st.sampled_from(t)
+    grid = draw(st.lists(st.one_of(anywhere, at_obs), max_size=60))
+    kick_times = sorted(draw(st.sets(st.one_of(anywhere, at_obs), max_size=6)))
+    intensities = draw(st.lists(st.floats(0.1, 5.0), min_size=len(kick_times),
+                                max_size=len(kick_times)))
+    return np.array(grid), kick_times, intensities
+
+
+@settings(max_examples=60, deadline=None)
+@given(grids_and_kicks())
+def test_reconstruction_matches_the_loop_oracle(case):
+    grid, kick_times, intensities = case
+    res = irregular_result()
+    if kick_times:
+        kicks = KickSeries(kick_times, intensities, typical_intensity=float(np.mean(intensities)))
+        res = replace(res, kicks=kicks.with_time_scale(res.config.T_s))
+    values, dashed = reconstruct_trajectory(res, grid)
+    want, want_dashed = reconstruct_loop(res, grid)
+    np.testing.assert_allclose(values, want, rtol=1e-15, atol=0)
+    assert np.array_equal(dashed, want_dashed)
+    at_obs = np.isin(grid, res.obs.times)
+    assert np.array_equal(values[at_obs], want[at_obs])
 
 
 class TestDensityEstimate:

@@ -2,13 +2,25 @@ import numpy as np
 import pytest
 
 from mcsmooth import (
+    EffectiveGaps,
+    EstimationState,
     KickSeries,
+    ModelNoise,
     ObservationSeries,
+    ParamPriors,
+    ParamTrajectory,
     PolarState,
+    build_tables,
     effective_gaps,
+    eval_L3_L4,
+    eval_Lparams,
+    to_polar,
+)
+from mcsmooth.oscillator import propagate, transition_quantities
+from conftest import (
+    make_random_fixture,
     param_transition_logpdf,
     propagate_mean,
-    to_polar,
     transition_logpdfs,
 )
 
@@ -18,6 +30,28 @@ def ref_normal_logpdf(x, mean, var):
     return -0.5 * np.log(2.0 * np.pi * var) - (x - mean) ** 2 / (2.0 * var)
 
 
+def propagated(prev, a_next, omega_prev, dt_phase, dt_relax, T_s, b=0.0):
+    """The package's propagation of source states at polar ``prev`` about ``b``,
+    and the oracle's propagation of the same source states."""
+    x = b + prev.r * np.cos(prev.theta)
+    z = prev.r * np.sin(prev.theta)
+    args = np.broadcast_arrays(x, z, b, b, a_next, omega_prev, dt_phase, dt_relax)
+    q = propagate(*(np.atleast_1d(v).astype(float) for v in args), T_s)
+    want = propagate_mean(to_polar(x, z, b), a_next, omega_prev, dt_phase, dt_relax, T_s)
+    np.testing.assert_allclose(q.r_plus, want.r, rtol=1e-15, atol=0)
+    np.testing.assert_allclose(q.phi, want.theta, rtol=1e-15, atol=0)
+    return q
+
+
+def two_index_state(dt, x=(0.0, 0.0), z=(0.0, 0.0), b=(120.0, 120.0), a=(3.0, 3.0),
+                    omega=(0.05, 0.05), sigma=1.0, priors=None, T_s=100.0, T_l=400.0):
+    """A two-observation state with one transition of length dt, no kicks."""
+    obs = ObservationSeries([0.0, dt], [1.0, 2.0])
+    tables = build_tables(obs, KickSeries.empty(), T_s, T_l)
+    gaps = effective_gaps(obs, KickSeries.empty())
+    priors = priors if priors is not None else ParamPriors(120.0, 3.0, 0.05, 1.0, 1.0, 1.0)
+    state = EstimationState(x, z, ParamTrajectory(b, a, omega), priors, ModelNoise(sigma))
+    return state, obs, tables, gaps
 class TestToPolar:
     def test_positive_x_axis(self):
         p = to_polar(5.0, 0.0, 4.0)
@@ -45,48 +79,54 @@ class TestToPolar:
 
 class TestPropagateMean:
     def test_zero_gap_keeps_radius(self):
-        out = propagate_mean(PolarState(3.0, 0.5), a_next=7.0, omega_prev=0.1,
-                             dt_phase=0.0, dt_relax=0.0, T_s=100.0)
-        assert out.r == 3.0
+        q = propagated(PolarState(3.0, 0.5), a_next=7.0, omega_prev=0.1,
+                       dt_phase=0.0, dt_relax=0.0, T_s=100.0)
+        assert q.r_plus[0] == q.r_prev[0]
+        assert q.r_plus[0] == pytest.approx(3.0, rel=1e-15)
 
     def test_long_gap_relaxes_to_target(self):
-        out = propagate_mean(PolarState(3.0, 0.5), 7.0, 0.1, 0.0, 1e9, 100.0)
-        assert out.r == pytest.approx(7.0, rel=1e-12)
+        q = propagated(PolarState(3.0, 0.5), 7.0, 0.1, 0.0, 1e9, 100.0)
+        assert q.r_plus[0] == pytest.approx(7.0, rel=1e-12)
 
     def test_half_period_phase(self):
         P = 120.0
-        out = propagate_mean(PolarState(1.0, 0.25), 1.0, 2 * np.pi / P, P / 2, P / 2, 100.0)
-        assert out.theta == pytest.approx(0.25 + np.pi, rel=1e-14)
+        q = propagated(PolarState(1.0, 0.25), 1.0, 2 * np.pi / P, P / 2, P / 2, 100.0)
+        assert q.phi[0] == pytest.approx(0.25 + np.pi, rel=1e-14)
 
     def test_radius_is_convex_combination(self):
         rng = np.random.default_rng(5)
-        for _ in range(200):
-            r0, a = rng.uniform(0, 10, 2)
-            out = propagate_mean(PolarState(r0, 0.0), a, 0.05, 5.0, rng.uniform(0, 500), 100.0)
-            lo, hi = min(r0, a), max(r0, a)
-            assert lo - 1e-12 <= out.r <= hi + 1e-12
+        r0, a = rng.uniform(0, 10, (2, 200))
+        q = propagated(PolarState(r0, 0.0), a, 0.05, 5.0, rng.uniform(0, 500, 200), 100.0, b=3.0)
+        lo, hi = np.minimum(q.r_prev, a), np.maximum(q.r_prev, a)
+        assert np.all((lo - 1e-12 <= q.r_plus) & (q.r_plus <= hi + 1e-12))
 
 
 class TestTransitionLogpdfs:
-    def test_peak_value_at_mean(self):
-        sigma, T_s = 4.0, 100.0
-        prev = PolarState(2.0, 0.3)
+    def peak_state(self, sigma, T_s, offset_x=0.0):
+        """Two indices, the second at the oracle's propagated mean (x shifted by offset_x)."""
+        x0, z0 = 120.0 + 2.0 * np.cos(0.3), 2.0 * np.sin(0.3)
+        prev = to_polar(x0, z0, 120.0)
         plus = propagate_mean(prev, 3.0, 0.05, 10.0, 10.0, T_s)
-        mean_x = 120.0 + plus.r * np.cos(plus.theta)
-        lx, lz = transition_logpdfs(mean_x, plus.r * np.sin(plus.theta), prev,
-                                    120.0, 3.0, 0.05, 10.0, 10.0, sigma, T_s)
+        mean_x, mean_z = 120.0 + plus.r * np.cos(plus.theta), plus.r * np.sin(plus.theta)
+        state, obs, tables, gaps = two_index_state(
+            10.0, x=(x0, mean_x + offset_x), z=(z0, mean_z), sigma=sigma, T_s=T_s)
+        oracle = transition_logpdfs(mean_x + offset_x, mean_z, prev, 120.0, 3.0, 0.05,
+                                    10.0, 10.0, sigma, T_s)
+        return eval_L3_L4(state, obs, tables, gaps), oracle
+
+    def test_peak_value_at_mean(self):
+        sigma = 4.0
+        (L3, L4), (lx, lz) = self.peak_state(sigma, 100.0)
         peak = -0.5 * np.log(2 * np.pi * sigma**2)
-        assert lx == pytest.approx(peak, rel=1e-14)
-        assert lz == pytest.approx(peak, rel=1e-14)
+        for got in (2 * L3, 2 * L4, lx, lz):
+            assert got == pytest.approx(peak, rel=1e-14)
 
     def test_one_sigma_point(self):
-        sigma, T_s = 4.0, 100.0
-        prev = PolarState(2.0, 0.3)
-        plus = propagate_mean(prev, 3.0, 0.05, 10.0, 10.0, T_s)
-        mean_x = 120.0 + plus.r * np.cos(plus.theta)
-        lx, _ = transition_logpdfs(mean_x + sigma, 0.0, prev, 120.0, 3.0, 0.05,
-                                   10.0, 10.0, sigma, T_s)
-        assert lx == pytest.approx(-0.5 * np.log(2 * np.pi * sigma**2) - 0.5, rel=1e-13)
+        sigma = 4.0
+        (L3, _), (lx, _) = self.peak_state(sigma, 100.0, offset_x=sigma)
+        want = -0.5 * np.log(2 * np.pi * sigma**2) - 0.5
+        assert 2 * L3 == pytest.approx(want, rel=1e-13)
+        assert lx == pytest.approx(want, rel=1e-13)
 
     def test_matches_reference_gaussian(self):
         rng = np.random.default_rng(11)
@@ -104,22 +144,56 @@ class TestTransitionLogpdfs:
             assert lz == pytest.approx(want_z, abs=1e-12)
 
     def test_nonpositive_sigma_rejected(self):
-        with pytest.raises(ValueError, match="sigma"):
-            transition_logpdfs(0, 0, PolarState(1.0, 0.0), 0, 1, 0.05, 5, 5, 0.0, 100.0)
+        for sigma in (0.0, -1.0):
+            with pytest.raises(ValueError, match="sigma"):
+                ModelNoise(sigma)
+            with pytest.raises(ValueError, match="sigma"):
+                ParamPriors(0.0, 1.0, 0.05, sigma, 1.0, 1.0)
+
+    @pytest.mark.parametrize("with_kicks", [False, True])
+    def test_package_matches_oracle(self, with_kicks):
+        for seed in range(4):
+            state, obs, tables, gaps = make_random_fixture(seed, with_kicks=with_kicks)
+            p, T_s = state.params, tables.T_s
+            prev = to_polar(state.x[:-1], state.z[:-1], p.b[:-1])
+            plus = propagate_mean(prev, p.a[1:], p.omega[:-1], gaps.dt_phase[1:],
+                                  gaps.dt_relax[1:], T_s)
+            q = transition_quantities(state.x, state.z, p, gaps, T_s)
+            np.testing.assert_array_equal(q.r_prev, prev.r)
+            np.testing.assert_array_equal(q.theta_prev, prev.theta)
+            np.testing.assert_allclose(q.r_plus, plus.r, rtol=1e-15, atol=0)
+            np.testing.assert_allclose(q.phi, plus.theta, rtol=1e-15, atol=0)
+            np.testing.assert_allclose(q.mean_x, p.b[1:] + plus.r * np.cos(plus.theta),
+                                       rtol=1e-15, atol=0)
+            lx, lz = transition_logpdfs(state.x[1:], state.z[1:], prev, p.b[1:], p.a[1:],
+                                        p.omega[:-1], gaps.dt_phase[1:], gaps.dt_relax[1:],
+                                        state.noise.sigma, T_s)
+            L3, L4 = eval_L3_L4(state, obs, tables, gaps)
+            assert L3 == pytest.approx(lx.sum() / state.n, rel=1e-13)
+            assert L4 == pytest.approx(lz.sum() / state.n, rel=1e-13)
 
 
 class TestParamTransition:
     def test_fully_relaxed_peak(self):
         sigma_l = 2.5
-        got = param_transition_logpdf(7.0, 3.0, 7.0, sigma_l, 1e9, 400.0)
-        assert got == pytest.approx(-0.5 * np.log(2 * np.pi * sigma_l**2), rel=1e-12)
+        priors = ParamPriors(7.0, 3.0, 0.05, sigma_l, 1.0, 1.0)
+        state, _, tables, gaps = two_index_state(1e9, b=(3.0, 7.0), priors=priors)
+        L_b = eval_Lparams(state, tables, gaps)[0]
+        peak = -0.5 * np.log(2 * np.pi * sigma_l**2)
+        assert 2 * L_b == pytest.approx(peak, rel=1e-12)
+        assert param_transition_logpdf(7.0, 3.0, 7.0, sigma_l, 1e9, 400.0) == pytest.approx(
+            peak, rel=1e-12)
 
     def test_peak_at_any_gap(self):
         sigma_l, T_l, dt = 2.5, 400.0, 35.0
         d_l = np.exp(-dt / T_l)
         mean = d_l * 3.0 + (1 - d_l) * 7.0
+        priors = ParamPriors(7.0, 3.0, 0.05, sigma_l, 1.0, 1.0)
+        state, _, tables, gaps = two_index_state(dt, b=(3.0, mean), priors=priors, T_l=T_l)
+        want = -0.5 * np.log(2 * np.pi * (1 - d_l) * sigma_l**2)
+        assert 2 * eval_Lparams(state, tables, gaps)[0] == pytest.approx(want, rel=1e-13)
         got = param_transition_logpdf(mean, 3.0, 7.0, sigma_l, dt, T_l)
-        assert got == pytest.approx(-0.5 * np.log(2 * np.pi * (1 - d_l) * sigma_l**2), rel=1e-13)
+        assert got == pytest.approx(want, rel=1e-13)
 
     def test_matches_reference_gaussian(self):
         rng = np.random.default_rng(17)
@@ -133,8 +207,28 @@ class TestParamTransition:
             assert got == pytest.approx(want, abs=1e-12)
 
     def test_zero_gap_degenerate_variance(self):
+        state, _, tables, _ = two_index_state(10.0)
+        gaps = EffectiveGaps(np.zeros(2), np.zeros(2))
         with pytest.raises(ValueError, match="degenerate"):
-            param_transition_logpdf(1.0, 1.0, 1.0, 1.0, 0.0, 400.0)
+            eval_Lparams(state, tables, gaps)
+
+    @pytest.mark.parametrize("with_kicks", [False, True])
+    def test_package_matches_oracle(self, with_kicks):
+        for seed in range(4):
+            state, _, tables, gaps = make_random_fixture(seed, with_kicks=with_kicks)
+            p, pr, dt = state.params, state.priors, gaps.dt_relax[1:]
+            want = [
+                param_transition_logpdf(alpha[1:], alpha[:-1], tilde, sigma_l, dt, tables.T_l).sum()
+                / state.n
+                for alpha, tilde, sigma_l in (
+                    (p.b, pr.b_tilde, pr.sigma_b),
+                    (p.a, pr.a_tilde, pr.sigma_a),
+                    (p.omega, pr.omega_tilde, pr.sigma_omega),
+                )
+            ]
+            got = eval_Lparams(state, tables, gaps)
+            for g, w in zip(got, want):
+                assert g == pytest.approx(w, rel=1e-13)
 
 
 class TestEffectiveGaps:

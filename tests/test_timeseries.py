@@ -86,8 +86,8 @@ class TestLoadKicks:
 class TestKickConventions:
     def test_kick_at_measurement_time_counts_in_following_gap(self):
         kicks = KickSeries([10.0], [2.0], typical_intensity=2.0, alpha_kick=1.0)
-        gap = kicks.gap_intensity(np.array([0.0, 10.0, 20.0]))
-        assert gap.tolist() == [0.0, 0.0, 2.0]
+        t = np.array([0.0, 10.0, 20.0])
+        assert kicks.intensity_between(t[:-1], t[1:]).tolist() == [0.0, 2.0]
 
     def test_pairwise_strictly_between(self):
         kicks = KickSeries([10.0], [2.0], typical_intensity=2.0, alpha_kick=1.0)
