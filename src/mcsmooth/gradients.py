@@ -59,8 +59,16 @@ def _grad_L2(state, obs, tables):
     x, y, h = state.x, obs.values, tables.h
     Kxx = gaussian_kernel(x[:, None], x[None, :], h)
     Kyx = gaussian_kernel(y[:, None], x[None, :], h)
-    T = (x[:, None] - x[None, :]) * Kxx - (y[:, None] - x[None, :]) * Kyx
-    return -(tables.W * T).sum(axis=0) / (state.n * h * h)
+    # W * ((x_i - x_j) Kxx - (y_i - x_j) Kyx), formed in place: at most three
+    # n x n arrays are alive
+    T = x[:, None] - x[None, :]
+    T *= Kxx
+    del Kxx
+    Kyx *= y[:, None] - x[None, :]
+    T -= Kyx
+    del Kyx
+    T *= tables.W
+    return -T.sum(axis=0) / (state.n * h * h)
 
 
 def _grad_Lparam(alpha, alpha_tilde, sigma_l, d_l, n):

@@ -32,12 +32,14 @@ def bandwidth_rule_of_thumb(values) -> float:
 def gaussian_kernel(u, v, h):
     """Gaussian kernel (1 / (sqrt(2 pi) h)) exp(-(v-u)^2 / (2 h^2)).
 
-    Broadcasts over array arguments and preserves floating dtypes.
+    Broadcasts over array arguments and preserves floating dtypes. At most
+    two arrays of the broadcast shape are alive at once.
     """
     if h <= 0:
         raise ValueError("gaussian_kernel: bandwidth must be positive")
     d = np.asarray(v) - np.asarray(u)
-    return np.exp(-(d * d) / (2.0 * h * h)) / (np.sqrt(2.0 * np.pi) * h)
+    d = -(d * d) / (2.0 * h * h)
+    return np.exp(d) / (np.sqrt(2.0 * np.pi) * h)
 
 
 @dataclass(frozen=True)

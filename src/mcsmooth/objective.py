@@ -129,8 +129,13 @@ def eval_L2(state: EstimationState, obs: ObservationSeries, tables: KernelTables
     x, y, h = state.x, obs.values, tables.h
     Kxx = gaussian_kernel(x[:, None], x[None, :], h)
     Kyx = gaussian_kernel(y[:, None], x[None, :], h)
-    bracket = Kxx - 2.0 * Kyx + tables.Ky
-    return -(tables.W * bracket).sum() / (2.0 * state.n)
+    # W * (Kxx - 2 Kyx + Ky), formed in place in Kxx: at most three n x n
+    # arrays are alive, two of them inside gaussian_kernel
+    Kyx *= 2.0
+    Kxx -= Kyx
+    Kxx += tables.Ky
+    Kxx *= tables.W
+    return -Kxx.sum() / (2.0 * state.n)
 
 
 def eval_L3_L4(

@@ -74,6 +74,8 @@ class UltradianParams:
                 raise ValueError(f"UltradianParams: {name} must be positive")
         if self.u_m <= self.u_0:
             raise ValueError("UltradianParams: u_m must exceed u_0")
+        if self.kappa <= 0:
+            raise ValueError("UltradianParams: kappa must be positive (v_i < e * t_i)")
 
     @property
     def kappa(self) -> float:
@@ -175,13 +177,19 @@ def f2(g: float, p: UltradianParams) -> float:
 def f3(i_i: float, p: UltradianParams) -> float:
     """Insulin-dependent glucose utilization rate per unit glucose mass.
 
-    For i_i <= 0 the (kappa i_i)^(-beta) term is taken at its i_i -> 0+
-    limit (+inf), reducing f3 to its floor u_0 term; this keeps the
-    right-hand side total if an exploratory integration undershoots zero.
+    Where (kappa i_i)^(-beta) is +inf, f3 reduces to its floor u_0 term:
+    for i_i <= 0 (the i_i -> 0+ limit) and for an i_i so small that the
+    power overflows. This keeps the right-hand side total if an exploratory
+    integration undershoots zero.
     """
     if i_i <= 0.0:
-        return p.u_0 / (p.c_3 * p.v_g)
-    return (p.u_0 + (p.u_m - p.u_0) / (1.0 + (p.kappa * i_i) ** (-p.beta))) / (p.c_3 * p.v_g)
+        damping = math.inf
+    else:
+        try:
+            damping = (p.kappa * i_i) ** (-p.beta)
+        except (OverflowError, ZeroDivisionError):
+            damping = math.inf
+    return (p.u_0 + (p.u_m - p.u_0) / (1.0 + damping)) / (p.c_3 * p.v_g)
 
 
 def f4(h3: float, p: UltradianParams) -> float:
@@ -189,24 +197,23 @@ def f4(h3: float, p: UltradianParams) -> float:
     return p.r_g / (1.0 + math.exp(p.alpha * (h3 / (p.c_5 * p.v_p) - 1.0)))
 
 
-def _rhs(y: np.ndarray, p: UltradianParams, i_g: float) -> np.ndarray:
+def _rhs(y: tuple, p: UltradianParams, i_g: float) -> tuple:
+    """Time derivative of the 6-tuple (Ip, Ii, G, h1, h2, h3), in Python floats."""
     i_p, i_i, g, h1, h2, h3 = y
     exchange = p.e * (i_p / p.v_p - i_i / p.v_i)
-    return np.array(
-        [
-            f1(g, p) - exchange - i_p / p.t_p,
-            exchange - i_i / p.t_i,
-            f4(h3, p) + i_g - f2(g, p) - f3(i_i, p) * g,
-            (i_p - h1) / p.t_d,
-            (h1 - h2) / p.t_d,
-            (h2 - h3) / p.t_d,
-        ]
+    return (
+        f1(g, p) - exchange - i_p / p.t_p,
+        exchange - i_i / p.t_i,
+        f4(h3, p) + i_g - f2(g, p) - f3(i_i, p) * g,
+        (i_p - h1) / p.t_d,
+        (h1 - h2) / p.t_d,
+        (h2 - h3) / p.t_d,
     )
 
 
 def ultradian_rhs(state: UltradianState, params: UltradianParams, i_g: float) -> UltradianState:
     """Time derivative of the state under nutrition input i_g (mg/min)."""
-    return UltradianState.from_array(_rhs(state.as_array(), params, i_g))
+    return UltradianState.from_array(_rhs(tuple(state.as_array().tolist()), params, i_g))
 
 
 @dataclass(frozen=True)
@@ -235,7 +242,15 @@ def simulate(
     grid without interpolation. Minutes before ``discard`` are integrated
     but omitted from the result (transient removal); reported times stay
     absolute. Raises BlowUpError with the offending time if the state stops
-    being finite.
+    being finite or a right-hand side evaluation overflows.
+
+    The step runs on Python floats, one component at a time, and its
+    operation order is a contract: each stage state is ``y_i + (0.5*h)*k_i``
+    (the last one ``y_i + h*k3_i``) and the update is
+    ``y_i + (h/6)*(((k1_i + 2*k2_i) + 2*k3_i) + k4_i)``. This is the order
+    numpy applies to the 6-vector form of the scheme, so the states are
+    bit-identical to it; a test checks that bitwise against the 6-vector
+    loop.
     """
     if dt <= 0 or t_end <= 0:
         raise ValueError("simulate: dt and t_end must be positive")
@@ -244,36 +259,50 @@ def simulate(
         raise ValueError("simulate: dt must divide one minute exactly")
 
     n_min = int(math.floor(t_end + 1e-9))
-    y = initial.as_array().astype(float)
-    times, glucose, states = [], [], []
-
-    def record(minute: int, vec: np.ndarray):
-        if minute >= discard:
-            times.append(float(minute))
-            glucose.append(vec[2] / params.v_g * 0.1)
-            states.append(vec.copy())
-
-    record(0, y)
-    h = 1.0 / steps_per_min
-    with np.errstate(over="ignore", invalid="ignore"):
-        for minute in range(n_min):
-            for s in range(steps_per_min):
-                t = minute + s * h
-                try:
-                    k1 = _rhs(y, params, nutrition_rate(t, schedule))
-                    k2 = _rhs(y + 0.5 * h * k1, params, nutrition_rate(t + 0.5 * h, schedule))
-                    k3 = _rhs(y + 0.5 * h * k2, params, nutrition_rate(t + 0.5 * h, schedule))
-                    k4 = _rhs(y + h * k3, params, nutrition_rate(t + h, schedule))
-                except (OverflowError, ValueError) as exc:
-                    raise BlowUpError(f"simulate: state blew up near t = {t:.3f} min") from exc
-                y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            if not np.all(np.isfinite(y)):
-                raise BlowUpError(f"simulate: non-finite state at t = {minute + 1} min")
-            record(minute + 1, y)
-
-    if not times:
+    if not discard <= n_min:
         raise ValueError("simulate: discard removed every output sample")
-    return SimulationResult(np.asarray(times), np.asarray(glucose), np.asarray(states))
+    first = math.ceil(discard) if discard > 0 else 0
+    states = np.empty((n_min + 1 - first, 6))
+    y = tuple(initial.as_array().tolist())
+    if first == 0:
+        states[0] = y
+
+    h = 1.0 / steps_per_min
+    half_h, h6 = 0.5 * h, h / 6.0
+    for minute in range(n_min):
+        for s in range(steps_per_min):
+            t = minute + s * h
+            y0, y1, y2, y3, y4, y5 = y
+            try:
+                a0, a1, a2, a3, a4, a5 = _rhs(y, params, nutrition_rate(t, schedule))
+                i_mid = nutrition_rate(t + half_h, schedule)
+                b0, b1, b2, b3, b4, b5 = _rhs(
+                    (y0 + half_h * a0, y1 + half_h * a1, y2 + half_h * a2,
+                     y3 + half_h * a3, y4 + half_h * a4, y5 + half_h * a5), params, i_mid)
+                c0, c1, c2, c3, c4, c5 = _rhs(
+                    (y0 + half_h * b0, y1 + half_h * b1, y2 + half_h * b2,
+                     y3 + half_h * b3, y4 + half_h * b4, y5 + half_h * b5), params, i_mid)
+                d0, d1, d2, d3, d4, d5 = _rhs(
+                    (y0 + h * c0, y1 + h * c1, y2 + h * c2,
+                     y3 + h * c3, y4 + h * c4, y5 + h * c5),
+                    params, nutrition_rate(t + h, schedule))
+            except (OverflowError, ValueError) as exc:
+                raise BlowUpError(f"simulate: state blew up near t = {t:.3f} min") from exc
+            y = (
+                y0 + h6 * (((a0 + 2.0 * b0) + 2.0 * c0) + d0),
+                y1 + h6 * (((a1 + 2.0 * b1) + 2.0 * c1) + d1),
+                y2 + h6 * (((a2 + 2.0 * b2) + 2.0 * c2) + d2),
+                y3 + h6 * (((a3 + 2.0 * b3) + 2.0 * c3) + d3),
+                y4 + h6 * (((a4 + 2.0 * b4) + 2.0 * c4) + d4),
+                y5 + h6 * (((a5 + 2.0 * b5) + 2.0 * c5) + d5),
+            )
+        if not all(map(math.isfinite, y)):
+            raise BlowUpError(f"simulate: non-finite state at t = {minute + 1} min")
+        if minute + 1 >= first:
+            states[minute + 1 - first] = y
+
+    times = np.arange(first, n_min + 1, dtype=float)
+    return SimulationResult(times, states[:, 2] / params.v_g * 0.1, states)
 
 
 def write_trace(result: SimulationResult, path) -> None:

@@ -1,8 +1,12 @@
-"""Shared fixtures, canonical-truth generators, and the scalar model oracle.
+"""Shared fixtures, canonical-truth generators, and the model oracles.
 
-The oracle restates the transition densities and the gap reconstruction one
-transition or grid point at a time, apart from the package's vectorised
-``oscillator.propagate``; tests compare the package against it.
+The smoother oracle restates the transition densities and the gap
+reconstruction one transition or grid point at a time, apart from the
+package's vectorised ``oscillator.propagate``, and L2 with its gradient as
+whole-array expressions, apart from the package's in-place forms. The
+simulator oracle is the RK4 loop on numpy 6-vectors that
+``ultradian.simulate`` unrolls into Python floats. Tests compare the package
+against both.
 """
 
 import math
@@ -22,6 +26,15 @@ from mcsmooth import (
     build_tables,
     effective_gaps,
     to_polar,
+)
+from mcsmooth.ultradian import (
+    BlowUpError,
+    SimulationResult,
+    f1,
+    f2,
+    f3,
+    f4,
+    nutrition_rate,
 )
 
 TRUE_B, TRUE_A, TRUE_PERIOD = 140.0, 30.0, 140.0
@@ -98,6 +111,86 @@ def reconstruct_loop(result, grid):
         values[i] = b[j + 1] + r_plus * math.cos(pol.theta + om[j] * dt_phase)
         dashed[i] = (t[j + 1] - t[j]) > thr
     return values, dashed
+
+
+# --- oracle: L2 and its x-gradient as whole-array expressions
+
+def _kernel_expression(u, v, h):
+    d = np.asarray(v) - np.asarray(u)
+    return np.exp(-(d * d) / (2.0 * h * h)) / (np.sqrt(2.0 * np.pi) * h)
+
+
+def l2_oracle(x, y, tables):
+    Kxx = _kernel_expression(x[:, None], x[None, :], tables.h)
+    Kyx = _kernel_expression(y[:, None], x[None, :], tables.h)
+    bracket = Kxx - 2.0 * Kyx + tables.Ky
+    return -(tables.W * bracket).sum() / (2.0 * x.size)
+
+
+def l2_grad_oracle(x, y, tables):
+    h = tables.h
+    Kxx = _kernel_expression(x[:, None], x[None, :], h)
+    Kyx = _kernel_expression(y[:, None], x[None, :], h)
+    T = (x[:, None] - x[None, :]) * Kxx - (y[:, None] - x[None, :]) * Kyx
+    return -(tables.W * T).sum(axis=0) / (x.size * h * h)
+
+
+# --- oracle: the RK4 integrator on numpy 6-vectors
+
+def _rhs_vector(y, p, i_g):
+    i_p, i_i, g, h1, h2, h3 = y
+    exchange = p.e * (i_p / p.v_p - i_i / p.v_i)
+    return np.array(
+        [
+            f1(g, p) - exchange - i_p / p.t_p,
+            exchange - i_i / p.t_i,
+            f4(h3, p) + i_g - f2(g, p) - f3(i_i, p) * g,
+            (i_p - h1) / p.t_d,
+            (h1 - h2) / p.t_d,
+            (h2 - h3) / p.t_d,
+        ]
+    )
+
+
+def simulate_oracle(params, schedule, initial, t_end, dt=0.1, discard=0.0):
+    """``ultradian.simulate`` as a numpy 6-vector RK4 loop, one list entry per minute."""
+    if dt <= 0 or t_end <= 0:
+        raise ValueError("simulate: dt and t_end must be positive")
+    steps_per_min = round(1.0 / dt)
+    if steps_per_min < 1 or abs(steps_per_min * dt - 1.0) > 1e-9:
+        raise ValueError("simulate: dt must divide one minute exactly")
+
+    n_min = int(math.floor(t_end + 1e-9))
+    y = initial.as_array().astype(float)
+    times, glucose, states = [], [], []
+
+    def record(minute: int, vec: np.ndarray):
+        if minute >= discard:
+            times.append(float(minute))
+            glucose.append(vec[2] / params.v_g * 0.1)
+            states.append(vec.copy())
+
+    record(0, y)
+    h = 1.0 / steps_per_min
+    with np.errstate(over="ignore", invalid="ignore"):
+        for minute in range(n_min):
+            for s in range(steps_per_min):
+                t = minute + s * h
+                try:
+                    k1 = _rhs_vector(y, params, nutrition_rate(t, schedule))
+                    k2 = _rhs_vector(y + 0.5 * h * k1, params, nutrition_rate(t + 0.5 * h, schedule))
+                    k3 = _rhs_vector(y + 0.5 * h * k2, params, nutrition_rate(t + 0.5 * h, schedule))
+                    k4 = _rhs_vector(y + h * k3, params, nutrition_rate(t + h, schedule))
+                except (OverflowError, ValueError) as exc:
+                    raise BlowUpError(f"simulate: state blew up near t = {t:.3f} min") from exc
+                y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            if not np.all(np.isfinite(y)):
+                raise BlowUpError(f"simulate: non-finite state at t = {minute + 1} min")
+            record(minute + 1, y)
+
+    if not times:
+        raise ValueError("simulate: discard removed every output sample")
+    return SimulationResult(np.asarray(times), np.asarray(glucose), np.asarray(states))
 
 
 # --- fixtures

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -8,7 +10,7 @@ from mcsmooth import (
     fd_check,
     grad_total,
 )
-from conftest import make_random_fixture
+from conftest import l2_grad_oracle, make_random_fixture
 
 ONE_HOT = [tuple(1.0 if i == k else 0.0 for i in range(7)) for k in range(7)]
 
@@ -95,3 +97,23 @@ class TestPolarSingularity:
         flat = EstimationState(x, z, state.params, state.priors, state.noise)
         g = grad_total(flat, obs, tables, gaps, WeightSchedule(lam1=1.0, lam2=1.0, epsilon=0.1))
         assert np.all(np.isfinite(g.d_x))
+
+
+class TestL2Gradient:
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_in_place_form_matches_the_expression_oracle(self, seed):
+        state, obs, tables, gaps = make_random_fixture(seed, n=40)
+        g = grad_total(state, obs, tables, gaps, WeightSchedule(lam2=1.0))
+        assert np.array_equal(g.d_x, l2_grad_oracle(state.x, obs.values, tables))
+
+    def test_holds_at_most_three_pair_arrays(self):
+        n = 400
+        state, obs, tables, gaps = make_random_fixture(0, n=n)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            grad_total(state, obs, tables, gaps, WeightSchedule(lam2=1.0))
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < 3.5 * n * n * 8

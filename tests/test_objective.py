@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -18,7 +20,7 @@ from mcsmooth import (
     eval_components,
     eval_total,
 )
-from conftest import make_random_fixture
+from conftest import l2_oracle, make_random_fixture
 
 SQRT_2PI = np.sqrt(2.0 * np.pi)
 
@@ -164,6 +166,23 @@ class TestL2:
         state, obs, tables, gaps = make_random_fixture(4, n=3)
         want = ref_L2(state.x, obs.values, obs.times, tables.h, tables.Kt)
         assert eval_L2(state, obs, tables) == pytest.approx(want, abs=1e-12)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_in_place_form_matches_the_expression_oracle(self, seed):
+        state, obs, tables, _ = make_random_fixture(seed, n=40)
+        assert eval_L2(state, obs, tables) == l2_oracle(state.x, obs.values, tables)
+
+    def test_holds_at_most_three_pair_arrays(self):
+        n = 400
+        state, obs, tables, _ = make_random_fixture(0, n=n)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            eval_L2(state, obs, tables)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < 3.5 * n * n * 8
 
     def test_symmetrized_form_equals_row_normalized_form(self):
         # the symmetrized double sum is an algebraic rewrite of the

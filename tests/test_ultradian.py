@@ -1,5 +1,9 @@
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mcsmooth import (
     BlowUpError,
@@ -13,7 +17,8 @@ from mcsmooth import (
     simulate,
     ultradian_rhs,
 )
-from mcsmooth.ultradian import f1, f2, f4, write_trace
+from mcsmooth.ultradian import f1, f2, f3, f4, write_trace
+from conftest import simulate_oracle
 
 
 def ref_rhs(y, p, ig):
@@ -65,6 +70,12 @@ class TestParams:
     def test_rejects_um_below_u0(self):
         with pytest.raises(ValueError, match="u_m"):
             UltradianParams(u_m=3.0)
+
+    @pytest.mark.parametrize("v_i", [20.0, 25.0])
+    def test_rejects_nonpositive_kappa(self, v_i):
+        # kappa = (1/c_4)(1/v_i - 1/(e t_i)) with e t_i = 20: zero, then negative
+        with pytest.raises(ValueError, match="kappa must be positive"):
+            UltradianParams(v_i=v_i)
 
 
 class TestNutrition:
@@ -138,6 +149,19 @@ class TestRhs:
         want[2] = m
         assert np.allclose(d, want, atol=1e-12)
 
+    def test_f3_takes_its_floor_where_the_power_overflows(self):
+        p = nominal_params()
+        assert f3(1e-200, p) == p.u_0 / (p.c_3 * p.v_g)
+        assert f3(5e-324, p) == p.u_0 / (p.c_3 * p.v_g)  # kappa * i_i underflows to 0
+
+    def test_rhs_at_overflowing_interstitial_insulin_matches_transcription(self):
+        p = icu_fit_params()
+        y = np.array([50.0, 1e-200, 12000.0, 60.0, 60.0, 60.0])
+        got = ultradian_rhs(UltradianState.from_array(y), p, 80.0).as_array()
+        with np.errstate(over="ignore"):
+            want = ref_rhs(y, p, 80.0)
+        assert np.allclose(got, want, rtol=1e-12, atol=1e-12)
+
     def test_delay_chain_fixed_at_equilibrium(self):
         p = nominal_params()
         s = UltradianState(i_p=55.0, i_i=70.0, g=11000.0, h1=55.0, h2=55.0, h3=55.0)
@@ -156,6 +180,16 @@ class TestSimulate:
         r = simulate(nominal_params(), NutritionSchedule.empty(), default_initial_state(),
                      t_end=1.0, dt=0.5)
         assert r.glucose[0] == pytest.approx(10000.0 / 10.0 * 0.1)  # 100 mg/dl
+
+    def test_discard_beyond_horizon_leaves_no_output(self):
+        with pytest.raises(ValueError, match="discard removed every output sample"):
+            simulate(nominal_params(), NutritionSchedule.empty(), default_initial_state(),
+                     t_end=30.0, dt=0.5, discard=30.5)
+        # raised before integrating: a start that would blow up is never stepped
+        bad = UltradianState(i_p=40.0, i_i=40.0, g=-1e7, h1=40.0, h2=40.0, h3=40.0)
+        with pytest.raises(ValueError, match="discard removed every output sample"):
+            simulate(nominal_params(), NutritionSchedule.empty(), bad,
+                     t_end=30.0, dt=0.5, discard=31.0)
 
     def test_dt_must_divide_minute(self):
         with pytest.raises(ValueError, match="divide one minute"):
@@ -192,3 +226,73 @@ class TestSimulate:
         assert data.shape == (6, 7)
         assert np.allclose(data[:, 0], r.times)
         assert np.allclose(data[:, 1], r.glucose)
+
+
+# --- the float RK4 against the numpy 6-vector oracle, bit for bit
+
+PARAM_FIELDS = [f.name for f in dataclasses.fields(UltradianParams)]
+STATE_FIELDS = [f.name for f in dataclasses.fields(UltradianState)]
+
+
+@st.composite
+def simulation_cases(draw):
+    params = draw(st.sampled_from([nominal_params(), icu_fit_params()]))
+    if draw(st.booleans()):
+        factors = draw(st.lists(st.floats(0.8, 1.25), min_size=len(PARAM_FIELDS),
+                                max_size=len(PARAM_FIELDS)))
+        params = UltradianParams(**{name: getattr(params, name) * f
+                                    for name, f in zip(PARAM_FIELDS, factors)})
+    initial = default_initial_state()
+    if draw(st.booleans()):
+        factors = draw(st.lists(st.floats(0.5, 2.0), min_size=6, max_size=6))
+        initial = UltradianState(*(getattr(initial, name) * f
+                                   for name, f in zip(STATE_FIELDS, factors)))
+    dt = draw(st.sampled_from([1.0, 0.5, 0.25, 0.2, 0.1]))
+    t_end = draw(st.floats(1.0, 120.0))
+    # interval edges on the integrator's own float times: a substep start t,
+    # its midpoint t + 0.5*h, or its end t + h
+    steps = round(1.0 / dt)
+    h = 1.0 / steps
+    n_min = int(np.floor(t_end + 1e-9))
+    edge = st.builds(
+        lambda minute, s, kind: minute + s * h + kind * h,
+        st.integers(0, max(n_min - 1, 0)), st.integers(0, steps - 1), st.sampled_from([0.0, 0.5, 1.0]),
+    )
+    n_iv = draw(st.integers(0, 4))
+    edges = sorted(set(draw(st.lists(edge, min_size=2 * n_iv, max_size=2 * n_iv))))
+    edges = edges[: len(edges) // 2 * 2]
+    rates = draw(st.lists(st.floats(0.0, 300.0), min_size=len(edges) // 2,
+                          max_size=len(edges) // 2))
+    schedule = NutritionSchedule(tuple((a, b, r) for a, b, r in zip(edges[::2], edges[1::2], rates)))
+    discard = draw(st.one_of(st.just(0.0), st.floats(-30.0, -0.01), st.floats(0.01, float(n_min)),
+                             st.integers(-5, n_min).map(float)))
+    return params, schedule, initial, t_end, dt, discard
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except (BlowUpError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=60, deadline=None)
+@given(simulation_cases())
+def test_simulate_matches_the_vector_oracle_bitwise(case):
+    got, want = _outcome(simulate, *case), _outcome(simulate_oracle, *case)
+    if isinstance(want, tuple):
+        assert got == want
+        return
+    assert np.array_equal(got.times, want.times)
+    assert np.array_equal(got.glucose, want.glucose)
+    assert np.array_equal(got.states, want.states)
+
+
+def test_blow_up_matches_the_vector_oracle():
+    bad = UltradianState(i_p=40.0, i_i=40.0, g=-1e7, h1=40.0, h2=40.0, h3=40.0)
+    args = (nominal_params(), NutritionSchedule.empty(), bad, 50.0, 0.5)
+    with pytest.raises(BlowUpError, match="t =") as got:
+        simulate(*args)
+    with pytest.raises(BlowUpError) as want:
+        simulate_oracle(*args)
+    assert str(got.value) == str(want.value)
