@@ -8,7 +8,13 @@ source.
 """
 
 from .gradients import GradientBundle, PolarSingularityError, fd_check, grad_total
-from .kernels import KernelTables, bandwidth_rule_of_thumb, build_tables, gaussian_kernel
+from .kernels import (
+    KernelTables,
+    bandwidth_rule_of_thumb,
+    build_tables,
+    gaussian_kernel,
+    time_kernel,
+)
 from .objective import (
     Components,
     EstimationState,

@@ -24,7 +24,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .kernels import KernelTables, gaussian_kernel
+from .kernels import KernelTables, column_sum, gaussian_kernel, row_tiles
 from .objective import EstimationState, WeightSchedule, eval_total
 from .oscillator import EffectiveGaps, transition_quantities
 from .timeseries import ObservationSeries
@@ -57,18 +57,20 @@ def _grad_L1(state, obs, tables, epsilon):
 
 def _grad_L2(state, obs, tables):
     x, y, h = state.x, obs.values, tables.h
-    Kxx = gaussian_kernel(x[:, None], x[None, :], h)
-    Kyx = gaussian_kernel(y[:, None], x[None, :], h)
-    # W * ((x_i - x_j) Kxx - (y_i - x_j) Kyx), formed in place: at most three
-    # n x n arrays are alive
-    T = x[:, None] - x[None, :]
-    T *= Kxx
-    del Kxx
-    Kyx *= y[:, None] - x[None, :]
-    T -= Kyx
-    del Kyx
-    T *= tables.W
-    return -T.sum(axis=0) / (state.n * h * h)
+
+    def tiles():
+        # W * ((x_i - x_j) Kxx - (y_i - x_j) Kyx), one row tile at a time
+        for r in row_tiles(state.n):
+            Kxx = gaussian_kernel(x[r, None], x[None, :], h)
+            Kyx = gaussian_kernel(y[r, None], x[None, :], h)
+            T = x[r, None] - x[None, :]
+            T *= Kxx
+            Kyx *= y[r, None] - x[None, :]
+            T -= Kyx
+            T *= tables.W[r]
+            yield T
+
+    return -column_sum(tiles()) / (state.n * h * h)
 
 
 def _grad_Lparam(alpha, alpha_tilde, sigma_l, d_l, n):
@@ -196,8 +198,7 @@ def fd_check(
     wstate = replace(state, x=ld(state.x), z=ld(state.z),
                      params=replace(p, b=ld(p.b), a=ld(p.a), omega=ld(p.omega)))
     wobs = replace(obs, times=ld(obs.times), values=ld(obs.values))
-    wtables = replace(tables, Ky=ld(tables.Ky), Kt=ld(tables.Kt), rho0=ld(tables.rho0),
-                      W=ld(tables.W))
+    wtables = replace(tables, rho0=ld(tables.rho0), W=ld(tables.W))
     wgaps = EffectiveGaps(ld(gaps.dt_phase), ld(gaps.dt_relax))
     values = {
         "x": wstate.x,

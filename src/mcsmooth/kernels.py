@@ -1,9 +1,15 @@
-"""Gaussian kernels, rule-of-thumb bandwidth, and precomputed pairwise tables.
+"""Gaussian kernels, rule-of-thumb bandwidth, and the L2 weight table.
 
 The time kernel operates on kick-adjusted distances: the plain distance
 |t_i - t_j| is inflated by alpha_kick times the total intensity of kicks
 strictly between the two times. Per-gap decay factors are not tabulated here;
-the objective derives them from ``oscillator.effective_gaps``. All tables are
+the objective derives them from ``oscillator.effective_gaps``.
+
+Every n x n quantity is formed in row tiles of about ``TILE_ELEMENTS``
+elements, so the pairwise work stays in cache and the only n x n array the
+estimator keeps is the weight table ``KernelTables.W``. ``column_sum`` adds
+tiles up in the order ``ndarray.sum(axis=0)`` adds the whole array's rows,
+so tiled column sums are bit-identical to whole-array ones. All tables are
 immutable after construction.
 """
 
@@ -15,7 +21,38 @@ import numpy as np
 
 from .timeseries import KickSeries, ObservationSeries
 
-__all__ = ["KernelTables", "bandwidth_rule_of_thumb", "gaussian_kernel", "build_tables"]
+__all__ = [
+    "KernelTables",
+    "bandwidth_rule_of_thumb",
+    "gaussian_kernel",
+    "time_kernel",
+    "build_tables",
+]
+
+# Elements per row tile of an n x n quantity (256 KiB of float64).
+TILE_ELEMENTS = 2**15
+
+
+def row_tiles(n: int):
+    """Consecutive row slices of an n x n array, each about TILE_ELEMENTS elements."""
+    rows = max(1, TILE_ELEMENTS // n)
+    for start in range(0, n, rows):
+        yield slice(start, min(start + rows, n))
+
+
+def column_sum(tiles):
+    """Column sums of the row tiles stacked in order; the tiles are modified.
+
+    The running sum is added into each tile's first row before the tile is
+    summed, so every column is added up row by row from the top exactly as
+    ``sum(axis=0)`` of the stacked array adds it.
+    """
+    acc = None
+    for tile in tiles:
+        if acc is not None:
+            tile[0] += acc
+        acc = tile.sum(axis=0)
+    return acc
 
 
 def bandwidth_rule_of_thumb(values) -> float:
@@ -42,24 +79,40 @@ def gaussian_kernel(u, v, h):
     return np.exp(d) / (np.sqrt(2.0 * np.pi) * h)
 
 
+def time_kernel(t, kicks: KickSeries, T_l: float) -> np.ndarray:
+    """The n x n Gaussian kernel over kick-adjusted time distances, bandwidth T_l.
+
+    Filled one row tile at a time, so the distances never exist as a whole
+    n x n array.
+    """
+    t = np.asarray(t, dtype=float)
+    out = np.empty((t.size, t.size))
+    for r in row_tiles(t.size):
+        dist = np.abs(t[r, None] - t[None, :])
+        dist += kicks.alpha_kick * kicks.pairwise_intensity(t, r)
+        out[r] = np.exp(-(dist * dist) / (2.0 * T_l * T_l)) / (np.sqrt(2.0 * np.pi) * T_l)
+    return out
+
+
 @dataclass(frozen=True)
 class KernelTables:
-    """Precomputed pairwise kernels, reference densities, and L2 weights.
+    """Bandwidths, reference densities, and the L2 weight table.
 
-    Ky[i, j] = K^y(y^i, y^j) with bandwidth h; Kt[i, j] = K^t over the
-    kick-adjusted distance with bandwidth T_l. rho0 holds the row means of Ky.
-    W[i, j] = Kt[i, j] / s_j + Kt[i, j] / s_i, with s_i = sum_l Kt[i, l], is
+    h is the data bandwidth and rho0[i] the mean over j of K^y(y^i, y^j).
+    With Kt the kick-adjusted time kernel (``time_kernel``, bandwidth T_l)
+    and s_i = sum_l Kt[i, l], W[i, j] = Kt[i, j] / s_j + Kt[i, j] / s_i is
     the symmetric time weighting of the distributional component L2 and of
-    its gradient.
+    its gradient. wky = sum_ij W[i, j] K^y(y^i, y^j) is the part of L2 that
+    does not depend on x, summed in the tile order ``eval_L2`` uses, so that
+    L2 vanishes exactly at x = y. W is the only n x n table.
     """
 
     h: float
     T_s: float
     T_l: float
-    Ky: np.ndarray
-    Kt: np.ndarray
     rho0: np.ndarray
     W: np.ndarray
+    wky: float
 
     @property
     def n(self) -> int:
@@ -67,25 +120,27 @@ class KernelTables:
 
 
 def build_tables(obs: ObservationSeries, kicks: KickSeries, T_s: float, T_l: float) -> KernelTables:
-    """Precompute all pairwise kernel tables for an observation series."""
+    """Precompute the kernel tables for an observation series."""
     if T_s <= 0 or T_l <= 0:
         raise ValueError("build_tables: time scales must be positive")
-    t, y = obs.times, obs.values
+    y, n = obs.values, obs.n
     h = bandwidth_rule_of_thumb(y)
 
-    Ky = gaussian_kernel(y[:, None], y[None, :], h)
+    # The time kernel becomes W in place, one row tile at a time.
+    W = time_kernel(obs.times, kicks, T_l)
+    rs = n * W.mean(axis=1)
+    rho0 = np.empty(n)
 
-    dist = np.abs(t[:, None] - t[None, :])
-    dist = dist + kicks.alpha_kick * kicks.pairwise_intensity(t)
-    Kt = np.exp(-(dist * dist) / (2.0 * T_l * T_l)) / (np.sqrt(2.0 * np.pi) * T_l)
+    def weighted_ky_tiles():
+        for r in row_tiles(n):
+            Wr = W[r]
+            by_col = Wr / rs[None, :]
+            Wr /= rs[r, None]
+            Wr += by_col
+            Ky = gaussian_kernel(y[r, None], y[None, :], h)
+            rho0[r] = Ky.mean(axis=1)
+            Ky *= Wr
+            yield Ky
 
-    rs = obs.n * Kt.mean(axis=1)
-    return KernelTables(
-        h=h,
-        T_s=float(T_s),
-        T_l=float(T_l),
-        Ky=Ky,
-        Kt=Kt,
-        rho0=Ky.mean(axis=1),
-        W=Kt / rs[None, :] + Kt / rs[:, None],
-    )
+    wky = float(column_sum(weighted_ky_tiles()).sum())
+    return KernelTables(h=h, T_s=float(T_s), T_l=float(T_l), rho0=rho0, W=W, wky=wky)

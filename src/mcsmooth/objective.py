@@ -14,7 +14,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .kernels import KernelTables, gaussian_kernel
+from .kernels import KernelTables, column_sum, gaussian_kernel, row_tiles
 from .oscillator import (
     LOG_2PI,
     EffectiveGaps,
@@ -125,17 +125,21 @@ def eval_L2(state: EstimationState, obs: ObservationSeries, tables: KernelTables
 
     Vanishes exactly at x = y and, in the uniform-weight limit, is the
     negative of a squared kernel mean discrepancy, hence nonpositive.
+    The x-dependent part sum W * (Kxx - 2 Kyx) is formed in row tiles; the
+    rest, sum W * Ky, is the precomputed ``tables.wky``.
     """
     x, y, h = state.x, obs.values, tables.h
-    Kxx = gaussian_kernel(x[:, None], x[None, :], h)
-    Kyx = gaussian_kernel(y[:, None], x[None, :], h)
-    # W * (Kxx - 2 Kyx + Ky), formed in place in Kxx: at most three n x n
-    # arrays are alive, two of them inside gaussian_kernel
-    Kyx *= 2.0
-    Kxx -= Kyx
-    Kxx += tables.Ky
-    Kxx *= tables.W
-    return -Kxx.sum() / (2.0 * state.n)
+
+    def tiles():
+        for r in row_tiles(state.n):
+            Kxx = gaussian_kernel(x[r, None], x[None, :], h)
+            Kyx = gaussian_kernel(y[r, None], x[None, :], h)
+            Kyx *= 2.0
+            Kxx -= Kyx
+            Kxx *= tables.W[r]
+            yield Kxx
+
+    return -(column_sum(tiles()).sum() + tables.wky) / (2.0 * state.n)
 
 
 def eval_L3_L4(

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .gradients import grad_total
-from .kernels import KernelTables, build_tables, gaussian_kernel
+from .kernels import KernelTables, build_tables, gaussian_kernel, row_tiles, time_kernel
 from .objective import Components, EstimationState, WeightSchedule, eval_components
 from .oscillator import (
     EffectiveGaps,
@@ -52,6 +52,9 @@ STAGE2_LAMBDAS = (1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0)
 
 # Residuals below this fraction of the data scale carry no sign information.
 SIGN_DEAD_ZONE = 1e-9
+
+# Rows formatted per block by the CSV writers.
+CSV_BLOCK_ROWS = 1024
 
 
 class FrequencyEstimationError(ValueError):
@@ -146,8 +149,20 @@ def _kernel_regress(weights: np.ndarray, values: np.ndarray) -> np.ndarray:
 
 
 def _plain_time_kernel(times: np.ndarray, bandwidth: float) -> np.ndarray:
-    d = times[:, None] - times[None, :]
-    return np.exp(-(d * d) / (2.0 * bandwidth * bandwidth))
+    out = np.empty((times.size, times.size))
+    for r in row_tiles(times.size):
+        d = times[r, None] - times[None, :]
+        out[r] = np.exp(-(d * d) / (2.0 * bandwidth * bandwidth))
+    return out
+
+
+def _windowed_max(times: np.ndarray, values: np.ndarray, window: float) -> np.ndarray:
+    """For each time, the maximum of the values at times less than ``window`` away."""
+    out = np.empty(times.size)
+    for r in row_tiles(times.size):
+        in_window = np.abs(times[r, None] - times[None, :]) < window
+        out[r] = np.where(in_window, values[None, :], -np.inf).max(axis=1)
+    return out
 
 
 def _sign_change_times(times: np.ndarray, resid: np.ndarray, atol: float) -> np.ndarray:
@@ -235,6 +250,7 @@ def initialize(
         omega_hat = np.pi / _half_period_per_index(t, crossings)
         omega_traj = _kernel_regress(Kt0, omega_hat)
         omega_tilde = float(omega_traj.mean())
+    del Kt0
 
     T_s = cfg.T_s if cfg.T_s is not None else 2.0 * np.pi / omega_tilde
     T_l = cfg.T_l if cfg.T_l is not None else 4.0 * 2.0 * np.pi / omega_tilde
@@ -242,13 +258,13 @@ def initialize(
     kicks_scaled = kicks.with_time_scale(T_s)
     tables = build_tables(obs, kicks_scaled, T_s, T_l)
 
-    # Final pass with the kick-adjusted kernels.
-    b = _kernel_regress(tables.Kt, y)
+    # Final pass with the kick-adjusted kernel; with W, the second and last
+    # n x n array alive.
+    Kt = time_kernel(t, kicks_scaled, T_l)
+    b = _kernel_regress(Kt, y)
     window = cfg.amplitude_window if cfg.amplitude_window is not None else T_s
-    resid = np.abs(y - b)
-    in_window = np.abs(t[:, None] - t[None, :]) < window
-    a_hat = np.where(in_window, resid[None, :], -np.inf).max(axis=1)
-    a = _kernel_regress(tables.Kt, a_hat)
+    a_hat = _windowed_max(t, np.abs(y - b), window)
+    a = _kernel_regress(Kt, a_hat)
 
     a_tilde = 0.0 if cfg.a_tilde_zero else float(a_hat.mean())
     a_bar = float(a.mean())
@@ -298,6 +314,7 @@ def run_stage(
     config: HyperConfig,
     floors: tuple[float, float] | None = None,
     name: str = "stage",
+    start: Components | None = None,
 ) -> tuple[EstimationState, StageTrace]:
     """Gradient-ascend the schedule's objective over the masked blocks.
 
@@ -312,6 +329,9 @@ def run_stage(
     block (L1/L2 when x is fixed, the parameter components when the params
     are fixed) are carried over from the stage's first row. The accepted
     trial's components become its trace row, so no state is evaluated twice.
+    ``start`` may hold earlier components at this state's x and params, such
+    as the previous stage's last row; the first row then evaluates only L3
+    and L4.
     """
     mask = frozenset(mask)
     if not mask <= {"x", "z", "params"}:
@@ -323,7 +343,7 @@ def run_stage(
         )
 
     trace = StageTrace(name=name)
-    first = eval_components(state, obs, tables, gaps, schedule.epsilon)
+    first = eval_components(state, obs, tables, gaps, schedule.epsilon, start, moved=())
     L = schedule.total(first)
     trace.objective.append(L)
     trace.components.append(first)
@@ -399,19 +419,23 @@ def estimate(
     w1b = WeightSchedule.from_lambdas(cfg.weights_stage1b, eps)
     w2 = WeightSchedule.from_lambdas(cfg.weights_stage2, eps)
 
-    # Stage 1: latents only, doubled transition noise.
+    # Stage 1: latents only, doubled transition noise. Stages 1b and 2 start
+    # at stage 1a's x and params, so each takes the previous stage's last row
+    # as its start and re-evaluates only the noise-dependent L3 and L4.
     state = replace(state, noise=ModelNoise(2.0 * a_bar))
     state, tr1a = run_stage(
         state, obs, tables, gaps, w1a, {"z"}, cfg.max_iter_stage1a, cfg, floors, "stage1a"
     )
     state, tr1b = run_stage(
-        state, obs, tables, gaps, w1b, {"z"}, cfg.max_iter_stage1b, cfg, floors, "stage1b"
+        state, obs, tables, gaps, w1b, {"z"}, cfg.max_iter_stage1b, cfg, floors, "stage1b",
+        tr1a.components[-1],
     )
 
     # Stage 2: full objective over everything, noise reset.
     state = replace(state, noise=ModelNoise(a_bar))
     state, tr2 = run_stage(
-        state, obs, tables, gaps, w2, {"x", "z", "params"}, cfg.max_iter_stage2, cfg, floors, "stage2"
+        state, obs, tables, gaps, w2, {"x", "z", "params"}, cfg.max_iter_stage2, cfg, floors, "stage2",
+        tr1b.components[-1],
     )
 
     return EstimationResult(
@@ -491,14 +515,25 @@ def _read_columns(path, ncols: int, what: str) -> np.ndarray:
     return data
 
 
+def _repr_rows(*columns):
+    """Rows of ``repr`` of each column's Python scalars.
+
+    Columns are converted with ``tolist()`` one block of rows at a time, so
+    no whole column is held as strings.
+    """
+    for start in range(0, len(columns[0]), CSV_BLOCK_ROWS):
+        block = slice(start, start + CSV_BLOCK_ROWS)
+        yield from zip(*(map(repr, c[block].tolist()) for c in columns))
+
+
+def _floats(*columns):
+    return [np.asarray(c, dtype=float) for c in columns]
+
+
 def write_states_csv(result: EstimationResult, path) -> None:
     """Estimated states as "t,x,z,b,a,omega" rows."""
     s, p = result.state, result.state.params
-    rows = (
-        tuple(repr(float(v)) for v in cols)
-        for cols in zip(result.obs.times, s.x, s.z, p.b, p.a, p.omega)
-    )
-    write_csv_rows(path, rows)
+    write_csv_rows(path, _repr_rows(*_floats(result.obs.times, s.x, s.z, p.b, p.a, p.omega)))
 
 
 def read_states_csv(path) -> dict[str, np.ndarray]:
@@ -512,11 +547,7 @@ def read_states_csv(path) -> dict[str, np.ndarray]:
 
 def write_reconstruction_csv(times, values, dashed, path) -> None:
     """Reconstructed trajectory as "t,value,dashed" rows (dashed is 0/1)."""
-    rows = (
-        (repr(float(t)), repr(float(v)), str(int(d)))
-        for t, v, d in zip(times, values, dashed)
-    )
-    write_csv_rows(path, rows)
+    write_csv_rows(path, _repr_rows(*_floats(times, values), np.asarray(dashed, dtype=int)))
 
 
 def read_reconstruction_csv(path) -> dict[str, np.ndarray]:
@@ -533,11 +564,7 @@ def read_reconstruction_csv(path) -> dict[str, np.ndarray]:
 
 def write_densities_csv(grid, rho_x, rho_y, path) -> None:
     """Density grids as "value,rho_x,rho_y" rows."""
-    rows = (
-        tuple(repr(float(v)) for v in cols)
-        for cols in zip(grid, rho_x, rho_y)
-    )
-    write_csv_rows(path, rows)
+    write_csv_rows(path, _repr_rows(*_floats(grid, rho_x, rho_y)))
 
 
 def read_densities_csv(path) -> dict[str, np.ndarray]:

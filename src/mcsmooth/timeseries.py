@@ -134,18 +134,25 @@ class KickSeries:
         below_hi = cum[np.searchsorted(self.times, hi, side="left")]
         return below_hi - cum[np.searchsorted(self.times, lo, side="left")]
 
-    def pairwise_intensity(self, times: np.ndarray) -> np.ndarray:
-        """Summed intensity of kicks strictly between every pair of times."""
+    def pairwise_intensity(self, times: np.ndarray, rows: slice = slice(None)) -> np.ndarray:
+        """Summed intensity of kicks strictly between every pair of times.
+
+        Returns the given rows of the symmetric matrix, with zero diagonal.
+        """
         times = np.asarray(times, dtype=float)
-        m = times.size
+        j = np.arange(times.size)
+        i = j[rows, None]
         if self.n == 0:
-            return np.zeros((m, m))
+            return np.zeros((i.size, j.size))
         cum = self._cumulative()
         before_strict = cum[np.searchsorted(self.times, times, side="left")]
         before_incl = cum[np.searchsorted(self.times, times, side="right")]
-        upper = before_strict[None, :] - before_incl[:, None]
-        out = np.triu(upper, k=1)
-        return out + out.T
+        # entry (i, j) with i < j is before_strict[j] - before_incl[i]
+        upper = j > i
+        out = np.where(upper, before_strict, before_strict[i])
+        out -= np.where(upper, before_incl[i], before_incl)
+        out[j == i] = 0.0
+        return out
 
 
 @dataclass(frozen=True)

@@ -3,7 +3,7 @@
 The smoother oracle restates the transition densities and the gap
 reconstruction one transition or grid point at a time, apart from the
 package's vectorised ``oscillator.propagate``, and L2 with its gradient as
-whole-array expressions, apart from the package's in-place forms. The
+whole-array expressions, apart from the package's row-tiled forms. The
 simulator oracle is the RK4 loop on numpy 6-vectors that
 ``ultradian.simulate`` unrolls into Python floats. Tests compare the package
 against both.
@@ -121,10 +121,12 @@ def _kernel_expression(u, v, h):
 
 
 def l2_oracle(x, y, tables):
+    """-(sum W (Kxx - 2 Kyx) + sum W Ky) / 2n, each sum taken over columns first."""
     Kxx = _kernel_expression(x[:, None], x[None, :], tables.h)
     Kyx = _kernel_expression(y[:, None], x[None, :], tables.h)
-    bracket = Kxx - 2.0 * Kyx + tables.Ky
-    return -(tables.W * bracket).sum() / (2.0 * x.size)
+    Ky = _kernel_expression(y[:, None], y[None, :], tables.h)
+    wky = (tables.W * Ky).sum(axis=0).sum()
+    return -((tables.W * (Kxx - 2.0 * Kyx)).sum(axis=0).sum() + wky) / (2.0 * x.size)
 
 
 def l2_grad_oracle(x, y, tables):
@@ -204,13 +206,8 @@ def make_cycle_series(n=200, spacing=5.0, noise=0.1 * TRUE_A, seed=42):
     return ObservationSeries(times, y)
 
 
-def make_random_fixture(seed, n=16, with_kicks=None):
-    """A well-conditioned random estimation state over an irregular grid.
-
-    Latents are bounded away from zero so the polar radius never degenerates,
-    and value scales match the model noise so finite-difference checks stay
-    well conditioned.
-    """
+def make_random_series(seed, n=16, with_kicks=None):
+    """The observations and kicks of ``make_random_fixture``, and its generator after drawing them."""
     rng = np.random.default_rng(seed)
     t = np.cumsum(rng.uniform(30.0, 90.0, n))
     t -= t[0]
@@ -227,6 +224,18 @@ def make_random_fixture(seed, n=16, with_kicks=None):
         )
     else:
         kicks = KickSeries.empty()
+    return rng, obs, kicks
+
+
+def make_random_fixture(seed, n=16, with_kicks=None):
+    """A well-conditioned random estimation state over an irregular grid.
+
+    Latents are bounded away from zero so the polar radius never degenerates,
+    and value scales match the model noise so finite-difference checks stay
+    well conditioned.
+    """
+    rng, obs, kicks = make_random_series(seed, n, with_kicks)
+    y = obs.values
     tables = build_tables(obs, kicks, T_s=TRUE_PERIOD, T_l=4.0 * TRUE_PERIOD)
     gaps = effective_gaps(obs, kicks)
     state = EstimationState(

@@ -2,6 +2,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mcsmooth import (
     EstimationState,
@@ -117,3 +119,22 @@ class TestL2Gradient:
         finally:
             tracemalloc.stop()
         assert peak < 3.5 * n * n * 8
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2**16), n=st.integers(2, 700), with_kicks=st.booleans())
+    def test_row_tiles_match_the_expression_oracle(self, seed, n, with_kicks):
+        state, obs, tables, gaps = make_random_fixture(seed, n=n, with_kicks=with_kicks)
+        g = grad_total(state, obs, tables, gaps, WeightSchedule(lam2=1.0))
+        assert np.array_equal(g.d_x, l2_grad_oracle(state.x, obs.values, tables))
+
+    def test_peak_memory_below_one_pair_array(self):
+        n = 2000
+        state, obs, tables, gaps = make_random_fixture(0, n=n)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            grad_total(state, obs, tables, gaps, WeightSchedule(lam2=1.0))
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < n * n * 8

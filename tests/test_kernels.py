@@ -8,6 +8,7 @@ from mcsmooth import (
     build_tables,
     effective_gaps,
     gaussian_kernel,
+    time_kernel,
 )
 
 SQRT_2PI = np.sqrt(2.0 * np.pi)
@@ -56,22 +57,27 @@ def series(seed=0, n=12):
 class TestBuildTables:
     def test_no_kicks_matches_plain_distances(self):
         obs = series()
-        tab = build_tables(obs, KickSeries.empty(), T_s=100.0, T_l=400.0)
         t = obs.times
         plain = gaussian_kernel(t[:, None], t[None, :], 400.0)
-        assert np.array_equal(tab.Kt, plain)
+        assert np.array_equal(time_kernel(t, KickSeries.empty(), 400.0), plain)
 
     def test_row_mean_consistency(self):
         obs = series(3)
         tab = build_tables(obs, KickSeries.empty(), T_s=100.0, T_l=400.0)
-        assert np.allclose(tab.Ky.sum(axis=1) / obs.n, tab.rho0, rtol=0, atol=1e-15)
-        s = tab.Kt.sum(axis=1)
-        assert np.allclose(tab.W, tab.Kt / s[None, :] + tab.Kt / s[:, None], rtol=1e-14, atol=0)
+        y = obs.values
+        Ky = gaussian_kernel(y[:, None], y[None, :], tab.h)
+        Kt = time_kernel(obs.times, KickSeries.empty(), 400.0)
+        assert np.allclose(Ky.sum(axis=1) / obs.n, tab.rho0, rtol=0, atol=1e-15)
+        s = Kt.sum(axis=1)
+        assert np.allclose(tab.W, Kt / s[None, :] + Kt / s[:, None], rtol=1e-14, atol=0)
 
     def test_tables_symmetric_positive(self):
         obs = series(5)
         tab = build_tables(obs, KickSeries.empty(), T_s=100.0, T_l=400.0)
-        for m in (tab.Ky, tab.Kt, tab.W):
+        y = obs.values
+        Ky = gaussian_kernel(y[:, None], y[None, :], tab.h)
+        Kt = time_kernel(obs.times, KickSeries.empty(), 400.0)
+        for m in (Ky, Kt, tab.W):
             assert np.array_equal(m, m.T)
             assert np.all(m > 0)
         assert np.all(tab.rho0 > 0)
@@ -102,9 +108,9 @@ class TestBuildTables:
         rng = np.random.default_rng(1)
         kt = np.sort(rng.uniform(obs.times[0] + 1, obs.times[-1] - 1, 4))
         kicks = KickSeries(kt, rng.uniform(0.1, 3.0, 4), typical_intensity=1.0, alpha_kick=30.0)
-        tab0 = build_tables(obs, KickSeries.empty(), 100.0, 400.0)
-        tab1 = build_tables(obs, kicks, 100.0, 400.0)
-        assert np.all(tab1.Kt <= tab0.Kt)
+        Kt0 = time_kernel(obs.times, KickSeries.empty(), 400.0)
+        Kt1 = time_kernel(obs.times, kicks, 400.0)
+        assert np.all(Kt1 <= Kt0)
         ds0, dl0 = decays(obs, KickSeries.empty(), 100.0, 400.0)
         ds1, dl1 = decays(obs, kicks, 100.0, 400.0)
         assert np.all(ds1 <= ds0) and np.all(dl1 <= dl0)
@@ -112,12 +118,31 @@ class TestBuildTables:
     def test_removing_kicks_restores_plain_tables(self):
         obs = series(13)
         kicks = KickSeries([obs.times[3] + 0.5], [1.0], typical_intensity=1.0, alpha_kick=25.0)
-        with_k = build_tables(obs, kicks, 100.0, 400.0)
-        without = build_tables(obs, KickSeries.empty(), 100.0, 400.0)
-        assert not np.array_equal(with_k.Kt, without.Kt)
+        with_k = time_kernel(obs.times, kicks, 400.0)
+        without = time_kernel(obs.times, KickSeries.empty(), 400.0)
+        W_without = build_tables(obs, KickSeries.empty(), 100.0, 400.0).W
+        assert not np.array_equal(with_k, without)
         ds_without, _ = decays(obs, KickSeries.empty(), 100.0, 400.0)
         assert not np.array_equal(decays(obs, kicks, 100.0, 400.0)[0], ds_without)
-        again = build_tables(obs, KickSeries.empty(), 100.0, 400.0)
-        assert np.array_equal(again.Kt, without.Kt)
-        assert np.array_equal(again.W, without.W)
+        assert np.array_equal(time_kernel(obs.times, KickSeries.empty(), 400.0), without)
+        assert np.array_equal(build_tables(obs, KickSeries.empty(), 100.0, 400.0).W, W_without)
         assert np.array_equal(decays(obs, KickSeries.empty(), 100.0, 400.0)[0], ds_without)
+
+    @pytest.mark.parametrize("with_kicks", [False, True])
+    def test_row_tiles_match_the_whole_array_expressions(self, with_kicks):
+        # n = 300 spans three row tiles
+        obs = series(17, n=300)
+        t, y = obs.times, obs.values
+        kicks = KickSeries.empty()
+        if with_kicks:
+            kicks = KickSeries([t[40], t[41] + 3.0, t[200] + 0.5], [1.0, 2.5, 0.7],
+                               typical_intensity=1.0, alpha_kick=40.0)
+        tab = build_tables(obs, kicks, 100.0, 400.0)
+        dist = np.abs(t[:, None] - t[None, :]) + kicks.alpha_kick * kicks.pairwise_intensity(t)
+        Kt = np.exp(-(dist * dist) / (2.0 * 400.0 * 400.0)) / (SQRT_2PI * 400.0)
+        assert np.array_equal(time_kernel(t, kicks, 400.0), Kt)
+        rs = obs.n * Kt.mean(axis=1)
+        assert np.array_equal(tab.W, Kt / rs[None, :] + Kt / rs[:, None])
+        Ky = gaussian_kernel(y[:, None], y[None, :], tab.h)
+        assert np.array_equal(tab.rho0, Ky.mean(axis=1))
+        assert tab.wky == (tab.W * Ky).sum(axis=0).sum()

@@ -2,6 +2,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mcsmooth import (
     EstimationState,
@@ -19,8 +21,10 @@ from mcsmooth import (
     eval_Lparams,
     eval_components,
     eval_total,
+    gaussian_kernel,
+    time_kernel,
 )
-from conftest import l2_oracle, make_random_fixture
+from conftest import l2_oracle, make_random_fixture, make_random_series
 
 SQRT_2PI = np.sqrt(2.0 * np.pi)
 
@@ -88,6 +92,12 @@ def ref_param_loglik(alpha, tilde, sigma_l, gaps, T_l):
 
 
 # --- fixtures
+
+def fixture_time_kernel(seed, n, T_l):
+    """The kick-adjusted time kernel behind the tables of ``make_random_fixture(seed, n)``."""
+    _, obs, kicks = make_random_series(seed, n)
+    return time_kernel(obs.times, kicks, T_l)
+
 
 def peak_state(obs, tables, gaps, sigma=5.0):
     """A state whose every (x, z) sits exactly at its propagated mean."""
@@ -164,7 +174,8 @@ class TestL2:
 
     def test_matches_naive_double_loop(self):
         state, obs, tables, gaps = make_random_fixture(4, n=3)
-        want = ref_L2(state.x, obs.values, obs.times, tables.h, tables.Kt)
+        Kt = fixture_time_kernel(4, 3, tables.T_l)
+        want = ref_L2(state.x, obs.values, obs.times, tables.h, Kt)
         assert eval_L2(state, obs, tables) == pytest.approx(want, abs=1e-12)
 
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
@@ -184,12 +195,41 @@ class TestL2:
             tracemalloc.stop()
         assert peak < 3.5 * n * n * 8
 
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2**16), n=st.integers(2, 700), with_kicks=st.booleans())
+    def test_row_tiles_match_the_expression_oracle(self, seed, n, with_kicks):
+        state, obs, tables, _ = make_random_fixture(seed, n=n, with_kicks=with_kicks)
+        assert eval_L2(state, obs, tables) == l2_oracle(state.x, obs.values, tables)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_within_1e_15_of_the_whole_array_sum(self, seed):
+        state, obs, tables, _ = make_random_fixture(seed, n=40)
+        x, y, h = state.x, obs.values, tables.h
+        bracket = (gaussian_kernel(x[:, None], x[None, :], h)
+                   - 2.0 * gaussian_kernel(y[:, None], x[None, :], h)
+                   + gaussian_kernel(y[:, None], y[None, :], h))
+        whole = -(tables.W * bracket).sum() / (2.0 * x.size)
+        assert abs(eval_L2(state, obs, tables) - whole) <= 1e-15
+
+    def test_peak_memory_below_one_pair_array(self):
+        n = 2000
+        state, obs, tables, _ = make_random_fixture(0, n=n)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            eval_L2(state, obs, tables)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < n * n * 8
+
     def test_symmetrized_form_equals_row_normalized_form(self):
         # the symmetrized double sum is an algebraic rewrite of the
         # row-normalized one; check they coincide numerically
         for seed in range(4):
             state, obs, tables, _ = make_random_fixture(seed, n=8)
-            x, y, h, Kt = state.x, obs.values, tables.h, tables.Kt
+            x, y, h = state.x, obs.values, tables.h
+            Kt = fixture_time_kernel(seed, 8, tables.T_l)
             n = obs.n
             total = 0.0
             for i in range(n):

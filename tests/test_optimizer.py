@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import replace
 from functools import cache
 
@@ -100,6 +101,24 @@ class TestInitialize:
         assert osc.priors.a_tilde > 0
         assert flat.priors.a_tilde == 0.0
 
+    @pytest.mark.parametrize("with_kicks", [False, True])
+    def test_peak_memory_below_two_and_a_half_pair_arrays(self, with_kicks):
+        n = 600
+        obs = make_cycle_series(n=n)
+        kicks = None
+        if with_kicks:
+            kicks = KickSeries(obs.times[[50, 200, 201, 420]] + [0.0, 1.0, 0.0, 2.5],
+                               [1.0, 2.0, 0.5, 3.0], typical_intensity=1.5)
+        initialize(make_cycle_series(n=40))  # a first call imports numpy.ma, for np.median
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            initialize(obs, kicks)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * n * n * 8
+
 
 class TestRunStage:
     def test_mask_is_airtight(self, cycle_series, quick_config):
@@ -156,6 +175,20 @@ class TestRunStage:
         for L, c in zip(trace.objective, trace.components):
             assert L == c.L1 + c.L2 + c.L3
         assert trace.objective[-1] == eval_total(out, cycle_series, tables, gaps, sched)
+
+    def test_start_row_carries_all_but_L3_L4(self, cycle_series, quick_config):
+        state, cfg, tables = initialize(cycle_series, config=quick_config)
+        gaps = effective_gaps(cycle_series, KickSeries.empty())
+        sched = WeightSchedule(lam1=1.0, lam2=1.0, lam3=1.0, epsilon=cfg.epsilon)
+        fresh = eval_components(state, cycle_series, tables, gaps, cfg.epsilon)
+        marked = fresh._replace(L1=-1.0, L2=-2.0, L3=5.0, L4=6.0, L_b=-3.0, L_a=-4.0, L_omega=-5.0)
+        _, trace = run_stage(state, cycle_series, tables, gaps, sched, {"z"}, 3, cfg, start=marked)
+        assert trace.components[0] == marked._replace(L3=fresh.L3, L4=fresh.L4)
+        # a start taken at the same state changes nothing
+        _, plain = run_stage(state, cycle_series, tables, gaps, sched, {"z"}, 3, cfg)
+        _, carried = run_stage(state, cycle_series, tables, gaps, sched, {"z"}, 3, cfg, start=fresh)
+        assert carried.components == plain.components
+        assert carried.objective == plain.objective
 
     def test_unknown_mask_rejected(self, cycle_series, quick_config):
         state, cfg, tables = initialize(cycle_series, config=quick_config)
@@ -439,6 +472,27 @@ class TestCsvFormats:
         back = read_densities_csv(p)
         assert np.array_equal(back["rho_x"], rx)
         assert np.array_equal(back["rho_y"], ry)
+
+    def test_writers_format_each_value_with_repr(self, tmp_path, quick_config):
+        res = estimate(make_cycle_series(n=40), config=quick_config)
+        grid = np.arange(int(res.obs.times[0]), int(res.obs.times[-1]))  # integer times
+        values, dashed = reconstruct_trajectory(res, grid)
+        values[:4] = [-0.0, 1e-300, 5e-324, 1.0 / 3.0]
+
+        def lines(*cols):
+            return "".join(",".join(row) + "\n" for row in zip(*cols))
+
+        def reprs(a):
+            return [repr(float(v)) for v in a]
+
+        p = tmp_path / "recon.csv"
+        write_reconstruction_csv(grid, values, dashed, p)
+        assert p.read_text() == lines(reprs(grid), reprs(values), [str(int(d)) for d in dashed])
+        s, q = res.state, res.state.params
+        write_states_csv(res, p)
+        assert p.read_text() == lines(*map(reprs, (res.obs.times, s.x, s.z, q.b, q.a, q.omega)))
+        write_densities_csv(grid[:5], values[:5], values[5:10], p)
+        assert p.read_text() == lines(reprs(grid[:5]), reprs(values[:5]), reprs(values[5:10]))
 
     def test_trace_roundtrip(self, tmp_path, quick_config):
         res = estimate(make_cycle_series(n=40), config=quick_config)

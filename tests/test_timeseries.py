@@ -97,6 +97,20 @@ class TestKickConventions:
         assert pair[0, 1] == 0.0 and pair[1, 2] == 0.0
         assert np.all(np.diag(pair) == 0.0)
 
+    def test_pairwise_rows_match_the_symmetrized_upper_triangle(self):
+        t = np.array([0.0, 10.0, 20.0, 35.0, 50.0, 51.0, 80.0])
+        kicks = KickSeries([10.0, 20.0, 40.0, 50.5], [2.0, 0.5, 1.25, 3.0],
+                           typical_intensity=2.0, alpha_kick=1.0)
+        cum = np.concatenate(([0.0], np.cumsum(kicks.intensities)))
+        strict = cum[np.searchsorted(kicks.times, t, side="left")]
+        incl = cum[np.searchsorted(kicks.times, t, side="right")]
+        upper = np.triu(strict[None, :] - incl[:, None], k=1)
+        want = upper + upper.T
+        assert np.array_equal(kicks.pairwise_intensity(t), want)
+        for rows in (slice(0, 3), slice(3, 7), slice(6, 7)):
+            assert np.array_equal(kicks.pairwise_intensity(t, rows), want[rows])
+        assert np.array_equal(KickSeries.empty().pairwise_intensity(t, slice(2, 5)), np.zeros((3, 7)))
+
     def test_intensity_between_half_open(self):
         kicks = KickSeries([10.0, 30.0], [1.0, 4.0], typical_intensity=2.5, alpha_kick=1.0)
         assert kicks.intensity_between(10.0, 30.0) == 1.0
