@@ -155,7 +155,7 @@ def _load_series(path):
     except ValueError:
         from .ultradian import read_trace
 
-        return read_trace(path).observations()
+        return read_trace(path)
 
 
 def _cmd_subsample(args) -> int:

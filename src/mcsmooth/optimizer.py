@@ -31,7 +31,7 @@ from .oscillator import (
     effective_gaps,
     propagate,
 )
-from .timeseries import KickSeries, ObservationSeries, write_csv_rows
+from .timeseries import KickSeries, ObservationSeries, repr_rows, write_csv_rows
 
 __all__ = [
     "HyperConfig",
@@ -52,9 +52,6 @@ STAGE2_LAMBDAS = (1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0)
 
 # Residuals below this fraction of the data scale carry no sign information.
 SIGN_DEAD_ZONE = 1e-9
-
-# Rows formatted per block by the CSV writers.
-CSV_BLOCK_ROWS = 1024
 
 
 class FrequencyEstimationError(ValueError):
@@ -515,17 +512,6 @@ def _read_columns(path, ncols: int, what: str) -> np.ndarray:
     return data
 
 
-def _repr_rows(*columns):
-    """Rows of ``repr`` of each column's Python scalars.
-
-    Columns are converted with ``tolist()`` one block of rows at a time, so
-    no whole column is held as strings.
-    """
-    for start in range(0, len(columns[0]), CSV_BLOCK_ROWS):
-        block = slice(start, start + CSV_BLOCK_ROWS)
-        yield from zip(*(map(repr, c[block].tolist()) for c in columns))
-
-
 def _floats(*columns):
     return [np.asarray(c, dtype=float) for c in columns]
 
@@ -533,7 +519,7 @@ def _floats(*columns):
 def write_states_csv(result: EstimationResult, path) -> None:
     """Estimated states as "t,x,z,b,a,omega" rows."""
     s, p = result.state, result.state.params
-    write_csv_rows(path, _repr_rows(*_floats(result.obs.times, s.x, s.z, p.b, p.a, p.omega)))
+    write_csv_rows(path, repr_rows(*_floats(result.obs.times, s.x, s.z, p.b, p.a, p.omega)))
 
 
 def read_states_csv(path) -> dict[str, np.ndarray]:
@@ -547,7 +533,7 @@ def read_states_csv(path) -> dict[str, np.ndarray]:
 
 def write_reconstruction_csv(times, values, dashed, path) -> None:
     """Reconstructed trajectory as "t,value,dashed" rows (dashed is 0/1)."""
-    write_csv_rows(path, _repr_rows(*_floats(times, values), np.asarray(dashed, dtype=int)))
+    write_csv_rows(path, repr_rows(*_floats(times, values), np.asarray(dashed, dtype=int)))
 
 
 def read_reconstruction_csv(path) -> dict[str, np.ndarray]:
@@ -564,7 +550,7 @@ def read_reconstruction_csv(path) -> dict[str, np.ndarray]:
 
 def write_densities_csv(grid, rho_x, rho_y, path) -> None:
     """Density grids as "value,rho_x,rho_y" rows."""
-    write_csv_rows(path, _repr_rows(*_floats(grid, rho_x, rho_y)))
+    write_csv_rows(path, repr_rows(*_floats(grid, rho_x, rho_y)))
 
 
 def read_densities_csv(path) -> dict[str, np.ndarray]:

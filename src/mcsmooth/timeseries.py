@@ -23,6 +23,9 @@ __all__ = [
     "write_observations",
 ]
 
+# Rows formatted per block by the CSV writers.
+CSV_BLOCK_ROWS = 1024
+
 
 def float_array(a) -> np.ndarray:
     """``a`` as a float64 array; a longdouble array is kept as it is.
@@ -217,6 +220,17 @@ def write_csv_rows(path: str | Path, rows) -> None:
             fh.write(",".join(row) + "\n")
 
 
+def repr_rows(*columns):
+    """Rows of ``repr`` of each column's Python scalars.
+
+    Columns are converted with ``tolist()`` one block of rows at a time, so
+    no whole column is held as strings.
+    """
+    for start in range(0, len(columns[0]), CSV_BLOCK_ROWS):
+        block = slice(start, start + CSV_BLOCK_ROWS)
+        yield from zip(*(map(repr, c[block].tolist()) for c in columns))
+
+
 def load_observations(path: str | Path) -> ObservationSeries:
     """Read a "time_min,value" CSV into an ObservationSeries.
 
@@ -253,8 +267,7 @@ def load_kicks(path: str | Path, T_s: float) -> KickSeries:
 
 
 def write_observations(series: ObservationSeries, path: str | Path) -> None:
-    pairs = zip(series.times.tolist(), series.values.tolist())
-    write_csv_rows(path, ((repr(t), repr(v)) for t, v in pairs))
+    write_csv_rows(path, repr_rows(series.times, series.values))
 
 
 def _nearest_index(times: np.ndarray, t: float) -> int:

@@ -12,10 +12,11 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass, replace
+from pathlib import Path
 
 import numpy as np
 
-from .timeseries import ObservationSeries, read_csv_rows, write_csv_rows
+from .timeseries import ObservationSeries, read_csv_rows, repr_rows, write_csv_rows
 
 __all__ = [
     "UltradianParams",
@@ -152,68 +153,79 @@ class NutritionSchedule:
         """Read "t_start,t_end,rate_mg_per_min" rows."""
         return cls(tuple(read_csv_rows(path, 3, "load_nutrition")))
 
+    def segment(self, t: float) -> tuple[float, float, float]:
+        """``(rate, lo, hi)``: the rate at t and the span [lo, hi) it holds on.
+
+        Inside an interval the span is the interval. Elsewhere the rate is
+        zero and the span is the gap between neighbouring intervals; before
+        the first interval it starts at -inf, after the last it ends at +inf.
+        """
+        iv = self.intervals
+        i = bisect.bisect_right(self._starts, t) - 1
+        if i >= 0:
+            t0, t1, rate = iv[i]
+            if t < t1:
+                return rate, t0, t1
+            lo = t1
+        else:
+            lo = -math.inf
+        return 0.0, lo, iv[i + 1][0] if i + 1 < len(iv) else math.inf
+
 
 def nutrition_rate(t: float, schedule: NutritionSchedule) -> float:
     """Carbohydrate rate at time t (mg/min)."""
-    iv = schedule.intervals
-    if not iv:
-        return 0.0
-    i = bisect.bisect_right(schedule._starts, t) - 1
-    if i >= 0 and iv[i][0] <= t < iv[i][1]:
-        return iv[i][2]
-    return 0.0
+    return schedule.segment(t)[0]
 
 
-def f1(g: float, p: UltradianParams) -> float:
-    """Insulin secretion as a function of glucose mass."""
-    return p.r_m / (1.0 + math.exp(-g / (p.v_g * p.c_1) + p.a_1))
+def bind_rhs(p: UltradianParams):
+    """The right-hand side for ``p``, as ``rhs(i_p, i_i, g, h1, h2, h3, i_g)``.
 
+    The returned function maps the six state floats and the nutrition input
+    i_g (mg/min) to the 6-tuple of their time derivatives. The parameter
+    fields and the constant units named in :func:`simulate` are bound as
+    locals once, so a call reads no attribute; the derivatives are
+    bit-identical to evaluating the equations with the fields read afresh.
 
-def f2(g: float, p: UltradianParams) -> float:
-    """Insulin-independent glucose utilization."""
-    return p.u_b * (1.0 - math.exp(-g / (p.c_2 * p.v_g)))
-
-
-def f3(i_i: float, p: UltradianParams) -> float:
-    """Insulin-dependent glucose utilization rate per unit glucose mass.
-
-    Where (kappa i_i)^(-beta) is +inf, f3 reduces to its floor u_0 term:
-    for i_i <= 0 (the i_i -> 0+ limit) and for an i_i so small that the
-    power overflows. This keeps the right-hand side total if an exploratory
-    integration undershoots zero.
+    Where (kappa i_i)^(-beta) is +inf, the insulin-dependent utilization
+    reduces to its floor u_0 term: for i_i <= 0 (the i_i -> 0+ limit) and
+    for an i_i so small that the power overflows. This keeps the right-hand
+    side total if an exploratory integration undershoots zero.
     """
-    if i_i <= 0.0:
-        damping = math.inf
-    else:
-        try:
-            damping = (p.kappa * i_i) ** (-p.beta)
-        except (OverflowError, ZeroDivisionError):
-            damping = math.inf
-    return (p.u_0 + (p.u_m - p.u_0) / (1.0 + damping)) / (p.c_3 * p.v_g)
+    v_p, v_i, e, t_p, t_i, t_d = p.v_p, p.v_i, p.e, p.t_p, p.t_i, p.t_d
+    r_m, a_1, u_b, u_0, r_g, alpha = p.r_m, p.a_1, p.u_b, p.u_0, p.r_g, p.alpha
+    vg_c1, c2_vg, c3_vg, c5_vp = p.v_g * p.c_1, p.c_2 * p.v_g, p.c_3 * p.v_g, p.c_5 * p.v_p
+    du, kappa, neg_beta = p.u_m - p.u_0, p.kappa, -p.beta
+    exp, inf = math.exp, math.inf
 
+    def rhs(i_p, i_i, g, h1, h2, h3, i_g):
+        if i_i <= 0.0:
+            damping = inf
+        else:
+            try:
+                damping = (kappa * i_i) ** neg_beta
+            except (OverflowError, ZeroDivisionError):
+                damping = inf
+        exchange = e * (i_p / v_p - i_i / v_i)
+        return (
+            # insulin secretion f1(G), exchange and plasma degradation
+            r_m / (1.0 + exp(-g / vg_c1 + a_1)) - exchange - i_p / t_p,
+            exchange - i_i / t_i,
+            # delayed production f4(h3) plus feed, minus insulin-independent
+            # utilization f2(G) and insulin-dependent utilization f3(I_i) G
+            r_g / (1.0 + exp(alpha * (h3 / c5_vp - 1.0))) + i_g
+            - u_b * (1.0 - exp(-g / c2_vg))
+            - (u_0 + du / (1.0 + damping)) / c3_vg * g,
+            (i_p - h1) / t_d,
+            (h1 - h2) / t_d,
+            (h2 - h3) / t_d,
+        )
 
-def f4(h3: float, p: UltradianParams) -> float:
-    """Delayed insulin-dependent glucose production."""
-    return p.r_g / (1.0 + math.exp(p.alpha * (h3 / (p.c_5 * p.v_p) - 1.0)))
-
-
-def _rhs(y: tuple, p: UltradianParams, i_g: float) -> tuple:
-    """Time derivative of the 6-tuple (Ip, Ii, G, h1, h2, h3), in Python floats."""
-    i_p, i_i, g, h1, h2, h3 = y
-    exchange = p.e * (i_p / p.v_p - i_i / p.v_i)
-    return (
-        f1(g, p) - exchange - i_p / p.t_p,
-        exchange - i_i / p.t_i,
-        f4(h3, p) + i_g - f2(g, p) - f3(i_i, p) * g,
-        (i_p - h1) / p.t_d,
-        (h1 - h2) / p.t_d,
-        (h2 - h3) / p.t_d,
-    )
+    return rhs
 
 
 def ultradian_rhs(state: UltradianState, params: UltradianParams, i_g: float) -> UltradianState:
     """Time derivative of the state under nutrition input i_g (mg/min)."""
-    return UltradianState.from_array(_rhs(tuple(state.as_array().tolist()), params, i_g))
+    return UltradianState(*bind_rhs(params)(*state.as_array().tolist(), i_g))
 
 
 @dataclass(frozen=True)
@@ -251,6 +263,16 @@ def simulate(
     numpy applies to the 6-vector form of the scheme, so the states are
     bit-identical to it; a test checks that bitwise against the 6-vector
     loop.
+
+    The right-hand side is bound once per call (:func:`bind_rhs`). Only
+    products, differences and quotients of constants are hoisted out of the
+    step (``v_g*c_1``, ``c_2*v_g``, ``c_3*v_g``, ``c_5*v_p``, ``u_m-u_0``,
+    ``kappa``, ``-beta``): each is a parenthesised unit of the equations, so
+    the hoisted float is the float the step would compute. No division
+    becomes a reciprocal multiply and no sum is regrouped, since either
+    would round differently. The nutrition rate is looked up once per
+    constant-rate span (:meth:`NutritionSchedule.segment`) and reused while
+    the substep times stay inside it.
     """
     if dt <= 0 or t_end <= 0:
         raise ValueError("simulate: dt and t_end must be positive")
@@ -263,39 +285,48 @@ def simulate(
         raise ValueError("simulate: discard removed every output sample")
     first = math.ceil(discard) if discard > 0 else 0
     states = np.empty((n_min + 1 - first, 6))
-    y = tuple(initial.as_array().tolist())
+    y0, y1, y2, y3, y4, y5 = initial.as_array().tolist()
     if first == 0:
-        states[0] = y
+        states[0] = y0, y1, y2, y3, y4, y5
 
+    rhs = bind_rhs(params)
+    segment = schedule.segment
+    rate, lo, hi = segment(0.0)
     h = 1.0 / steps_per_min
     half_h, h6 = 0.5 * h, h / 6.0
     for minute in range(n_min):
         for s in range(steps_per_min):
             t = minute + s * h
-            y0, y1, y2, y3, y4, y5 = y
+            if not lo <= t < hi:
+                rate, lo, hi = segment(t)
+            i_start = rate
+            t_mid = t + half_h
+            if not lo <= t_mid < hi:
+                rate, lo, hi = segment(t_mid)
+            i_mid = rate
+            t_next = t + h
+            if not lo <= t_next < hi:
+                rate, lo, hi = segment(t_next)
             try:
-                a0, a1, a2, a3, a4, a5 = _rhs(y, params, nutrition_rate(t, schedule))
-                i_mid = nutrition_rate(t + half_h, schedule)
-                b0, b1, b2, b3, b4, b5 = _rhs(
-                    (y0 + half_h * a0, y1 + half_h * a1, y2 + half_h * a2,
-                     y3 + half_h * a3, y4 + half_h * a4, y5 + half_h * a5), params, i_mid)
-                c0, c1, c2, c3, c4, c5 = _rhs(
-                    (y0 + half_h * b0, y1 + half_h * b1, y2 + half_h * b2,
-                     y3 + half_h * b3, y4 + half_h * b4, y5 + half_h * b5), params, i_mid)
-                d0, d1, d2, d3, d4, d5 = _rhs(
-                    (y0 + h * c0, y1 + h * c1, y2 + h * c2,
-                     y3 + h * c3, y4 + h * c4, y5 + h * c5),
-                    params, nutrition_rate(t + h, schedule))
+                a0, a1, a2, a3, a4, a5 = rhs(y0, y1, y2, y3, y4, y5, i_start)
+                b0, b1, b2, b3, b4, b5 = rhs(
+                    y0 + half_h * a0, y1 + half_h * a1, y2 + half_h * a2,
+                    y3 + half_h * a3, y4 + half_h * a4, y5 + half_h * a5, i_mid)
+                c0, c1, c2, c3, c4, c5 = rhs(
+                    y0 + half_h * b0, y1 + half_h * b1, y2 + half_h * b2,
+                    y3 + half_h * b3, y4 + half_h * b4, y5 + half_h * b5, i_mid)
+                d0, d1, d2, d3, d4, d5 = rhs(
+                    y0 + h * c0, y1 + h * c1, y2 + h * c2,
+                    y3 + h * c3, y4 + h * c4, y5 + h * c5, rate)
             except (OverflowError, ValueError) as exc:
                 raise BlowUpError(f"simulate: state blew up near t = {t:.3f} min") from exc
-            y = (
-                y0 + h6 * (((a0 + 2.0 * b0) + 2.0 * c0) + d0),
-                y1 + h6 * (((a1 + 2.0 * b1) + 2.0 * c1) + d1),
-                y2 + h6 * (((a2 + 2.0 * b2) + 2.0 * c2) + d2),
-                y3 + h6 * (((a3 + 2.0 * b3) + 2.0 * c3) + d3),
-                y4 + h6 * (((a4 + 2.0 * b4) + 2.0 * c4) + d4),
-                y5 + h6 * (((a5 + 2.0 * b5) + 2.0 * c5) + d5),
-            )
+            y0 = y0 + h6 * (((a0 + 2.0 * b0) + 2.0 * c0) + d0)
+            y1 = y1 + h6 * (((a1 + 2.0 * b1) + 2.0 * c1) + d1)
+            y2 = y2 + h6 * (((a2 + 2.0 * b2) + 2.0 * c2) + d2)
+            y3 = y3 + h6 * (((a3 + 2.0 * b3) + 2.0 * c3) + d3)
+            y4 = y4 + h6 * (((a4 + 2.0 * b4) + 2.0 * c4) + d4)
+            y5 = y5 + h6 * (((a5 + 2.0 * b5) + 2.0 * c5) + d5)
+        y = y0, y1, y2, y3, y4, y5
         if not all(map(math.isfinite, y)):
             raise BlowUpError(f"simulate: non-finite state at t = {minute + 1} min")
         if minute + 1 >= first:
@@ -307,27 +338,24 @@ def simulate(
 
 def write_trace(result: SimulationResult, path) -> None:
     """Write the minute trace as "t,G_mg_dl,Ip,Ii,h1,h2,h3"."""
-    cols = np.column_stack((result.times, result.glucose, result.states[:, [0, 1, 3, 4, 5]]))
-    write_csv_rows(path, (map(repr, row.tolist()) for row in cols))
+    st = result.states
+    write_csv_rows(path, repr_rows(result.times, result.glucose,
+                                   st[:, 0], st[:, 1], st[:, 3], st[:, 4], st[:, 5]))
 
 
-def read_trace(path) -> SimulationResult:
-    """Parse a "t,G_mg_dl,Ip,Ii,h1,h2,h3" trace back into a SimulationResult.
+def read_trace(path) -> ObservationSeries:
+    """The (t, G_mg_dl) columns of a "t,G_mg_dl,Ip,Ii,h1,h2,h3" trace.
 
-    The stored glucose column is a concentration; the states matrix carries
-    the reconstructed mass (V_g from the nominal table).
+    Every nonblank line must have seven fields; the file is checked line by
+    line before the two columns are parsed, so it is never held whole.
     """
-    from pathlib import Path
-
     p = Path(path)
     if not p.exists():
         raise FileNotFoundError(f"read_trace: file not found: {p}")
-    data = np.loadtxt(p, delimiter=",", ndmin=2)
-    if data.shape[1] != 7:
-        raise ValueError(f"read_trace: expected 7 columns, got {data.shape[1]}")
-    times, glucose = data[:, 0], data[:, 1]
-    states = np.column_stack([
-        data[:, 2], data[:, 3], glucose * 10.0 * nominal_params().v_g,
-        data[:, 4], data[:, 5], data[:, 6],
-    ])
-    return SimulationResult(times, glucose, states)
+    with p.open(encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            commas = line.count(",")
+            if commas != 6 and line.strip():
+                raise ValueError(f"read_trace: line {lineno}: expected 7 columns, got {commas + 1}")
+    data = np.loadtxt(p, delimiter=",", usecols=(0, 1), ndmin=2)
+    return ObservationSeries(data[:, 0], data[:, 1])

@@ -4,9 +4,11 @@ The smoother oracle restates the transition densities and the gap
 reconstruction one transition or grid point at a time, apart from the
 package's vectorised ``oscillator.propagate``, and L2 with its gradient as
 whole-array expressions, apart from the package's row-tiled forms. The
-simulator oracle is the RK4 loop on numpy 6-vectors that
+simulator oracle restates the model equations with every parameter read
+afresh (``f1``-``f4`` and the tuple ``_rhs``), apart from the package's bound
+right-hand side, and the RK4 loop on numpy 6-vectors that
 ``ultradian.simulate`` unrolls into Python floats. Tests compare the package
-against both.
+against all of them.
 """
 
 import math
@@ -27,15 +29,7 @@ from mcsmooth import (
     effective_gaps,
     to_polar,
 )
-from mcsmooth.ultradian import (
-    BlowUpError,
-    SimulationResult,
-    f1,
-    f2,
-    f3,
-    f4,
-    nutrition_rate,
-)
+from mcsmooth.ultradian import BlowUpError, SimulationResult, nutrition_rate
 
 TRUE_B, TRUE_A, TRUE_PERIOD = 140.0, 30.0, 140.0
 TRUE_OMEGA = 2.0 * np.pi / TRUE_PERIOD
@@ -137,7 +131,53 @@ def l2_grad_oracle(x, y, tables):
     return -(tables.W * T).sum(axis=0) / (x.size * h * h)
 
 
-# --- oracle: the RK4 integrator on numpy 6-vectors
+# --- oracle: the model equations with every field read afresh, and the RK4
+# integrator on numpy 6-vectors
+
+def f1(g: float, p) -> float:
+    """Insulin secretion as a function of glucose mass."""
+    return p.r_m / (1.0 + math.exp(-g / (p.v_g * p.c_1) + p.a_1))
+
+
+def f2(g: float, p) -> float:
+    """Insulin-independent glucose utilization."""
+    return p.u_b * (1.0 - math.exp(-g / (p.c_2 * p.v_g)))
+
+
+def f3(i_i: float, p) -> float:
+    """Insulin-dependent glucose utilization rate per unit glucose mass.
+
+    Where (kappa i_i)^(-beta) is +inf, f3 reduces to its floor u_0 term:
+    for i_i <= 0 and for an i_i so small that the power overflows.
+    """
+    if i_i <= 0.0:
+        damping = math.inf
+    else:
+        try:
+            damping = (p.kappa * i_i) ** (-p.beta)
+        except (OverflowError, ZeroDivisionError):
+            damping = math.inf
+    return (p.u_0 + (p.u_m - p.u_0) / (1.0 + damping)) / (p.c_3 * p.v_g)
+
+
+def f4(h3: float, p) -> float:
+    """Delayed insulin-dependent glucose production."""
+    return p.r_g / (1.0 + math.exp(p.alpha * (h3 / (p.c_5 * p.v_p) - 1.0)))
+
+
+def _rhs(y: tuple, p, i_g: float) -> tuple:
+    """Time derivative of the 6-tuple (Ip, Ii, G, h1, h2, h3), in Python floats."""
+    i_p, i_i, g, h1, h2, h3 = y
+    exchange = p.e * (i_p / p.v_p - i_i / p.v_i)
+    return (
+        f1(g, p) - exchange - i_p / p.t_p,
+        exchange - i_i / p.t_i,
+        f4(h3, p) + i_g - f2(g, p) - f3(i_i, p) * g,
+        (i_p - h1) / p.t_d,
+        (h1 - h2) / p.t_d,
+        (h2 - h3) / p.t_d,
+    )
+
 
 def _rhs_vector(y, p, i_g):
     i_p, i_i, g, h1, h2, h3 = y

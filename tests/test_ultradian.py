@@ -2,7 +2,7 @@ import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from mcsmooth import (
@@ -17,8 +17,8 @@ from mcsmooth import (
     simulate,
     ultradian_rhs,
 )
-from mcsmooth.ultradian import f1, f2, f3, f4, write_trace
-from conftest import simulate_oracle
+from mcsmooth.ultradian import bind_rhs, read_trace, write_trace
+from conftest import _rhs, f1, f2, f3, f4, simulate_oracle
 
 
 def ref_rhs(y, p, ig):
@@ -105,6 +105,16 @@ class TestNutrition:
         p.write_text("0,100,80\n200,300,50\n", encoding="utf-8")
         s = NutritionSchedule.from_csv(p)
         assert s.intervals == ((0.0, 100.0, 80.0), (200.0, 300.0, 50.0))
+
+    def test_segment_gives_the_span_of_constant_rate(self):
+        s = NutritionSchedule(((0.0, 100.0, 80.0), (100.0, 150.0, 0.0), (200.0, 300.0, 50.0)))
+        assert s.segment(-5.0) == (0.0, -np.inf, 0.0)
+        assert s.segment(0.0) == (80.0, 0.0, 100.0)
+        assert s.segment(100.0) == (0.0, 100.0, 150.0)  # abutting: the later interval
+        assert s.segment(150.0) == (0.0, 150.0, 200.0)
+        assert s.segment(299.5) == (50.0, 200.0, 300.0)
+        assert s.segment(300.0) == (0.0, 300.0, np.inf)
+        assert NutritionSchedule.empty().segment(3.0) == (0.0, -np.inf, np.inf)
 
     @pytest.mark.parametrize("text, message", [
         ("0,100,80\n200,300\n", "load_nutrition: line 2: expected 3 columns"),
@@ -227,6 +237,43 @@ class TestSimulate:
         assert np.allclose(data[:, 0], r.times)
         assert np.allclose(data[:, 1], r.glucose)
 
+    def test_read_trace_returns_exact_times_and_glucose(self, tmp_path):
+        r = simulate(icu_fit_params(), NutritionSchedule.constant(80.0, 100.0),
+                     default_initial_state(), t_end=60.0, dt=0.1)
+        path = tmp_path / "trace.csv"
+        write_trace(r, path)
+        back = read_trace(path)
+        assert np.array_equal(back.times, r.times)
+        assert np.array_equal(back.values, r.glucose)
+
+    @pytest.mark.parametrize("bad_row", ["3.0,1.0,2.0,3.0,4.0,5.0", "3.0,1.0,2.0,3.0,4.0,5.0,6.0,7.0"])
+    def test_read_trace_names_the_line_of_another_width(self, tmp_path, bad_row):
+        good = "{t}.0,100.0,1.0,2.0,3.0,4.0,5.0\n"
+        path = tmp_path / "trace.csv"
+        path.write_text(good.format(t=0) + good.format(t=1) + bad_row + "\n" + good.format(t=4),
+                        encoding="utf-8")
+        with pytest.raises(ValueError, match="read_trace: line 3: expected 7 columns"):
+            read_trace(path)
+
+    def test_constant_feed_looks_the_rate_up_once_per_span(self, monkeypatch):
+        calls = []
+        segment = NutritionSchedule.segment
+
+        def counted(self, t):
+            calls.append(t)
+            return segment(self, t)
+
+        monkeypatch.setattr(NutritionSchedule, "segment", counted)
+        simulate(icu_fit_params(), NutritionSchedule.constant(80.0, 1001.0),
+                 default_initial_state(), t_end=1000.0, dt=0.1)
+        assert len(calls) <= 2  # not 3 per step: 30000
+
+        calls.clear()
+        sched = NutritionSchedule(((0.0, 100.3, 80.0), (100.3, 400.0, 20.0), (600.0, 700.0, 50.0)))
+        simulate(icu_fit_params(), sched, default_initial_state(), t_end=1000.0, dt=0.1)
+        # five spans, each entered at most a few times as substep times cross its ends
+        assert len(calls) <= 3 * 5
+
 
 # --- the float RK4 against the numpy 6-vector oracle, bit for bit
 
@@ -234,14 +281,39 @@ PARAM_FIELDS = [f.name for f in dataclasses.fields(UltradianParams)]
 STATE_FIELDS = [f.name for f in dataclasses.fields(UltradianState)]
 
 
+def substep_edges(dt, n_min):
+    """Interval edges on the integrator's own float times.
+
+    An edge is a substep start t, its midpoint t + 0.5*h, or its end t + h.
+    """
+    steps = round(1.0 / dt)
+    h = 1.0 / steps
+    return st.builds(
+        lambda minute, s, kind: minute + s * h + kind * h,
+        st.integers(0, max(n_min - 1, 0)), st.integers(0, steps - 1), st.sampled_from([0.0, 0.5, 1.0]),
+    )
+
+
 @st.composite
-def simulation_cases(draw):
+def scaled_params(draw):
+    """The nominal or ICU parameters, each field possibly scaled by 0.8-1.25.
+
+    Scalings that leave kappa nonpositive (v_i >= e * t_i) are rejected:
+    ``UltradianParams`` refuses them.
+    """
     params = draw(st.sampled_from([nominal_params(), icu_fit_params()]))
     if draw(st.booleans()):
         factors = draw(st.lists(st.floats(0.8, 1.25), min_size=len(PARAM_FIELDS),
                                 max_size=len(PARAM_FIELDS)))
-        params = UltradianParams(**{name: getattr(params, name) * f
-                                    for name, f in zip(PARAM_FIELDS, factors)})
+        fields = {name: getattr(params, name) * f for name, f in zip(PARAM_FIELDS, factors)}
+        assume(1.0 / fields["v_i"] - 1.0 / (fields["e"] * fields["t_i"]) > 0)
+        params = UltradianParams(**fields)
+    return params
+
+
+@st.composite
+def simulation_cases(draw):
+    params = draw(scaled_params())
     initial = default_initial_state()
     if draw(st.booleans()):
         factors = draw(st.lists(st.floats(0.5, 2.0), min_size=6, max_size=6))
@@ -249,15 +321,8 @@ def simulation_cases(draw):
                                    for name, f in zip(STATE_FIELDS, factors)))
     dt = draw(st.sampled_from([1.0, 0.5, 0.25, 0.2, 0.1]))
     t_end = draw(st.floats(1.0, 120.0))
-    # interval edges on the integrator's own float times: a substep start t,
-    # its midpoint t + 0.5*h, or its end t + h
-    steps = round(1.0 / dt)
-    h = 1.0 / steps
     n_min = int(np.floor(t_end + 1e-9))
-    edge = st.builds(
-        lambda minute, s, kind: minute + s * h + kind * h,
-        st.integers(0, max(n_min - 1, 0)), st.integers(0, steps - 1), st.sampled_from([0.0, 0.5, 1.0]),
-    )
+    edge = substep_edges(dt, n_min)
     n_iv = draw(st.integers(0, 4))
     edges = sorted(set(draw(st.lists(edge, min_size=2 * n_iv, max_size=2 * n_iv))))
     edges = edges[: len(edges) // 2 * 2]
@@ -296,3 +361,59 @@ def test_blow_up_matches_the_vector_oracle():
     with pytest.raises(BlowUpError) as want:
         simulate_oracle(*args)
     assert str(got.value) == str(want.value)
+
+
+@st.composite
+def shaped_schedule_cases(draw):
+    """``simulation_cases`` with an empty schedule, abutting intervals, or
+    intervals separated by gaps, where any rate may be zero."""
+    params, _, initial, t_end, dt, discard = draw(simulation_cases())
+    shape = draw(st.sampled_from(["empty", "abutting", "gapped"]))
+    edges = sorted(set(draw(st.lists(substep_edges(dt, int(np.floor(t_end + 1e-9))),
+                                     min_size=2, max_size=7))))
+    if shape == "empty" or len(edges) < 2:
+        spans = []
+    elif shape == "abutting":
+        spans = list(zip(edges, edges[1:]))
+    else:
+        spans = list(zip(edges[::2], edges[1::2]))
+    rates = draw(st.lists(st.one_of(st.just(0.0), st.floats(0.0, 300.0)),
+                          min_size=len(spans), max_size=len(spans)))
+    schedule = NutritionSchedule(tuple((a, b, r) for (a, b), r in zip(spans, rates)))
+    return params, schedule, initial, t_end, dt, discard
+
+
+@settings(max_examples=60, deadline=None)
+@given(shaped_schedule_cases())
+def test_simulate_matches_the_vector_oracle_on_shaped_schedules(case):
+    got, want = _outcome(simulate, *case), _outcome(simulate_oracle, *case)
+    if isinstance(want, tuple):
+        assert got == want
+        return
+    assert np.array_equal(got.times, want.times)
+    assert np.array_equal(got.glucose, want.glucose)
+    assert np.array_equal(got.states, want.states)
+
+
+def _rhs_outcome(fn, *args):
+    try:
+        return [v.hex() for v in fn(*args)]
+    except OverflowError as exc:
+        return type(exc)
+
+
+@st.composite
+def rhs_cases(draw):
+    params = draw(scaled_params())
+    i_i = draw(st.one_of(st.sampled_from([0.0, -0.0, -3.0, 1e-200, 5e-324]),
+                         st.floats(-50.0, 300.0)))
+    y = (draw(st.floats(-50.0, 300.0)), i_i, draw(st.floats(-1e6, 1e6)),
+         *draw(st.lists(st.floats(-50.0, 1e4), min_size=3, max_size=3)))
+    return params, y, draw(st.floats(0.0, 300.0))
+
+
+@settings(max_examples=300, deadline=None)
+@given(rhs_cases())
+def test_bound_rhs_matches_the_oracle_rhs_bitwise(case):
+    params, y, i_g = case
+    assert _rhs_outcome(bind_rhs(params), *y, i_g) == _rhs_outcome(_rhs, y, params, i_g)
