@@ -25,7 +25,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .kernels import KernelTables, column_sum, gaussian_kernel, row_tiles
-from .objective import EstimationState, WeightSchedule, eval_total
+from .objective import EstimationState, WeightSchedule, eval_total, long_decay
 from .oscillator import EffectiveGaps, transition_quantities
 from .timeseries import ObservationSeries
 
@@ -147,7 +147,7 @@ def grad_total(
             d_b[:-1] += -w * dx_src
 
     if schedule.any_param:
-        d_l = np.exp(-gaps.dt_relax[1:] / tables.T_l)
+        d_l = long_decay(gaps, tables.T_l)
         p, pr = state.params, state.priors
         if schedule.lam_b:
             d_b += schedule.lam_b * _grad_Lparam(p.b, pr.b_tilde, pr.sigma_b, d_l, n)

@@ -33,9 +33,9 @@ __all__ = [
 TILE_ELEMENTS = 2**15
 
 
-def row_tiles(n: int):
-    """Consecutive row slices of an n x n array, each about TILE_ELEMENTS elements."""
-    rows = max(1, TILE_ELEMENTS // n)
+def row_tiles(n: int, width: int | None = None):
+    """Row slices of an n x width array (default n x n), each about TILE_ELEMENTS elements."""
+    rows = max(1, TILE_ELEMENTS // (n if width is None else width))
     for start in range(0, n, rows):
         yield slice(start, min(start + rows, n))
 

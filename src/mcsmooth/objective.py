@@ -162,6 +162,11 @@ def eval_L3_L4(
     return L3, L4
 
 
+def long_decay(gaps: EffectiveGaps, T_l: float) -> np.ndarray:
+    """Decay d_l = exp(-dt_relax / T_l) of the parameter trajectories across each gap."""
+    return np.exp(-gaps.dt_relax[1:] / T_l)
+
+
 def _param_flex(alpha: np.ndarray, alpha_tilde: float, sigma_l: float, d_l: np.ndarray, n: int) -> float:
     mean = d_l * alpha[:-1] + (1.0 - d_l) * alpha_tilde
     var = (1.0 - d_l) * sigma_l * sigma_l
@@ -177,7 +182,7 @@ def eval_Lparams(
     """Flex log-likelihoods for the b, a and omega trajectories."""
     if np.any(gaps.dt_relax[1:] <= 0):
         raise ValueError("eval_Lparams: degenerate variance at zero gap")
-    d_l = np.exp(-gaps.dt_relax[1:] / tables.T_l)
+    d_l = long_decay(gaps, tables.T_l)
     p, pr, n = state.params, state.priors, state.n
     return (
         _param_flex(p.b, pr.b_tilde, pr.sigma_b, d_l, n),

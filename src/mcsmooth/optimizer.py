@@ -50,12 +50,15 @@ STAGE1A_LAMBDAS = (0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0)
 STAGE1B_LAMBDAS = (0.0, 0.0, 1.0, 1.0, 0.0, 0.0, 0.0)
 STAGE2_LAMBDAS = (1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0)
 
-# Residuals below this fraction of the data scale carry no sign information.
+# y - mean(y) within this fraction of max(1, max|y|) has no definite sign.
 SIGN_DEAD_ZONE = 1e-9
+
+# Prior band of the period in minutes; ultradian periods are about 80-180 min (Sturis et al. 1991).
+PERIOD_BAND = (60.0, 400.0)
 
 
 class FrequencyEstimationError(ValueError):
-    """Raised when the data expose too few sign changes to estimate omega."""
+    """Raised when y - mean(y) has no definite sign, so omega cannot be estimated."""
 
 
 class StalledError(RuntimeError):
@@ -66,9 +69,9 @@ class StalledError(RuntimeError):
 class HyperConfig:
     """Tunables for initialization and the staged descent.
 
-    T_s and T_l default to one and four mean oscillation periods estimated
-    from the data; set them to override. ``bootstrap_period`` seeds the
-    provisional kernel bandwidth used before the mean period is known.
+    T_s and T_l default to one and four oscillation periods, the period being
+    2 pi / omega_tilde; set them to override. ``omega_tilde`` defaults to the
+    periodogram peak of the data (see ``initialize``); set it to skip the search.
     """
 
     T_s: float | None = None
@@ -81,7 +84,6 @@ class HyperConfig:
     max_iter_stage1b: int = 200
     max_iter_stage2: int = 2000
     tolerance: float = 1e-8
-    bootstrap_period: float = 120.0
     amplitude_window: float | None = None
     a_tilde_zero: bool = False
     omega_tilde: float | None = None
@@ -105,8 +107,6 @@ class HyperConfig:
             raise ValueError("HyperConfig: backtrack_factor must lie in (0, 1)")
         if self.max_backtracks < 1:
             raise ValueError("HyperConfig: max_backtracks must be at least 1")
-        if self.bootstrap_period <= 0:
-            raise ValueError("HyperConfig: bootstrap_period must be positive")
 
 
 @dataclass
@@ -145,14 +145,6 @@ def _kernel_regress(weights: np.ndarray, values: np.ndarray) -> np.ndarray:
     return weights @ values / weights.sum(axis=1)
 
 
-def _plain_time_kernel(times: np.ndarray, bandwidth: float) -> np.ndarray:
-    out = np.empty((times.size, times.size))
-    for r in row_tiles(times.size):
-        d = times[r, None] - times[None, :]
-        out[r] = np.exp(-(d * d) / (2.0 * bandwidth * bandwidth))
-    return out
-
-
 def _windowed_max(times: np.ndarray, values: np.ndarray, window: float) -> np.ndarray:
     """For each time, the maximum of the values at times less than ``window`` away."""
     out = np.empty(times.size)
@@ -162,48 +154,29 @@ def _windowed_max(times: np.ndarray, values: np.ndarray, window: float) -> np.nd
     return out
 
 
-def _sign_change_times(times: np.ndarray, resid: np.ndarray, atol: float) -> np.ndarray:
-    """Zero crossings of the residual, located by linear interpolation.
+def _periodogram(times: np.ndarray, resid: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Angular frequencies spanning ``PERIOD_BAND`` and the residual's power at each.
 
-    Residuals within ``atol`` of zero carry no sign; crossings are read off
-    consecutive samples of opposite definite sign. Noise flutter near a slow
-    crossing produces pairs of extra crossings separated by less than the
-    sampling resolution; such pairs are unresolvable half-periods and are
-    dropped (shortest span first) before the spans are used.
+    The power is the sum of squares explained by a least-squares fit of
+    cos(omega t) and sin(omega t): Lomb-Scargle (Lomb 1976; Scargle 1982)
+    without the tau shift. The grid steps by a fifth of the resolution
+    2 pi / span and is evaluated in chunks of about ``TILE_ELEMENTS`` elements.
     """
-    sign = np.sign(resid)
-    sign[np.abs(resid) <= atol] = 0.0
-    idx = np.nonzero(sign)[0]
-    crossings = []
-    for i, j in zip(idx[:-1], idx[1:]):
-        if sign[i] * sign[j] < 0:
-            si, sj = resid[i], resid[j]
-            crossings.append(times[i] + (times[j] - times[i]) * si / (si - sj))
-    crossings = np.asarray(crossings)
-    if crossings.size < 2 or times.size < 2:
-        return crossings
-    spans = np.diff(crossings)
-    floor = min(2.0 * float(np.median(np.diff(times))), 0.5 * float(np.median(spans)))
-    kept = list(crossings)
-    while len(kept) >= 2:
-        spans = np.diff(kept)
-        k = int(np.argmin(spans))
-        if spans[k] >= floor:
-            break
-        del kept[k : k + 2]
-    return np.asarray(kept)
-
-
-def _half_period_per_index(times: np.ndarray, crossings: np.ndarray) -> np.ndarray:
-    """Span of the crossing interval bracketing each time.
-
-    Indices outside the first and last crossing inherit the nearest valid
-    span.
-    """
-    spans = np.diff(crossings)
-    pos = np.searchsorted(crossings, times, side="right") - 1
-    pos = np.clip(pos, 0, spans.size - 1)
-    return spans[pos]
+    shortest, longest = PERIOD_BAND
+    span = times[-1] - times[0]
+    grid = np.arange(2.0 * np.pi / longest, 2.0 * np.pi / shortest, 2.0 * np.pi / (5.0 * span))
+    power = np.empty(grid.size)
+    for k in row_tiles(grid.size, times.size):
+        phase = grid[k, None] * times[None, :]
+        c, s = np.cos(phase), np.sin(phase)
+        cr, sr = c @ resid, s @ resid
+        cc, cs = (c * c).sum(axis=1), (c * s).sum(axis=1)
+        ss = times.size - cc
+        det = cc * ss - cs * cs
+        # Where cos and sin are collinear on the samples, the fit has one column.
+        power[k] = np.divide(ss * cr * cr - 2.0 * cs * cr * sr + cc * sr * sr, det,
+                             out=(cr * cr + sr * sr) / times.size, where=det > 1e-9 * cc * ss)
+    return grid, power
 
 
 def initialize(
@@ -213,13 +186,13 @@ def initialize(
 ) -> tuple[EstimationState, HyperConfig, KernelTables]:
     """Initial state, resolved time scales, and kernel tables for a series.
 
-    Surrogates start at the data and latents at zero. The local mean is a
-    time-kernel regression of the data, the local amplitude a regression of
-    windowed residual maxima, and the local frequency a regression of
-    half-period reciprocals read off the sign changes of the residual. The
-    regressions bootstrap: a provisional bandwidth from ``bootstrap_period``
-    yields the frequency and hence T_s and T_l, after which the mean and
-    amplitude are recomputed once with the final (kick-adjusted) kernels.
+    Surrogates start at the data and latents at zero. omega_tilde is the
+    periodogram peak of y - mean(y) over the prior band of periods of 60-400
+    min (``PERIOD_BAND``), and the frequency trajectory starts at it; a pinned
+    ``config.omega_tilde`` skips the search. Samples exactly every 120 min
+    cannot tell a 140-min period from its aliases at 105 or 64.6 min. The
+    period sets T_s and T_l; the local mean and amplitude are regressions of y
+    and of windowed maxima of |y - b| with the kick-adjusted time kernel.
     """
     kicks = kicks if kicks is not None else KickSeries.empty()
     cfg = config if config is not None else HyperConfig()
@@ -229,25 +202,16 @@ def initialize(
     b_tilde = float(y.mean())
     sigma_b = float(y.std())
 
-    # Provisional pass: no kick adjustment, bandwidth from the default period.
-    Kt0 = _plain_time_kernel(t, 4.0 * cfg.bootstrap_period)
-    b_prov = _kernel_regress(Kt0, y)
-
     if cfg.omega_tilde is not None:
-        omega_traj = np.full(obs.n, float(cfg.omega_tilde))
         omega_tilde = float(cfg.omega_tilde)
     else:
-        atol = SIGN_DEAD_ZONE * max(1.0, float(np.max(np.abs(y))))
-        crossings = _sign_change_times(t, y - b_prov, atol)
-        if crossings.size < 2:
+        resid = y - b_tilde
+        if np.max(np.abs(resid)) <= SIGN_DEAD_ZONE * max(1.0, float(np.max(np.abs(y)))):
             raise FrequencyEstimationError(
-                "initialize: fewer than 2 sign changes of y - b; "
-                "cannot estimate frequency (supply omega_tilde)"
+                "initialize: y - b has no definite sign and no sign changes; supply omega_tilde"
             )
-        omega_hat = np.pi / _half_period_per_index(t, crossings)
-        omega_traj = _kernel_regress(Kt0, omega_hat)
-        omega_tilde = float(omega_traj.mean())
-    del Kt0
+        grid, power = _periodogram(t, resid)
+        omega_tilde = float(grid[np.argmax(power)])
 
     T_s = cfg.T_s if cfg.T_s is not None else 2.0 * np.pi / omega_tilde
     T_l = cfg.T_l if cfg.T_l is not None else 4.0 * 2.0 * np.pi / omega_tilde
@@ -255,8 +219,8 @@ def initialize(
     kicks_scaled = kicks.with_time_scale(T_s)
     tables = build_tables(obs, kicks_scaled, T_s, T_l)
 
-    # Final pass with the kick-adjusted kernel; with W, the second and last
-    # n x n array alive.
+    # The kick-adjusted time kernel; with W, the second and last n x n array
+    # alive.
     Kt = time_kernel(t, kicks_scaled, T_l)
     b = _kernel_regress(Kt, y)
     window = cfg.amplitude_window if cfg.amplitude_window is not None else T_s
@@ -271,7 +235,7 @@ def initialize(
     state = EstimationState(
         x=y.copy(),
         z=np.zeros(obs.n),
-        params=ParamTrajectory(b, a, omega_traj),
+        params=ParamTrajectory(b, a, np.full(obs.n, omega_tilde)),
         priors=ParamPriors(b_tilde, a_tilde, omega_tilde, sigma_b, sigma_b, omega_tilde),
         noise=ModelNoise(a_bar),
     )

@@ -5,8 +5,9 @@ from functools import cache
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.signal import lombscargle
 
 from mcsmooth import (
     FrequencyEstimationError,
@@ -26,7 +27,10 @@ from mcsmooth import (
     run_stage,
     to_polar,
 )
+from mcsmooth.kernels import TILE_ELEMENTS
 from mcsmooth.optimizer import (
+    PERIOD_BAND,
+    _periodogram,
     read_densities_csv,
     read_reconstruction_csv,
     read_states_csv,
@@ -90,6 +94,20 @@ class TestInitialize:
         assert np.all(state.params.omega == 0.05)
         assert cfg.T_s == pytest.approx(2 * np.pi / 0.05)
 
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2**16), n=st.integers(4, 150),
+           max_gap=st.floats(2.0, 90.0), amplitude=st.floats(0.0, 40.0))
+    def test_deterministic_and_period_in_the_band(self, seed, n, max_gap, amplitude):
+        obs = irregular_series(seed, n, max_gap, amplitude)
+        (s1, c1, w1), (s2, c2, w2) = initialize(obs), initialize(obs)
+        assert c1 == c2
+        assert s1.priors == s2.priors and s1.noise == s2.noise
+        for u, v in ((s1.x, s2.x), (s1.z, s2.z), (s1.params.b, s2.params.b),
+                     (s1.params.a, s2.params.a), (s1.params.omega, s2.params.omega), (w1.W, w2.W)):
+            assert u.tobytes() == v.tobytes()
+        assert PERIOD_BAND[0] <= 2 * np.pi / s1.priors.omega_tilde <= PERIOD_BAND[1]
+        assert np.all(s1.params.omega == s1.priors.omega_tilde)
+
     def test_requires_four_observations(self):
         obs = ObservationSeries([0.0, 5.0, 10.0], [1.0, 2.0, 3.0])
         with pytest.raises(ValueError, match="at least 4"):
@@ -118,6 +136,53 @@ class TestInitialize:
         finally:
             tracemalloc.stop()
         assert peak < 2.5 * n * n * 8
+
+
+def irregular_series(seed, n, max_gap, amplitude):
+    """A sine of random period in the band plus noise, at random gaps of 1 to ``max_gap`` min."""
+    rng = np.random.default_rng(seed)
+    t = 1000.0 + np.cumsum(rng.uniform(1.0, max_gap, n))
+    period = rng.uniform(*PERIOD_BAND)
+    y = 100.0 + amplitude * np.sin(2 * np.pi * t / period) + rng.normal(0.0, 5.0, n)
+    return ObservationSeries(t, y)
+
+
+class TestPeriodogram:
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**16), n=st.integers(4, 700),
+           max_gap=st.floats(2.0, 120.0), amplitude=st.floats(0.0, 40.0))
+    @example(seed=0, n=4, max_gap=2.0, amplitude=10.0)  # one chunk
+    @example(seed=1, n=700, max_gap=120.0, amplitude=10.0)  # many chunks, the last partial
+    def test_matches_scipy_lombscargle(self, seed, n, max_gap, amplitude):
+        obs = irregular_series(seed, n, max_gap, amplitude)
+        t, r = obs.times, obs.values - obs.values.mean()
+        grid, power = _periodogram(t, r)
+        oracle = lombscargle(t, r, grid)
+        assert np.argmax(power) == np.argmax(oracle)
+        assert np.max(np.abs(power / power.max() - oracle / oracle.max())) <= 1e-10
+
+    def test_grid_spans_the_band_in_fifths_of_the_resolution(self):
+        t = np.cumsum(np.full(700, 120.0))
+        grid, power = _periodogram(t, np.sin(0.05 * t))
+        span = t[-1] - t[0]
+        assert grid.size > TILE_ELEMENTS // t.size  # more than one chunk
+        assert 2 * np.pi / grid[0] == pytest.approx(PERIOD_BAND[1], rel=1e-12)
+        assert 2 * np.pi / grid[-1] > PERIOD_BAND[0]
+        assert np.allclose(np.diff(grid), 2 * np.pi / (5 * span), rtol=1e-9)
+        assert np.all(np.isfinite(power))
+
+    def test_collinear_columns_fall_back_to_the_one_column_fit(self):
+        # every 120 min: at periods of 80 and 240 min the sine column is zero
+        # or a multiple of the cosine column on the samples
+        t = 2000.0 + 120.0 * np.arange(84)
+        r = np.random.default_rng(3).normal(size=84)
+        with np.errstate(all="raise"):
+            grid, power = _periodogram(t, r)
+        for period in (80.0, 240.0):
+            k = np.argmin(np.abs(2 * np.pi / grid - period))
+            c, s = np.cos(grid[k] * t), np.sin(grid[k] * t)
+            v = c if abs(c[0]) > abs(s[0]) else s
+            assert power[k] == pytest.approx((v @ r) ** 2 / (v @ v), rel=1e-9)
 
 
 class TestRunStage:
