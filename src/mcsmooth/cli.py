@@ -34,7 +34,7 @@ from .timeseries import (
     MeasurementSpec,
     load_kicks,
     load_observations,
-    read_csv_rows,
+    read_columns,
     subsample,
     write_observations,
 )
@@ -74,7 +74,7 @@ def _hyper_from_config(cfg: dict, overrides: dict) -> HyperConfig:
     weights = cfg.get("weights", {})
     for stage in ("stage1a", "stage1b", "stage2"):
         if stage in weights:
-            hyper[f"weights_{stage}"] = tuple(float(v) for v in weights[stage])
+            hyper[f"weights_{stage}"] = weights[stage]
     if cfg.get("basic_state") == "non-oscillatory":
         hyper["a_tilde_zero"] = True
     for key, value in overrides.items():
@@ -106,7 +106,7 @@ def _measurement_spec(args, cfg: dict) -> MeasurementSpec:
     if args.times is not None:
         explicit = tuple(_parse_float_list(args.times))
     elif args.times_file is not None:
-        explicit = tuple(t for (t,) in read_csv_rows(args.times_file, 1, "subsample"))
+        explicit = tuple(read_columns(args.times_file, 1, "subsample")[0].tolist())
     elif "explicit_times" in meas:
         explicit = tuple(float(v) for v in meas["explicit_times"])
     gap_bounds = (

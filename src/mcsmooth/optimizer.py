@@ -31,7 +31,7 @@ from .oscillator import (
     effective_gaps,
     propagate,
 )
-from .timeseries import KickSeries, ObservationSeries, repr_rows, write_csv_rows
+from .timeseries import KickSeries, ObservationSeries, read_columns, repr_rows, write_csv_rows
 
 __all__ = [
     "HyperConfig",
@@ -217,15 +217,13 @@ def initialize(
     T_l = cfg.T_l if cfg.T_l is not None else 4.0 * 2.0 * np.pi / omega_tilde
 
     kicks_scaled = kicks.with_time_scale(T_s)
-    tables = build_tables(obs, kicks_scaled, T_s, T_l)
-
-    # The kick-adjusted time kernel; with W, the second and last n x n array
-    # alive.
     Kt = time_kernel(t, kicks_scaled, T_l)
     b = _kernel_regress(Kt, y)
     window = cfg.amplitude_window if cfg.amplitude_window is not None else T_s
     a_hat = _windowed_max(t, np.abs(y - b), window)
     a = _kernel_regress(Kt, a_hat)
+    del Kt
+    tables = build_tables(obs, kicks_scaled, T_s, T_l)
 
     a_tilde = 0.0 if cfg.a_tilde_zero else float(a_hat.mean())
     a_bar = float(a.mean())
@@ -464,18 +462,6 @@ def density_estimate(values, times, tables: KernelTables, at_time: float, grid) 
 # ---------------------------------------------------------------------------
 # CSV output formats owned by this module (and their re-parsers).
 
-def _read_columns(path, ncols: int, what: str) -> np.ndarray:
-    from pathlib import Path
-
-    p = Path(path)
-    if not p.exists():
-        raise FileNotFoundError(f"read_{what}: file not found: {p}")
-    data = np.loadtxt(p, delimiter=",", dtype=str, ndmin=2)
-    if data.shape[1] != ncols:
-        raise ValueError(f"read_{what}: expected {ncols} columns, got {data.shape[1]}")
-    return data
-
-
 def _floats(*columns):
     return [np.asarray(c, dtype=float) for c in columns]
 
@@ -487,9 +473,8 @@ def write_states_csv(result: EstimationResult, path) -> None:
 
 
 def read_states_csv(path) -> dict[str, np.ndarray]:
-    data = _read_columns(path, 6, "states").astype(float)
     keys = ("t", "x", "z", "b", "a", "omega")
-    out = dict(zip(keys, data.T))
+    out = dict(zip(keys, read_columns(path, 6, "read_states")))
     if not np.all(np.diff(out["t"]) > 0):
         raise ValueError("read_states: times must be strictly increasing")
     return out
@@ -501,15 +486,10 @@ def write_reconstruction_csv(times, values, dashed, path) -> None:
 
 
 def read_reconstruction_csv(path) -> dict[str, np.ndarray]:
-    data = _read_columns(path, 3, "reconstruction")
-    flags = data[:, 2].astype(int)
-    if not np.all((flags == 0) | (flags == 1)):
+    t, value, dashed = read_columns(path, 3, "read_reconstruction")
+    if not np.all((dashed == 0) | (dashed == 1)):
         raise ValueError("read_reconstruction: dashed flags must be 0 or 1")
-    return {
-        "t": data[:, 0].astype(float),
-        "value": data[:, 1].astype(float),
-        "dashed": flags.astype(bool),
-    }
+    return {"t": t, "value": value, "dashed": dashed == 1}
 
 
 def write_densities_csv(grid, rho_x, rho_y, path) -> None:
@@ -518,10 +498,10 @@ def write_densities_csv(grid, rho_x, rho_y, path) -> None:
 
 
 def read_densities_csv(path) -> dict[str, np.ndarray]:
-    data = _read_columns(path, 3, "densities").astype(float)
-    if np.any(data[:, 1:] < 0):
+    value, rho_x, rho_y = read_columns(path, 3, "read_densities")
+    if np.any(rho_x < 0) or np.any(rho_y < 0):
         raise ValueError("read_densities: densities must be nonnegative")
-    return {"value": data[:, 0], "rho_x": data[:, 1], "rho_y": data[:, 2]}
+    return {"value": value, "rho_x": rho_x, "rho_y": rho_y}
 
 
 def write_trace_csv(traces, path) -> None:
@@ -536,9 +516,8 @@ def write_trace_csv(traces, path) -> None:
 
 
 def read_trace_csv(path) -> dict[str, np.ndarray]:
-    data = _read_columns(path, 10, "trace")
-    return {
-        "stage": data[:, 0],
-        "iter": data[:, 1].astype(int),
-        "values": data[:, 2:].astype(float),
-    }
+    (stage,) = read_columns(path, 10, "read_trace_csv", usecols=(0,), dtype=str)
+    numbers = read_columns(path, 10, "read_trace_csv", usecols=range(1, 10))
+    if not np.array_equal(numbers[0], np.trunc(numbers[0])):
+        raise ValueError("read_trace_csv: iteration numbers must be integers")
+    return {"stage": stage, "iter": numbers[0].astype(int), "values": numbers[1:].T}

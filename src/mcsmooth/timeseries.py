@@ -7,7 +7,7 @@ comma-separated columns: observations are ``time_min,value`` rows, kicks are
 
 from __future__ import annotations
 
-import csv
+import warnings
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -185,32 +185,46 @@ class MeasurementSpec:
             raise ValueError("MeasurementSpec: period must be positive")
 
 
-def read_csv_rows(path: str | Path, ncols: int, op: str) -> list[tuple[float, ...]]:
-    """Strictly parse a headerless CSV of ``ncols`` float columns.
+def read_columns(path: str | Path, ncols: int, op: str, usecols=None, dtype=float) -> np.ndarray:
+    """The columns of a headerless CSV of ``ncols`` fields, one array row each.
 
-    Blank lines are skipped; a missing file, a row of another width, or an
-    unparsable field raises with the caller's ``op`` as message prefix.
+    Empty lines are skipped. Every other line must have exactly ``ncols``
+    comma-separated fields; there are no comments, header or quoting. Only
+    the ``usecols`` columns (all by default) are parsed, as ``dtype``. A
+    missing file, a line of another width or a field that does not parse
+    raises with the caller's ``op`` as message prefix; a faulty line is
+    named by its line number in the file.
     """
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(f"{op}: file not found: {path}")
-    rows = []
-    with path.open(newline="", encoding="utf-8") as fh:
-        for lineno, row in enumerate(csv.reader(fh), start=1):
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            if len(row) != ncols:
-                raise ValueError(f"{op}: line {lineno}: expected {ncols} columns, got {len(row)}")
-            try:
-                rows.append(tuple(float(v) for v in row))
-            except ValueError as exc:
-                raise ValueError(f"{op}: line {lineno}: parse failure: {row}") from exc
-    return rows
-
-
-def _two_columns(path: str | Path, op: str) -> np.ndarray:
-    """The two columns of a strict two-column CSV, as contiguous rows."""
-    return np.array(read_csv_rows(path, 2, op)).reshape(-1, 2).T.copy()
+    rows = 0
+    with path.open(encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            if line != "\n":
+                got = line.count(",") + 1
+                if got != ncols:
+                    raise ValueError(f"{op}: line {lineno}: expected {ncols} columns, got {got}")
+                rows += 1
+    if rows == 0:
+        return np.empty((ncols if usecols is None else len(usecols), 0), dtype=dtype)
+    options = dict(delimiter=",", usecols=usecols, ndmin=2, comments=None, encoding="utf-8", dtype=dtype)
+    try:
+        with warnings.catch_warnings():
+            # Text columns are read in chunks, and loadtxt warns of the
+            # blank lines in each; skipping them is the rule here.
+            warnings.filterwarnings("ignore", "Input line", UserWarning)
+            return np.loadtxt(path, **options).T.copy()
+    except ValueError:
+        # loadtxt counts rows, not lines: parse line by line to name the first that fails.
+        with path.open(encoding="utf-8") as fh:
+            for lineno, line in enumerate(fh, start=1):
+                try:
+                    if line != "\n":
+                        np.loadtxt([line], **options)
+                except ValueError as exc:
+                    raise ValueError(f"{op}: line {lineno}: parse failure") from exc
+        raise
 
 
 def write_csv_rows(path: str | Path, rows) -> None:
@@ -236,7 +250,7 @@ def load_observations(path: str | Path) -> ObservationSeries:
 
     Raises on parse failure, non-monotone times, or fewer than two rows.
     """
-    times, values = _two_columns(path, "load_observations")
+    times, values = read_columns(path, 2, "load_observations")
     if times.size < 2:
         raise ValueError(f"load_observations: need at least 2 rows, got {times.size}")
     if not np.all(np.diff(times) > 0):
@@ -253,7 +267,7 @@ def load_kicks(path: str | Path, T_s: float) -> KickSeries:
     """
     if T_s <= 0:
         raise ValueError("load_kicks: T_s must be positive")
-    times, intensities = _two_columns(path, "load_kicks")
+    times, intensities = read_columns(path, 2, "load_kicks")
     if times.size == 0:
         return KickSeries.empty()
     if np.any(intensities < 0):

@@ -12,11 +12,10 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass, replace
-from pathlib import Path
 
 import numpy as np
 
-from .timeseries import ObservationSeries, read_csv_rows, repr_rows, write_csv_rows
+from .timeseries import ObservationSeries, read_columns, repr_rows, write_csv_rows
 
 __all__ = [
     "UltradianParams",
@@ -151,7 +150,7 @@ class NutritionSchedule:
     @classmethod
     def from_csv(cls, path) -> "NutritionSchedule":
         """Read "t_start,t_end,rate_mg_per_min" rows."""
-        return cls(tuple(read_csv_rows(path, 3, "load_nutrition")))
+        return cls(read_columns(path, 3, "load_nutrition").T.tolist())
 
     def segment(self, t: float) -> tuple[float, float, float]:
         """``(rate, lo, hi)``: the rate at t and the span [lo, hi) it holds on.
@@ -346,16 +345,7 @@ def write_trace(result: SimulationResult, path) -> None:
 def read_trace(path) -> ObservationSeries:
     """The (t, G_mg_dl) columns of a "t,G_mg_dl,Ip,Ii,h1,h2,h3" trace.
 
-    Every nonblank line must have seven fields; the file is checked line by
-    line before the two columns are parsed, so it is never held whole.
+    Every nonblank line must have seven fields; only the first two are parsed.
     """
-    p = Path(path)
-    if not p.exists():
-        raise FileNotFoundError(f"read_trace: file not found: {p}")
-    with p.open(encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            commas = line.count(",")
-            if commas != 6 and line.strip():
-                raise ValueError(f"read_trace: line {lineno}: expected 7 columns, got {commas + 1}")
-    data = np.loadtxt(p, delimiter=",", usecols=(0, 1), ndmin=2)
-    return ObservationSeries(data[:, 0], data[:, 1])
+    times, glucose = read_columns(path, 7, "read_trace", usecols=(0, 1))
+    return ObservationSeries(times, glucose)

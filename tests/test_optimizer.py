@@ -137,6 +137,25 @@ class TestInitialize:
             tracemalloc.stop()
         assert peak < 2.5 * n * n * 8
 
+    @pytest.mark.parametrize("with_kicks", [False, True])
+    def test_time_kernel_is_freed_before_the_tables_are_built(self, with_kicks):
+        # The regressions' time kernel and the tables' W are never alive together.
+        n = 600
+        obs = make_cycle_series(n=n)
+        kicks = None
+        if with_kicks:
+            kicks = KickSeries(obs.times[[50, 200, 201, 420]] + [0.0, 1.0, 0.0, 2.5],
+                               [1.0, 2.0, 0.5, 3.0], typical_intensity=1.5)
+        initialize(make_cycle_series(n=40))
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            initialize(obs, kicks)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.0 * n * n * 8
+
 
 def irregular_series(seed, n, max_gap, amplitude):
     """A sine of random period in the band plus noise, at random gaps of 1 to ``max_gap`` min."""

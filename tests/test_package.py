@@ -1,5 +1,7 @@
 import importlib
+import inspect
 import pkgutil
+from pathlib import Path
 
 import pytest
 
@@ -16,3 +18,13 @@ def test_library_modules_found():
 def test_public_names_are_exported_by_the_package(module):
     names = importlib.import_module(f"mcsmooth.{module}").__all__
     assert [name for name in names if not hasattr(mcsmooth, name)] == []
+
+
+def test_only_read_columns_parses_csv():
+    # Every file the package reads goes through timeseries.read_columns.
+    reader = inspect.getsource(mcsmooth.timeseries.read_columns)
+    for path in sorted(Path(mcsmooth.__file__).parent.glob("*.py")):
+        source = path.read_text(encoding="utf-8")
+        assert "import csv" not in source, path.name
+        inside = reader.count("np.loadtxt") if path.name == "timeseries.py" else 0
+        assert source.count("np.loadtxt") == inside, path.name
