@@ -36,6 +36,7 @@ from .optimizer import (
     estimate,
     initialize,
     reconstruct_trajectory,
+    resolve_time_scales,
     run_stage,
 )
 from .oscillator import (

@@ -18,12 +18,14 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
+from .kernels import bandwidth_rule_of_thumb
 from .optimizer import (
     HyperConfig,
     density_estimate,
     estimate,
-    initialize,
+    read_states_csv,
     reconstruct_trajectory,
+    resolve_time_scales,
     write_densities_csv,
     write_reconstruction_csv,
     write_states_csv,
@@ -50,6 +52,8 @@ from .ultradian import (
 __all__ = ["run_command", "main"]
 
 _HYPER_FIELDS = {f.name for f in dataclass_fields(HyperConfig)}
+DENSITY_GRID_POINTS = 201
+DENSITY_GRID_PAD = 3.0
 
 
 def _load_config(path: str | None) -> dict:
@@ -149,13 +153,16 @@ def _cmd_simulate(args) -> int:
 
 
 def _load_series(path):
-    """Read observations from a 2-column CSV or a 7-column simulation trace."""
-    try:
-        return load_observations(path)
-    except ValueError:
+    """Observations from a 2-column CSV or a 7-column trace, by the first nonblank line's width."""
+    first = ""
+    if Path(path).is_file():
+        with Path(path).open(encoding="utf-8") as fh:
+            first = next((line for line in fh if line != "\n"), "")
+    if first.count(",") + 1 == 7:
         from .ultradian import read_trace
 
         return read_trace(path)
+    return load_observations(path)
 
 
 def _cmd_subsample(args) -> int:
@@ -214,9 +221,10 @@ def _cmd_estimate(args) -> int:
     write_reconstruction_csv(grid, values, dashed, out / "reconstruction.csv")
 
     at_time = args.density_time if args.density_time is not None else 0.5 * (t0 + t1)
-    vgrid = _value_grid(result.state.x, obs.values, result.tables.h, result.config)
-    rho_x = density_estimate(result.state.x, obs.times, result.tables, at_time, vgrid)
-    rho_y = density_estimate(obs.values, obs.times, result.tables, at_time, vgrid)
+    h, T_l = result.tables.h, result.tables.T_l
+    vgrid = _value_grid(result.state.x, obs.values, h)
+    rho_x = density_estimate(result.state.x, obs.times, h, T_l, at_time, vgrid)
+    rho_y = density_estimate(obs.values, obs.times, h, T_l, at_time, vgrid)
     write_densities_csv(vgrid, rho_x, rho_y, out / "densities.csv")
 
     write_trace_csv(result.traces, out / "trace.csv")
@@ -229,29 +237,22 @@ def _cmd_estimate(args) -> int:
     return 0
 
 
-def _value_grid(x, y, h: float, hyper: HyperConfig) -> np.ndarray:
-    """The density value grid: the range of x and y, padded by density_grid_pad bandwidths h."""
+def _value_grid(x, y, h: float) -> np.ndarray:
+    """The density value grid: the range of x and y, padded by DENSITY_GRID_PAD bandwidths h."""
     lo = min(x.min(), y.min())
     hi = max(x.max(), y.max())
-    pad = hyper.density_grid_pad * h
-    return np.linspace(lo - pad, hi + pad, hyper.density_grid_points)
+    pad = DENSITY_GRID_PAD * h
+    return np.linspace(lo - pad, hi + pad, DENSITY_GRID_POINTS)
 
 
 def _cmd_densities(args) -> int:
     cfg = _load_config(args.config)
     obs = load_observations(args.obs)
-    hyper = _hyper_from_config(cfg, {"T_s": args.t_s, "T_l": args.t_l})
-    if hyper.T_l is None:
-        _, hyper, tables = initialize(obs, KickSeries.empty(), hyper)
-    else:
-        from .kernels import build_tables
-
-        T_s = hyper.T_s if hyper.T_s is not None else hyper.T_l / 4.0
-        tables = build_tables(obs, KickSeries.empty(), T_s, hyper.T_l)
+    hyper = _hyper_from_config(cfg, {"T_l": args.t_l})
+    T_l = hyper.T_l if hyper.T_l is not None else resolve_time_scales(obs, hyper)[2]
+    h = bandwidth_rule_of_thumb(obs.values)
 
     if args.states:
-        from .optimizer import read_states_csv
-
         x = read_states_csv(args.states)["x"]
         if x.size != obs.n:
             raise ValueError("densities: states file length does not match observations")
@@ -260,12 +261,12 @@ def _cmd_densities(args) -> int:
 
     t0, t1 = obs.span
     at_times = _parse_float_list(args.at_times) if args.at_times else [0.5 * (t0 + t1)]
-    grid = _value_grid(x, obs.values, tables.h, hyper)
+    grid = _value_grid(x, obs.values, h)
 
     out_dir = _out_dir(args.out_dir, cfg)
     for at in at_times:
-        rho_x = density_estimate(x, obs.times, tables, at, grid)
-        rho_y = density_estimate(obs.values, obs.times, tables, at, grid)
+        rho_x = density_estimate(x, obs.times, h, T_l, at, grid)
+        rho_y = density_estimate(obs.values, obs.times, h, T_l, at, grid)
         if args.out and len(at_times) == 1:
             out = Path(args.out)
         else:
@@ -333,7 +334,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--obs", required=True)
     p.add_argument("--states", help="states CSV from estimate (x column used)")
     p.add_argument("--at-times", help="comma-separated times; default window midpoint")
-    p.add_argument("--t-s", type=float)
     p.add_argument("--t-l", type=float)
     p.add_argument("--config")
     p.add_argument("--out")

@@ -114,20 +114,20 @@ class KernelTables:
     W: np.ndarray
     wky: float
 
-    @property
-    def n(self) -> int:
-        return self.rho0.size
 
+def build_tables(obs: ObservationSeries, Kt: np.ndarray, T_s: float, T_l: float) -> KernelTables:
+    """Precompute the kernel tables for an observation series.
 
-def build_tables(obs: ObservationSeries, kicks: KickSeries, T_s: float, T_l: float) -> KernelTables:
-    """Precompute the kernel tables for an observation series."""
+    Its time kernel Kt (``time_kernel``, bandwidth T_l) becomes W in place: do not reuse Kt.
+    """
     if T_s <= 0 or T_l <= 0:
         raise ValueError("build_tables: time scales must be positive")
     y, n = obs.values, obs.n
+    if Kt.shape != (n, n):
+        raise ValueError(f"build_tables: time kernel has shape {Kt.shape}, expected ({n}, {n})")
     h = bandwidth_rule_of_thumb(y)
 
-    # The time kernel becomes W in place, one row tile at a time.
-    W = time_kernel(obs.times, kicks, T_l)
+    W = Kt
     rs = n * W.mean(axis=1)
     rho0 = np.empty(n)
 

@@ -39,6 +39,7 @@ __all__ = [
     "EstimationResult",
     "FrequencyEstimationError",
     "StalledError",
+    "resolve_time_scales",
     "initialize",
     "run_stage",
     "estimate",
@@ -69,9 +70,7 @@ class StalledError(RuntimeError):
 class HyperConfig:
     """Tunables for initialization and the staged descent.
 
-    T_s and T_l default to one and four oscillation periods, the period being
-    2 pi / omega_tilde; set them to override. ``omega_tilde`` defaults to the
-    periodogram peak of the data (see ``initialize``); set it to skip the search.
+    Unset, T_s, T_l and ``omega_tilde`` are estimated by ``resolve_time_scales``.
     """
 
     T_s: float | None = None
@@ -84,14 +83,11 @@ class HyperConfig:
     max_iter_stage1b: int = 200
     max_iter_stage2: int = 2000
     tolerance: float = 1e-8
-    amplitude_window: float | None = None
     a_tilde_zero: bool = False
     omega_tilde: float | None = None
     weights_stage1a: tuple[float, ...] = STAGE1A_LAMBDAS
     weights_stage1b: tuple[float, ...] = STAGE1B_LAMBDAS
     weights_stage2: tuple[float, ...] = STAGE2_LAMBDAS
-    density_grid_points: int = 201
-    density_grid_pad: float = 3.0
     dashed_gap_threshold: float = 120.0
 
     def __post_init__(self):
@@ -179,51 +175,53 @@ def _periodogram(times: np.ndarray, resid: np.ndarray) -> tuple[np.ndarray, np.n
     return grid, power
 
 
+def resolve_time_scales(obs: ObservationSeries, config: HyperConfig) -> tuple[float, float, float]:
+    """omega_tilde, T_s and T_l of a series: the config's pinned values, else estimates.
+
+    omega_tilde is the periodogram peak of y - mean(y) over the prior band of
+    periods of 60-400 min (``PERIOD_BAND``). Samples exactly every 120 min
+    cannot tell a 140-min period from its aliases at 105 or 64.6 min. T_s and
+    T_l default to one and four periods 2 pi / omega_tilde.
+    """
+    if obs.n < 4:
+        raise ValueError("resolve_time_scales: need at least 4 observations")
+    if config.omega_tilde is not None:
+        omega_tilde = float(config.omega_tilde)
+    else:
+        resid = obs.values - float(obs.values.mean())
+        if np.max(np.abs(resid)) <= SIGN_DEAD_ZONE * max(1.0, float(np.max(np.abs(obs.values)))):
+            raise FrequencyEstimationError("resolve_time_scales: y - b has no definite sign and no "
+                                           "sign changes; supply omega_tilde")
+        grid, power = _periodogram(obs.times, resid)
+        omega_tilde = float(grid[np.argmax(power)])
+    T_s = config.T_s if config.T_s is not None else 2.0 * np.pi / omega_tilde
+    T_l = config.T_l if config.T_l is not None else 4.0 * 2.0 * np.pi / omega_tilde
+    return omega_tilde, float(T_s), float(T_l)
+
+
 def initialize(
     obs: ObservationSeries,
     kicks: KickSeries | None = None,
     config: HyperConfig | None = None,
 ) -> tuple[EstimationState, HyperConfig, KernelTables]:
-    """Initial state, resolved time scales, and kernel tables for a series.
+    """Initial state, resolved time scales (``resolve_time_scales``), and kernel tables.
 
-    Surrogates start at the data and latents at zero. omega_tilde is the
-    periodogram peak of y - mean(y) over the prior band of periods of 60-400
-    min (``PERIOD_BAND``), and the frequency trajectory starts at it; a pinned
-    ``config.omega_tilde`` skips the search. Samples exactly every 120 min
-    cannot tell a 140-min period from its aliases at 105 or 64.6 min. The
-    period sets T_s and T_l; the local mean and amplitude are regressions of y
-    and of windowed maxima of |y - b| with the kick-adjusted time kernel.
+    Surrogates start at the data, latents at zero and the frequency at omega_tilde. The
+    local mean and amplitude are regressions of y and of maxima of |y - b| within T_s
+    on the kick-adjusted time kernel, which then becomes the tables' W.
     """
     kicks = kicks if kicks is not None else KickSeries.empty()
     cfg = config if config is not None else HyperConfig()
-    if obs.n < 4:
-        raise ValueError("initialize: need at least 4 observations")
+    omega_tilde, T_s, T_l = resolve_time_scales(obs, cfg)
     t, y = obs.times, obs.values
     b_tilde = float(y.mean())
     sigma_b = float(y.std())
 
-    if cfg.omega_tilde is not None:
-        omega_tilde = float(cfg.omega_tilde)
-    else:
-        resid = y - b_tilde
-        if np.max(np.abs(resid)) <= SIGN_DEAD_ZONE * max(1.0, float(np.max(np.abs(y)))):
-            raise FrequencyEstimationError(
-                "initialize: y - b has no definite sign and no sign changes; supply omega_tilde"
-            )
-        grid, power = _periodogram(t, resid)
-        omega_tilde = float(grid[np.argmax(power)])
-
-    T_s = cfg.T_s if cfg.T_s is not None else 2.0 * np.pi / omega_tilde
-    T_l = cfg.T_l if cfg.T_l is not None else 4.0 * 2.0 * np.pi / omega_tilde
-
-    kicks_scaled = kicks.with_time_scale(T_s)
-    Kt = time_kernel(t, kicks_scaled, T_l)
+    Kt = time_kernel(t, kicks.with_time_scale(T_s), T_l)
     b = _kernel_regress(Kt, y)
-    window = cfg.amplitude_window if cfg.amplitude_window is not None else T_s
-    a_hat = _windowed_max(t, np.abs(y - b), window)
+    a_hat = _windowed_max(t, np.abs(y - b), T_s)
     a = _kernel_regress(Kt, a_hat)
-    del Kt
-    tables = build_tables(obs, kicks_scaled, T_s, T_l)
+    tables = build_tables(obs, Kt, T_s, T_l)
 
     a_tilde = 0.0 if cfg.a_tilde_zero else float(a_hat.mean())
     a_bar = float(a.mean())
@@ -237,7 +235,7 @@ def initialize(
         priors=ParamPriors(b_tilde, a_tilde, omega_tilde, sigma_b, sigma_b, omega_tilde),
         noise=ModelNoise(a_bar),
     )
-    return state, replace(cfg, T_s=float(T_s), T_l=float(T_l)), tables
+    return state, replace(cfg, T_s=T_s, T_l=T_l), tables
 
 
 def _apply_step(
@@ -443,20 +441,22 @@ def reconstruct_trajectory(result: EstimationResult, grid) -> tuple[np.ndarray, 
     return values, dashed
 
 
-def density_estimate(values, times, tables: KernelTables, at_time: float, grid) -> np.ndarray:
+def density_estimate(values, times, h: float, T_l: float, at_time: float, grid) -> np.ndarray:
     """Time-weighted kernel density of the values, evaluated on a value grid.
 
-    Serves both the surrogate density (values = x) and the data density
-    (values = y).
+    h is the value bandwidth and T_l that of the time weights about ``at_time``.
+    Serves both the surrogate density (values = x) and the data density (values = y).
     """
+    if T_l <= 0:
+        raise ValueError("density_estimate: T_l must be positive")
     values = np.asarray(values, dtype=float)
     times = np.asarray(times, dtype=float)
     grid = np.asarray(grid, dtype=float)
     d = at_time - times
-    wt = np.exp(-(d * d) / (2.0 * tables.T_l ** 2))
+    wt = np.exp(-(d * d) / (2.0 * T_l ** 2))
     s = wt.sum()
     wt = np.full(times.size, 1.0 / times.size) if s == 0.0 else wt / s
-    return gaussian_kernel(values[None, :], grid[:, None], tables.h) @ wt
+    return gaussian_kernel(values[None, :], grid[:, None], h) @ wt
 
 
 # ---------------------------------------------------------------------------

@@ -107,9 +107,6 @@ class UltradianState:
     def from_array(cls, arr) -> "UltradianState":
         return cls(*(float(v) for v in arr))
 
-    def glucose_mg_dl(self, params: UltradianParams) -> float:
-        return self.g / params.v_g * 0.1
-
 
 def default_initial_state() -> UltradianState:
     """A physiological starting point (~100 mg/dl); run a transient to settle."""

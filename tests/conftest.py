@@ -27,6 +27,7 @@ from mcsmooth import (
     PolarState,
     build_tables,
     effective_gaps,
+    time_kernel,
     to_polar,
 )
 from mcsmooth.ultradian import BlowUpError, SimulationResult, nutrition_rate
@@ -267,6 +268,11 @@ def make_random_series(seed, n=16, with_kicks=None):
     return rng, obs, kicks
 
 
+def tables_for(obs, kicks, T_s, T_l):
+    """``build_tables`` on a freshly built time kernel of the series."""
+    return build_tables(obs, time_kernel(obs.times, kicks, T_l), T_s, T_l)
+
+
 def make_random_fixture(seed, n=16, with_kicks=None):
     """A well-conditioned random estimation state over an irregular grid.
 
@@ -276,7 +282,7 @@ def make_random_fixture(seed, n=16, with_kicks=None):
     """
     rng, obs, kicks = make_random_series(seed, n, with_kicks)
     y = obs.values
-    tables = build_tables(obs, kicks, T_s=TRUE_PERIOD, T_l=4.0 * TRUE_PERIOD)
+    tables = tables_for(obs, kicks, T_s=TRUE_PERIOD, T_l=4.0 * TRUE_PERIOD)
     gaps = effective_gaps(obs, kicks)
     state = EstimationState(
         x=y + rng.normal(0.0, 5.0, n),

@@ -21,7 +21,6 @@ from mcsmooth import (
     NutritionSchedule,
     ObservationSeries,
     WeightSchedule,
-    build_tables,
     default_initial_state,
     density_estimate,
     effective_gaps,
@@ -43,7 +42,7 @@ from mcsmooth.optimizer import (
     read_trace_csv,
 )
 from mcsmooth.ultradian import read_trace
-from conftest import TRUE_A, TRUE_B, TRUE_OMEGA, make_cycle_series, make_random_fixture
+from conftest import TRUE_A, TRUE_B, TRUE_OMEGA, make_cycle_series, make_random_fixture, tables_for
 
 ONE_HOT = [tuple(1.0 if i == k else 0.0 for i in range(7)) for k in range(7)]
 
@@ -90,7 +89,7 @@ def test_criterion_2_L2_exactness_and_sign():
     rng = np.random.default_rng(2024)
     for seed in range(50):
         state, obs, _, _ = make_random_fixture(1000 + seed, with_kicks=False)
-        tables = build_tables(obs, KickSeries.empty(), T_s=140.0, T_l=1e9)
+        tables = tables_for(obs, KickSeries.empty(), T_s=140.0, T_l=1e9)
         perturbed = EstimationState(obs.values + rng.normal(0, 10, obs.n), state.z,
                                     state.params, state.priors, state.noise)
         worst_sign = max(worst_sign, eval_L2(perturbed, obs, tables))
@@ -142,8 +141,8 @@ def test_criterion_4_qualitative_dynamics_sparse():
     mid = 0.5 * (t[0] + t[-1])
     h = result.tables.h
     vgrid = np.linspace(sparse.values.min() - 3 * h, sparse.values.max() + 3 * h, 201)
-    rho_x = density_estimate(st.x, t, result.tables, mid, vgrid)
-    rho_y = density_estimate(sparse.values, t, result.tables, mid, vgrid)
+    rho_x = density_estimate(st.x, t, result.tables.h, result.tables.T_l, mid, vgrid)
+    rho_y = density_estimate(sparse.values, t, result.tables.h, result.tables.T_l, mid, vgrid)
     sup_frac = float(np.max(np.abs(rho_x - rho_y)) / rho_y.max())
 
     elapsed = time.time() - t0

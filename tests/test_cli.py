@@ -1,9 +1,12 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from mcsmooth import load_observations
+import mcsmooth.kernels
+import mcsmooth.optimizer
+from mcsmooth import ObservationSeries, initialize, load_observations, write_observations
 from mcsmooth.cli import run_command
 from mcsmooth.optimizer import (
     read_densities_csv,
@@ -65,6 +68,23 @@ def test_estimate_missing_observations(tmp_path, capsys):
     assert code == 1
     err = capsys.readouterr().err
     assert "load_observations: file not found" in err
+
+
+@pytest.mark.parametrize("text, message", [
+    ("0,100\n5,101\nabc,102\n15,103\n", "load_observations: line 3: parse failure"),
+    ("0,100\n5,101\n5,102\n15,103\n", "load_observations: times must be strictly increasing"),
+    ("\n0,1,2,3,4,5,6\n5,1,2,3,4,5,6\nabc,1,2,3,4,5,6\n", "read_trace: line 4: parse failure"),
+    (None, "load_observations: file not found"),
+])
+def test_subsample_reports_the_fault_of_the_files_own_format(tmp_path, capsys, text, message):
+    # The first nonblank line's width picks the reader: 7 fields a trace, else observations.
+    path = tmp_path / "in.csv"
+    if text is not None:
+        path.write_text(text, encoding="utf-8")
+    code = run_command(["subsample", "--in", str(path), "--spec", "h3",
+                        "--out", str(tmp_path / "out.csv")])
+    assert code == 1
+    assert message in capsys.readouterr().err
 
 
 def test_subsample_deterministic(dense_csv, tmp_path):
@@ -180,6 +200,69 @@ def test_densities_multiple_times_and_states(dense_csv, tmp_path):
     assert code == 0
     for at in ("2200", "2800"):
         assert read_densities_csv(tmp_path / f"densities_t{at}.csv")["value"].size > 0
+
+
+def test_densities_without_t_l_use_the_t_l_initialize_resolves(dense_csv, tmp_path):
+    obs_path = tmp_path / "obs.csv"
+    run_command(["subsample", "--in", str(dense_csv), "--spec", "h2",
+                 "--seed", "3", "--out", str(obs_path)])
+    T_l = initialize(load_observations(obs_path))[1].T_l
+    resolved, pinned = tmp_path / "resolved.csv", tmp_path / "pinned.csv"
+    assert run_command(["densities", "--obs", str(obs_path), "--out", str(resolved)]) == 0
+    assert run_command(["densities", "--obs", str(obs_path), "--out", str(pinned),
+                        "--t-l", repr(T_l)]) == 0
+    assert resolved.read_bytes() == pinned.read_bytes()
+    # No density reads T_s, so densities takes no --t-s.
+    assert run_command(["densities", "--obs", str(obs_path), "--out", str(pinned),
+                        "--t-s", "100"]) == 2
+
+
+@pytest.mark.parametrize("t_l", [None, "560"])
+def test_densities_hold_no_pair_array(tmp_path, t_l):
+    n = 1500
+    t = 5.0 * np.arange(n)
+    y = 100.0 + 10.0 * np.sin(2.0 * np.pi * t / 140.0) + np.random.default_rng(0).normal(0.0, 2.0, n)
+    obs_path = tmp_path / "obs.csv"
+    write_observations(ObservationSeries(t, y), obs_path)
+    argv = ["densities", "--obs", str(obs_path), "--out", str(tmp_path / "dens.csv")]
+    if t_l is not None:
+        argv += ["--t-l", t_l]
+    assert run_command(argv) == 0  # a first run does the imports
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        assert run_command(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.5 * n * n * 8
+
+
+def test_time_kernel_built_once_per_estimate_and_never_for_densities(dense_csv, tmp_path, monkeypatch):
+    real = mcsmooth.kernels.time_kernel
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(mcsmooth.kernels, "time_kernel", counted)
+    monkeypatch.setattr(mcsmooth.optimizer, "time_kernel", counted)
+    obs_path = tmp_path / "obs.csv"
+    run_command(["subsample", "--in", str(dense_csv), "--spec", "h3",
+                 "--period", "10", "--out", str(obs_path)])
+    kicks_path = tmp_path / "kicks.csv"
+    kicks_path.write_text("2400,1.5\n2700,0.5\n", encoding="utf-8")
+    for kicks in ([], ["--kicks", str(kicks_path)]):
+        calls.clear()
+        assert run_command(["estimate", "--obs", str(obs_path), *kicks, "--out-dir", str(tmp_path),
+                            "--iters-stage1a", "2", "--iters-stage1b", "2", "--iters-stage2", "2"]) == 0
+        assert len(calls) == 1
+    for t_l in ([], ["--t-l", "560"]):
+        calls.clear()
+        assert run_command(["densities", "--obs", str(obs_path), *t_l,
+                            "--out", str(tmp_path / "dens.csv")]) == 0
+        assert calls == []
 
 
 def test_estimate_with_kicks_file(dense_csv, tmp_path):

@@ -10,6 +10,7 @@ from mcsmooth import (
     gaussian_kernel,
     time_kernel,
 )
+from conftest import tables_for
 
 SQRT_2PI = np.sqrt(2.0 * np.pi)
 
@@ -63,7 +64,7 @@ class TestBuildTables:
 
     def test_row_mean_consistency(self):
         obs = series(3)
-        tab = build_tables(obs, KickSeries.empty(), T_s=100.0, T_l=400.0)
+        tab = tables_for(obs, KickSeries.empty(), T_s=100.0, T_l=400.0)
         y = obs.values
         Ky = gaussian_kernel(y[:, None], y[None, :], tab.h)
         Kt = time_kernel(obs.times, KickSeries.empty(), 400.0)
@@ -73,7 +74,7 @@ class TestBuildTables:
 
     def test_tables_symmetric_positive(self):
         obs = series(5)
-        tab = build_tables(obs, KickSeries.empty(), T_s=100.0, T_l=400.0)
+        tab = tables_for(obs, KickSeries.empty(), T_s=100.0, T_l=400.0)
         y = obs.values
         Ky = gaussian_kernel(y[:, None], y[None, :], tab.h)
         Kt = time_kernel(obs.times, KickSeries.empty(), 400.0)
@@ -120,13 +121,24 @@ class TestBuildTables:
         kicks = KickSeries([obs.times[3] + 0.5], [1.0], typical_intensity=1.0, alpha_kick=25.0)
         with_k = time_kernel(obs.times, kicks, 400.0)
         without = time_kernel(obs.times, KickSeries.empty(), 400.0)
-        W_without = build_tables(obs, KickSeries.empty(), 100.0, 400.0).W
+        W_without = tables_for(obs, KickSeries.empty(), 100.0, 400.0).W
         assert not np.array_equal(with_k, without)
         ds_without, _ = decays(obs, KickSeries.empty(), 100.0, 400.0)
         assert not np.array_equal(decays(obs, kicks, 100.0, 400.0)[0], ds_without)
         assert np.array_equal(time_kernel(obs.times, KickSeries.empty(), 400.0), without)
-        assert np.array_equal(build_tables(obs, KickSeries.empty(), 100.0, 400.0).W, W_without)
+        assert np.array_equal(tables_for(obs, KickSeries.empty(), 100.0, 400.0).W, W_without)
         assert np.array_equal(decays(obs, KickSeries.empty(), 100.0, 400.0)[0], ds_without)
+
+    def test_time_kernel_becomes_W_in_place(self):
+        obs = series(19)
+        Kt = time_kernel(obs.times, KickSeries.empty(), 400.0)
+        assert build_tables(obs, Kt, 100.0, 400.0).W is Kt
+
+    @pytest.mark.parametrize("shape", [(12, 13), (13, 12), (12,)])
+    def test_time_kernel_of_another_shape_rejected(self, shape):
+        obs = series(19)
+        with pytest.raises(ValueError, match="build_tables: time kernel has shape"):
+            build_tables(obs, np.ones(shape), 100.0, 400.0)
 
     @pytest.mark.parametrize("with_kicks", [False, True])
     def test_row_tiles_match_the_whole_array_expressions(self, with_kicks):
@@ -137,7 +149,7 @@ class TestBuildTables:
         if with_kicks:
             kicks = KickSeries([t[40], t[41] + 3.0, t[200] + 0.5], [1.0, 2.5, 0.7],
                                typical_intensity=1.0, alpha_kick=40.0)
-        tab = build_tables(obs, kicks, 100.0, 400.0)
+        tab = tables_for(obs, kicks, 100.0, 400.0)
         dist = np.abs(t[:, None] - t[None, :]) + kicks.alpha_kick * kicks.pairwise_intensity(t)
         Kt = np.exp(-(dist * dist) / (2.0 * 400.0 * 400.0)) / (SQRT_2PI * 400.0)
         assert np.array_equal(time_kernel(t, kicks, 400.0), Kt)

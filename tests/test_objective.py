@@ -13,7 +13,6 @@ from mcsmooth import (
     ParamPriors,
     ParamTrajectory,
     WeightSchedule,
-    build_tables,
     effective_gaps,
     eval_L1,
     eval_L2,
@@ -24,7 +23,7 @@ from mcsmooth import (
     gaussian_kernel,
     time_kernel,
 )
-from conftest import l2_oracle, make_random_fixture, make_random_series
+from conftest import l2_oracle, make_random_fixture, make_random_series, tables_for
 
 SQRT_2PI = np.sqrt(2.0 * np.pi)
 
@@ -141,7 +140,7 @@ class TestL1:
 
     def test_matches_reference_small_instance(self):
         obs = ObservationSeries([0.0, 60.0], [0.0, 2.0])
-        tables = build_tables(obs, KickSeries.empty(), 100.0, 400.0)
+        tables = tables_for(obs, KickSeries.empty(), 100.0, 400.0)
         state = EstimationState(
             np.array([0.0, 1.0]), np.zeros(2),
             ParamTrajectory([1.0, 1.0], [1.0, 1.0], [0.05, 0.05]),
@@ -167,7 +166,7 @@ class TestL2:
         rng = np.random.default_rng(9)
         for seed in range(6):
             state, obs, _, gaps = make_random_fixture(seed, with_kicks=False)
-            tables = build_tables(obs, KickSeries.empty(), T_s=140.0, T_l=1e9)
+            tables = tables_for(obs, KickSeries.empty(), T_s=140.0, T_l=1e9)
             perturbed = EstimationState(obs.values + rng.normal(0, 10, obs.n), state.z,
                                         state.params, state.priors, state.noise)
             assert eval_L2(perturbed, obs, tables) <= 1e-12
@@ -277,7 +276,7 @@ class TestLparams:
     def relaxed_fixture(self, offset=0.0):
         t = np.array([0.0, 1e7, 2e7, 3e7])  # huge gaps: fully relaxed transitions
         obs = ObservationSeries(t, [1.0, 2.0, 3.0, 4.0])
-        tables = build_tables(obs, KickSeries.empty(), 140.0, 560.0)
+        tables = tables_for(obs, KickSeries.empty(), 140.0, 560.0)
         gaps = effective_gaps(obs, KickSeries.empty())
         pr = ParamPriors(5.0, 4.0, 0.04, 1.5, 2.5, 0.01)
         params = ParamTrajectory(
@@ -351,7 +350,7 @@ class TestTotal:
         sched = WeightSchedule.from_lambdas([1] * 7, 0.1)
         c = 55.5
         obs2 = ObservationSeries(obs.times, obs.values + c)
-        tables2 = build_tables(obs2, KickSeries.empty(), tables.T_s, tables.T_l)
+        tables2 = tables_for(obs2, KickSeries.empty(), tables.T_s, tables.T_l)
         pr = state.priors
         state2 = EstimationState(
             state.x + c, state.z,

@@ -15,6 +15,7 @@ from mcsmooth import (
     KickSeries,
     ObservationSeries,
     WeightSchedule,
+    build_tables,
     density_estimate,
     effective_gaps,
     estimate,
@@ -24,7 +25,9 @@ from mcsmooth import (
     eval_total,
     initialize,
     reconstruct_trajectory,
+    resolve_time_scales,
     run_stage,
+    time_kernel,
     to_polar,
 )
 from mcsmooth.kernels import TILE_ELEMENTS
@@ -40,7 +43,7 @@ from mcsmooth.optimizer import (
     write_states_csv,
     write_trace_csv,
 )
-from conftest import TRUE_A, TRUE_B, TRUE_OMEGA, make_cycle_series, reconstruct_loop
+from conftest import TRUE_A, TRUE_B, TRUE_OMEGA, make_cycle_series, reconstruct_loop, tables_for
 
 
 class TestInitialize:
@@ -108,6 +111,24 @@ class TestInitialize:
         assert PERIOD_BAND[0] <= 2 * np.pi / s1.priors.omega_tilde <= PERIOD_BAND[1]
         assert np.all(s1.params.omega == s1.priors.omega_tilde)
 
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2**16), n=st.integers(4, 300), with_kicks=st.booleans())
+    def test_tables_are_build_tables_of_a_fresh_time_kernel(self, seed, n, with_kicks):
+        # The regressions read the kernel before it becomes W; they must not write into it.
+        obs = irregular_series(seed, n, 60.0, 20.0)
+        kicks = KickSeries.empty()
+        if with_kicks:
+            rng = np.random.default_rng(seed)
+            kt = np.unique(rng.uniform(obs.times[0], obs.times[-1], 3))
+            kicks = KickSeries(kt, rng.uniform(0.5, 3.0, kt.size), typical_intensity=1.5)
+        _, cfg, tables = initialize(obs, kicks)
+        assert (cfg.T_s, cfg.T_l) == resolve_time_scales(obs, HyperConfig())[1:]
+        Kt = time_kernel(obs.times, kicks.with_time_scale(cfg.T_s), cfg.T_l)
+        want = build_tables(obs, Kt, cfg.T_s, cfg.T_l)
+        assert np.array_equal(tables.W, want.W)
+        assert np.array_equal(tables.rho0, want.rho0)
+        assert tables.wky == want.wky
+
     def test_requires_four_observations(self):
         obs = ObservationSeries([0.0, 5.0, 10.0], [1.0, 2.0, 3.0])
         with pytest.raises(ValueError, match="at least 4"):
@@ -138,8 +159,8 @@ class TestInitialize:
         assert peak < 2.5 * n * n * 8
 
     @pytest.mark.parametrize("with_kicks", [False, True])
-    def test_time_kernel_is_freed_before_the_tables_are_built(self, with_kicks):
-        # The regressions' time kernel and the tables' W are never alive together.
+    def test_time_kernel_becomes_the_tables_W(self, with_kicks):
+        # The regressions' time kernel is the buffer that becomes W: one n x n array.
         n = 600
         obs = make_cycle_series(n=n)
         kicks = None
@@ -497,31 +518,30 @@ def test_reconstruction_matches_the_loop_oracle(case):
 
 class TestDensityEstimate:
     def test_single_datum_peak(self):
-        from mcsmooth import build_tables
-
         obs = make_cycle_series(n=30)
-        tables = build_tables(obs, KickSeries.empty(), 140.0, 560.0)
-        rho = density_estimate([100.0], [50.0], tables, at_time=50.0, grid=[100.0])
+        tables = tables_for(obs, KickSeries.empty(), 140.0, 560.0)
+        rho = density_estimate([100.0], [50.0], tables.h, tables.T_l, at_time=50.0, grid=[100.0])
         assert rho[0] == pytest.approx(1.0 / (np.sqrt(2 * np.pi) * tables.h), rel=1e-12)
 
     def test_normalization_by_quadrature(self):
-        from mcsmooth import build_tables
-
         obs = make_cycle_series(n=30)
-        tables = build_tables(obs, KickSeries.empty(), 140.0, 560.0)
+        tables = tables_for(obs, KickSeries.empty(), 140.0, 560.0)
         grid = np.linspace(obs.values.min() - 6 * tables.h, obs.values.max() + 6 * tables.h, 2001)
-        rho = density_estimate(obs.values, obs.times, tables, at_time=70.0, grid=grid)
+        rho = density_estimate(obs.values, obs.times, tables.h, tables.T_l, at_time=70.0, grid=grid)
         integral = float(np.sum(0.5 * (rho[1:] + rho[:-1]) * np.diff(grid)))
         assert integral == pytest.approx(1.0, abs=1e-3)
 
-    def test_identical_inputs_identical_densities(self):
-        from mcsmooth import build_tables
+    @pytest.mark.parametrize("T_l", [0.0, -560.0])
+    def test_nonpositive_time_bandwidth_rejected(self, T_l):
+        with pytest.raises(ValueError, match="T_l must be positive"):
+            density_estimate([100.0], [50.0], 1.0, T_l, at_time=50.0, grid=[100.0])
 
+    def test_identical_inputs_identical_densities(self):
         obs = make_cycle_series(n=30)
-        tables = build_tables(obs, KickSeries.empty(), 140.0, 560.0)
+        tables = tables_for(obs, KickSeries.empty(), 140.0, 560.0)
         grid = np.linspace(80, 200, 101)
-        rx = density_estimate(obs.values, obs.times, tables, 70.0, grid)
-        ry = density_estimate(obs.values.copy(), obs.times, tables, 70.0, grid)
+        rx = density_estimate(obs.values, obs.times, tables.h, tables.T_l, 70.0, grid)
+        ry = density_estimate(obs.values.copy(), obs.times, tables.h, tables.T_l, 70.0, grid)
         assert np.array_equal(rx, ry)
 
 
@@ -549,8 +569,8 @@ class TestCsvFormats:
     def test_densities_roundtrip(self, tmp_path, quick_config):
         res = estimate(make_cycle_series(n=40), config=quick_config)
         grid = np.linspace(100, 180, 11)
-        rx = density_estimate(res.state.x, res.obs.times, res.tables, 100.0, grid)
-        ry = density_estimate(res.obs.values, res.obs.times, res.tables, 100.0, grid)
+        rx = density_estimate(res.state.x, res.obs.times, res.tables.h, res.tables.T_l, 100.0, grid)
+        ry = density_estimate(res.obs.values, res.obs.times, res.tables.h, res.tables.T_l, 100.0, grid)
         p = tmp_path / "dens.csv"
         write_densities_csv(grid, rx, ry, p)
         back = read_densities_csv(p)

@@ -10,7 +10,6 @@ from mcsmooth import (
     ParamPriors,
     ParamTrajectory,
     PolarState,
-    build_tables,
     effective_gaps,
     eval_L3_L4,
     eval_Lparams,
@@ -21,6 +20,7 @@ from conftest import (
     make_random_fixture,
     param_transition_logpdf,
     propagate_mean,
+    tables_for,
     transition_logpdfs,
 )
 
@@ -47,7 +47,7 @@ def two_index_state(dt, x=(0.0, 0.0), z=(0.0, 0.0), b=(120.0, 120.0), a=(3.0, 3.
                     omega=(0.05, 0.05), sigma=1.0, priors=None, T_s=100.0, T_l=400.0):
     """A two-observation state with one transition of length dt, no kicks."""
     obs = ObservationSeries([0.0, dt], [1.0, 2.0])
-    tables = build_tables(obs, KickSeries.empty(), T_s, T_l)
+    tables = tables_for(obs, KickSeries.empty(), T_s, T_l)
     gaps = effective_gaps(obs, KickSeries.empty())
     priors = priors if priors is not None else ParamPriors(120.0, 3.0, 0.05, 1.0, 1.0, 1.0)
     state = EstimationState(x, z, ParamTrajectory(b, a, omega), priors, ModelNoise(sigma))
