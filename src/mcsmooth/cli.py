@@ -205,8 +205,7 @@ def _cmd_estimate(args) -> int:
     hyper = _estimate_hyper(args, cfg)
     kicks = KickSeries.empty()
     if kicks_path:
-        # alpha_kick is rescaled to the resolved T_s inside estimate().
-        kicks = load_kicks(kicks_path, T_s=1.0)
+        kicks = load_kicks(kicks_path)
 
     result = estimate(obs, kicks, hyper)
     out = _out_dir(args.out_dir, cfg)

@@ -1,8 +1,9 @@
 """Gaussian kernels, rule-of-thumb bandwidth, and the L2 weight table.
 
 The time kernel operates on kick-adjusted distances: the plain distance
-|t_i - t_j| is inflated by alpha_kick times the total intensity of kicks
-strictly between the two times. Per-gap decay factors are not tabulated here;
+|t_i - t_j| is inflated by alpha times the total intensity of the kicks at
+min(t_i, t_j) <= k < max(t_i, t_j), the gaps' half-open rule
+(``KickSeries.intensity_before``). Per-gap decay factors are not tabulated here;
 the objective derives them from ``oscillator.effective_gaps``.
 
 Every n x n quantity is formed in row tiles of about ``TILE_ELEMENTS``
@@ -79,17 +80,20 @@ def gaussian_kernel(u, v, h):
     return np.exp(d) / (np.sqrt(2.0 * np.pi) * h)
 
 
-def time_kernel(t, kicks: KickSeries, T_l: float) -> np.ndarray:
+def time_kernel(t, kicks: KickSeries, alpha: float, T_l: float) -> np.ndarray:
     """The n x n Gaussian kernel over kick-adjusted time distances, bandwidth T_l.
 
+    ``alpha`` is the added time per unit kick intensity (``KickSeries.alpha_kick``).
     Filled one row tile at a time, so the distances never exist as a whole
     n x n array.
     """
     t = np.asarray(t, dtype=float)
+    before = kicks.intensity_before(t)
     out = np.empty((t.size, t.size))
     for r in row_tiles(t.size):
         dist = np.abs(t[r, None] - t[None, :])
-        dist += kicks.alpha_kick * kicks.pairwise_intensity(t, r)
+        if alpha:
+            dist += alpha * np.abs(before[r, None] - before[None, :])
         out[r] = np.exp(-(dist * dist) / (2.0 * T_l * T_l)) / (np.sqrt(2.0 * np.pi) * T_l)
     return out
 

@@ -93,6 +93,10 @@ class HyperConfig:
     def __post_init__(self):
         if self.T_s is not None and self.T_s <= 0:
             raise ValueError("HyperConfig: T_s must be positive")
+        if self.T_l is not None and self.T_l <= 0:
+            raise ValueError("HyperConfig: T_l must be positive")
+        if self.omega_tilde is not None and self.omega_tilde <= 0:
+            raise ValueError("HyperConfig: omega_tilde must be positive")
         if self.T_l is not None and self.T_s is not None and self.T_l < self.T_s:
             raise ValueError("HyperConfig: T_l must be at least T_s")
         if self.eta <= 0:
@@ -217,7 +221,7 @@ def initialize(
     b_tilde = float(y.mean())
     sigma_b = float(y.std())
 
-    Kt = time_kernel(t, kicks.with_time_scale(T_s), T_l)
+    Kt = time_kernel(t, kicks, kicks.alpha_kick(T_s), T_l)
     b = _kernel_regress(Kt, y)
     a_hat = _windowed_max(t, np.abs(y - b), T_s)
     a = _kernel_regress(Kt, a_hat)
@@ -365,8 +369,7 @@ def estimate(
     """Full staged estimation of a series: initialize, stage 1a/1b, stage 2."""
     kicks = kicks if kicks is not None else KickSeries.empty()
     state, cfg, tables = initialize(obs, kicks, config)
-    kicks_scaled = kicks.with_time_scale(cfg.T_s)
-    gaps = effective_gaps(obs, kicks_scaled)
+    gaps = effective_gaps(obs, kicks, kicks.alpha_kick(cfg.T_s))
 
     a_bar = float(np.mean(state.params.a))
     floors = (1e-6 * a_bar, 1e-6 * state.priors.omega_tilde)
@@ -401,7 +404,7 @@ def estimate(
         tables=tables,
         gaps=gaps,
         obs=obs,
-        kicks=kicks_scaled,
+        kicks=kicks,
         traces=(tr1a, tr1b, tr2),
         components=tr2.components[-1],
     )
@@ -421,6 +424,7 @@ def reconstruct_trajectory(result: EstimationResult, grid) -> tuple[np.ndarray, 
     state = result.state
     p = state.params
     kicks = result.kicks
+    alpha = kicks.alpha_kick(result.config.T_s)
 
     if grid.size and (grid.min() < t[0] or grid.max() > t[-1]):
         raise ValueError("reconstruct_trajectory: grid time outside the observation span")
@@ -430,7 +434,7 @@ def reconstruct_trajectory(result: EstimationResult, grid) -> tuple[np.ndarray, 
     inside = grid != t[j]
     g, j = grid[inside], j[inside]
     dt_phase = g - t[j]
-    dt_relax = dt_phase + kicks.alpha_kick * kicks.intensity_between(t[j], g)
+    dt_relax = dt_phase + alpha * (kicks.intensity_before(g) - kicks.intensity_before(t[j]))
     q = propagate(
         state.x[j], state.z[j], p.b[j], p.b[j + 1], p.a[j + 1], p.omega[j],
         dt_phase, dt_relax, result.config.T_s,

@@ -80,16 +80,13 @@ class ParamPriors:
 
 @dataclass(frozen=True)
 class ModelNoise:
-    """Transition standard deviation for x and z. sigma0 defaults to 0.1 sigma."""
+    """Transition standard deviation for x and z."""
 
     sigma: float
-    sigma0: float | None = None
 
     def __post_init__(self):
         if self.sigma <= 0:
             raise ValueError("ModelNoise: sigma must be positive")
-        if self.sigma0 is None:
-            object.__setattr__(self, "sigma0", 0.1 * self.sigma)
 
 
 class PolarState(NamedTuple):
@@ -115,16 +112,16 @@ def to_polar(x, z, b) -> PolarState:
     return PolarState(r, theta)
 
 
-def effective_gaps(obs: ObservationSeries, kicks: KickSeries) -> EffectiveGaps:
+def effective_gaps(obs: ObservationSeries, kicks: KickSeries, alpha: float) -> EffectiveGaps:
     """Raw and kick-inflated gaps for every observation index.
 
-    dt_phase is always the raw gap; dt_relax adds alpha_kick times the
-    intensity of kicks inside the gap [t^{j-1}, t^j).
+    dt_phase is always the raw gap; dt_relax adds ``alpha`` (added time per
+    unit intensity, ``KickSeries.alpha_kick``) times the intensity of kicks
+    inside the gap [t^{j-1}, t^j).
     """
-    t = obs.times
     raw = obs.gaps()
     relax = raw.copy()
-    relax[1:] += kicks.alpha_kick * kicks.intensity_between(t[:-1], t[1:])
+    relax[1:] += alpha * np.diff(kicks.intensity_before(obs.times))
     return EffectiveGaps(raw, relax)
 
 

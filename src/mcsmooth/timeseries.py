@@ -8,7 +8,7 @@ comma-separated columns: observations are ``time_min,value`` rows, kicks are
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -81,17 +81,16 @@ class ObservationSeries:
 
 @dataclass(frozen=True)
 class KickSeries:
-    """External interventions: times, intensities, and the decoupling scale.
+    """External interventions: kick times and intensities.
 
-    ``alpha_kick`` converts intensity into added effective time (minutes per
-    intensity unit). It equals T_s / typical_intensity once the short time
-    scale T_s is known; use :meth:`with_time_scale` to finalize it.
+    A kick adds effective time to every coupling across it: ``alpha_kick(T_s)``
+    minutes per unit intensity, so that a kick of mean intensity adds T_s.
+    "Across" is half-open, as for the gaps: a kick exactly at a measurement
+    time decouples the following transition, not the preceding one.
     """
 
     times: np.ndarray
     intensities: np.ndarray
-    typical_intensity: float = 0.0
-    alpha_kick: float = 0.0
 
     def __post_init__(self):
         times = np.asarray(self.times, dtype=float)
@@ -104,8 +103,8 @@ class KickSeries:
             raise ValueError("KickSeries: times must be strictly increasing")
         if np.any(intensities < 0):
             raise ValueError("KickSeries: negative intensity")
-        if times.size > 0 and self.typical_intensity <= 0:
-            raise ValueError("KickSeries: typical_intensity must be positive for a nonempty series")
+        if times.size > 0 and not intensities.mean() > 0:
+            raise ValueError("KickSeries: mean intensity must be positive for a nonempty series")
 
     @classmethod
     def empty(cls) -> "KickSeries":
@@ -115,47 +114,17 @@ class KickSeries:
     def n(self) -> int:
         return self.times.size
 
-    def with_time_scale(self, T_s: float) -> "KickSeries":
-        """Return a copy with alpha_kick = T_s / typical_intensity."""
-        if self.n == 0:
-            return self
-        if T_s <= 0:
-            raise ValueError("KickSeries: T_s must be positive")
-        return replace(self, alpha_kick=T_s / self.typical_intensity)
+    def alpha_kick(self, T_s: float) -> float:
+        """Added effective time per unit intensity: T_s over the mean intensity, 0 without kicks."""
+        return T_s / float(self.intensities.mean()) if self.n else 0.0
 
-    def _cumulative(self) -> np.ndarray:
-        return np.concatenate(([0.0], np.cumsum(self.intensities)))
+    def intensity_before(self, t) -> np.ndarray:
+        """Summed intensity of the kicks at k < t, elementwise over t.
 
-    def intensity_between(self, lo, hi):
-        """Summed intensity of kicks with lo <= k < hi, elementwise over arrays.
-
-        This half-open rule is the gap convention: a kick exactly at a
-        measurement time decouples the following transition, not the
-        preceding one.
+        The intensity in [lo, hi) is ``intensity_before(hi) - intensity_before(lo)``.
         """
-        cum = self._cumulative()
-        below_hi = cum[np.searchsorted(self.times, hi, side="left")]
-        return below_hi - cum[np.searchsorted(self.times, lo, side="left")]
-
-    def pairwise_intensity(self, times: np.ndarray, rows: slice = slice(None)) -> np.ndarray:
-        """Summed intensity of kicks strictly between every pair of times.
-
-        Returns the given rows of the symmetric matrix, with zero diagonal.
-        """
-        times = np.asarray(times, dtype=float)
-        j = np.arange(times.size)
-        i = j[rows, None]
-        if self.n == 0:
-            return np.zeros((i.size, j.size))
-        cum = self._cumulative()
-        before_strict = cum[np.searchsorted(self.times, times, side="left")]
-        before_incl = cum[np.searchsorted(self.times, times, side="right")]
-        # entry (i, j) with i < j is before_strict[j] - before_incl[i]
-        upper = j > i
-        out = np.where(upper, before_strict, before_strict[i])
-        out -= np.where(upper, before_incl[i], before_incl)
-        out[j == i] = 0.0
-        return out
+        cum = np.concatenate(([0.0], np.cumsum(self.intensities)))
+        return cum[np.searchsorted(self.times, t, side="left")]
 
 
 @dataclass(frozen=True)
@@ -258,15 +227,8 @@ def load_observations(path: str | Path) -> ObservationSeries:
     return ObservationSeries(times, values)
 
 
-def load_kicks(path: str | Path, T_s: float) -> KickSeries:
-    """Read a "time_min,intensity" CSV into a KickSeries.
-
-    The typical intensity is the arithmetic mean of the intensities and
-    alpha_kick = T_s / typical_intensity. An empty file yields an empty
-    series (alpha_kick unused).
-    """
-    if T_s <= 0:
-        raise ValueError("load_kicks: T_s must be positive")
+def load_kicks(path: str | Path) -> KickSeries:
+    """Read a "time_min,intensity" CSV into a KickSeries; an empty file gives no kicks."""
     times, intensities = read_columns(path, 2, "load_kicks")
     if times.size == 0:
         return KickSeries.empty()
@@ -274,10 +236,9 @@ def load_kicks(path: str | Path, T_s: float) -> KickSeries:
         raise ValueError("load_kicks: negative intensity")
     if not np.all(np.diff(times) > 0):
         raise ValueError("load_kicks: times must be strictly increasing")
-    typical = float(intensities.mean())
-    if typical <= 0:
-        raise ValueError("load_kicks: typical intensity must be positive")
-    return KickSeries(times, intensities, typical, T_s / typical)
+    if not intensities.mean() > 0:
+        raise ValueError("load_kicks: mean intensity must be positive")
+    return KickSeries(times, intensities)
 
 
 def write_observations(series: ObservationSeries, path: str | Path) -> None:

@@ -89,7 +89,7 @@ def test_criterion_2_L2_exactness_and_sign():
     rng = np.random.default_rng(2024)
     for seed in range(50):
         state, obs, _, _ = make_random_fixture(1000 + seed, with_kicks=False)
-        tables = tables_for(obs, KickSeries.empty(), T_s=140.0, T_l=1e9)
+        tables = tables_for(obs, KickSeries.empty(), 0.0, T_s=140.0, T_l=1e9)
         perturbed = EstimationState(obs.values + rng.normal(0, 10, obs.n), state.z,
                                     state.params, state.priors, state.noise)
         worst_sign = max(worst_sign, eval_L2(perturbed, obs, tables))
@@ -177,12 +177,13 @@ def test_criterion_6_kick_decoupling():
         j = rng.integers(1, n)
         k_time = rng.uniform(t[j - 1], t[j])
         intensity = rng.uniform(0.5, 3.0)
-        kicks = KickSeries([k_time], [intensity], typical_intensity=intensity).with_time_scale(T_s)
+        kicks = KickSeries([k_time], [intensity])
+        alpha = kicks.alpha_kick(T_s)
 
-        plain = time_kernel(t, KickSeries.empty(), T_l)
-        kicked = time_kernel(t, kicks, T_l)
-        gaps = effective_gaps(obs, kicks)
-        ds_plain = np.exp(-effective_gaps(obs, KickSeries.empty()).dt_relax / T_s)
+        plain = time_kernel(t, KickSeries.empty(), 0.0, T_l)
+        kicked = time_kernel(t, kicks, alpha, T_l)
+        gaps = effective_gaps(obs, kicks, alpha)
+        ds_plain = np.exp(-effective_gaps(obs, KickSeries.empty(), 0.0).dt_relax / T_s)
         ds_kicked = np.exp(-gaps.dt_relax / T_s)
         worst = max(worst, abs(ds_kicked[j] / ds_plain[j] - math.exp(-1.0)))
         assert np.all(kicked <= plain)

@@ -265,6 +265,22 @@ def test_time_kernel_built_once_per_estimate_and_never_for_densities(dense_csv, 
         assert calls == []
 
 
+@pytest.mark.parametrize("flags, message", [
+    (["--omega-tilde", "0"], "HyperConfig: omega_tilde must be positive"),
+    (["--omega-tilde", "-0.05"], "HyperConfig: omega_tilde must be positive"),
+    (["--t-l", "-5"], "HyperConfig: T_l must be positive"),
+])
+def test_bad_time_scales_rejected_before_any_work(tmp_path, capsys, monkeypatch, flags, message):
+    def no_work(*args, **kwargs):
+        raise AssertionError("time scales resolved from a bad config")
+
+    monkeypatch.setattr(mcsmooth.optimizer, "resolve_time_scales", no_work)
+    obs_path = tmp_path / "obs.csv"
+    write_observations(ObservationSeries(70.0 * np.arange(8), 100.0 + 20.0 * np.sin(np.arange(8))), obs_path)
+    assert run_command(["estimate", "--obs", str(obs_path), *flags, "--out-dir", str(tmp_path)]) == 1
+    assert message in capsys.readouterr().err
+
+
 def test_estimate_with_kicks_file(dense_csv, tmp_path):
     obs_path = tmp_path / "obs.csv"
     run_command(["subsample", "--in", str(dense_csv), "--spec", "h2",

@@ -132,7 +132,7 @@ READERS = {
     "observations": dict(read=load_observations, op="load_observations", ncols=2,
                          line="{k}.0,100.5", columns=lambda r: [r.times, r.values],
                          empty="at least 2 rows"),
-    "kicks": dict(read=lambda p: load_kicks(p, 100.0), op="load_kicks", ncols=2,
+    "kicks": dict(read=load_kicks, op="load_kicks", ncols=2,
                   line="{k}.0,1.5", columns=lambda r: [r.times, r.intensities], empty=None),
     "nutrition": dict(read=NutritionSchedule.from_csv, op="load_nutrition", ncols=3,
                       line="{k}0.0,{k}5.0,80.0", columns=lambda r: [np.array(r.intervals)],

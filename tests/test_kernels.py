@@ -43,9 +43,9 @@ class TestGaussianKernel:
             gaussian_kernel(0.0, 1.0, 0.0)
 
 
-def decays(obs, kicks, T_s, T_l):
+def decays(obs, kicks, alpha, T_s, T_l):
     """Per-gap decays exp(-dt_relax/T_s) and exp(-dt_relax/T_l), as the objective forms them."""
-    dt_relax = effective_gaps(obs, kicks).dt_relax
+    dt_relax = effective_gaps(obs, kicks, alpha).dt_relax
     return np.exp(-dt_relax / T_s), np.exp(-dt_relax / T_l)
 
 
@@ -60,24 +60,24 @@ class TestBuildTables:
         obs = series()
         t = obs.times
         plain = gaussian_kernel(t[:, None], t[None, :], 400.0)
-        assert np.array_equal(time_kernel(t, KickSeries.empty(), 400.0), plain)
+        assert np.array_equal(time_kernel(t, KickSeries.empty(), 0.0, 400.0), plain)
 
     def test_row_mean_consistency(self):
         obs = series(3)
-        tab = tables_for(obs, KickSeries.empty(), T_s=100.0, T_l=400.0)
+        tab = tables_for(obs, KickSeries.empty(), 0.0, T_s=100.0, T_l=400.0)
         y = obs.values
         Ky = gaussian_kernel(y[:, None], y[None, :], tab.h)
-        Kt = time_kernel(obs.times, KickSeries.empty(), 400.0)
+        Kt = time_kernel(obs.times, KickSeries.empty(), 0.0, 400.0)
         assert np.allclose(Ky.sum(axis=1) / obs.n, tab.rho0, rtol=0, atol=1e-15)
         s = Kt.sum(axis=1)
         assert np.allclose(tab.W, Kt / s[None, :] + Kt / s[:, None], rtol=1e-14, atol=0)
 
     def test_tables_symmetric_positive(self):
         obs = series(5)
-        tab = tables_for(obs, KickSeries.empty(), T_s=100.0, T_l=400.0)
+        tab = tables_for(obs, KickSeries.empty(), 0.0, T_s=100.0, T_l=400.0)
         y = obs.values
         Ky = gaussian_kernel(y[:, None], y[None, :], tab.h)
-        Kt = time_kernel(obs.times, KickSeries.empty(), 400.0)
+        Kt = time_kernel(obs.times, KickSeries.empty(), 0.0, 400.0)
         for m in (Ky, Kt, tab.W):
             assert np.array_equal(m, m.T)
             assert np.all(m > 0)
@@ -85,22 +85,22 @@ class TestBuildTables:
 
     def test_decay_factor_at_one_timescale(self):
         obs = ObservationSeries([0.0, 100.0], [0.0, 1.0])
-        ds, dl = decays(obs, KickSeries.empty(), T_s=100.0, T_l=400.0)
+        ds, dl = decays(obs, KickSeries.empty(), 0.0, T_s=100.0, T_l=400.0)
         assert ds[1] == pytest.approx(np.exp(-1.0), rel=1e-14)
         assert ds[0] == 1.0 and dl[0] == 1.0
 
     def test_ds_below_dl_when_scales_ordered(self):
         obs = series(7)
-        ds, dl = decays(obs, KickSeries.empty(), T_s=100.0, T_l=400.0)
+        ds, dl = decays(obs, KickSeries.empty(), 0.0, T_s=100.0, T_l=400.0)
         assert np.all(ds[1:] <= dl[1:])
         assert np.all((ds[1:] > 0) & (ds[1:] < 1))
 
     def test_kick_of_typical_intensity_scales_ds_by_inv_e(self):
         obs = ObservationSeries([0.0, 50.0, 150.0], [10.0, 20.0, 15.0])
         T_s = 100.0
-        kicks = KickSeries([75.0], [2.0], typical_intensity=2.0).with_time_scale(T_s)
-        ds0, _ = decays(obs, KickSeries.empty(), T_s, 400.0)
-        ds1, _ = decays(obs, kicks, T_s, 400.0)
+        kicks = KickSeries([75.0], [2.0])
+        ds0, _ = decays(obs, KickSeries.empty(), 0.0, T_s, 400.0)
+        ds1, _ = decays(obs, kicks, kicks.alpha_kick(T_s), T_s, 400.0)
         assert ds1[2] == pytest.approx(ds0[2] * np.exp(-1.0), rel=1e-12)
         assert ds1[1] == ds0[1]
 
@@ -108,30 +108,30 @@ class TestBuildTables:
         obs = series(11)
         rng = np.random.default_rng(1)
         kt = np.sort(rng.uniform(obs.times[0] + 1, obs.times[-1] - 1, 4))
-        kicks = KickSeries(kt, rng.uniform(0.1, 3.0, 4), typical_intensity=1.0, alpha_kick=30.0)
-        Kt0 = time_kernel(obs.times, KickSeries.empty(), 400.0)
-        Kt1 = time_kernel(obs.times, kicks, 400.0)
+        kicks = KickSeries(kt, rng.uniform(0.1, 3.0, 4))
+        Kt0 = time_kernel(obs.times, KickSeries.empty(), 0.0, 400.0)
+        Kt1 = time_kernel(obs.times, kicks, 30.0, 400.0)
         assert np.all(Kt1 <= Kt0)
-        ds0, dl0 = decays(obs, KickSeries.empty(), 100.0, 400.0)
-        ds1, dl1 = decays(obs, kicks, 100.0, 400.0)
+        ds0, dl0 = decays(obs, KickSeries.empty(), 0.0, 100.0, 400.0)
+        ds1, dl1 = decays(obs, kicks, 30.0, 100.0, 400.0)
         assert np.all(ds1 <= ds0) and np.all(dl1 <= dl0)
 
     def test_removing_kicks_restores_plain_tables(self):
         obs = series(13)
-        kicks = KickSeries([obs.times[3] + 0.5], [1.0], typical_intensity=1.0, alpha_kick=25.0)
-        with_k = time_kernel(obs.times, kicks, 400.0)
-        without = time_kernel(obs.times, KickSeries.empty(), 400.0)
-        W_without = tables_for(obs, KickSeries.empty(), 100.0, 400.0).W
+        kicks = KickSeries([obs.times[3] + 0.5], [1.0])
+        with_k = time_kernel(obs.times, kicks, 25.0, 400.0)
+        without = time_kernel(obs.times, KickSeries.empty(), 0.0, 400.0)
+        W_without = tables_for(obs, KickSeries.empty(), 0.0, 100.0, 400.0).W
         assert not np.array_equal(with_k, without)
-        ds_without, _ = decays(obs, KickSeries.empty(), 100.0, 400.0)
-        assert not np.array_equal(decays(obs, kicks, 100.0, 400.0)[0], ds_without)
-        assert np.array_equal(time_kernel(obs.times, KickSeries.empty(), 400.0), without)
-        assert np.array_equal(tables_for(obs, KickSeries.empty(), 100.0, 400.0).W, W_without)
-        assert np.array_equal(decays(obs, KickSeries.empty(), 100.0, 400.0)[0], ds_without)
+        ds_without, _ = decays(obs, KickSeries.empty(), 0.0, 100.0, 400.0)
+        assert not np.array_equal(decays(obs, kicks, 25.0, 100.0, 400.0)[0], ds_without)
+        assert np.array_equal(time_kernel(obs.times, KickSeries.empty(), 0.0, 400.0), without)
+        assert np.array_equal(tables_for(obs, KickSeries.empty(), 0.0, 100.0, 400.0).W, W_without)
+        assert np.array_equal(decays(obs, KickSeries.empty(), 0.0, 100.0, 400.0)[0], ds_without)
 
     def test_time_kernel_becomes_W_in_place(self):
         obs = series(19)
-        Kt = time_kernel(obs.times, KickSeries.empty(), 400.0)
+        Kt = time_kernel(obs.times, KickSeries.empty(), 0.0, 400.0)
         assert build_tables(obs, Kt, 100.0, 400.0).W is Kt
 
     @pytest.mark.parametrize("shape", [(12, 13), (13, 12), (12,)])
@@ -145,14 +145,16 @@ class TestBuildTables:
         # n = 300 spans three row tiles
         obs = series(17, n=300)
         t, y = obs.times, obs.values
-        kicks = KickSeries.empty()
+        kicks, alpha = KickSeries.empty(), 0.0
         if with_kicks:
-            kicks = KickSeries([t[40], t[41] + 3.0, t[200] + 0.5], [1.0, 2.5, 0.7],
-                               typical_intensity=1.0, alpha_kick=40.0)
-        tab = tables_for(obs, kicks, 100.0, 400.0)
-        dist = np.abs(t[:, None] - t[None, :]) + kicks.alpha_kick * kicks.pairwise_intensity(t)
+            kicks, alpha = KickSeries([t[40], t[41] + 3.0, t[200] + 0.5], [1.0, 2.5, 0.7]), 40.0
+        tab = tables_for(obs, kicks, alpha, 100.0, 400.0)
+        # the summed intensity of the kicks below each time, counted by comparison
+        cum = np.concatenate(([0.0], np.cumsum(kicks.intensities)))
+        before = cum[(kicks.times[None, :] < t[:, None]).sum(axis=1)]
+        dist = np.abs(t[:, None] - t[None, :]) + alpha * np.abs(before[:, None] - before[None, :])
         Kt = np.exp(-(dist * dist) / (2.0 * 400.0 * 400.0)) / (SQRT_2PI * 400.0)
-        assert np.array_equal(time_kernel(t, kicks, 400.0), Kt)
+        assert np.array_equal(time_kernel(t, kicks, alpha, 400.0), Kt)
         rs = obs.n * Kt.mean(axis=1)
         assert np.array_equal(tab.W, Kt / rs[None, :] + Kt / rs[:, None])
         Ky = gaussian_kernel(y[:, None], y[None, :], tab.h)

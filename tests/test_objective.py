@@ -23,7 +23,7 @@ from mcsmooth import (
     gaussian_kernel,
     time_kernel,
 )
-from conftest import l2_oracle, make_random_fixture, make_random_series, tables_for
+from conftest import FIXTURE_ALPHA, l2_oracle, make_random_fixture, make_random_series, tables_for
 
 SQRT_2PI = np.sqrt(2.0 * np.pi)
 
@@ -95,7 +95,7 @@ def ref_param_loglik(alpha, tilde, sigma_l, gaps, T_l):
 def fixture_time_kernel(seed, n, T_l):
     """The kick-adjusted time kernel behind the tables of ``make_random_fixture(seed, n)``."""
     _, obs, kicks = make_random_series(seed, n)
-    return time_kernel(obs.times, kicks, T_l)
+    return time_kernel(obs.times, kicks, FIXTURE_ALPHA, T_l)
 
 
 def peak_state(obs, tables, gaps, sigma=5.0):
@@ -140,7 +140,7 @@ class TestL1:
 
     def test_matches_reference_small_instance(self):
         obs = ObservationSeries([0.0, 60.0], [0.0, 2.0])
-        tables = tables_for(obs, KickSeries.empty(), 100.0, 400.0)
+        tables = tables_for(obs, KickSeries.empty(), 0.0, 100.0, 400.0)
         state = EstimationState(
             np.array([0.0, 1.0]), np.zeros(2),
             ParamTrajectory([1.0, 1.0], [1.0, 1.0], [0.05, 0.05]),
@@ -166,7 +166,7 @@ class TestL2:
         rng = np.random.default_rng(9)
         for seed in range(6):
             state, obs, _, gaps = make_random_fixture(seed, with_kicks=False)
-            tables = tables_for(obs, KickSeries.empty(), T_s=140.0, T_l=1e9)
+            tables = tables_for(obs, KickSeries.empty(), 0.0, T_s=140.0, T_l=1e9)
             perturbed = EstimationState(obs.values + rng.normal(0, 10, obs.n), state.z,
                                         state.params, state.priors, state.noise)
             assert eval_L2(perturbed, obs, tables) <= 1e-12
@@ -276,8 +276,8 @@ class TestLparams:
     def relaxed_fixture(self, offset=0.0):
         t = np.array([0.0, 1e7, 2e7, 3e7])  # huge gaps: fully relaxed transitions
         obs = ObservationSeries(t, [1.0, 2.0, 3.0, 4.0])
-        tables = tables_for(obs, KickSeries.empty(), 140.0, 560.0)
-        gaps = effective_gaps(obs, KickSeries.empty())
+        tables = tables_for(obs, KickSeries.empty(), 0.0, 140.0, 560.0)
+        gaps = effective_gaps(obs, KickSeries.empty(), 0.0)
         pr = ParamPriors(5.0, 4.0, 0.04, 1.5, 2.5, 0.01)
         params = ParamTrajectory(
             np.full(4, 5.0 + offset * 1.5),
@@ -350,7 +350,7 @@ class TestTotal:
         sched = WeightSchedule.from_lambdas([1] * 7, 0.1)
         c = 55.5
         obs2 = ObservationSeries(obs.times, obs.values + c)
-        tables2 = tables_for(obs2, KickSeries.empty(), tables.T_s, tables.T_l)
+        tables2 = tables_for(obs2, KickSeries.empty(), 0.0, tables.T_s, tables.T_l)
         pr = state.priors
         state2 = EstimationState(
             state.x + c, state.z,

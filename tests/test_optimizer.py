@@ -5,7 +5,7 @@ from functools import cache
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.signal import lombscargle
 
@@ -60,7 +60,6 @@ class TestInitialize:
         assert state.priors.sigma_a == state.priors.sigma_b
         assert state.priors.sigma_omega == state.priors.omega_tilde
         assert state.noise.sigma == pytest.approx(state.params.a.mean())
-        assert state.noise.sigma0 == pytest.approx(0.1 * state.noise.sigma)
 
     def test_time_scales_from_frequency(self, cycle_series):
         state, cfg, tables = initialize(cycle_series)
@@ -120,10 +119,10 @@ class TestInitialize:
         if with_kicks:
             rng = np.random.default_rng(seed)
             kt = np.unique(rng.uniform(obs.times[0], obs.times[-1], 3))
-            kicks = KickSeries(kt, rng.uniform(0.5, 3.0, kt.size), typical_intensity=1.5)
+            kicks = KickSeries(kt, rng.uniform(0.5, 3.0, kt.size))
         _, cfg, tables = initialize(obs, kicks)
         assert (cfg.T_s, cfg.T_l) == resolve_time_scales(obs, HyperConfig())[1:]
-        Kt = time_kernel(obs.times, kicks.with_time_scale(cfg.T_s), cfg.T_l)
+        Kt = time_kernel(obs.times, kicks, kicks.alpha_kick(cfg.T_s), cfg.T_l)
         want = build_tables(obs, Kt, cfg.T_s, cfg.T_l)
         assert np.array_equal(tables.W, want.W)
         assert np.array_equal(tables.rho0, want.rho0)
@@ -147,7 +146,7 @@ class TestInitialize:
         kicks = None
         if with_kicks:
             kicks = KickSeries(obs.times[[50, 200, 201, 420]] + [0.0, 1.0, 0.0, 2.5],
-                               [1.0, 2.0, 0.5, 3.0], typical_intensity=1.5)
+                               [1.0, 2.0, 0.5, 3.0])
         initialize(make_cycle_series(n=40))  # a first call imports numpy.ma, for np.median
         tracemalloc.start()
         try:
@@ -166,7 +165,7 @@ class TestInitialize:
         kicks = None
         if with_kicks:
             kicks = KickSeries(obs.times[[50, 200, 201, 420]] + [0.0, 1.0, 0.0, 2.5],
-                               [1.0, 2.0, 0.5, 3.0], typical_intensity=1.5)
+                               [1.0, 2.0, 0.5, 3.0])
         initialize(make_cycle_series(n=40))
         tracemalloc.start()
         try:
@@ -230,7 +229,7 @@ class TestRunStage:
         state, cfg, tables = initialize(cycle_series, config=quick_config)
         from mcsmooth import effective_gaps
 
-        gaps = effective_gaps(cycle_series, KickSeries.empty())
+        gaps = effective_gaps(cycle_series, KickSeries.empty(), 0.0)
         sched = WeightSchedule(lam3=1.0, epsilon=cfg.epsilon)
         out, trace = run_stage(state, cycle_series, tables, gaps, sched, {"z"}, 10, cfg)
         assert out.x is state.x
@@ -245,7 +244,7 @@ class TestRunStage:
         cfg = HyperConfig(eta=1e-300)
         state, cfg, tables = initialize(cycle_series, config=cfg)
         state = replace(state, x=state.x + 3.0)  # move off the L1/L2 peak
-        gaps = effective_gaps(cycle_series, KickSeries.empty())
+        gaps = effective_gaps(cycle_series, KickSeries.empty(), 0.0)
         sched = WeightSchedule(lam1=1.0, lam2=1.0, epsilon=cfg.epsilon)
         g = grad_total(state, cycle_series, tables, gaps, sched)
         assert np.any(g.d_x != 0.0)
@@ -258,7 +257,7 @@ class TestRunStage:
         from mcsmooth import effective_gaps, ModelNoise
         from dataclasses import replace
 
-        gaps = effective_gaps(cycle_series, KickSeries.empty())
+        gaps = effective_gaps(cycle_series, KickSeries.empty(), 0.0)
         a_bar = float(state.params.a.mean())
         state = replace(state, noise=ModelNoise(2 * a_bar))
         sched = WeightSchedule(lam3=1.0, epsilon=cfg.epsilon)
@@ -268,7 +267,7 @@ class TestRunStage:
 
     def test_trace_rows_come_from_the_accepted_trials(self, cycle_series, quick_config):
         state, cfg, tables = initialize(cycle_series, config=quick_config)
-        gaps = effective_gaps(cycle_series, KickSeries.empty())
+        gaps = effective_gaps(cycle_series, KickSeries.empty(), 0.0)
         sched = WeightSchedule(lam1=1.0, lam2=1.0, lam3=1.0, epsilon=cfg.epsilon)
         out, trace = run_stage(state, cycle_series, tables, gaps, sched, {"z"}, 10, cfg)
         assert trace.iterations > 0
@@ -283,7 +282,7 @@ class TestRunStage:
 
     def test_start_row_carries_all_but_L3_L4(self, cycle_series, quick_config):
         state, cfg, tables = initialize(cycle_series, config=quick_config)
-        gaps = effective_gaps(cycle_series, KickSeries.empty())
+        gaps = effective_gaps(cycle_series, KickSeries.empty(), 0.0)
         sched = WeightSchedule(lam1=1.0, lam2=1.0, lam3=1.0, epsilon=cfg.epsilon)
         fresh = eval_components(state, cycle_series, tables, gaps, cfg.epsilon)
         marked = fresh._replace(L1=-1.0, L2=-2.0, L3=5.0, L4=6.0, L_b=-3.0, L_a=-4.0, L_omega=-5.0)
@@ -299,7 +298,7 @@ class TestRunStage:
         state, cfg, tables = initialize(cycle_series, config=quick_config)
         from mcsmooth import effective_gaps
 
-        gaps = effective_gaps(cycle_series, KickSeries.empty())
+        gaps = effective_gaps(cycle_series, KickSeries.empty(), 0.0)
         with pytest.raises(ValueError, match="unknown blocks"):
             run_stage(state, cycle_series, tables, gaps, WeightSchedule(lam3=1.0),
                       {"q"}, 1, cfg)
@@ -312,7 +311,7 @@ class TestRunStage:
         cfg = HyperConfig(eta=1e18, max_backtracks=1)
         state, cfg, tables = initialize(cycle_series, config=cfg)
         state = replace(state, x=state.x + 3.0)  # nonzero gradient, huge steps only
-        gaps = effective_gaps(cycle_series, KickSeries.empty())
+        gaps = effective_gaps(cycle_series, KickSeries.empty(), 0.0)
         sched = WeightSchedule(lam1=1.0, epsilon=0.1)
         with pytest.raises(StalledError, match="3 consecutive"):
             run_stage(state, cycle_series, tables, gaps, sched, {"x"}, 10, cfg)
@@ -324,6 +323,10 @@ class TestHyperConfig:
             HyperConfig(T_s=100.0, T_l=50.0)
         with pytest.raises(ValueError, match="T_s"):
             HyperConfig(T_s=-1.0)
+        with pytest.raises(ValueError, match="T_l must be positive"):
+            HyperConfig(T_l=-5.0)
+        with pytest.raises(ValueError, match="omega_tilde must be positive"):
+            HyperConfig(omega_tilde=0.0)
 
     def test_rejects_bad_line_search_settings(self):
         with pytest.raises(ValueError, match="backtrack_factor"):
@@ -360,8 +363,7 @@ class TestEstimate:
         obs = make_cycle_series(n=80)
         kicks = None
         if with_kicks:
-            kicks = KickSeries([obs.times[20] + 2.0, obs.times[50] + 2.0], [1.0, 3.0],
-                               typical_intensity=2.0)
+            kicks = KickSeries([obs.times[20] + 2.0, obs.times[50] + 2.0], [1.0, 3.0])
         res = estimate(obs, kicks, config=quick_config)
         final = eval_components(res.state, obs, res.tables, res.gaps, res.config.epsilon)
         assert res.components == res.traces[-1].components[-1] == final
@@ -405,17 +407,64 @@ class TestEstimate:
 
     def test_kicks_flow_through(self, quick_config):
         obs = make_cycle_series(n=80)
-        kicks = KickSeries([obs.times[20] + 2.0, obs.times[50] + 2.0], [1.0, 3.0],
-                           typical_intensity=2.0)
+        kicks = KickSeries([obs.times[20] + 2.0, obs.times[50] + 2.0], [1.0, 3.0])
         res = estimate(obs, kicks, config=quick_config)
+        assert res.kicks is kicks
         # alpha_kick resolved from the estimated short time scale
-        assert res.kicks.alpha_kick == pytest.approx(res.config.T_s / 2.0)
+        alpha = kicks.alpha_kick(res.config.T_s)
+        assert alpha == pytest.approx(res.config.T_s / 2.0)
         inflated = res.gaps.dt_relax - res.gaps.dt_phase
-        assert inflated[21] == pytest.approx(res.kicks.alpha_kick * 1.0)
-        assert inflated[51] == pytest.approx(res.kicks.alpha_kick * 3.0)
+        assert inflated[21] == pytest.approx(alpha * 1.0)
+        assert inflated[51] == pytest.approx(alpha * 3.0)
         assert np.count_nonzero(inflated) == 2
         for trace in res.traces:
             assert np.all(np.diff(trace.objective) >= 0)
+
+
+def estimate_bytes(res):
+    """The bytes of an estimate's state, gaps and trace rows."""
+    s = res.state
+    arrays = [s.x, s.z, s.params.b, s.params.a, s.params.omega, res.gaps.dt_relax]
+    for trace in res.traces:
+        arrays += [np.array(trace.objective), np.array(trace.components)]
+    return [a.tobytes() for a in arrays]
+
+
+KICK_PROPERTY_CONFIG = HyperConfig(max_iter_stage1a=5, max_iter_stage1b=5, max_iter_stage2=10)
+
+
+class TestKickProperties:
+    @settings(max_examples=15, deadline=None)
+    @given(seed=st.integers(0, 2**16), n=st.integers(8, 40),
+           kicks=st.dictionaries(st.floats(0.0, 1.0), st.floats(0.1, 5.0), max_size=3))
+    def test_estimate_is_deterministic(self, seed, n, kicks):
+        obs = irregular_series(seed, n, 60.0, 20.0)
+        t0, t1 = obs.span
+        # kick times as fractions of the span; two that round together merge
+        placed = dict(sorted((t0 + u * (t1 - t0), c) for u, c in kicks.items()))
+        series = KickSeries(list(placed), list(placed.values()))
+        r1 = estimate(obs, series, KICK_PROPERTY_CONFIG)
+        r2 = estimate(obs, series, KICK_PROPERTY_CONFIG)
+        assert estimate_bytes(r1) == estimate_bytes(r2)
+
+    @settings(max_examples=15, deadline=None)
+    @given(seed=st.integers(0, 2**16), n=st.integers(8, 40), data=st.data())
+    def test_kick_at_a_sample_time_acts_as_one_just_after_it(self, seed, n, data):
+        # Every coupling counts a kick in [lo, hi): one at t_i and one anywhere in
+        # (t_i, t_{i+1}) separate the same pairs of samples.
+        obs = irregular_series(seed, n, 60.0, 20.0)
+        t = obs.times
+        at = sorted(data.draw(st.sets(st.integers(0, n - 2), min_size=1, max_size=3)))
+        inside = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
+        moved = [t[i] + data.draw(inside) * (t[i + 1] - t[i]) for i in at]
+        assume(all(t[i] < m < t[i + 1] for i, m in zip(at, moved)))
+        intensities = data.draw(st.lists(st.floats(0.1, 5.0), min_size=len(at), max_size=len(at)))
+        on, off = KickSeries(t[at], intensities), KickSeries(moved, intensities)
+        alpha = on.alpha_kick(100.0)
+        for of in (lambda k: effective_gaps(obs, k, alpha).dt_relax, lambda k: time_kernel(t, k, alpha, 400.0)):
+            assert of(on).tobytes() == of(off).tobytes()
+        assert estimate_bytes(estimate(obs, on, KICK_PROPERTY_CONFIG)) == \
+            estimate_bytes(estimate(obs, off, KICK_PROPERTY_CONFIG))
 
 
 class TestReconstruct:
@@ -461,8 +510,7 @@ class TestReconstruct:
         res = self.result()
         state, t, T_s = res.state, res.obs.times, res.config.T_s
         j, tau = 10, 2.0
-        kicked = replace(res, kicks=KickSeries([t[j]], [2.0], typical_intensity=2.0)
-                         .with_time_scale(T_s))
+        kicked = replace(res, kicks=KickSeries([t[j]], [2.0]))
         before = [t[j - 1] + tau]
         assert reconstruct_trajectory(kicked, before)[0] == reconstruct_trajectory(res, before)[0]
         pol = to_polar(state.x[j], state.z[j], state.params.b[j])
@@ -506,8 +554,7 @@ def test_reconstruction_matches_the_loop_oracle(case):
     grid, kick_times, intensities = case
     res = irregular_result()
     if kick_times:
-        kicks = KickSeries(kick_times, intensities, typical_intensity=float(np.mean(intensities)))
-        res = replace(res, kicks=kicks.with_time_scale(res.config.T_s))
+        res = replace(res, kicks=KickSeries(kick_times, intensities))
     values, dashed = reconstruct_trajectory(res, grid)
     want, want_dashed = reconstruct_loop(res, grid)
     np.testing.assert_allclose(values, want, rtol=1e-15, atol=0)
@@ -519,13 +566,13 @@ def test_reconstruction_matches_the_loop_oracle(case):
 class TestDensityEstimate:
     def test_single_datum_peak(self):
         obs = make_cycle_series(n=30)
-        tables = tables_for(obs, KickSeries.empty(), 140.0, 560.0)
+        tables = tables_for(obs, KickSeries.empty(), 0.0, 140.0, 560.0)
         rho = density_estimate([100.0], [50.0], tables.h, tables.T_l, at_time=50.0, grid=[100.0])
         assert rho[0] == pytest.approx(1.0 / (np.sqrt(2 * np.pi) * tables.h), rel=1e-12)
 
     def test_normalization_by_quadrature(self):
         obs = make_cycle_series(n=30)
-        tables = tables_for(obs, KickSeries.empty(), 140.0, 560.0)
+        tables = tables_for(obs, KickSeries.empty(), 0.0, 140.0, 560.0)
         grid = np.linspace(obs.values.min() - 6 * tables.h, obs.values.max() + 6 * tables.h, 2001)
         rho = density_estimate(obs.values, obs.times, tables.h, tables.T_l, at_time=70.0, grid=grid)
         integral = float(np.sum(0.5 * (rho[1:] + rho[:-1]) * np.diff(grid)))
@@ -538,7 +585,7 @@ class TestDensityEstimate:
 
     def test_identical_inputs_identical_densities(self):
         obs = make_cycle_series(n=30)
-        tables = tables_for(obs, KickSeries.empty(), 140.0, 560.0)
+        tables = tables_for(obs, KickSeries.empty(), 0.0, 140.0, 560.0)
         grid = np.linspace(80, 200, 101)
         rx = density_estimate(obs.values, obs.times, tables.h, tables.T_l, 70.0, grid)
         ry = density_estimate(obs.values.copy(), obs.times, tables.h, tables.T_l, 70.0, grid)

@@ -47,8 +47,8 @@ def two_index_state(dt, x=(0.0, 0.0), z=(0.0, 0.0), b=(120.0, 120.0), a=(3.0, 3.
                     omega=(0.05, 0.05), sigma=1.0, priors=None, T_s=100.0, T_l=400.0):
     """A two-observation state with one transition of length dt, no kicks."""
     obs = ObservationSeries([0.0, dt], [1.0, 2.0])
-    tables = tables_for(obs, KickSeries.empty(), T_s, T_l)
-    gaps = effective_gaps(obs, KickSeries.empty())
+    tables = tables_for(obs, KickSeries.empty(), 0.0, T_s, T_l)
+    gaps = effective_gaps(obs, KickSeries.empty(), 0.0)
     priors = priors if priors is not None else ParamPriors(120.0, 3.0, 0.05, 1.0, 1.0, 1.0)
     state = EstimationState(x, z, ParamTrajectory(b, a, omega), priors, ModelNoise(sigma))
     return state, obs, tables, gaps
@@ -236,28 +236,27 @@ class TestEffectiveGaps:
         return ObservationSeries([0.0, 60.0, 150.0], [1.0, 2.0, 3.0])
 
     def test_no_kicks_equal(self):
-        gaps = effective_gaps(self.obs(), KickSeries.empty())
+        gaps = effective_gaps(self.obs(), KickSeries.empty(), 0.0)
         assert np.array_equal(gaps.dt_phase, gaps.dt_relax)
         assert gaps.dt_phase.tolist() == [0.0, 60.0, 90.0]
 
     def test_typical_kick_adds_one_timescale(self):
         T_s = 100.0
-        kicks = KickSeries([30.0], [2.0], typical_intensity=2.0).with_time_scale(T_s)
-        gaps = effective_gaps(self.obs(), kicks)
+        kicks = KickSeries([30.0], [2.0])
+        gaps = effective_gaps(self.obs(), kicks, kicks.alpha_kick(T_s))
         assert gaps.dt_relax[1] == pytest.approx(60.0 + T_s, rel=1e-14)
         assert gaps.dt_relax[2] == 90.0
 
     def test_kick_at_measurement_time_in_following_gap(self):
-        kicks = KickSeries([60.0], [2.0], typical_intensity=2.0).with_time_scale(100.0)
-        gaps = effective_gaps(self.obs(), kicks)
+        kicks = KickSeries([60.0], [2.0])
+        gaps = effective_gaps(self.obs(), kicks, kicks.alpha_kick(100.0))
         assert gaps.dt_relax[1] == 60.0
         assert gaps.dt_relax[2] == pytest.approx(90.0 + 100.0, rel=1e-14)
 
     def test_phase_gaps_never_inflated(self):
         rng = np.random.default_rng(23)
         obs = self.obs()
-        kicks = KickSeries(np.sort(rng.uniform(1, 149, 5)), rng.uniform(0, 4, 5),
-                           typical_intensity=2.0, alpha_kick=60.0)
-        gaps = effective_gaps(obs, kicks)
+        kicks = KickSeries(np.sort(rng.uniform(1, 149, 5)), rng.uniform(0, 4, 5))
+        gaps = effective_gaps(obs, kicks, 60.0)
         assert np.array_equal(gaps.dt_phase, obs.gaps())
         assert np.all(gaps.dt_relax >= gaps.dt_phase)

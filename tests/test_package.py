@@ -1,6 +1,7 @@
 import importlib
 import inspect
 import pkgutil
+import re
 from pathlib import Path
 
 import pytest
@@ -28,3 +29,18 @@ def test_only_read_columns_parses_csv():
         assert "import csv" not in source, path.name
         inside = reader.count("np.loadtxt") if path.name == "timeseries.py" else 0
         assert source.count("np.loadtxt") == inside, path.name
+
+
+def test_only_kick_series_reads_kicks():
+    # How a kick adds time is written once: other modules see kicks only through
+    # KickSeries.intensity_before and KickSeries.alpha_kick, the one division by
+    # the mean intensity.
+    reads = re.compile(r"\bkicks\.times\b|\.intensities\b")
+    divides = re.compile(r"/[^/\n]*(intensit|mean)")
+    owner = inspect.getsource(mcsmooth.timeseries.KickSeries.alpha_kick)
+    assert len(divides.findall(owner)) == 1
+    for path in sorted(Path(mcsmooth.__file__).parent.glob("*.py")):
+        source = path.read_text(encoding="utf-8")
+        if path.name != "timeseries.py":
+            assert reads.findall(source) == [], path.name
+        assert divides.findall(source) == divides.findall(owner if path.name == "timeseries.py" else ""), path.name

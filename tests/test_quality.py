@@ -78,7 +78,7 @@ def test_initial_period_within_5_percent(constant_feed, spec):
 @pytest.mark.parametrize("kicked", [False, True])
 @pytest.mark.parametrize("seed", [11, 12, 13])
 def test_feed_switch_beats_linear_interpolation(feed_switch, seed, kicked):
-    kicks = KickSeries([7000.0], [1.0], typical_intensity=1.0) if kicked else None
+    kicks = KickSeries([7000.0], [1.0]) if kicked else None
     recon, linear = rmse_pair(feed_switch, h2(feed_switch, seed), kicks)
     assert recon < linear
 

@@ -8,6 +8,7 @@ from mcsmooth import (
     load_kicks,
     load_observations,
     subsample,
+    time_kernel,
     write_observations,
 )
 
@@ -66,55 +67,57 @@ class TestObservationSeries:
 
 class TestLoadKicks:
     def test_mean_intensity_and_alpha(self, tmp_path):
-        kicks = load_kicks(write(tmp_path, "k.csv", "10,1\n20,3\n"), T_s=100.0)
-        assert kicks.typical_intensity == 2.0
-        assert kicks.alpha_kick == 50.0
+        kicks = load_kicks(write(tmp_path, "k.csv", "10,1\n20,3\n"))
+        assert kicks.intensities.mean() == 2.0
+        assert kicks.alpha_kick(100.0) == 50.0
 
     def test_empty_file(self, tmp_path):
-        kicks = load_kicks(write(tmp_path, "k.csv", ""), T_s=100.0)
+        kicks = load_kicks(write(tmp_path, "k.csv", ""))
         assert kicks.n == 0
+        assert kicks.alpha_kick(100.0) == 0.0
 
     def test_negative_intensity_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="negative intensity"):
-            load_kicks(write(tmp_path, "k.csv", "10,-1\n"), T_s=100.0)
+            load_kicks(write(tmp_path, "k.csv", "10,-1\n"))
 
     def test_non_monotone_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="strictly increasing"):
-            load_kicks(write(tmp_path, "k.csv", "20,1\n10,1\n"), T_s=100.0)
+            load_kicks(write(tmp_path, "k.csv", "20,1\n10,1\n"))
+
+    def test_zero_mean_intensity_rejected(self, tmp_path):
+        with pytest.raises(ValueError, match="mean intensity must be positive"):
+            load_kicks(write(tmp_path, "k.csv", "10,0\n20,0\n"))
+        with pytest.raises(ValueError, match="mean intensity must be positive"):
+            KickSeries([10.0, 20.0], [0.0, 0.0])
 
 
 class TestKickConventions:
     def test_kick_at_measurement_time_counts_in_following_gap(self):
-        kicks = KickSeries([10.0], [2.0], typical_intensity=2.0, alpha_kick=1.0)
+        kicks = KickSeries([10.0], [2.0])
         t = np.array([0.0, 10.0, 20.0])
-        assert kicks.intensity_between(t[:-1], t[1:]).tolist() == [0.0, 2.0]
+        assert np.diff(kicks.intensity_before(t)).tolist() == [0.0, 2.0]
 
     def test_pairwise_strictly_between(self):
-        kicks = KickSeries([10.0], [2.0], typical_intensity=2.0, alpha_kick=1.0)
-        pair = kicks.pairwise_intensity(np.array([0.0, 10.0, 20.0]))
-        # the kick sits exactly at t=10: inflates only the (0, 20) pair
-        assert pair[0, 2] == 2.0 and pair[2, 0] == 2.0
-        assert pair[0, 1] == 0.0 and pair[1, 2] == 0.0
-        assert np.all(np.diag(pair) == 0.0)
+        # The kick sits exactly at t=10. The time kernel counts it the way the
+        # gaps do, in [lo, hi): it separates (10, 20) and (0, 20), not (0, 10).
+        kicks = KickSeries([10.0], [2.0])
+        t = np.array([0.0, 10.0, 20.0])
+        dist = np.array([[0.0, 10.0, 22.0], [10.0, 0.0, 12.0], [22.0, 12.0, 0.0]])
+        T_l = 30.0
+        want = np.exp(-(dist * dist) / (2.0 * T_l * T_l)) / (np.sqrt(2.0 * np.pi) * T_l)
+        assert np.array_equal(time_kernel(t, kicks, 1.0, T_l), want)
 
-    def test_pairwise_rows_match_the_symmetrized_upper_triangle(self):
-        t = np.array([0.0, 10.0, 20.0, 35.0, 50.0, 51.0, 80.0])
-        kicks = KickSeries([10.0, 20.0, 40.0, 50.5], [2.0, 0.5, 1.25, 3.0],
-                           typical_intensity=2.0, alpha_kick=1.0)
-        cum = np.concatenate(([0.0], np.cumsum(kicks.intensities)))
-        strict = cum[np.searchsorted(kicks.times, t, side="left")]
-        incl = cum[np.searchsorted(kicks.times, t, side="right")]
-        upper = np.triu(strict[None, :] - incl[:, None], k=1)
-        want = upper + upper.T
-        assert np.array_equal(kicks.pairwise_intensity(t), want)
-        for rows in (slice(0, 3), slice(3, 7), slice(6, 7)):
-            assert np.array_equal(kicks.pairwise_intensity(t, rows), want[rows])
-        assert np.array_equal(KickSeries.empty().pairwise_intensity(t, slice(2, 5)), np.zeros((3, 7)))
+    def test_intensity_before_half_open(self):
+        kicks = KickSeries([10.0, 30.0], [1.0, 4.0])
+        assert kicks.intensity_before([10.0, 30.0, 31.0]).tolist() == [0.0, 1.0, 5.0]
+        # the intensity in [lo, hi)
+        assert kicks.intensity_before(30.0) - kicks.intensity_before(10.0) == 1.0
+        assert kicks.intensity_before(31.0) - kicks.intensity_before(5.0) == 5.0
+        assert KickSeries.empty().intensity_before([0.0, 5.0]).tolist() == [0.0, 0.0]
 
-    def test_intensity_between_half_open(self):
-        kicks = KickSeries([10.0, 30.0], [1.0, 4.0], typical_intensity=2.5, alpha_kick=1.0)
-        assert kicks.intensity_between(10.0, 30.0) == 1.0
-        assert kicks.intensity_between(5.0, 31.0) == 5.0
+    def test_alpha_is_T_s_over_the_mean_intensity(self):
+        assert KickSeries([10.0, 30.0], [1.0, 4.0]).alpha_kick(100.0) == 100.0 / 2.5
+        assert KickSeries.empty().alpha_kick(100.0) == 0.0
 
 
 class TestSubsample:
