@@ -27,7 +27,6 @@ import numpy as np
 from .kernels import KernelTables, column_sum, gaussian_kernel, row_tiles
 from .objective import EstimationState, WeightSchedule, eval_total, long_decay
 from .oscillator import EffectiveGaps, transition_quantities
-from .timeseries import ObservationSeries
 
 __all__ = ["GradientBundle", "PolarSingularityError", "grad_total", "fd_check"]
 
@@ -48,15 +47,16 @@ class GradientBundle:
         return self.d_x, self.d_z, self.d_b, self.d_a, self.d_omega
 
 
-def _grad_L1(state, obs, tables, epsilon):
-    ky = gaussian_kernel(obs.values, state.x, tables.h)
-    denom = (1.0 - epsilon) * ky + epsilon * tables.rho0
+def _grad_L1(state, tables):
+    y, eps = tables.y, tables.epsilon
+    ky = gaussian_kernel(y, state.x, tables.h)
+    denom = (1.0 - eps) * ky + eps * tables.rho0
     h2 = tables.h ** 2
-    return (1.0 - epsilon) / (state.n * h2) * (obs.values - state.x) * ky / denom
+    return (1.0 - eps) / (state.n * h2) * (y - state.x) * ky / denom
 
 
-def _grad_L2(state, obs, tables):
-    x, y, h = state.x, obs.values, tables.h
+def _grad_L2(state, tables):
+    x, y, h = state.x, tables.y, tables.h
 
     def tiles():
         # W * ((x_i - x_j) Kxx - (y_i - x_j) Kyx), one row tile at a time
@@ -83,13 +83,7 @@ def _grad_Lparam(alpha, alpha_tilde, sigma_l, d_l, n):
     return out / n
 
 
-def grad_total(
-    state: EstimationState,
-    obs: ObservationSeries,
-    tables: KernelTables,
-    gaps: EffectiveGaps,
-    schedule: WeightSchedule,
-) -> GradientBundle:
+def grad_total(state: EstimationState, tables: KernelTables, schedule: WeightSchedule) -> GradientBundle:
     """Gradient of the weighted total objective with respect to every block."""
     n = state.n
     d_x = np.zeros(n)
@@ -99,12 +93,12 @@ def grad_total(
     d_om = np.zeros(n)
 
     if schedule.lam1:
-        d_x += schedule.lam1 * _grad_L1(state, obs, tables, schedule.epsilon)
+        d_x += schedule.lam1 * _grad_L1(state, tables)
     if schedule.lam2:
-        d_x += schedule.lam2 * _grad_L2(state, obs, tables)
+        d_x += schedule.lam2 * _grad_L2(state, tables)
 
     if schedule.lam3 or schedule.lam4:
-        q = transition_quantities(state.x, state.z, state.params, gaps, tables.T_s)
+        q = transition_quantities(state.x, state.z, state.params, tables.gaps, tables.T_s)
         r = q.r_prev
         floor = 1e-8 * float(np.mean(state.params.a))
         if np.any(r <= floor):
@@ -116,7 +110,7 @@ def grad_total(
         u = state.x[:-1] - state.params.b[:-1]
         zp = state.z[:-1]
         cphi, sphi = np.cos(q.phi), np.sin(q.phi)
-        dtp = gaps.dt_phase[1:]
+        dtp = tables.gaps.dt_phase[1:]
 
         if schedule.lam3:
             gx = (state.x[1:] - q.mean_x) / var
@@ -147,7 +141,7 @@ def grad_total(
             d_b[:-1] += -w * dx_src
 
     if schedule.any_param:
-        d_l = long_decay(gaps, tables.T_l)
+        d_l = long_decay(tables)
         p, pr = state.params, state.priors
         if schedule.lam_b:
             d_b += schedule.lam_b * _grad_Lparam(p.b, pr.b_tilde, pr.sigma_b, d_l, n)
@@ -170,12 +164,7 @@ def _perturbed(state, block: str, idx: int, value):
 
 
 def fd_check(
-    state: EstimationState,
-    obs: ObservationSeries,
-    tables: KernelTables,
-    gaps: EffectiveGaps,
-    schedule: WeightSchedule,
-    step: float = 1e-6,
+    state: EstimationState, tables: KernelTables, schedule: WeightSchedule, step: float = 1e-6
 ) -> float:
     """Max relative error of grad_total against central finite differences.
 
@@ -185,7 +174,7 @@ def fd_check(
     """
     if step <= 0:
         raise ValueError("fd_check: step must be positive")
-    g = grad_total(state, obs, tables, gaps, schedule)
+    g = grad_total(state, tables, schedule)
     analytic = {"x": g.d_x, "z": g.d_z, "b": g.d_b, "a": g.d_a, "omega": g.d_omega}
 
     # Extended precision keeps the central differences from being swamped by
@@ -197,9 +186,9 @@ def fd_check(
     p = state.params
     wstate = replace(state, x=ld(state.x), z=ld(state.z),
                      params=replace(p, b=ld(p.b), a=ld(p.a), omega=ld(p.omega)))
-    wobs = replace(obs, times=ld(obs.times), values=ld(obs.values))
-    wtables = replace(tables, rho0=ld(tables.rho0), W=ld(tables.W))
-    wgaps = EffectiveGaps(ld(gaps.dt_phase), ld(gaps.dt_relax))
+    gaps = tables.gaps
+    wtables = replace(tables, y=ld(tables.y), rho0=ld(tables.rho0), W=ld(tables.W),
+                      gaps=EffectiveGaps(ld(gaps.dt_phase), ld(gaps.dt_relax)))
     values = {
         "x": wstate.x,
         "z": wstate.z,
@@ -212,8 +201,8 @@ def fd_check(
         for i in range(state.n):
             v = vals[i]
             h = np.longdouble(step) * max(1.0, abs(float(v)))
-            hi = eval_total(_perturbed(wstate, block, i, v + h), wobs, wtables, wgaps, schedule)
-            lo = eval_total(_perturbed(wstate, block, i, v - h), wobs, wtables, wgaps, schedule)
+            hi = eval_total(_perturbed(wstate, block, i, v + h), wtables, schedule)
+            lo = eval_total(_perturbed(wstate, block, i, v - h), wtables, schedule)
             numeric = float((hi - lo) / (2.0 * h))
             a = float(analytic[block][i])
             err = abs(a - numeric) / max(abs(a), abs(numeric), 1e-12)

@@ -4,7 +4,7 @@ The time kernel operates on kick-adjusted distances: the plain distance
 |t_i - t_j| is inflated by alpha times the total intensity of the kicks at
 min(t_i, t_j) <= k < max(t_i, t_j), the gaps' half-open rule
 (``KickSeries.intensity_before``). Per-gap decay factors are not tabulated here;
-the objective derives them from ``oscillator.effective_gaps``.
+the objective derives them from the tables' gaps (``oscillator.effective_gaps``).
 
 Every n x n quantity is formed in row tiles of about ``TILE_ELEMENTS``
 elements, so the pairwise work stays in cache and the only n x n array the
@@ -20,6 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .oscillator import EffectiveGaps
 from .timeseries import KickSeries, ObservationSeries
 
 __all__ = [
@@ -100,9 +101,11 @@ def time_kernel(t, kicks: KickSeries, alpha: float, T_l: float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class KernelTables:
-    """Bandwidths, reference densities, and the L2 weight table.
+    """Everything the objective reads that no stage moves.
 
-    h is the data bandwidth and rho0[i] the mean over j of K^y(y^i, y^j).
+    y is the data, gaps its kick-adjusted gaps (``oscillator.effective_gaps``)
+    and epsilon the L1 mollification weight. h is the data bandwidth and
+    rho0[i] the mean over j of K^y(y^i, y^j).
     With Kt the kick-adjusted time kernel (``time_kernel``, bandwidth T_l)
     and s_i = sum_l Kt[i, l], W[i, j] = Kt[i, j] / s_j + Kt[i, j] / s_i is
     the symmetric time weighting of the distributional component L2 and of
@@ -111,24 +114,33 @@ class KernelTables:
     L2 vanishes exactly at x = y. W is the only n x n table.
     """
 
+    y: np.ndarray
+    gaps: EffectiveGaps
     h: float
     T_s: float
     T_l: float
+    epsilon: float
     rho0: np.ndarray
     W: np.ndarray
     wky: float
 
 
-def build_tables(obs: ObservationSeries, Kt: np.ndarray, T_s: float, T_l: float) -> KernelTables:
-    """Precompute the kernel tables for an observation series.
+def build_tables(
+    obs: ObservationSeries, Kt: np.ndarray, gaps: EffectiveGaps, T_s: float, T_l: float, epsilon: float
+) -> KernelTables:
+    """Precompute the kernel tables for an observation series and its gaps.
 
     Its time kernel Kt (``time_kernel``, bandwidth T_l) becomes W in place: do not reuse Kt.
     """
     if T_s <= 0 or T_l <= 0:
         raise ValueError("build_tables: time scales must be positive")
+    if not 0.0 <= epsilon < 1.0:
+        raise ValueError("build_tables: epsilon must lie in [0, 1)")
     y, n = obs.values, obs.n
     if Kt.shape != (n, n):
         raise ValueError(f"build_tables: time kernel has shape {Kt.shape}, expected ({n}, {n})")
+    if gaps.dt_relax.shape != (n,):
+        raise ValueError(f"build_tables: gaps have shape {gaps.dt_relax.shape}, expected ({n},)")
     h = bandwidth_rule_of_thumb(y)
 
     W = Kt
@@ -147,4 +159,5 @@ def build_tables(obs: ObservationSeries, Kt: np.ndarray, T_s: float, T_l: float)
             yield Ky
 
     wky = float(column_sum(weighted_ky_tiles()).sum())
-    return KernelTables(h=h, T_s=float(T_s), T_l=float(T_l), rho0=rho0, W=W, wky=wky)
+    return KernelTables(y=y, gaps=gaps, h=h, T_s=float(T_s), T_l=float(T_l), epsilon=float(epsilon),
+                        rho0=rho0, W=W, wky=wky)

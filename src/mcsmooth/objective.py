@@ -1,5 +1,7 @@
 """The multicomponent objective: point-wise, distributional, model, and flex terms.
 
+Each component is a function of the moving state and of the ``KernelTables``,
+which hold everything no stage moves: the data y, its gaps and epsilon.
 L1 rewards point-wise kernel agreement of the surrogate x with the data y
 (mollified by epsilon), L2 rewards agreement of their time-modulated kernel
 densities, L3/L4 reward coherence with the oscillatory model's transition
@@ -15,15 +17,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .kernels import KernelTables, column_sum, gaussian_kernel, row_tiles
-from .oscillator import (
-    LOG_2PI,
-    EffectiveGaps,
-    ModelNoise,
-    ParamPriors,
-    ParamTrajectory,
-    transition_quantities,
-)
-from .timeseries import ObservationSeries, float_array
+from .oscillator import LOG_2PI, ModelNoise, ParamPriors, ParamTrajectory, transition_quantities
+from .timeseries import float_array
 
 __all__ = [
     "EstimationState",
@@ -63,7 +58,7 @@ class EstimationState:
 
 @dataclass(frozen=True)
 class WeightSchedule:
-    """Component weights lambda_k and the mollification weight epsilon."""
+    """Component weights lambda_k."""
 
     lam1: float = 0.0
     lam2: float = 0.0
@@ -72,19 +67,16 @@ class WeightSchedule:
     lam_b: float = 0.0
     lam_a: float = 0.0
     lam_omega: float = 0.0
-    epsilon: float = 0.1
 
     def __post_init__(self):
         lams = (self.lam1, self.lam2, self.lam3, self.lam4, self.lam_b, self.lam_a, self.lam_omega)
         if min(lams) < 0:
             raise ValueError("WeightSchedule: weights must be nonnegative")
-        if not 0.0 <= self.epsilon < 1.0:
-            raise ValueError("WeightSchedule: epsilon must lie in [0, 1)")
 
     @classmethod
-    def from_lambdas(cls, lambdas, epsilon: float = 0.1) -> "WeightSchedule":
+    def from_lambdas(cls, lambdas) -> "WeightSchedule":
         l1, l2, l3, l4, lb, la, lo = (float(v) for v in lambdas)
-        return cls(l1, l2, l3, l4, lb, la, lo, epsilon)
+        return cls(l1, l2, l3, l4, lb, la, lo)
 
     @property
     def any_param(self) -> bool:
@@ -114,13 +106,14 @@ class Components(NamedTuple):
     L_omega: float
 
 
-def eval_L1(state: EstimationState, obs: ObservationSeries, tables: KernelTables, epsilon: float) -> float:
+def eval_L1(state: EstimationState, tables: KernelTables) -> float:
     """Mollified point-wise log-likelihood of the data under the surrogates."""
-    ky = gaussian_kernel(obs.values, state.x, tables.h)
-    return np.mean(np.log((1.0 - epsilon) * ky + epsilon * tables.rho0))
+    ky = gaussian_kernel(tables.y, state.x, tables.h)
+    eps = tables.epsilon
+    return np.mean(np.log((1.0 - eps) * ky + eps * tables.rho0))
 
 
-def eval_L2(state: EstimationState, obs: ObservationSeries, tables: KernelTables) -> float:
+def eval_L2(state: EstimationState, tables: KernelTables) -> float:
     """Symmetrized time-weighted discrepancy between the x and y measures.
 
     Vanishes exactly at x = y and, in the uniform-weight limit, is the
@@ -128,7 +121,7 @@ def eval_L2(state: EstimationState, obs: ObservationSeries, tables: KernelTables
     The x-dependent part sum W * (Kxx - 2 Kyx) is formed in row tiles; the
     rest, sum W * Ky, is the precomputed ``tables.wky``.
     """
-    x, y, h = state.x, obs.values, tables.h
+    x, y, h = state.x, tables.y, tables.h
 
     def tiles():
         for r in row_tiles(state.n):
@@ -142,16 +135,11 @@ def eval_L2(state: EstimationState, obs: ObservationSeries, tables: KernelTables
     return -(column_sum(tiles()).sum() + tables.wky) / (2.0 * state.n)
 
 
-def eval_L3_L4(
-    state: EstimationState,
-    obs: ObservationSeries,
-    tables: KernelTables,
-    gaps: EffectiveGaps,
-) -> tuple[float, float]:
+def eval_L3_L4(state: EstimationState, tables: KernelTables) -> tuple[float, float]:
     """Model-coherence log-likelihoods of x and z transitions, 1/n normalized."""
     if state.n < 2:
         raise ValueError("eval_L3_L4: need at least 2 samples")
-    q = transition_quantities(state.x, state.z, state.params, gaps, tables.T_s)
+    q = transition_quantities(state.x, state.z, state.params, tables.gaps, tables.T_s)
     var = state.noise.sigma ** 2
     base = -0.5 * (LOG_2PI + np.log(var))
     rx = state.x[1:] - q.mean_x
@@ -162,9 +150,9 @@ def eval_L3_L4(
     return L3, L4
 
 
-def long_decay(gaps: EffectiveGaps, T_l: float) -> np.ndarray:
+def long_decay(tables: KernelTables) -> np.ndarray:
     """Decay d_l = exp(-dt_relax / T_l) of the parameter trajectories across each gap."""
-    return np.exp(-gaps.dt_relax[1:] / T_l)
+    return np.exp(-tables.gaps.dt_relax[1:] / tables.T_l)
 
 
 def _param_flex(alpha: np.ndarray, alpha_tilde: float, sigma_l: float, d_l: np.ndarray, n: int) -> float:
@@ -174,15 +162,11 @@ def _param_flex(alpha: np.ndarray, alpha_tilde: float, sigma_l: float, d_l: np.n
     return np.sum(-0.5 * (LOG_2PI + np.log(var)) - resid * resid / (2.0 * var)) / n
 
 
-def eval_Lparams(
-    state: EstimationState,
-    tables: KernelTables,
-    gaps: EffectiveGaps,
-) -> tuple[float, float, float]:
+def eval_Lparams(state: EstimationState, tables: KernelTables) -> tuple[float, float, float]:
     """Flex log-likelihoods for the b, a and omega trajectories."""
-    if np.any(gaps.dt_relax[1:] <= 0):
+    if np.any(tables.gaps.dt_relax[1:] <= 0):
         raise ValueError("eval_Lparams: degenerate variance at zero gap")
-    d_l = long_decay(gaps, tables.T_l)
+    d_l = long_decay(tables)
     p, pr, n = state.params, state.priors, state.n
     return (
         _param_flex(p.b, pr.b_tilde, pr.sigma_b, d_l, n),
@@ -191,28 +175,19 @@ def eval_Lparams(
     )
 
 
-def eval_total(
-    state: EstimationState,
-    obs: ObservationSeries,
-    tables: KernelTables,
-    gaps: EffectiveGaps,
-    schedule: WeightSchedule,
-) -> float:
+def eval_total(state: EstimationState, tables: KernelTables, schedule: WeightSchedule) -> float:
     """Weighted total objective; components with zero weight are not evaluated."""
     s = schedule
-    L1 = eval_L1(state, obs, tables, s.epsilon) if s.lam1 else 0.0
-    L2 = eval_L2(state, obs, tables) if s.lam2 else 0.0
-    L3, L4 = eval_L3_L4(state, obs, tables, gaps) if s.lam3 or s.lam4 else (0.0, 0.0)
-    L_b, L_a, L_om = eval_Lparams(state, tables, gaps) if s.any_param else (0.0, 0.0, 0.0)
+    L1 = eval_L1(state, tables) if s.lam1 else 0.0
+    L2 = eval_L2(state, tables) if s.lam2 else 0.0
+    L3, L4 = eval_L3_L4(state, tables) if s.lam3 or s.lam4 else (0.0, 0.0)
+    L_b, L_a, L_om = eval_Lparams(state, tables) if s.any_param else (0.0, 0.0, 0.0)
     return s.total(Components(L1, L2, L3, L4, L_b, L_a, L_om))
 
 
 def eval_components(
     state: EstimationState,
-    obs: ObservationSeries,
     tables: KernelTables,
-    gaps: EffectiveGaps,
-    epsilon: float,
     start: Components | None = None,
     moved=("x", "z", "params"),
 ) -> Components:
@@ -223,13 +198,13 @@ def eval_components(
     copied from it unless x moved, and the three parameter components unless
     the params moved. L3 and L4 are always evaluated.
     """
-    L3, L4 = eval_L3_L4(state, obs, tables, gaps)
+    L3, L4 = eval_L3_L4(state, tables)
     if start is None or "params" in moved:
-        L_b, L_a, L_om = eval_Lparams(state, tables, gaps)
+        L_b, L_a, L_om = eval_Lparams(state, tables)
     else:
         L_b, L_a, L_om = start.L_b, start.L_a, start.L_omega
     if start is None or "x" in moved:
-        L1, L2 = eval_L1(state, obs, tables, epsilon), eval_L2(state, obs, tables)
+        L1, L2 = eval_L1(state, tables), eval_L2(state, tables)
     else:
         L1, L2 = start.L1, start.L2
     return Components(L1, L2, L3, L4, L_b, L_a, L_om)

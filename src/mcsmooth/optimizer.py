@@ -23,14 +23,7 @@ import numpy as np
 from .gradients import grad_total
 from .kernels import KernelTables, build_tables, gaussian_kernel, row_tiles, time_kernel
 from .objective import Components, EstimationState, WeightSchedule, eval_components
-from .oscillator import (
-    EffectiveGaps,
-    ModelNoise,
-    ParamPriors,
-    ParamTrajectory,
-    effective_gaps,
-    propagate,
-)
+from .oscillator import ModelNoise, ParamPriors, ParamTrajectory, effective_gaps, propagate
 from .timeseries import KickSeries, ObservationSeries, read_columns, repr_rows, write_csv_rows
 
 __all__ = [
@@ -51,15 +44,15 @@ STAGE1A_LAMBDAS = (0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0)
 STAGE1B_LAMBDAS = (0.0, 0.0, 1.0, 1.0, 0.0, 0.0, 0.0)
 STAGE2_LAMBDAS = (1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0)
 
-# y - mean(y) within this fraction of max(1, max|y|) has no definite sign.
-SIGN_DEAD_ZONE = 1e-9
+# y - mean(y) within this fraction of max(1, max|y|) counts as constant to round-off.
+CONSTANT_TOLERANCE = 1e-9
 
 # Prior band of the period in minutes; ultradian periods are about 80-180 min (Sturis et al. 1991).
 PERIOD_BAND = (60.0, 400.0)
 
 
 class FrequencyEstimationError(ValueError):
-    """Raised when y - mean(y) has no definite sign, so omega cannot be estimated."""
+    """Raised when y is constant to round-off, so omega cannot be estimated."""
 
 
 class StalledError(RuntimeError):
@@ -107,6 +100,12 @@ class HyperConfig:
             raise ValueError("HyperConfig: backtrack_factor must lie in (0, 1)")
         if self.max_backtracks < 1:
             raise ValueError("HyperConfig: max_backtracks must be at least 1")
+        if not 0.0 <= self.epsilon < 1.0:
+            raise ValueError("HyperConfig: epsilon must lie in [0, 1)")
+        for stage in ("stage1a", "stage1b", "stage2"):
+            lams = getattr(self, f"weights_{stage}")
+            if len(lams) != 7 or not all(math.isfinite(v) and v >= 0 for v in lams):
+                raise ValueError(f"HyperConfig: weights_{stage} must hold 7 finite nonnegative weights")
 
 
 @dataclass
@@ -126,11 +125,14 @@ class EstimationResult:
     state: EstimationState
     config: HyperConfig
     tables: KernelTables
-    gaps: EffectiveGaps
     obs: ObservationSeries
     kicks: KickSeries
     traces: tuple[StageTrace, ...]
-    components: Components
+
+    @property
+    def components(self) -> Components:
+        """The components of the final state: the last row of the last stage's trace."""
+        return self.traces[-1].components[-1]
 
     @property
     def iterations(self) -> int:
@@ -193,9 +195,9 @@ def resolve_time_scales(obs: ObservationSeries, config: HyperConfig) -> tuple[fl
         omega_tilde = float(config.omega_tilde)
     else:
         resid = obs.values - float(obs.values.mean())
-        if np.max(np.abs(resid)) <= SIGN_DEAD_ZONE * max(1.0, float(np.max(np.abs(obs.values)))):
-            raise FrequencyEstimationError("resolve_time_scales: y - b has no definite sign and no "
-                                           "sign changes; supply omega_tilde")
+        if np.max(np.abs(resid)) <= CONSTANT_TOLERANCE * max(1.0, float(np.max(np.abs(obs.values)))):
+            raise FrequencyEstimationError("resolve_time_scales: y is constant to round-off; "
+                                           "supply omega_tilde")
         grid, power = _periodogram(obs.times, resid)
         omega_tilde = float(grid[np.argmax(power)])
     T_s = config.T_s if config.T_s is not None else 2.0 * np.pi / omega_tilde
@@ -212,7 +214,8 @@ def initialize(
 
     Surrogates start at the data, latents at zero and the frequency at omega_tilde. The
     local mean and amplitude are regressions of y and of maxima of |y - b| within T_s
-    on the kick-adjusted time kernel, which then becomes the tables' W.
+    on the kick-adjusted time kernel, which then becomes the tables' W. The kernel and
+    the tables' gaps share one kick scale, ``kicks.alpha_kick(T_s)``.
     """
     kicks = kicks if kicks is not None else KickSeries.empty()
     cfg = config if config is not None else HyperConfig()
@@ -221,11 +224,12 @@ def initialize(
     b_tilde = float(y.mean())
     sigma_b = float(y.std())
 
-    Kt = time_kernel(t, kicks, kicks.alpha_kick(T_s), T_l)
+    alpha = kicks.alpha_kick(T_s)
+    Kt = time_kernel(t, kicks, alpha, T_l)
     b = _kernel_regress(Kt, y)
     a_hat = _windowed_max(t, np.abs(y - b), T_s)
     a = _kernel_regress(Kt, a_hat)
-    tables = build_tables(obs, Kt, T_s, T_l)
+    tables = build_tables(obs, Kt, effective_gaps(obs, kicks, alpha), T_s, T_l, cfg.epsilon)
 
     a_tilde = 0.0 if cfg.a_tilde_zero else float(a_hat.mean())
     a_bar = float(a.mean())
@@ -266,9 +270,7 @@ def _apply_step(
 
 def run_stage(
     state: EstimationState,
-    obs: ObservationSeries,
     tables: KernelTables,
-    gaps: EffectiveGaps,
     schedule: WeightSchedule,
     mask,
     iters: int,
@@ -304,7 +306,7 @@ def run_stage(
         )
 
     trace = StageTrace(name=name)
-    first = eval_components(state, obs, tables, gaps, schedule.epsilon, start, moved=())
+    first = eval_components(state, tables, start, moved=())
     L = schedule.total(first)
     trace.objective.append(L)
     trace.components.append(first)
@@ -312,14 +314,14 @@ def run_stage(
     def attempt(step):
         """The trial state at this step size, its components and its objective."""
         trial = _apply_step(state, grad, step, mask, floors)
-        comps = eval_components(trial, obs, tables, gaps, schedule.epsilon, first, mask)
+        comps = eval_components(trial, tables, first, mask)
         return trial, comps, schedule.total(comps)
 
     eta = 0.5 * config.eta
     fails_in_row = 0
     grow = 1.0 / config.backtrack_factor
     for _ in range(iters):
-        grad = grad_total(state, obs, tables, gaps, schedule)
+        grad = grad_total(state, tables, schedule)
         eta_try = 2.0 * eta
         accepted = False
         trial, comps, L_new = attempt(eta_try)
@@ -369,44 +371,33 @@ def estimate(
     """Full staged estimation of a series: initialize, stage 1a/1b, stage 2."""
     kicks = kicks if kicks is not None else KickSeries.empty()
     state, cfg, tables = initialize(obs, kicks, config)
-    gaps = effective_gaps(obs, kicks, kicks.alpha_kick(cfg.T_s))
 
     a_bar = float(np.mean(state.params.a))
     floors = (1e-6 * a_bar, 1e-6 * state.priors.omega_tilde)
-    eps = cfg.epsilon
 
-    w1a = WeightSchedule.from_lambdas(cfg.weights_stage1a, eps)
-    w1b = WeightSchedule.from_lambdas(cfg.weights_stage1b, eps)
-    w2 = WeightSchedule.from_lambdas(cfg.weights_stage2, eps)
+    w1a = WeightSchedule.from_lambdas(cfg.weights_stage1a)
+    w1b = WeightSchedule.from_lambdas(cfg.weights_stage1b)
+    w2 = WeightSchedule.from_lambdas(cfg.weights_stage2)
 
     # Stage 1: latents only, doubled transition noise. Stages 1b and 2 start
     # at stage 1a's x and params, so each takes the previous stage's last row
     # as its start and re-evaluates only the noise-dependent L3 and L4.
     state = replace(state, noise=ModelNoise(2.0 * a_bar))
-    state, tr1a = run_stage(
-        state, obs, tables, gaps, w1a, {"z"}, cfg.max_iter_stage1a, cfg, floors, "stage1a"
-    )
+    state, tr1a = run_stage(state, tables, w1a, {"z"}, cfg.max_iter_stage1a, cfg, floors, name="stage1a")
     state, tr1b = run_stage(
-        state, obs, tables, gaps, w1b, {"z"}, cfg.max_iter_stage1b, cfg, floors, "stage1b",
-        tr1a.components[-1],
+        state, tables, w1b, {"z"}, cfg.max_iter_stage1b, cfg, floors, name="stage1b",
+        start=tr1a.components[-1],
     )
 
     # Stage 2: full objective over everything, noise reset.
     state = replace(state, noise=ModelNoise(a_bar))
     state, tr2 = run_stage(
-        state, obs, tables, gaps, w2, {"x", "z", "params"}, cfg.max_iter_stage2, cfg, floors, "stage2",
-        tr1b.components[-1],
+        state, tables, w2, {"x", "z", "params"}, cfg.max_iter_stage2, cfg, floors, name="stage2",
+        start=tr1b.components[-1],
     )
 
     return EstimationResult(
-        state=state,
-        config=cfg,
-        tables=tables,
-        gaps=gaps,
-        obs=obs,
-        kicks=kicks,
-        traces=(tr1a, tr1b, tr2),
-        components=tr2.components[-1],
+        state=state, config=cfg, tables=tables, obs=obs, kicks=kicks, traces=(tr1a, tr1b, tr2)
     )
 
 

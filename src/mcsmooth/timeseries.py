@@ -30,9 +30,9 @@ CSV_BLOCK_ROWS = 1024
 def float_array(a) -> np.ndarray:
     """``a`` as a float64 array; a longdouble array is kept as it is.
 
-    Containers convert their arrays with this, so that the finite-difference
-    check can evaluate the objective on real containers in extended precision.
-    A float64 array comes back as the same object.
+    The state containers convert their arrays with this, so that the
+    finite-difference check can evaluate the objective on real states in
+    extended precision. A float64 array comes back as the same object.
     """
     a = np.asarray(a)
     return a if a.dtype == np.longdouble else a.astype(float, copy=False)
@@ -51,8 +51,8 @@ class ObservationSeries:
     values: np.ndarray
 
     def __post_init__(self):
-        times = float_array(self.times)
-        values = float_array(self.values)
+        times = np.asarray(self.times, dtype=float)
+        values = np.asarray(self.values, dtype=float)
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "values", values)
         if times.ndim != 1 or values.ndim != 1 or times.shape != values.shape:
@@ -230,15 +230,10 @@ def load_observations(path: str | Path) -> ObservationSeries:
 def load_kicks(path: str | Path) -> KickSeries:
     """Read a "time_min,intensity" CSV into a KickSeries; an empty file gives no kicks."""
     times, intensities = read_columns(path, 2, "load_kicks")
-    if times.size == 0:
-        return KickSeries.empty()
-    if np.any(intensities < 0):
-        raise ValueError("load_kicks: negative intensity")
-    if not np.all(np.diff(times) > 0):
-        raise ValueError("load_kicks: times must be strictly increasing")
-    if not intensities.mean() > 0:
-        raise ValueError("load_kicks: mean intensity must be positive")
-    return KickSeries(times, intensities)
+    try:
+        return KickSeries(times, intensities)
+    except ValueError as exc:
+        raise ValueError(f"load_kicks: {exc}") from exc
 
 
 def write_observations(series: ObservationSeries, path: str | Path) -> None:

@@ -268,9 +268,10 @@ def make_random_series(seed, n=16, with_kicks=None):
     return rng, obs, kicks
 
 
-def tables_for(obs, kicks, alpha, T_s, T_l):
-    """``build_tables`` on a freshly built time kernel of the series."""
-    return build_tables(obs, time_kernel(obs.times, kicks, alpha, T_l), T_s, T_l)
+def tables_for(obs, kicks, alpha, T_s, T_l, epsilon=0.1):
+    """``build_tables`` on a freshly built time kernel and the gaps of the series."""
+    kernel = time_kernel(obs.times, kicks, alpha, T_l)
+    return build_tables(obs, kernel, effective_gaps(obs, kicks, alpha), T_s, T_l, epsilon)
 
 
 def make_random_fixture(seed, n=16, with_kicks=None):
@@ -283,7 +284,6 @@ def make_random_fixture(seed, n=16, with_kicks=None):
     rng, obs, kicks = make_random_series(seed, n, with_kicks)
     y = obs.values
     tables = tables_for(obs, kicks, FIXTURE_ALPHA, T_s=TRUE_PERIOD, T_l=4.0 * TRUE_PERIOD)
-    gaps = effective_gaps(obs, kicks, FIXTURE_ALPHA)
     state = EstimationState(
         x=y + rng.normal(0.0, 5.0, n),
         z=rng.uniform(15.0, 45.0, n) * rng.choice([-1.0, 1.0], n),
@@ -295,7 +295,7 @@ def make_random_fixture(seed, n=16, with_kicks=None):
         priors=ParamPriors(TRUE_B, TRUE_A, TRUE_OMEGA, 5.0, 5.0, 0.02),
         noise=ModelNoise(30.0),
     )
-    return state, obs, tables, gaps
+    return state, obs, tables
 
 
 @pytest.fixture

@@ -64,10 +64,9 @@ def test_criterion_1_gradient_correctness():
     t0 = time.time()
     worst = 0.0
     for seed in range(100):
-        state, obs, tables, gaps = make_random_fixture(seed, n=16)
+        state, obs, tables = make_random_fixture(seed, n=16)
         for lam in ONE_HOT:
-            err = fd_check(state, obs, tables, gaps,
-                           WeightSchedule.from_lambdas(lam, 0.1), step=1e-6)
+            err = fd_check(state, tables, WeightSchedule.from_lambdas(lam), step=1e-6)
             worst = max(worst, err)
     elapsed = time.time() - t0
     ok = worst <= 1e-5 and elapsed < 60.0
@@ -81,18 +80,18 @@ def test_criterion_2_L2_exactness_and_sign():
     worst_exact = 0.0
     for seed in range(50):
         for with_kicks in (False, True):
-            state, obs, tables, gaps = make_random_fixture(seed, with_kicks=with_kicks)
+            state, obs, tables = make_random_fixture(seed, with_kicks=with_kicks)
             at_data = EstimationState(obs.values.copy(), state.z, state.params,
                                       state.priors, state.noise)
-            worst_exact = max(worst_exact, abs(eval_L2(at_data, obs, tables)))
+            worst_exact = max(worst_exact, abs(eval_L2(at_data, tables)))
     worst_sign = -np.inf
     rng = np.random.default_rng(2024)
     for seed in range(50):
-        state, obs, _, _ = make_random_fixture(1000 + seed, with_kicks=False)
+        state, obs, _ = make_random_fixture(1000 + seed, with_kicks=False)
         tables = tables_for(obs, KickSeries.empty(), 0.0, T_s=140.0, T_l=1e9)
         perturbed = EstimationState(obs.values + rng.normal(0, 10, obs.n), state.z,
                                     state.params, state.priors, state.noise)
-        worst_sign = max(worst_sign, eval_L2(perturbed, obs, tables))
+        worst_sign = max(worst_sign, eval_L2(perturbed, tables))
     elapsed = time.time() - t0
     ok = worst_exact <= 1e-14 and worst_sign <= 1e-12 and elapsed < 10.0
     report(2, "L2 exactness and sign", ok,

@@ -281,6 +281,31 @@ def test_bad_time_scales_rejected_before_any_work(tmp_path, capsys, monkeypatch,
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flags, weights, message", [
+    (["--epsilon", "1.5"], {}, "HyperConfig: epsilon must lie in [0, 1)"),
+    ([], {"stage2": [1, 1, 1]}, "HyperConfig: weights_stage2 must hold 7 finite nonnegative"),
+    ([], {"stage1b": [0, 0, 1, -1, 0, 0, 0]}, "HyperConfig: weights_stage1b must hold 7 finite"),
+])
+def test_bad_epsilon_or_weights_rejected_before_any_work(tmp_path, capsys, monkeypatch, flags, weights,
+                                                          message):
+    real = mcsmooth.kernels.time_kernel
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(mcsmooth.optimizer, "time_kernel", counted)
+    obs_path = tmp_path / "obs.csv"
+    write_observations(ObservationSeries(70.0 * np.arange(8), 100.0 + 20.0 * np.sin(np.arange(8))), obs_path)
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps({"weights": weights}), encoding="utf-8")
+    assert run_command(["estimate", "--obs", str(obs_path), "--config", str(config_path), *flags,
+                        "--out-dir", str(tmp_path)]) == 1
+    assert message in capsys.readouterr().err
+    assert calls == []
+
+
 def test_estimate_with_kicks_file(dense_csv, tmp_path):
     obs_path = tmp_path / "obs.csv"
     run_command(["subsample", "--in", str(dense_csv), "--spec", "h2",

@@ -1,4 +1,5 @@
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -23,98 +24,96 @@ def at_data(state, obs):
 
 class TestStructuralZeros:
     def test_L1_gradient_vanishes_at_data(self):
-        state, obs, tables, gaps = make_random_fixture(0)
-        g = grad_total(at_data(state, obs), obs, tables, gaps,
-                       WeightSchedule(lam1=1.0, epsilon=0.0))
+        state, obs, tables = make_random_fixture(0)
+        g = grad_total(at_data(state, obs), replace(tables, epsilon=0.0), WeightSchedule(lam1=1.0))
         assert np.all(g.d_x == 0.0)
 
     def test_L2_gradient_vanishes_at_data(self):
-        state, obs, tables, gaps = make_random_fixture(1)
-        g = grad_total(at_data(state, obs), obs, tables, gaps, WeightSchedule(lam2=1.0))
+        state, obs, tables = make_random_fixture(1)
+        g = grad_total(at_data(state, obs), tables, WeightSchedule(lam2=1.0))
         assert np.all(g.d_x == 0.0)
 
     def test_data_terms_never_touch_other_blocks(self):
-        state, obs, tables, gaps = make_random_fixture(2)
-        g = grad_total(state, obs, tables, gaps,
-                       WeightSchedule(lam1=1.0, lam2=1.0, epsilon=0.1))
+        state, obs, tables = make_random_fixture(2)
+        g = grad_total(state, tables, WeightSchedule(lam1=1.0, lam2=1.0))
         for block in (g.d_z, g.d_b, g.d_a, g.d_omega):
             assert np.all(block == 0.0)
 
     def test_boundary_indices(self):
-        state, obs, tables, gaps = make_random_fixture(3)
-        g3 = grad_total(state, obs, tables, gaps, WeightSchedule(lam3=1.0))
+        state, obs, tables = make_random_fixture(3)
+        g3 = grad_total(state, tables, WeightSchedule(lam3=1.0))
         # no successor transition exists for the last index and no own
         # transition for index 0
         assert g3.d_z[-1] == 0.0
         assert g3.d_a[0] == 0.0
         assert g3.d_omega[-1] == 0.0
-        g4 = grad_total(state, obs, tables, gaps, WeightSchedule(lam4=1.0))
+        g4 = grad_total(state, tables, WeightSchedule(lam4=1.0))
         assert g4.d_b[-1] == 0.0
         assert g4.d_x[-1] == 0.0
 
     def test_all_zero_weights(self):
-        state, obs, tables, gaps = make_random_fixture(4)
-        g = grad_total(state, obs, tables, gaps, WeightSchedule())
+        state, obs, tables = make_random_fixture(4)
+        g = grad_total(state, tables, WeightSchedule())
         assert all(np.all(b == 0.0) for b in g.blocks())
-        assert fd_check(state, obs, tables, gaps, WeightSchedule()) == 0.0
+        assert fd_check(state, tables, WeightSchedule()) == 0.0
 
 
 class TestFiniteDifferences:
     @pytest.mark.parametrize("component", range(7))
     def test_one_hot_components(self, component):
         for seed in range(10):
-            state, obs, tables, gaps = make_random_fixture(seed)
-            sched = WeightSchedule.from_lambdas(ONE_HOT[component], 0.1)
-            assert fd_check(state, obs, tables, gaps, sched) <= 1e-5
+            state, obs, tables = make_random_fixture(seed)
+            sched = WeightSchedule.from_lambdas(ONE_HOT[component])
+            assert fd_check(state, tables, sched) <= 1e-5
 
     def test_mixed_schedule(self):
         rng = np.random.default_rng(77)
         for seed in range(5):
-            state, obs, tables, gaps = make_random_fixture(100 + seed)
-            sched = WeightSchedule.from_lambdas(rng.uniform(0.1, 2.0, 7), 0.1)
-            assert fd_check(state, obs, tables, gaps, sched) <= 1e-5
+            state, obs, tables = make_random_fixture(100 + seed)
+            sched = WeightSchedule.from_lambdas(rng.uniform(0.1, 2.0, 7))
+            assert fd_check(state, tables, sched) <= 1e-5
 
     def test_invalid_step_rejected(self):
-        state, obs, tables, gaps = make_random_fixture(5)
+        state, obs, tables = make_random_fixture(5)
         with pytest.raises(ValueError, match="step"):
-            fd_check(state, obs, tables, gaps, WeightSchedule(lam1=1.0), step=0.0)
+            fd_check(state, tables, WeightSchedule(lam1=1.0), step=0.0)
 
 
 class TestPolarSingularity:
     def test_raises_when_radius_zero_and_model_weights_active(self):
-        state, obs, tables, gaps = make_random_fixture(6)
+        state, obs, tables = make_random_fixture(6)
         x = state.x.copy()
         z = state.z.copy()
         x[2] = state.params.b[2]
         z[2] = 0.0
         singular = EstimationState(x, z, state.params, state.priors, state.noise)
         with pytest.raises(PolarSingularityError):
-            grad_total(singular, obs, tables, gaps, WeightSchedule(lam3=1.0))
+            grad_total(singular, tables, WeightSchedule(lam3=1.0))
 
     def test_data_terms_unaffected_by_zero_radius(self):
-        state, obs, tables, gaps = make_random_fixture(7)
+        state, obs, tables = make_random_fixture(7)
         z = state.z.copy()
         z[:] = 0.0
         x = state.params.b.copy()  # r = 0 everywhere
         flat = EstimationState(x, z, state.params, state.priors, state.noise)
-        g = grad_total(flat, obs, tables, gaps, WeightSchedule(lam1=1.0, lam2=1.0, epsilon=0.1))
+        g = grad_total(flat, tables, WeightSchedule(lam1=1.0, lam2=1.0))
         assert np.all(np.isfinite(g.d_x))
 
 
 class TestL2Gradient:
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
     def test_in_place_form_matches_the_expression_oracle(self, seed):
-        state, obs, tables, gaps = make_random_fixture(seed, n=40)
-        g = grad_total(state, obs, tables, gaps, WeightSchedule(lam2=1.0))
+        state, obs, tables = make_random_fixture(seed, n=40)
+        g = grad_total(state, tables, WeightSchedule(lam2=1.0))
         assert np.array_equal(g.d_x, l2_grad_oracle(state.x, obs.values, tables))
 
     def test_holds_at_most_three_pair_arrays(self):
         n = 400
-        state, obs, tables, gaps = make_random_fixture(0, n=n)
+        state, obs, tables = make_random_fixture(0, n=n)
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
-            grad_total(state, obs, tables, gaps, WeightSchedule(lam2=1.0))
+            grad_total(state, tables, WeightSchedule(lam2=1.0))
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
@@ -123,17 +122,17 @@ class TestL2Gradient:
     @settings(max_examples=30, deadline=None)
     @given(seed=st.integers(0, 2**16), n=st.integers(2, 700), with_kicks=st.booleans())
     def test_row_tiles_match_the_expression_oracle(self, seed, n, with_kicks):
-        state, obs, tables, gaps = make_random_fixture(seed, n=n, with_kicks=with_kicks)
-        g = grad_total(state, obs, tables, gaps, WeightSchedule(lam2=1.0))
+        state, obs, tables = make_random_fixture(seed, n=n, with_kicks=with_kicks)
+        g = grad_total(state, tables, WeightSchedule(lam2=1.0))
         assert np.array_equal(g.d_x, l2_grad_oracle(state.x, obs.values, tables))
 
     def test_peak_memory_below_one_pair_array(self):
         n = 2000
-        state, obs, tables, gaps = make_random_fixture(0, n=n)
+        state, obs, tables = make_random_fixture(0, n=n)
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
-            grad_total(state, obs, tables, gaps, WeightSchedule(lam2=1.0))
+            grad_total(state, tables, WeightSchedule(lam2=1.0))
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()

@@ -132,13 +132,29 @@ class TestBuildTables:
     def test_time_kernel_becomes_W_in_place(self):
         obs = series(19)
         Kt = time_kernel(obs.times, KickSeries.empty(), 0.0, 400.0)
-        assert build_tables(obs, Kt, 100.0, 400.0).W is Kt
+        gaps = effective_gaps(obs, KickSeries.empty(), 0.0)
+        assert build_tables(obs, Kt, gaps, 100.0, 400.0, 0.1).W is Kt
 
     @pytest.mark.parametrize("shape", [(12, 13), (13, 12), (12,)])
     def test_time_kernel_of_another_shape_rejected(self, shape):
         obs = series(19)
+        gaps = effective_gaps(obs, KickSeries.empty(), 0.0)
         with pytest.raises(ValueError, match="build_tables: time kernel has shape"):
-            build_tables(obs, np.ones(shape), 100.0, 400.0)
+            build_tables(obs, np.ones(shape), gaps, 100.0, 400.0, 0.1)
+
+    @pytest.mark.parametrize("n", [11, 13])
+    def test_gaps_of_another_length_rejected(self, n):
+        obs = series(19)
+        gaps = effective_gaps(series(19, n=n), KickSeries.empty(), 0.0)
+        with pytest.raises(ValueError, match=rf"gaps have shape \({n},\), expected \(12,\)"):
+            build_tables(obs, np.ones((12, 12)), gaps, 100.0, 400.0, 0.1)
+
+    @pytest.mark.parametrize("epsilon", [-0.1, 1.0, float("nan")])
+    def test_epsilon_out_of_range_rejected(self, epsilon):
+        obs = series(19)
+        gaps = effective_gaps(obs, KickSeries.empty(), 0.0)
+        with pytest.raises(ValueError, match=r"build_tables: epsilon must lie in \[0, 1\)"):
+            build_tables(obs, np.ones((12, 12)), gaps, 100.0, 400.0, epsilon)
 
     @pytest.mark.parametrize("with_kicks", [False, True])
     def test_row_tiles_match_the_whole_array_expressions(self, with_kicks):

@@ -1,4 +1,5 @@
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,7 +14,6 @@ from mcsmooth import (
     ParamPriors,
     ParamTrajectory,
     WeightSchedule,
-    effective_gaps,
     eval_L1,
     eval_L2,
     eval_L3_L4,
@@ -98,7 +98,7 @@ def fixture_time_kernel(seed, n, T_l):
     return time_kernel(obs.times, kicks, FIXTURE_ALPHA, T_l)
 
 
-def peak_state(obs, tables, gaps, sigma=5.0):
+def peak_state(obs, tables, sigma=5.0):
     """A state whose every (x, z) sits exactly at its propagated mean."""
     n = obs.n
     b = np.full(n, 120.0)
@@ -110,9 +110,9 @@ def peak_state(obs, tables, gaps, sigma=5.0):
     for j in range(1, n):
         r = np.hypot(x[j - 1] - b[j - 1], z[j - 1])
         th = np.arctan2(z[j - 1], x[j - 1] - b[j - 1])
-        ds = np.exp(-gaps.dt_relax[j] / tables.T_s)
+        ds = np.exp(-tables.gaps.dt_relax[j] / tables.T_s)
         rp = (1 - ds) * a[j] + ds * r
-        ph = th + om[j - 1] * gaps.dt_phase[j]
+        ph = th + om[j - 1] * tables.gaps.dt_phase[j]
         x[j] = b[j] + rp * np.cos(ph)
         z[j] = rp * np.sin(ph)
     return EstimationState(
@@ -125,16 +125,16 @@ def peak_state(obs, tables, gaps, sigma=5.0):
 
 class TestL1:
     def test_at_data_without_mollification(self):
-        state, obs, tables, gaps = make_random_fixture(0)
+        state, obs, tables = make_random_fixture(0)
         at_data = EstimationState(obs.values.copy(), state.z, state.params, state.priors, state.noise)
         want = np.log(1.0 / (SQRT_2PI * tables.h))
-        assert eval_L1(at_data, obs, tables, 0.0) == pytest.approx(want, rel=1e-14)
+        assert eval_L1(at_data, replace(tables, epsilon=0.0)) == pytest.approx(want, rel=1e-14)
 
     def test_full_mollification_ignores_x(self):
-        state, obs, tables, gaps = make_random_fixture(1)
-        v1 = eval_L1(state, obs, tables, 1.0)
+        state, obs, tables = make_random_fixture(1)
+        v1 = eval_L1(state, replace(tables, epsilon=1.0))
         other = EstimationState(state.x + 17.0, state.z, state.params, state.priors, state.noise)
-        v2 = eval_L1(other, obs, tables, 1.0)
+        v2 = eval_L1(other, replace(tables, epsilon=1.0))
         assert v1 == v2
         assert v1 == pytest.approx(np.mean(np.log(tables.rho0)), rel=1e-14)
 
@@ -146,49 +146,50 @@ class TestL1:
             ParamTrajectory([1.0, 1.0], [1.0, 1.0], [0.05, 0.05]),
             ParamPriors(1.0, 1.0, 0.05, 1.0, 1.0, 0.01), ModelNoise(1.0))
         want = ref_L1([0.0, 1.0], [0.0, 2.0], tables.h, 0.1)
-        assert eval_L1(state, obs, tables, 0.1) == pytest.approx(want, abs=1e-12)
+        assert eval_L1(state, tables) == pytest.approx(want, abs=1e-12)
 
     def test_peak_dominance_per_term(self):
-        state, obs, tables, gaps = make_random_fixture(2)
+        state, obs, tables = make_random_fixture(2)
         at_data = EstimationState(obs.values.copy(), state.z, state.params, state.priors, state.noise)
-        assert eval_L1(at_data, obs, tables, 0.0) >= eval_L1(state, obs, tables, 0.0)
+        tables = replace(tables, epsilon=0.0)
+        assert eval_L1(at_data, tables) >= eval_L1(state, tables)
 
 
 class TestL2:
     def test_zero_at_data_with_and_without_kicks(self):
         for seed in range(6):
-            state, obs, tables, gaps = make_random_fixture(seed)
+            state, obs, tables = make_random_fixture(seed)
             at_data = EstimationState(obs.values.copy(), state.z, state.params,
                                       state.priors, state.noise)
-            assert abs(eval_L2(at_data, obs, tables)) <= 1e-14
+            assert abs(eval_L2(at_data, tables)) <= 1e-14
 
     def test_nonpositive_in_uniform_weight_limit(self):
         rng = np.random.default_rng(9)
         for seed in range(6):
-            state, obs, _, gaps = make_random_fixture(seed, with_kicks=False)
+            state, obs, _ = make_random_fixture(seed, with_kicks=False)
             tables = tables_for(obs, KickSeries.empty(), 0.0, T_s=140.0, T_l=1e9)
             perturbed = EstimationState(obs.values + rng.normal(0, 10, obs.n), state.z,
                                         state.params, state.priors, state.noise)
-            assert eval_L2(perturbed, obs, tables) <= 1e-12
+            assert eval_L2(perturbed, tables) <= 1e-12
 
     def test_matches_naive_double_loop(self):
-        state, obs, tables, gaps = make_random_fixture(4, n=3)
+        state, obs, tables = make_random_fixture(4, n=3)
         Kt = fixture_time_kernel(4, 3, tables.T_l)
         want = ref_L2(state.x, obs.values, obs.times, tables.h, Kt)
-        assert eval_L2(state, obs, tables) == pytest.approx(want, abs=1e-12)
+        assert eval_L2(state, tables) == pytest.approx(want, abs=1e-12)
 
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
     def test_in_place_form_matches_the_expression_oracle(self, seed):
-        state, obs, tables, _ = make_random_fixture(seed, n=40)
-        assert eval_L2(state, obs, tables) == l2_oracle(state.x, obs.values, tables)
+        state, obs, tables = make_random_fixture(seed, n=40)
+        assert eval_L2(state, tables) == l2_oracle(state.x, obs.values, tables)
 
     def test_holds_at_most_three_pair_arrays(self):
         n = 400
-        state, obs, tables, _ = make_random_fixture(0, n=n)
+        state, obs, tables = make_random_fixture(0, n=n)
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
-            eval_L2(state, obs, tables)
+            eval_L2(state, tables)
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
@@ -197,26 +198,26 @@ class TestL2:
     @settings(max_examples=30, deadline=None)
     @given(seed=st.integers(0, 2**16), n=st.integers(2, 700), with_kicks=st.booleans())
     def test_row_tiles_match_the_expression_oracle(self, seed, n, with_kicks):
-        state, obs, tables, _ = make_random_fixture(seed, n=n, with_kicks=with_kicks)
-        assert eval_L2(state, obs, tables) == l2_oracle(state.x, obs.values, tables)
+        state, obs, tables = make_random_fixture(seed, n=n, with_kicks=with_kicks)
+        assert eval_L2(state, tables) == l2_oracle(state.x, obs.values, tables)
 
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
     def test_within_1e_15_of_the_whole_array_sum(self, seed):
-        state, obs, tables, _ = make_random_fixture(seed, n=40)
+        state, obs, tables = make_random_fixture(seed, n=40)
         x, y, h = state.x, obs.values, tables.h
         bracket = (gaussian_kernel(x[:, None], x[None, :], h)
                    - 2.0 * gaussian_kernel(y[:, None], x[None, :], h)
                    + gaussian_kernel(y[:, None], y[None, :], h))
         whole = -(tables.W * bracket).sum() / (2.0 * x.size)
-        assert abs(eval_L2(state, obs, tables) - whole) <= 1e-15
+        assert abs(eval_L2(state, tables) - whole) <= 1e-15
 
     def test_peak_memory_below_one_pair_array(self):
         n = 2000
-        state, obs, tables, _ = make_random_fixture(0, n=n)
+        state, obs, tables = make_random_fixture(0, n=n)
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
-            eval_L2(state, obs, tables)
+            eval_L2(state, tables)
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
@@ -226,7 +227,7 @@ class TestL2:
         # the symmetrized double sum is an algebraic rewrite of the
         # row-normalized one; check they coincide numerically
         for seed in range(4):
-            state, obs, tables, _ = make_random_fixture(seed, n=8)
+            state, obs, tables = make_random_fixture(seed, n=8)
             x, y, h = state.x, obs.values, tables.h
             Kt = fixture_time_kernel(seed, 8, tables.T_l)
             n = obs.n
@@ -239,35 +240,35 @@ class TestL2:
                     )
                     total += bracket * Kt[i, j] / Kt[i].sum()
             want = -total / n
-            assert eval_L2(state, obs, tables) == pytest.approx(want, abs=1e-12)
+            assert eval_L2(state, tables) == pytest.approx(want, abs=1e-12)
 
 
 class TestL3L4:
     def test_all_peaks_value(self):
-        _, obs, tables, gaps = make_random_fixture(5, with_kicks=False)
+        _, obs, tables = make_random_fixture(5, with_kicks=False)
         sigma = 5.0
-        state = peak_state(obs, tables, gaps, sigma)
+        state = peak_state(obs, tables, sigma)
         want = (obs.n - 1) / obs.n * (-0.5 * np.log(2 * np.pi * sigma**2))
-        L3, L4 = eval_L3_L4(state, obs, tables, gaps)
+        L3, L4 = eval_L3_L4(state, tables)
         assert L3 == pytest.approx(want, rel=1e-12)
         assert L4 == pytest.approx(want, rel=1e-12)
 
     def test_perturbing_last_x_lowers_L3_only(self):
-        _, obs, tables, gaps = make_random_fixture(5, with_kicks=False)
-        state = peak_state(obs, tables, gaps)
-        L3, L4 = eval_L3_L4(state, obs, tables, gaps)
+        _, obs, tables = make_random_fixture(5, with_kicks=False)
+        state = peak_state(obs, tables)
+        L3, L4 = eval_L3_L4(state, tables)
         x2 = state.x.copy()
         x2[-1] += 2.5
         moved = EstimationState(x2, state.z, state.params, state.priors, state.noise)
-        L3b, L4b = eval_L3_L4(moved, obs, tables, gaps)
+        L3b, L4b = eval_L3_L4(moved, tables)
         assert L3b < L3
         assert L4b == L4
 
     def test_matches_sequential_reference(self):
         for seed in range(4):
-            state, obs, tables, gaps = make_random_fixture(seed)
-            want = ref_model_loglik(state, gaps, tables.T_s)
-            got = eval_L3_L4(state, obs, tables, gaps)
+            state, obs, tables = make_random_fixture(seed)
+            want = ref_model_loglik(state, tables.gaps, tables.T_s)
+            got = eval_L3_L4(state, tables)
             assert got[0] == pytest.approx(want[0], abs=1e-12)
             assert got[1] == pytest.approx(want[1], abs=1e-12)
 
@@ -277,7 +278,6 @@ class TestLparams:
         t = np.array([0.0, 1e7, 2e7, 3e7])  # huge gaps: fully relaxed transitions
         obs = ObservationSeries(t, [1.0, 2.0, 3.0, 4.0])
         tables = tables_for(obs, KickSeries.empty(), 0.0, 140.0, 560.0)
-        gaps = effective_gaps(obs, KickSeries.empty(), 0.0)
         pr = ParamPriors(5.0, 4.0, 0.04, 1.5, 2.5, 0.01)
         params = ParamTrajectory(
             np.full(4, 5.0 + offset * 1.5),
@@ -285,69 +285,69 @@ class TestLparams:
             np.full(4, 0.04 + offset * 0.01),
         )
         state = EstimationState(np.zeros(4), np.zeros(4), params, pr, ModelNoise(1.0))
-        return state, tables, gaps
+        return state, tables
 
     def test_relaxed_peaks(self):
-        state, tables, gaps = self.relaxed_fixture()
-        Lb, La, Lo = eval_Lparams(state, tables, gaps)
+        state, tables = self.relaxed_fixture()
+        Lb, La, Lo = eval_Lparams(state, tables)
         for got, sig in zip((Lb, La, Lo), (1.5, 2.5, 0.01)):
             assert got == pytest.approx(0.75 * -0.5 * np.log(2 * np.pi * sig**2), rel=1e-9)
 
     def test_one_sigma_offset(self):
-        state, tables, gaps = self.relaxed_fixture(offset=1.0)
-        Lb, La, Lo = eval_Lparams(state, tables, gaps)
+        state, tables = self.relaxed_fixture(offset=1.0)
+        Lb, La, Lo = eval_Lparams(state, tables)
         for got, sig in zip((Lb, La, Lo), (1.5, 2.5, 0.01)):
             peak = -0.5 * np.log(2 * np.pi * sig**2)
             assert got == pytest.approx(0.75 * (peak - 0.5), rel=1e-9)
 
     def test_matches_sequential_reference(self):
         for seed in range(4):
-            state, obs, tables, gaps = make_random_fixture(seed)
+            state, obs, tables = make_random_fixture(seed)
             pr = state.priors
+            gaps, T_l = tables.gaps, tables.T_l
             want = (
-                ref_param_loglik(state.params.b, pr.b_tilde, pr.sigma_b, gaps, tables.T_l),
-                ref_param_loglik(state.params.a, pr.a_tilde, pr.sigma_a, gaps, tables.T_l),
-                ref_param_loglik(state.params.omega, pr.omega_tilde, pr.sigma_omega, gaps, tables.T_l),
+                ref_param_loglik(state.params.b, pr.b_tilde, pr.sigma_b, gaps, T_l),
+                ref_param_loglik(state.params.a, pr.a_tilde, pr.sigma_a, gaps, T_l),
+                ref_param_loglik(state.params.omega, pr.omega_tilde, pr.sigma_omega, gaps, T_l),
             )
-            got = eval_Lparams(state, tables, gaps)
+            got = eval_Lparams(state, tables)
             for g, w in zip(got, want):
                 assert g == pytest.approx(w, abs=1e-12)
 
 
 class TestTotal:
     def test_all_zero_weights(self):
-        state, obs, tables, gaps = make_random_fixture(6)
-        assert eval_total(state, obs, tables, gaps, WeightSchedule()) == 0.0
+        state, obs, tables = make_random_fixture(6)
+        assert eval_total(state, tables, WeightSchedule()) == 0.0
 
     def test_one_hot_matches_components(self):
-        state, obs, tables, gaps = make_random_fixture(7)
-        comps = eval_components(state, obs, tables, gaps, 0.1)
+        state, obs, tables = make_random_fixture(7)
+        comps = eval_components(state, tables)
         for i in range(7):
             lam = [0.0] * 7
             lam[i] = 1.0
-            sched = WeightSchedule.from_lambdas(lam, 0.1)
-            assert eval_total(state, obs, tables, gaps, sched) == pytest.approx(comps[i], abs=1e-14)
+            sched = WeightSchedule.from_lambdas(lam)
+            assert eval_total(state, tables, sched) == pytest.approx(comps[i], abs=1e-14)
 
     def test_random_weights_match_manual_sum(self):
         rng = np.random.default_rng(31)
-        state, obs, tables, gaps = make_random_fixture(8)
+        state, obs, tables = make_random_fixture(8)
         lam = rng.uniform(0, 2, 7)
-        sched = WeightSchedule.from_lambdas(lam, 0.1)
-        comps = eval_components(state, obs, tables, gaps, 0.1)
+        sched = WeightSchedule.from_lambdas(lam)
+        comps = eval_components(state, tables)
         want = float(np.dot(lam, comps))
-        assert eval_total(state, obs, tables, gaps, sched) == pytest.approx(want, abs=1e-12)
+        assert eval_total(state, tables, sched) == pytest.approx(want, abs=1e-12)
 
     def test_linear_in_weights(self):
-        state, obs, tables, gaps = make_random_fixture(9)
+        state, obs, tables = make_random_fixture(9)
         lam = [0.3, 0.7, 1.1, 0.2, 0.9, 0.4, 1.3]
-        L1x = eval_total(state, obs, tables, gaps, WeightSchedule.from_lambdas(lam, 0.1))
-        L2x = eval_total(state, obs, tables, gaps,
-                         WeightSchedule.from_lambdas([2 * v for v in lam], 0.1))
+        L1x = eval_total(state, tables, WeightSchedule.from_lambdas(lam))
+        L2x = eval_total(state, tables, WeightSchedule.from_lambdas([2 * v for v in lam]))
         assert L2x == pytest.approx(2 * L1x, rel=1e-12)
 
     def test_translation_invariance(self):
-        state, obs, tables, gaps = make_random_fixture(10, with_kicks=False)
-        sched = WeightSchedule.from_lambdas([1] * 7, 0.1)
+        state, obs, tables = make_random_fixture(10, with_kicks=False)
+        sched = WeightSchedule.from_lambdas([1] * 7)
         c = 55.5
         obs2 = ObservationSeries(obs.times, obs.values + c)
         tables2 = tables_for(obs2, KickSeries.empty(), 0.0, tables.T_s, tables.T_l)
@@ -358,8 +358,8 @@ class TestTotal:
             ParamPriors(pr.b_tilde + c, pr.a_tilde, pr.omega_tilde,
                         pr.sigma_b, pr.sigma_a, pr.sigma_omega),
             state.noise)
-        v1 = eval_total(state, obs, tables, gaps, sched)
-        v2 = eval_total(state2, obs2, tables2, gaps, sched)
+        v1 = eval_total(state, tables, sched)
+        v2 = eval_total(state2, tables2, sched)
         assert v2 == pytest.approx(v1, rel=1e-9)
 
 
@@ -367,7 +367,3 @@ class TestWeightSchedule:
     def test_rejects_negative_weight(self):
         with pytest.raises(ValueError, match="nonnegative"):
             WeightSchedule(lam1=-0.1)
-
-    def test_rejects_epsilon_out_of_range(self):
-        with pytest.raises(ValueError, match="epsilon"):
-            WeightSchedule(epsilon=1.0)

@@ -78,7 +78,7 @@ class TestInitialize:
     def test_constant_data_cannot_estimate_frequency(self):
         t = 5.0 * np.arange(50)
         obs = ObservationSeries(t, np.full(50, 100.0))
-        with pytest.raises(FrequencyEstimationError, match="sign changes"):
+        with pytest.raises(FrequencyEstimationError, match="constant to round-off"):
             initialize(obs)
 
     def test_roundoff_noise_is_signless(self):
@@ -88,7 +88,7 @@ class TestInitialize:
         with pytest.raises(FrequencyEstimationError):
             initialize(obs)
 
-    def test_omega_override_skips_sign_changes(self):
+    def test_omega_override_skips_the_frequency_estimate(self):
         t = 5.0 * np.arange(50)
         rng = np.random.default_rng(1)
         obs = ObservationSeries(t, 100.0 + rng.normal(0, 1e-9, 50))
@@ -111,22 +111,27 @@ class TestInitialize:
         assert np.all(s1.params.omega == s1.priors.omega_tilde)
 
     @settings(max_examples=25, deadline=None)
-    @given(seed=st.integers(0, 2**16), n=st.integers(4, 300), with_kicks=st.booleans())
-    def test_tables_are_build_tables_of_a_fresh_time_kernel(self, seed, n, with_kicks):
+    @given(seed=st.integers(0, 2**16), n=st.integers(4, 300), n_kicks=st.integers(0, 3))
+    def test_tables_are_build_tables_of_a_fresh_time_kernel(self, seed, n, n_kicks):
         # The regressions read the kernel before it becomes W; they must not write into it.
         obs = irregular_series(seed, n, 60.0, 20.0)
-        kicks = KickSeries.empty()
-        if with_kicks:
-            rng = np.random.default_rng(seed)
-            kt = np.unique(rng.uniform(obs.times[0], obs.times[-1], 3))
-            kicks = KickSeries(kt, rng.uniform(0.5, 3.0, kt.size))
+        rng = np.random.default_rng(seed)
+        kt = np.unique(rng.uniform(obs.times[0], obs.times[-1], n_kicks))
+        kicks = KickSeries(kt, rng.uniform(0.5, 3.0, kt.size))
         _, cfg, tables = initialize(obs, kicks)
         assert (cfg.T_s, cfg.T_l) == resolve_time_scales(obs, HyperConfig())[1:]
-        Kt = time_kernel(obs.times, kicks, kicks.alpha_kick(cfg.T_s), cfg.T_l)
-        want = build_tables(obs, Kt, cfg.T_s, cfg.T_l)
+        alpha = kicks.alpha_kick(cfg.T_s)
+        gaps = effective_gaps(obs, kicks, alpha)
+        want = build_tables(obs, time_kernel(obs.times, kicks, alpha, cfg.T_l), gaps, cfg.T_s, cfg.T_l,
+                            cfg.epsilon)
         assert np.array_equal(tables.W, want.W)
         assert np.array_equal(tables.rho0, want.rho0)
         assert tables.wky == want.wky
+        # The tables own the data, its gaps at the kernel's kick scale, and epsilon.
+        assert tables.y is obs.values
+        assert tables.epsilon == cfg.epsilon
+        for got, expected in zip(tables.gaps, gaps):
+            assert got.tobytes() == expected.tobytes()
 
     def test_requires_four_observations(self):
         obs = ObservationSeries([0.0, 5.0, 10.0], [1.0, 2.0, 3.0])
@@ -227,11 +232,8 @@ class TestPeriodogram:
 class TestRunStage:
     def test_mask_is_airtight(self, cycle_series, quick_config):
         state, cfg, tables = initialize(cycle_series, config=quick_config)
-        from mcsmooth import effective_gaps
-
-        gaps = effective_gaps(cycle_series, KickSeries.empty(), 0.0)
-        sched = WeightSchedule(lam3=1.0, epsilon=cfg.epsilon)
-        out, trace = run_stage(state, cycle_series, tables, gaps, sched, {"z"}, 10, cfg)
+        sched = WeightSchedule(lam3=1.0)
+        out, trace = run_stage(state, tables, sched, {"z"}, 10, cfg)
         assert out.x is state.x
         assert out.params is state.params
         assert not np.array_equal(out.z, state.z)
@@ -239,82 +241,73 @@ class TestRunStage:
     def test_vanishing_step_leaves_state_unchanged(self, cycle_series):
         from dataclasses import replace
 
-        from mcsmooth import effective_gaps, grad_total
+        from mcsmooth import grad_total
 
         cfg = HyperConfig(eta=1e-300)
         state, cfg, tables = initialize(cycle_series, config=cfg)
         state = replace(state, x=state.x + 3.0)  # move off the L1/L2 peak
-        gaps = effective_gaps(cycle_series, KickSeries.empty(), 0.0)
-        sched = WeightSchedule(lam1=1.0, lam2=1.0, epsilon=cfg.epsilon)
-        g = grad_total(state, cycle_series, tables, gaps, sched)
+        sched = WeightSchedule(lam1=1.0, lam2=1.0)
+        g = grad_total(state, tables, sched)
         assert np.any(g.d_x != 0.0)
-        out, trace = run_stage(state, cycle_series, tables, gaps, sched, {"x"}, 1, cfg)
+        out, trace = run_stage(state, tables, sched, {"x"}, 1, cfg)
         assert np.array_equal(out.x, state.x)
         assert trace.objective[0] == trace.objective[-1]
 
     def test_objective_increases_in_stage_one(self, cycle_series, quick_config):
         state, cfg, tables = initialize(cycle_series, config=quick_config)
-        from mcsmooth import effective_gaps, ModelNoise
+        from mcsmooth import ModelNoise
         from dataclasses import replace
 
-        gaps = effective_gaps(cycle_series, KickSeries.empty(), 0.0)
         a_bar = float(state.params.a.mean())
         state = replace(state, noise=ModelNoise(2 * a_bar))
-        sched = WeightSchedule(lam3=1.0, epsilon=cfg.epsilon)
-        out, trace = run_stage(state, cycle_series, tables, gaps, sched, {"z"}, 30, cfg)
+        sched = WeightSchedule(lam3=1.0)
+        out, trace = run_stage(state, tables, sched, {"z"}, 30, cfg)
         assert trace.objective[-1] > trace.objective[0]
         assert np.all(np.diff(trace.objective) >= 0)
 
     def test_trace_rows_come_from_the_accepted_trials(self, cycle_series, quick_config):
         state, cfg, tables = initialize(cycle_series, config=quick_config)
-        gaps = effective_gaps(cycle_series, KickSeries.empty(), 0.0)
-        sched = WeightSchedule(lam1=1.0, lam2=1.0, lam3=1.0, epsilon=cfg.epsilon)
-        out, trace = run_stage(state, cycle_series, tables, gaps, sched, {"z"}, 10, cfg)
+        sched = WeightSchedule(lam1=1.0, lam2=1.0, lam3=1.0)
+        out, trace = run_stage(state, tables, sched, {"z"}, 10, cfg)
         assert trace.iterations > 0
         # x never moves under mask {"z"}: L1 and L2 are the start state's
-        L1 = eval_L1(state, cycle_series, tables, cfg.epsilon)
-        L2 = eval_L2(state, cycle_series, tables)
+        L1 = eval_L1(state, tables)
+        L2 = eval_L2(state, tables)
         assert all(c.L1 == L1 and c.L2 == L2 for c in trace.components)
-        assert trace.components[-1] == eval_components(out, cycle_series, tables, gaps, cfg.epsilon)
+        assert trace.components[-1] == eval_components(out, tables)
         for L, c in zip(trace.objective, trace.components):
             assert L == c.L1 + c.L2 + c.L3
-        assert trace.objective[-1] == eval_total(out, cycle_series, tables, gaps, sched)
+        assert trace.objective[-1] == eval_total(out, tables, sched)
 
     def test_start_row_carries_all_but_L3_L4(self, cycle_series, quick_config):
         state, cfg, tables = initialize(cycle_series, config=quick_config)
-        gaps = effective_gaps(cycle_series, KickSeries.empty(), 0.0)
-        sched = WeightSchedule(lam1=1.0, lam2=1.0, lam3=1.0, epsilon=cfg.epsilon)
-        fresh = eval_components(state, cycle_series, tables, gaps, cfg.epsilon)
+        sched = WeightSchedule(lam1=1.0, lam2=1.0, lam3=1.0)
+        fresh = eval_components(state, tables)
         marked = fresh._replace(L1=-1.0, L2=-2.0, L3=5.0, L4=6.0, L_b=-3.0, L_a=-4.0, L_omega=-5.0)
-        _, trace = run_stage(state, cycle_series, tables, gaps, sched, {"z"}, 3, cfg, start=marked)
+        _, trace = run_stage(state, tables, sched, {"z"}, 3, cfg, start=marked)
         assert trace.components[0] == marked._replace(L3=fresh.L3, L4=fresh.L4)
         # a start taken at the same state changes nothing
-        _, plain = run_stage(state, cycle_series, tables, gaps, sched, {"z"}, 3, cfg)
-        _, carried = run_stage(state, cycle_series, tables, gaps, sched, {"z"}, 3, cfg, start=fresh)
+        _, plain = run_stage(state, tables, sched, {"z"}, 3, cfg)
+        _, carried = run_stage(state, tables, sched, {"z"}, 3, cfg, start=fresh)
         assert carried.components == plain.components
         assert carried.objective == plain.objective
 
     def test_unknown_mask_rejected(self, cycle_series, quick_config):
         state, cfg, tables = initialize(cycle_series, config=quick_config)
-        from mcsmooth import effective_gaps
-
-        gaps = effective_gaps(cycle_series, KickSeries.empty(), 0.0)
         with pytest.raises(ValueError, match="unknown blocks"):
-            run_stage(state, cycle_series, tables, gaps, WeightSchedule(lam3=1.0),
-                      {"q"}, 1, cfg)
+            run_stage(state, tables, WeightSchedule(lam3=1.0), {"q"}, 1, cfg)
 
     def test_stalls_when_no_step_improves(self, cycle_series):
         from dataclasses import replace
 
-        from mcsmooth import StalledError, effective_gaps
+        from mcsmooth import StalledError
 
         cfg = HyperConfig(eta=1e18, max_backtracks=1)
         state, cfg, tables = initialize(cycle_series, config=cfg)
         state = replace(state, x=state.x + 3.0)  # nonzero gradient, huge steps only
-        gaps = effective_gaps(cycle_series, KickSeries.empty(), 0.0)
-        sched = WeightSchedule(lam1=1.0, epsilon=0.1)
+        sched = WeightSchedule(lam1=1.0)
         with pytest.raises(StalledError, match="3 consecutive"):
-            run_stage(state, cycle_series, tables, gaps, sched, {"x"}, 10, cfg)
+            run_stage(state, tables, sched, {"x"}, 10, cfg)
 
 
 class TestHyperConfig:
@@ -339,6 +332,18 @@ class TestHyperConfig:
             HyperConfig(max_iter_stage2=0)
         with pytest.raises(ValueError, match="eta"):
             HyperConfig(eta=0.0)
+
+    def test_rejects_epsilon_out_of_range(self):
+        with pytest.raises(ValueError, match="HyperConfig: epsilon"):
+            HyperConfig(epsilon=1.0)
+        with pytest.raises(ValueError, match="HyperConfig: epsilon"):
+            HyperConfig(epsilon=-0.1)
+
+    @pytest.mark.parametrize("weights", [(1.0, 1.0, 1.0), (1.0,) * 8, (-1.0,) + (1.0,) * 6,
+                                         (float("nan"),) + (1.0,) * 6, (float("inf"),) * 7])
+    def test_rejects_bad_stage_weights(self, weights):
+        with pytest.raises(ValueError, match="HyperConfig: weights_stage1b must hold 7"):
+            HyperConfig(weights_stage1b=weights)
 
 
 class TestEstimate:
@@ -365,7 +370,7 @@ class TestEstimate:
         if with_kicks:
             kicks = KickSeries([obs.times[20] + 2.0, obs.times[50] + 2.0], [1.0, 3.0])
         res = estimate(obs, kicks, config=quick_config)
-        final = eval_components(res.state, obs, res.tables, res.gaps, res.config.epsilon)
+        final = eval_components(res.state, res.tables)
         assert res.components == res.traces[-1].components[-1] == final
 
     def test_stage_noise_protocol(self, quick_config):
@@ -413,7 +418,7 @@ class TestEstimate:
         # alpha_kick resolved from the estimated short time scale
         alpha = kicks.alpha_kick(res.config.T_s)
         assert alpha == pytest.approx(res.config.T_s / 2.0)
-        inflated = res.gaps.dt_relax - res.gaps.dt_phase
+        inflated = res.tables.gaps.dt_relax - res.tables.gaps.dt_phase
         assert inflated[21] == pytest.approx(alpha * 1.0)
         assert inflated[51] == pytest.approx(alpha * 3.0)
         assert np.count_nonzero(inflated) == 2
@@ -424,7 +429,7 @@ class TestEstimate:
 def estimate_bytes(res):
     """The bytes of an estimate's state, gaps and trace rows."""
     s = res.state
-    arrays = [s.x, s.z, s.params.b, s.params.a, s.params.omega, res.gaps.dt_relax]
+    arrays = [s.x, s.z, s.params.b, s.params.a, s.params.omega, res.tables.gaps.dt_relax]
     for trace in res.traces:
         arrays += [np.array(trace.objective), np.array(trace.components)]
     return [a.tobytes() for a in arrays]

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -48,10 +50,9 @@ def two_index_state(dt, x=(0.0, 0.0), z=(0.0, 0.0), b=(120.0, 120.0), a=(3.0, 3.
     """A two-observation state with one transition of length dt, no kicks."""
     obs = ObservationSeries([0.0, dt], [1.0, 2.0])
     tables = tables_for(obs, KickSeries.empty(), 0.0, T_s, T_l)
-    gaps = effective_gaps(obs, KickSeries.empty(), 0.0)
     priors = priors if priors is not None else ParamPriors(120.0, 3.0, 0.05, 1.0, 1.0, 1.0)
     state = EstimationState(x, z, ParamTrajectory(b, a, omega), priors, ModelNoise(sigma))
-    return state, obs, tables, gaps
+    return state, obs, tables
 class TestToPolar:
     def test_positive_x_axis(self):
         p = to_polar(5.0, 0.0, 4.0)
@@ -108,11 +109,11 @@ class TestTransitionLogpdfs:
         prev = to_polar(x0, z0, 120.0)
         plus = propagate_mean(prev, 3.0, 0.05, 10.0, 10.0, T_s)
         mean_x, mean_z = 120.0 + plus.r * np.cos(plus.theta), plus.r * np.sin(plus.theta)
-        state, obs, tables, gaps = two_index_state(
+        state, obs, tables = two_index_state(
             10.0, x=(x0, mean_x + offset_x), z=(z0, mean_z), sigma=sigma, T_s=T_s)
         oracle = transition_logpdfs(mean_x + offset_x, mean_z, prev, 120.0, 3.0, 0.05,
                                     10.0, 10.0, sigma, T_s)
-        return eval_L3_L4(state, obs, tables, gaps), oracle
+        return eval_L3_L4(state, tables), oracle
 
     def test_peak_value_at_mean(self):
         sigma = 4.0
@@ -153,8 +154,8 @@ class TestTransitionLogpdfs:
     @pytest.mark.parametrize("with_kicks", [False, True])
     def test_package_matches_oracle(self, with_kicks):
         for seed in range(4):
-            state, obs, tables, gaps = make_random_fixture(seed, with_kicks=with_kicks)
-            p, T_s = state.params, tables.T_s
+            state, obs, tables = make_random_fixture(seed, with_kicks=with_kicks)
+            p, T_s, gaps = state.params, tables.T_s, tables.gaps
             prev = to_polar(state.x[:-1], state.z[:-1], p.b[:-1])
             plus = propagate_mean(prev, p.a[1:], p.omega[:-1], gaps.dt_phase[1:],
                                   gaps.dt_relax[1:], T_s)
@@ -168,7 +169,7 @@ class TestTransitionLogpdfs:
             lx, lz = transition_logpdfs(state.x[1:], state.z[1:], prev, p.b[1:], p.a[1:],
                                         p.omega[:-1], gaps.dt_phase[1:], gaps.dt_relax[1:],
                                         state.noise.sigma, T_s)
-            L3, L4 = eval_L3_L4(state, obs, tables, gaps)
+            L3, L4 = eval_L3_L4(state, tables)
             assert L3 == pytest.approx(lx.sum() / state.n, rel=1e-13)
             assert L4 == pytest.approx(lz.sum() / state.n, rel=1e-13)
 
@@ -177,8 +178,8 @@ class TestParamTransition:
     def test_fully_relaxed_peak(self):
         sigma_l = 2.5
         priors = ParamPriors(7.0, 3.0, 0.05, sigma_l, 1.0, 1.0)
-        state, _, tables, gaps = two_index_state(1e9, b=(3.0, 7.0), priors=priors)
-        L_b = eval_Lparams(state, tables, gaps)[0]
+        state, _, tables = two_index_state(1e9, b=(3.0, 7.0), priors=priors)
+        L_b = eval_Lparams(state, tables)[0]
         peak = -0.5 * np.log(2 * np.pi * sigma_l**2)
         assert 2 * L_b == pytest.approx(peak, rel=1e-12)
         assert param_transition_logpdf(7.0, 3.0, 7.0, sigma_l, 1e9, 400.0) == pytest.approx(
@@ -189,9 +190,9 @@ class TestParamTransition:
         d_l = np.exp(-dt / T_l)
         mean = d_l * 3.0 + (1 - d_l) * 7.0
         priors = ParamPriors(7.0, 3.0, 0.05, sigma_l, 1.0, 1.0)
-        state, _, tables, gaps = two_index_state(dt, b=(3.0, mean), priors=priors, T_l=T_l)
+        state, _, tables = two_index_state(dt, b=(3.0, mean), priors=priors, T_l=T_l)
         want = -0.5 * np.log(2 * np.pi * (1 - d_l) * sigma_l**2)
-        assert 2 * eval_Lparams(state, tables, gaps)[0] == pytest.approx(want, rel=1e-13)
+        assert 2 * eval_Lparams(state, tables)[0] == pytest.approx(want, rel=1e-13)
         got = param_transition_logpdf(mean, 3.0, 7.0, sigma_l, dt, T_l)
         assert got == pytest.approx(want, rel=1e-13)
 
@@ -207,16 +208,16 @@ class TestParamTransition:
             assert got == pytest.approx(want, abs=1e-12)
 
     def test_zero_gap_degenerate_variance(self):
-        state, _, tables, _ = two_index_state(10.0)
-        gaps = EffectiveGaps(np.zeros(2), np.zeros(2))
+        state, _, tables = two_index_state(10.0)
+        tables = replace(tables, gaps=EffectiveGaps(np.zeros(2), np.zeros(2)))
         with pytest.raises(ValueError, match="degenerate"):
-            eval_Lparams(state, tables, gaps)
+            eval_Lparams(state, tables)
 
     @pytest.mark.parametrize("with_kicks", [False, True])
     def test_package_matches_oracle(self, with_kicks):
         for seed in range(4):
-            state, _, tables, gaps = make_random_fixture(seed, with_kicks=with_kicks)
-            p, pr, dt = state.params, state.priors, gaps.dt_relax[1:]
+            state, _, tables = make_random_fixture(seed, with_kicks=with_kicks)
+            p, pr, dt = state.params, state.priors, tables.gaps.dt_relax[1:]
             want = [
                 param_transition_logpdf(alpha[1:], alpha[:-1], tilde, sigma_l, dt, tables.T_l).sum()
                 / state.n
@@ -226,7 +227,7 @@ class TestParamTransition:
                     (p.omega, pr.omega_tilde, pr.sigma_omega),
                 )
             ]
-            got = eval_Lparams(state, tables, gaps)
+            got = eval_Lparams(state, tables)
             for g, w in zip(got, want):
                 assert g == pytest.approx(w, rel=1e-13)
 

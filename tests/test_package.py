@@ -44,3 +44,19 @@ def test_only_kick_series_reads_kicks():
         if path.name != "timeseries.py":
             assert reads.findall(source) == [], path.name
         assert divides.findall(source) == divides.findall(owner if path.name == "timeseries.py" else ""), path.name
+
+
+EVALUATORS = (
+    "objective.eval_L1", "objective.eval_L2", "objective.eval_L3_L4", "objective.eval_Lparams",
+    "objective.eval_total", "objective.eval_components", "gradients._grad_L1", "gradients._grad_L2",
+    "gradients.grad_total", "gradients.fd_check", "optimizer.run_stage",
+)
+
+
+@pytest.mark.parametrize("name", EVALUATORS)
+def test_evaluators_read_fixed_inputs_only_from_the_tables(name):
+    # The data, its gaps and epsilon travel in KernelTables; no evaluator takes them apart.
+    module, attr = name.split(".")
+    params = inspect.signature(getattr(importlib.import_module(f"mcsmooth.{module}"), attr)).parameters
+    assert "tables" in params
+    assert {"obs", "gaps", "epsilon"} & set(params) == set()
