@@ -13,7 +13,7 @@ from .kernels import (
     bandwidth_rule_of_thumb,
     build_tables,
     gaussian_kernel,
-    time_kernel,
+    time_products,
 )
 from .objective import (
     Components,

@@ -24,7 +24,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .kernels import KernelTables, column_sum, gaussian_kernel, row_tiles
+from .kernels import KernelTables, folded, gaussian_kernel, kernel_peak, weighted_column_sums
 from .objective import EstimationState, WeightSchedule, eval_total, long_decay
 from .oscillator import EffectiveGaps, transition_quantities
 
@@ -56,21 +56,24 @@ def _grad_L1(state, tables):
 
 
 def _grad_L2(state, tables):
-    x, y, h = state.x, tables.y, tables.h
-
-    def tiles():
-        # W * ((x_i - x_j) Kxx - (y_i - x_j) Kyx), one row tile at a time
-        for r in row_tiles(state.n):
-            Kxx = gaussian_kernel(x[r, None], x[None, :], h)
-            Kyx = gaussian_kernel(y[r, None], x[None, :], h)
-            T = x[r, None] - x[None, :]
-            T *= Kxx
-            Kyx *= y[r, None] - x[None, :]
-            T -= Kyx
-            T *= tables.W[r]
-            yield T
-
-    return -column_sum(tiles()) / (state.n * h * h)
+    x, y, h, inv_s = state.x, tables.y, tables.h, tables.inv_s
+    g = np.zeros_like(x)
+    # g_k = sum_i W_ik ((x_i - x_k) Kxx_ik - (y_i - x_k) Kyx_ik). A block's
+    # columns k in J take the pairs i in I, and off the diagonal its rows
+    # k in I take the pairs i in J, where (x_i - x_k) Kxx is the negated term.
+    for I, J, log_w in tables.blocks():
+        Kxx, dxx = folded(log_w, x[I], x[J], h)
+        Kxx *= dxx
+        Kyx, dyx = folded(log_w, y[I], x[J], h)
+        Kyx *= dyx
+        np.subtract(Kxx, Kyx, out=Kyx)
+        g[J] += weighted_column_sums(Kyx, inv_s[I], inv_s[J])
+        if I != J:
+            Kxy, dxy = folded(log_w, x[I], y[J], h)
+            Kxy *= dxy
+            Kxy -= Kxx
+            g[I] += weighted_column_sums(Kxy.T, inv_s[J], inv_s[I])
+    return -kernel_peak(h) * g / (state.n * h * h)
 
 
 def _grad_Lparam(alpha, alpha_tilde, sigma_l, d_l, n):
@@ -187,7 +190,8 @@ def fd_check(
     wstate = replace(state, x=ld(state.x), z=ld(state.z),
                      params=replace(p, b=ld(p.b), a=ld(p.a), omega=ld(p.omega)))
     gaps = tables.gaps
-    wtables = replace(tables, y=ld(tables.y), rho0=ld(tables.rho0), W=ld(tables.W),
+    wtables = replace(tables, y=ld(tables.y), rho0=ld(tables.rho0), t=ld(tables.t),
+                      before=ld(tables.before), inv_s=ld(tables.inv_s),
                       gaps=EffectiveGaps(ld(gaps.dt_phase), ld(gaps.dt_relax)))
     values = {
         "x": wstate.x,

@@ -1,4 +1,4 @@
-"""Gaussian kernels, rule-of-thumb bandwidth, and the L2 weight table.
+"""Gaussian kernels, rule-of-thumb bandwidth, and the kernel tables.
 
 The time kernel operates on kick-adjusted distances: the plain distance
 |t_i - t_j| is inflated by alpha times the total intensity of the kicks at
@@ -6,16 +6,21 @@ min(t_i, t_j) <= k < max(t_i, t_j), the gaps' half-open rule
 (``KickSeries.intensity_before``). Per-gap decay factors are not tabulated here;
 the objective derives them from the tables' gaps (``oscillator.effective_gaps``).
 
-Every n x n quantity is formed in row tiles of about ``TILE_ELEMENTS``
-elements, so the pairwise work stays in cache and the only n x n array the
-estimator keeps is the weight table ``KernelTables.W``. ``column_sum`` adds
-tiles up in the order ``ndarray.sum(axis=0)`` adds the whole array's rows,
-so tiled column sums are bit-identical to whole-array ones. All tables are
-immutable after construction.
+No n x n array exists. Every pairwise quantity is generated in square blocks
+I x J with I <= J (``square_blocks``) of about ``TILE_ELEMENTS`` elements, and
+an off-diagonal block stands for both orders of its pairs, since the time
+kernel is symmetric. The tables keep only O(n) data: the times, the kick
+intensity before each, the kick scale alpha and ``inv_s``, the inverse row
+sums of the unnormalised time kernel E_ij = exp(-d_ij^2 / (2 T_l^2)). The L2
+weight W_ij = E_ij (inv_s_i + inv_s_j) is never stored: its log time weight
+is added to the exponent of each value kernel (``folded``), so one exp gives
+W_ij K_h(u_i, v_j) = c_h (inv_s_i + inv_s_j) exp(log E_ij - (u_i - v_j)^2 / (2 h^2)).
+All tables are immutable after construction.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,12 +32,15 @@ __all__ = [
     "KernelTables",
     "bandwidth_rule_of_thumb",
     "gaussian_kernel",
-    "time_kernel",
+    "time_products",
     "build_tables",
 ]
 
-# Elements per row tile of an n x n quantity (256 KiB of float64).
+# Elements per tile or block of an n x n quantity (256 KiB of float64).
 TILE_ELEMENTS = 2**15
+
+# Side of a square block of about TILE_ELEMENTS elements.
+BLOCK = math.isqrt(TILE_ELEMENTS)
 
 
 def row_tiles(n: int, width: int | None = None):
@@ -42,19 +50,12 @@ def row_tiles(n: int, width: int | None = None):
         yield slice(start, min(start + rows, n))
 
 
-def column_sum(tiles):
-    """Column sums of the row tiles stacked in order; the tiles are modified.
-
-    The running sum is added into each tile's first row before the tile is
-    summed, so every column is added up row by row from the top exactly as
-    ``sum(axis=0)`` of the stacked array adds it.
-    """
-    acc = None
-    for tile in tiles:
-        if acc is not None:
-            tile[0] += acc
-        acc = tile.sum(axis=0)
-    return acc
+def square_blocks(n: int):
+    """Slice pairs (I, J) of the blocks on and above the diagonal of an n x n array."""
+    edges = [slice(start, min(start + BLOCK, n)) for start in range(0, n, BLOCK)]
+    for k, I in enumerate(edges):
+        for J in edges[k:]:
+            yield I, J
 
 
 def bandwidth_rule_of_thumb(values) -> float:
@@ -81,37 +82,70 @@ def gaussian_kernel(u, v, h):
     return np.exp(d) / (np.sqrt(2.0 * np.pi) * h)
 
 
-def time_kernel(t, kicks: KickSeries, alpha: float, T_l: float) -> np.ndarray:
-    """The n x n Gaussian kernel over kick-adjusted time distances, bandwidth T_l.
+def kernel_peak(h: float) -> float:
+    """The Gaussian kernel's normalisation 1 / (sqrt(2 pi) h)."""
+    return 1.0 / (np.sqrt(2.0 * np.pi) * h)
 
-    ``alpha`` is the added time per unit kick intensity (``KickSeries.alpha_kick``).
-    Filled one row tile at a time, so the distances never exist as a whole
-    n x n array.
+
+def log_time_weight(t, before, alpha: float, T_l: float, I: slice, J: slice) -> np.ndarray:
+    """The block -d_ij^2 / (2 T_l^2), i in I and j in J, of kick-adjusted distances d.
+
+    ``before`` is the kick intensity before each time (``KickSeries.intensity_before``)
+    and ``alpha`` the added time per unit intensity (``KickSeries.alpha_kick``).
+    """
+    d = np.abs(t[I, None] - t[None, J])
+    if alpha:
+        d += alpha * np.abs(before[I, None] - before[None, J])
+    d *= d
+    d /= -2.0 * T_l * T_l
+    return d
+
+
+def folded(log_w: np.ndarray, u, v, h: float) -> tuple[np.ndarray, np.ndarray]:
+    """exp(log_w_ij - (u_i - v_j)^2 / (2 h^2)) and u_i - v_j, over a block."""
+    d = u[:, None] - v[None, :]
+    e = d * d
+    e /= -2.0 * h * h
+    e += log_w
+    return np.exp(e, out=e), d
+
+
+def weighted_column_sums(M: np.ndarray, inv_I, inv_J) -> np.ndarray:
+    """sum_i (inv_I[i] + inv_J[j]) M[i, j] for each column j: the W-weighted column sums."""
+    return inv_I @ M + inv_J * M.sum(axis=0)
+
+
+def time_products(t, kicks: KickSeries, alpha: float, T_l: float, V: np.ndarray) -> np.ndarray:
+    """E @ V for the unnormalised kick-adjusted time kernel E (bandwidth T_l) and an n x k V.
+
+    E_ij = exp(-d_ij^2 / (2 T_l^2)) is generated block by block, and each
+    off-diagonal block serves both E_IJ @ V_J and its transpose's E_JI @ V_I.
     """
     t = np.asarray(t, dtype=float)
     before = kicks.intensity_before(t)
-    out = np.empty((t.size, t.size))
-    for r in row_tiles(t.size):
-        dist = np.abs(t[r, None] - t[None, :])
-        if alpha:
-            dist += alpha * np.abs(before[r, None] - before[None, :])
-        out[r] = np.exp(-(dist * dist) / (2.0 * T_l * T_l)) / (np.sqrt(2.0 * np.pi) * T_l)
+    out = np.zeros(V.shape)
+    for I, J in square_blocks(t.size):
+        E = np.exp(log_time_weight(t, before, alpha, T_l, I, J))
+        out[I] += E @ V[J]
+        if I != J:
+            out[J] += E.T @ V[I]
     return out
 
 
 @dataclass(frozen=True)
 class KernelTables:
-    """Everything the objective reads that no stage moves.
+    """Everything the objective reads that no stage moves, all of it O(n).
 
     y is the data, gaps its kick-adjusted gaps (``oscillator.effective_gaps``)
     and epsilon the L1 mollification weight. h is the data bandwidth and
-    rho0[i] the mean over j of K^y(y^i, y^j).
-    With Kt the kick-adjusted time kernel (``time_kernel``, bandwidth T_l)
-    and s_i = sum_l Kt[i, l], W[i, j] = Kt[i, j] / s_j + Kt[i, j] / s_i is
-    the symmetric time weighting of the distributional component L2 and of
-    its gradient. wky = sum_ij W[i, j] K^y(y^i, y^j) is the part of L2 that
-    does not depend on x, summed in the tile order ``eval_L2`` uses, so that
-    L2 vanishes exactly at x = y. W is the only n x n table.
+    rho0[i] the mean over j of K^y(y^i, y^j). t are the times, before the
+    kick intensity before each (``KickSeries.intensity_before``) and alpha the
+    kick scale; with them ``blocks`` generates the log time weight of each
+    block. inv_s[i] is 1 / sum_l E[i, l] for the unnormalised time kernel E,
+    so the L2 weight is W[i, j] = E[i, j] (inv_s[i] + inv_s[j]). wky = sum_ij
+    W[i, j] K^y(y^i, y^j) is the part of L2 that does not depend on x, summed
+    over the blocks with ``eval_L2``'s expressions, so that L2 vanishes
+    exactly at x = y.
     """
 
     y: np.ndarray
@@ -120,44 +154,59 @@ class KernelTables:
     T_s: float
     T_l: float
     epsilon: float
+    t: np.ndarray
+    before: np.ndarray
+    alpha: float
+    inv_s: np.ndarray
     rho0: np.ndarray
-    W: np.ndarray
     wky: float
+
+    def blocks(self):
+        """Each block (I, J) of ``square_blocks`` with its log time weight."""
+        for I, J in square_blocks(self.t.size):
+            yield I, J, log_time_weight(self.t, self.before, self.alpha, self.T_l, I, J)
 
 
 def build_tables(
-    obs: ObservationSeries, Kt: np.ndarray, gaps: EffectiveGaps, T_s: float, T_l: float, epsilon: float
+    obs: ObservationSeries,
+    kicks: KickSeries,
+    alpha: float,
+    S: np.ndarray,
+    gaps: EffectiveGaps,
+    T_s: float,
+    T_l: float,
+    epsilon: float,
 ) -> KernelTables:
     """Precompute the kernel tables for an observation series and its gaps.
 
-    Its time kernel Kt (``time_kernel``, bandwidth T_l) becomes W in place: do not reuse Kt.
+    S holds the row sums of the series' unnormalised time kernel at kick
+    scale alpha and bandwidth T_l (``time_products`` of a column of ones).
     """
     if T_s <= 0 or T_l <= 0:
         raise ValueError("build_tables: time scales must be positive")
     if not 0.0 <= epsilon < 1.0:
         raise ValueError("build_tables: epsilon must lie in [0, 1)")
     y, n = obs.values, obs.n
-    if Kt.shape != (n, n):
-        raise ValueError(f"build_tables: time kernel has shape {Kt.shape}, expected ({n}, {n})")
+    S = np.asarray(S, dtype=float)
+    if S.shape != (n,):
+        raise ValueError(f"build_tables: row sums have shape {S.shape}, expected ({n},)")
     if gaps.dt_relax.shape != (n,):
         raise ValueError(f"build_tables: gaps have shape {gaps.dt_relax.shape}, expected ({n},)")
     h = bandwidth_rule_of_thumb(y)
+    t, before, alpha, T_l = obs.times, kicks.intensity_before(obs.times), float(alpha), float(T_l)
+    inv_s = 1.0 / S
 
-    W = Kt
-    rs = n * W.mean(axis=1)
-    rho0 = np.empty(n)
-
-    def weighted_ky_tiles():
-        for r in row_tiles(n):
-            Wr = W[r]
-            by_col = Wr / rs[None, :]
-            Wr /= rs[r, None]
-            Wr += by_col
-            Ky = gaussian_kernel(y[r, None], y[None, :], h)
-            rho0[r] = Ky.mean(axis=1)
-            Ky *= Wr
-            yield Ky
-
-    wky = float(column_sum(weighted_ky_tiles()).sum())
-    return KernelTables(y=y, gaps=gaps, h=h, T_s=float(T_s), T_l=float(T_l), epsilon=float(epsilon),
-                        rho0=rho0, W=W, wky=wky)
+    ky_sums = np.zeros(n)
+    wky = 0.0
+    for I, J in square_blocks(n):
+        Ky, _ = folded(0.0, y[I], y[J], h)
+        ky_sums[I] += Ky.sum(axis=1)
+        Kw, _ = folded(log_time_weight(t, before, alpha, T_l, I, J), y[I], y[J], h)
+        if I == J:
+            wky += weighted_column_sums(Kw, inv_s[I], inv_s[J]).sum()
+        else:
+            ky_sums[J] += Ky.sum(axis=0)
+            wky += 2.0 * weighted_column_sums(Kw, inv_s[I], inv_s[J]).sum()
+    c_h = kernel_peak(h)
+    return KernelTables(y=y, gaps=gaps, h=h, T_s=float(T_s), T_l=T_l, epsilon=float(epsilon), t=t,
+                        before=before, alpha=alpha, inv_s=inv_s, rho0=ky_sums * (c_h / n), wky=c_h * wky)

@@ -7,6 +7,10 @@ L1 rewards point-wise kernel agreement of the surrogate x with the data y
 densities, L3/L4 reward coherence with the oscillatory model's transition
 densities, and the three parameter components reward slow parameter drift.
 The total is the lambda-weighted sum, formed in ``WeightSchedule.total`` alone.
+
+L2 is the only pairwise term. It is summed over the tables' square blocks
+(``KernelTables.blocks``) with the time weight folded into each kernel's
+exponent, so its memory is O(n) and no n x n array exists.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .kernels import KernelTables, column_sum, gaussian_kernel, row_tiles
+from .kernels import KernelTables, folded, gaussian_kernel, kernel_peak, weighted_column_sums
 from .oscillator import LOG_2PI, ModelNoise, ParamPriors, ParamTrajectory, transition_quantities
 from .timeseries import float_array
 
@@ -118,21 +122,25 @@ def eval_L2(state: EstimationState, tables: KernelTables) -> float:
 
     Vanishes exactly at x = y and, in the uniform-weight limit, is the
     negative of a squared kernel mean discrepancy, hence nonpositive.
-    The x-dependent part sum W * (Kxx - 2 Kyx) is formed in row tiles; the
+    The x-dependent part sum W * (Kxx - 2 Kyx) is summed over the tables'
+    blocks, each off-diagonal block counting both orders of its pairs; the
     rest, sum W * Ky, is the precomputed ``tables.wky``.
     """
-    x, y, h = state.x, tables.y, tables.h
-
-    def tiles():
-        for r in row_tiles(state.n):
-            Kxx = gaussian_kernel(x[r, None], x[None, :], h)
-            Kyx = gaussian_kernel(y[r, None], x[None, :], h)
+    x, y, h, inv_s = state.x, tables.y, tables.h, tables.inv_s
+    total = 0.0
+    for I, J, log_w in tables.blocks():
+        Kxx, _ = folded(log_w, x[I], x[J], h)
+        Kyx, _ = folded(log_w, y[I], x[J], h)
+        if I == J:
             Kyx *= 2.0
             Kxx -= Kyx
-            Kxx *= tables.W[r]
-            yield Kxx
-
-    return -(column_sum(tiles()).sum() + tables.wky) / (2.0 * state.n)
+            total += weighted_column_sums(Kxx, inv_s[I], inv_s[J]).sum()
+        else:
+            Kxy, _ = folded(log_w, x[I], y[J], h)
+            Kxx -= Kyx
+            Kxx -= Kxy
+            total += 2.0 * weighted_column_sums(Kxx, inv_s[I], inv_s[J]).sum()
+    return -(kernel_peak(h) * total + tables.wky) / (2.0 * state.n)
 
 
 def eval_L3_L4(state: EstimationState, tables: KernelTables) -> tuple[float, float]:

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .gradients import grad_total
-from .kernels import KernelTables, build_tables, gaussian_kernel, row_tiles, time_kernel
+from .kernels import KernelTables, build_tables, gaussian_kernel, row_tiles, time_products
 from .objective import Components, EstimationState, WeightSchedule, eval_components
 from .oscillator import ModelNoise, ParamPriors, ParamTrajectory, effective_gaps, propagate
 from .timeseries import KickSeries, ObservationSeries, read_columns, repr_rows, write_csv_rows
@@ -143,10 +143,6 @@ class EstimationResult:
         return sum(t.line_search_failures for t in self.traces)
 
 
-def _kernel_regress(weights: np.ndarray, values: np.ndarray) -> np.ndarray:
-    return weights @ values / weights.sum(axis=1)
-
-
 def _windowed_max(times: np.ndarray, values: np.ndarray, window: float) -> np.ndarray:
     """For each time, the maximum of the values at times less than ``window`` away."""
     out = np.empty(times.size)
@@ -214,8 +210,8 @@ def initialize(
 
     Surrogates start at the data, latents at zero and the frequency at omega_tilde. The
     local mean and amplitude are regressions of y and of maxima of |y - b| within T_s
-    on the kick-adjusted time kernel, which then becomes the tables' W. The kernel and
-    the tables' gaps share one kick scale, ``kicks.alpha_kick(T_s)``.
+    on the kick-adjusted time kernel, whose row sums also go into the tables. The
+    kernel and the tables' gaps share one kick scale, ``kicks.alpha_kick(T_s)``.
     """
     kicks = kicks if kicks is not None else KickSeries.empty()
     cfg = config if config is not None else HyperConfig()
@@ -225,11 +221,11 @@ def initialize(
     sigma_b = float(y.std())
 
     alpha = kicks.alpha_kick(T_s)
-    Kt = time_kernel(t, kicks, alpha, T_l)
-    b = _kernel_regress(Kt, y)
+    S, Ey = time_products(t, kicks, alpha, T_l, np.column_stack((np.ones(obs.n), y))).T
+    b = Ey / S
     a_hat = _windowed_max(t, np.abs(y - b), T_s)
-    a = _kernel_regress(Kt, a_hat)
-    tables = build_tables(obs, Kt, effective_gaps(obs, kicks, alpha), T_s, T_l, cfg.epsilon)
+    a = time_products(t, kicks, alpha, T_l, a_hat[:, None])[:, 0] / S
+    tables = build_tables(obs, kicks, alpha, S, effective_gaps(obs, kicks, alpha), T_s, T_l, cfg.epsilon)
 
     a_tilde = 0.0 if cfg.a_tilde_zero else float(a_hat.mean())
     a_bar = float(a.mean())
@@ -414,8 +410,7 @@ def reconstruct_trajectory(result: EstimationResult, grid) -> tuple[np.ndarray, 
     t = result.obs.times
     state = result.state
     p = state.params
-    kicks = result.kicks
-    alpha = kicks.alpha_kick(result.config.T_s)
+    kicks, alpha = result.kicks, result.tables.alpha
 
     if grid.size and (grid.min() < t[0] or grid.max() > t[-1]):
         raise ValueError("reconstruct_trajectory: grid time outside the observation span")

@@ -2,8 +2,9 @@
 
 The smoother oracle restates the transition densities and the gap
 reconstruction one transition or grid point at a time, apart from the
-package's vectorised ``oscillator.propagate``, and L2 with its gradient as
-whole-array expressions, apart from the package's row-tiled forms. The
+package's vectorised ``oscillator.propagate``, and the time kernel, L2 and
+its gradient as whole n x n expressions, apart from the package's symmetric
+blocks. The
 simulator oracle restates the model equations with every parameter read
 afresh (``f1``-``f4`` and the tuple ``_rhs``), apart from the package's bound
 right-hand side, and the RK4 loop on numpy 6-vectors that
@@ -27,7 +28,7 @@ from mcsmooth import (
     PolarState,
     build_tables,
     effective_gaps,
-    time_kernel,
+    time_products,
     to_polar,
 )
 from mcsmooth.ultradian import BlowUpError, SimulationResult, nutrition_rate
@@ -113,20 +114,38 @@ def reconstruct_loop(result, grid):
     return values, dashed
 
 
-# --- oracle: L2 and its x-gradient as whole-array expressions
+# --- oracle: the time kernel, L2 and its x-gradient as whole-array expressions
 
 def _kernel_expression(u, v, h):
     d = np.asarray(v) - np.asarray(u)
     return np.exp(-(d * d) / (2.0 * h * h)) / (np.sqrt(2.0 * np.pi) * h)
 
 
+def _time_kernel_expression(t, before, alpha, T_l):
+    dist = np.abs(t[:, None] - t[None, :]) + alpha * np.abs(before[:, None] - before[None, :])
+    return _kernel_expression(0.0, dist, T_l)
+
+
+def time_kernel(t, kicks, alpha, T_l):
+    """The n x n Gaussian kernel over kick-adjusted time distances, bandwidth T_l."""
+    t = np.asarray(t, dtype=float)
+    return _time_kernel_expression(t, kicks.intensity_before(t), alpha, T_l)
+
+
+def dense_weights(tables):
+    """The L2 weight W[i, j] = Kt[i, j] / s_j + Kt[i, j] / s_i, s the row sums of the time kernel Kt."""
+    Kt = _time_kernel_expression(tables.t, tables.before, tables.alpha, tables.T_l)
+    s = Kt.sum(axis=1)
+    return Kt / s[None, :] + Kt / s[:, None]
+
+
 def l2_oracle(x, y, tables):
-    """-(sum W (Kxx - 2 Kyx) + sum W Ky) / 2n, each sum taken over columns first."""
+    """-(sum W (Kxx - 2 Kyx) + sum W Ky) / 2n over whole n x n arrays."""
+    W = dense_weights(tables)
     Kxx = _kernel_expression(x[:, None], x[None, :], tables.h)
     Kyx = _kernel_expression(y[:, None], x[None, :], tables.h)
     Ky = _kernel_expression(y[:, None], y[None, :], tables.h)
-    wky = (tables.W * Ky).sum(axis=0).sum()
-    return -((tables.W * (Kxx - 2.0 * Kyx)).sum(axis=0).sum() + wky) / (2.0 * x.size)
+    return -((W * (Kxx - 2.0 * Kyx)).sum() + (W * Ky).sum()) / (2.0 * x.size)
 
 
 def l2_grad_oracle(x, y, tables):
@@ -134,7 +153,12 @@ def l2_grad_oracle(x, y, tables):
     Kxx = _kernel_expression(x[:, None], x[None, :], h)
     Kyx = _kernel_expression(y[:, None], x[None, :], h)
     T = (x[:, None] - x[None, :]) * Kxx - (y[:, None] - x[None, :]) * Kyx
-    return -(tables.W * T).sum(axis=0) / (x.size * h * h)
+    return -(dense_weights(tables) * T).sum(axis=0) / (x.size * h * h)
+
+
+def relative_error(got, want):
+    """max |got - want| over max |want|: agreement relative to the oracle's scale."""
+    return float(np.max(np.abs(np.asarray(got) - want)) / np.max(np.abs(want)))
 
 
 # --- oracle: the model equations with every field read afresh, and the RK4
@@ -269,9 +293,9 @@ def make_random_series(seed, n=16, with_kicks=None):
 
 
 def tables_for(obs, kicks, alpha, T_s, T_l, epsilon=0.1):
-    """``build_tables`` on a freshly built time kernel and the gaps of the series."""
-    kernel = time_kernel(obs.times, kicks, alpha, T_l)
-    return build_tables(obs, kernel, effective_gaps(obs, kicks, alpha), T_s, T_l, epsilon)
+    """``build_tables`` on the time kernel's row sums and the gaps of the series."""
+    S = time_products(obs.times, kicks, alpha, T_l, np.ones((obs.n, 1)))[:, 0]
+    return build_tables(obs, kicks, alpha, S, effective_gaps(obs, kicks, alpha), T_s, T_l, epsilon)
 
 
 def make_random_fixture(seed, n=16, with_kicks=None):

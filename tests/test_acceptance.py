@@ -31,9 +31,9 @@ from mcsmooth import (
     nominal_params,
     simulate,
     subsample,
-    time_kernel,
     to_polar,
 )
+from mcsmooth.kernels import log_time_weight
 from mcsmooth.cli import run_command
 from mcsmooth.optimizer import (
     read_densities_csv,
@@ -179,8 +179,9 @@ def test_criterion_6_kick_decoupling():
         kicks = KickSeries([k_time], [intensity])
         alpha = kicks.alpha_kick(T_s)
 
-        plain = time_kernel(t, KickSeries.empty(), 0.0, T_l)
-        kicked = time_kernel(t, kicks, alpha, T_l)
+        every = slice(None)
+        plain = log_time_weight(t, KickSeries.empty().intensity_before(t), 0.0, T_l, every, every)
+        kicked = log_time_weight(t, kicks.intensity_before(t), alpha, T_l, every, every)
         gaps = effective_gaps(obs, kicks, alpha)
         ds_plain = np.exp(-effective_gaps(obs, KickSeries.empty(), 0.0).dt_relax / T_s)
         ds_kicked = np.exp(-gaps.dt_relax / T_s)

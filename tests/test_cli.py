@@ -4,7 +4,6 @@ import tracemalloc
 import numpy as np
 import pytest
 
-import mcsmooth.kernels
 import mcsmooth.optimizer
 from mcsmooth import ObservationSeries, initialize, load_observations, write_observations
 from mcsmooth.cli import run_command
@@ -238,31 +237,40 @@ def test_densities_hold_no_pair_array(tmp_path, t_l):
     assert peak < 0.5 * n * n * 8
 
 
-def test_time_kernel_built_once_per_estimate_and_never_for_densities(dense_csv, tmp_path, monkeypatch):
-    real = mcsmooth.kernels.time_kernel
+def counted_calls(monkeypatch, module, name):
+    """The argument tuples of every call to ``module.name`` from now on."""
+    real = getattr(module, name)
     calls = []
 
     def counted(*args, **kwargs):
         calls.append(args)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(mcsmooth.kernels, "time_kernel", counted)
-    monkeypatch.setattr(mcsmooth.optimizer, "time_kernel", counted)
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_tables_built_once_per_estimate_and_never_for_densities(dense_csv, tmp_path, monkeypatch):
+    # One pass for the row sums and the mean, one for the amplitude, and one set of tables.
+    products = counted_calls(monkeypatch, mcsmooth.optimizer, "time_products")
+    tables = counted_calls(monkeypatch, mcsmooth.optimizer, "build_tables")
     obs_path = tmp_path / "obs.csv"
     run_command(["subsample", "--in", str(dense_csv), "--spec", "h3",
                  "--period", "10", "--out", str(obs_path)])
     kicks_path = tmp_path / "kicks.csv"
     kicks_path.write_text("2400,1.5\n2700,0.5\n", encoding="utf-8")
     for kicks in ([], ["--kicks", str(kicks_path)]):
-        calls.clear()
+        products.clear()
+        tables.clear()
         assert run_command(["estimate", "--obs", str(obs_path), *kicks, "--out-dir", str(tmp_path),
                             "--iters-stage1a", "2", "--iters-stage1b", "2", "--iters-stage2", "2"]) == 0
-        assert len(calls) == 1
+        assert (len(products), len(tables)) == (2, 1)
     for t_l in ([], ["--t-l", "560"]):
-        calls.clear()
+        products.clear()
+        tables.clear()
         assert run_command(["densities", "--obs", str(obs_path), *t_l,
                             "--out", str(tmp_path / "dens.csv")]) == 0
-        assert calls == []
+        assert products == [] and tables == []
 
 
 @pytest.mark.parametrize("flags, message", [
@@ -288,14 +296,7 @@ def test_bad_time_scales_rejected_before_any_work(tmp_path, capsys, monkeypatch,
 ])
 def test_bad_epsilon_or_weights_rejected_before_any_work(tmp_path, capsys, monkeypatch, flags, weights,
                                                           message):
-    real = mcsmooth.kernels.time_kernel
-    calls = []
-
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(mcsmooth.optimizer, "time_kernel", counted)
+    calls = counted_calls(monkeypatch, mcsmooth.optimizer, "time_products")
     obs_path = tmp_path / "obs.csv"
     write_observations(ObservationSeries(70.0 * np.arange(8), 100.0 + 20.0 * np.sin(np.arange(8))), obs_path)
     config_path = tmp_path / "config.json"

@@ -8,9 +8,10 @@ from mcsmooth import (
     build_tables,
     effective_gaps,
     gaussian_kernel,
-    time_kernel,
+    time_products,
 )
-from conftest import tables_for
+from mcsmooth.kernels import BLOCK, log_time_weight, square_blocks
+from conftest import dense_weights, relative_error, tables_for, time_kernel
 
 SQRT_2PI = np.sqrt(2.0 * np.pi)
 
@@ -55,12 +56,21 @@ def series(seed=0, n=12):
     return ObservationSeries(t - t[0], rng.normal(120, 15, n))
 
 
+ALL = slice(None)
+
+
+def log_weights(obs, kicks, alpha, T_l):
+    """The package's log time weight of every pair, as one block."""
+    t = obs.times
+    return log_time_weight(t, kicks.intensity_before(t), alpha, T_l, ALL, ALL)
+
+
 class TestBuildTables:
     def test_no_kicks_matches_plain_distances(self):
         obs = series()
-        t = obs.times
-        plain = gaussian_kernel(t[:, None], t[None, :], 400.0)
-        assert np.array_equal(time_kernel(t, KickSeries.empty(), 0.0, 400.0), plain)
+        d = obs.times[:, None] - obs.times[None, :]
+        plain = -(d * d) / (2.0 * 400.0 * 400.0)
+        assert np.array_equal(log_weights(obs, KickSeries.empty(), 0.0, 400.0), plain)
 
     def test_row_mean_consistency(self):
         obs = series(3)
@@ -69,19 +79,18 @@ class TestBuildTables:
         Ky = gaussian_kernel(y[:, None], y[None, :], tab.h)
         Kt = time_kernel(obs.times, KickSeries.empty(), 0.0, 400.0)
         assert np.allclose(Ky.sum(axis=1) / obs.n, tab.rho0, rtol=0, atol=1e-15)
-        s = Kt.sum(axis=1)
-        assert np.allclose(tab.W, Kt / s[None, :] + Kt / s[:, None], rtol=1e-14, atol=0)
+        s = Kt.sum(axis=1) * (np.sqrt(2.0 * np.pi) * 400.0)
+        assert np.allclose(tab.inv_s, 1.0 / s, rtol=1e-14, atol=0)
 
     def test_tables_symmetric_positive(self):
         obs = series(5)
         tab = tables_for(obs, KickSeries.empty(), 0.0, T_s=100.0, T_l=400.0)
         y = obs.values
         Ky = gaussian_kernel(y[:, None], y[None, :], tab.h)
-        Kt = time_kernel(obs.times, KickSeries.empty(), 0.0, 400.0)
-        for m in (Ky, Kt, tab.W):
+        for m in (Ky, np.exp(log_weights(obs, KickSeries.empty(), 0.0, 400.0)), dense_weights(tab)):
             assert np.array_equal(m, m.T)
             assert np.all(m > 0)
-        assert np.all(tab.rho0 > 0)
+        assert np.all(tab.rho0 > 0) and np.all(tab.inv_s > 0)
 
     def test_decay_factor_at_one_timescale(self):
         obs = ObservationSeries([0.0, 100.0], [0.0, 1.0])
@@ -109,9 +118,7 @@ class TestBuildTables:
         rng = np.random.default_rng(1)
         kt = np.sort(rng.uniform(obs.times[0] + 1, obs.times[-1] - 1, 4))
         kicks = KickSeries(kt, rng.uniform(0.1, 3.0, 4))
-        Kt0 = time_kernel(obs.times, KickSeries.empty(), 0.0, 400.0)
-        Kt1 = time_kernel(obs.times, kicks, 30.0, 400.0)
-        assert np.all(Kt1 <= Kt0)
+        assert np.all(log_weights(obs, kicks, 30.0, 400.0) <= log_weights(obs, KickSeries.empty(), 0.0, 400.0))
         ds0, dl0 = decays(obs, KickSeries.empty(), 0.0, 100.0, 400.0)
         ds1, dl1 = decays(obs, kicks, 30.0, 100.0, 400.0)
         assert np.all(ds1 <= ds0) and np.all(dl1 <= dl0)
@@ -119,47 +126,55 @@ class TestBuildTables:
     def test_removing_kicks_restores_plain_tables(self):
         obs = series(13)
         kicks = KickSeries([obs.times[3] + 0.5], [1.0])
-        with_k = time_kernel(obs.times, kicks, 25.0, 400.0)
-        without = time_kernel(obs.times, KickSeries.empty(), 0.0, 400.0)
-        W_without = tables_for(obs, KickSeries.empty(), 0.0, 100.0, 400.0).W
+
+        def table_bytes(tab):
+            return [tab.inv_s.tobytes(), tab.rho0.tobytes(), tab.before.tobytes(), tab.wky, tab.alpha]
+
+        with_k = log_weights(obs, kicks, 25.0, 400.0)
+        without = log_weights(obs, KickSeries.empty(), 0.0, 400.0)
+        plain = table_bytes(tables_for(obs, KickSeries.empty(), 0.0, 100.0, 400.0))
         assert not np.array_equal(with_k, without)
+        assert table_bytes(tables_for(obs, kicks, 25.0, 100.0, 400.0)) != plain
         ds_without, _ = decays(obs, KickSeries.empty(), 0.0, 100.0, 400.0)
         assert not np.array_equal(decays(obs, kicks, 25.0, 100.0, 400.0)[0], ds_without)
-        assert np.array_equal(time_kernel(obs.times, KickSeries.empty(), 0.0, 400.0), without)
-        assert np.array_equal(tables_for(obs, KickSeries.empty(), 0.0, 100.0, 400.0).W, W_without)
+        assert np.array_equal(log_weights(obs, KickSeries.empty(), 0.0, 400.0), without)
+        assert table_bytes(tables_for(obs, KickSeries.empty(), 0.0, 100.0, 400.0)) == plain
         assert np.array_equal(decays(obs, KickSeries.empty(), 0.0, 100.0, 400.0)[0], ds_without)
 
-    def test_time_kernel_becomes_W_in_place(self):
-        obs = series(19)
-        Kt = time_kernel(obs.times, KickSeries.empty(), 0.0, 400.0)
-        gaps = effective_gaps(obs, KickSeries.empty(), 0.0)
-        assert build_tables(obs, Kt, gaps, 100.0, 400.0, 0.1).W is Kt
+    @pytest.mark.parametrize("with_kicks", [False, True])
+    def test_tables_hold_no_pair_array(self, with_kicks):
+        obs = series(19, n=2 * BLOCK + 5)
+        kicks = KickSeries([obs.times[40] + 0.5], [1.0]) if with_kicks else KickSeries.empty()
+        tab = tables_for(obs, kicks, 30.0 * with_kicks, 100.0, 400.0)
+        arrays = [v for v in vars(tab).values() if isinstance(v, np.ndarray)] + list(tab.gaps)
+        assert len(arrays) == 7
+        assert all(a.shape == (obs.n,) for a in arrays)
 
-    @pytest.mark.parametrize("shape", [(12, 13), (13, 12), (12,)])
-    def test_time_kernel_of_another_shape_rejected(self, shape):
+    @pytest.mark.parametrize("shape", [(11,), (13,), (12, 1), (12, 12)])
+    def test_row_sums_of_another_shape_rejected(self, shape):
         obs = series(19)
         gaps = effective_gaps(obs, KickSeries.empty(), 0.0)
-        with pytest.raises(ValueError, match="build_tables: time kernel has shape"):
-            build_tables(obs, np.ones(shape), gaps, 100.0, 400.0, 0.1)
+        with pytest.raises(ValueError, match="build_tables: row sums have shape"):
+            build_tables(obs, KickSeries.empty(), 0.0, np.ones(shape), gaps, 100.0, 400.0, 0.1)
 
     @pytest.mark.parametrize("n", [11, 13])
     def test_gaps_of_another_length_rejected(self, n):
         obs = series(19)
         gaps = effective_gaps(series(19, n=n), KickSeries.empty(), 0.0)
         with pytest.raises(ValueError, match=rf"gaps have shape \({n},\), expected \(12,\)"):
-            build_tables(obs, np.ones((12, 12)), gaps, 100.0, 400.0, 0.1)
+            build_tables(obs, KickSeries.empty(), 0.0, np.ones(12), gaps, 100.0, 400.0, 0.1)
 
     @pytest.mark.parametrize("epsilon", [-0.1, 1.0, float("nan")])
     def test_epsilon_out_of_range_rejected(self, epsilon):
         obs = series(19)
         gaps = effective_gaps(obs, KickSeries.empty(), 0.0)
         with pytest.raises(ValueError, match=r"build_tables: epsilon must lie in \[0, 1\)"):
-            build_tables(obs, np.ones((12, 12)), gaps, 100.0, 400.0, epsilon)
+            build_tables(obs, KickSeries.empty(), 0.0, np.ones(12), gaps, 100.0, 400.0, epsilon)
 
     @pytest.mark.parametrize("with_kicks", [False, True])
-    def test_row_tiles_match_the_whole_array_expressions(self, with_kicks):
-        # n = 300 spans three row tiles
-        obs = series(17, n=300)
+    def test_blocks_match_the_whole_array_expressions(self, with_kicks):
+        # n = 2 * BLOCK + 7 spans three block rows, the last one partial
+        obs = series(17, n=2 * BLOCK + 7)
         t, y = obs.times, obs.values
         kicks, alpha = KickSeries.empty(), 0.0
         if with_kicks:
@@ -169,10 +184,26 @@ class TestBuildTables:
         cum = np.concatenate(([0.0], np.cumsum(kicks.intensities)))
         before = cum[(kicks.times[None, :] < t[:, None]).sum(axis=1)]
         dist = np.abs(t[:, None] - t[None, :]) + alpha * np.abs(before[:, None] - before[None, :])
-        Kt = np.exp(-(dist * dist) / (2.0 * 400.0 * 400.0)) / (SQRT_2PI * 400.0)
-        assert np.array_equal(time_kernel(t, kicks, alpha, 400.0), Kt)
-        rs = obs.n * Kt.mean(axis=1)
-        assert np.array_equal(tab.W, Kt / rs[None, :] + Kt / rs[:, None])
+        log_w = -(dist * dist) / (2.0 * 400.0 * 400.0)
+        assembled = np.full((obs.n, obs.n), np.nan)
+        for I, J, block in tab.blocks():
+            assembled[I, J] = block
+            assembled[J, I] = block.T
+        assert np.array_equal(assembled, log_w)
+        E = np.exp(log_w)
+        V = np.column_stack((np.ones(obs.n), y))
+        assert relative_error(time_products(t, kicks, alpha, 400.0, V), E @ V) <= 1e-12
+        assert relative_error(tab.inv_s, 1.0 / E.sum(axis=1)) <= 1e-12
         Ky = gaussian_kernel(y[:, None], y[None, :], tab.h)
-        assert np.array_equal(tab.rho0, Ky.mean(axis=1))
-        assert tab.wky == (tab.W * Ky).sum(axis=0).sum()
+        assert relative_error(tab.rho0, Ky.mean(axis=1)) <= 1e-12
+        assert relative_error(tab.wky, (dense_weights(tab) * Ky).sum()) <= 1e-12
+
+    @pytest.mark.parametrize("n", [1, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 1])
+    def test_square_blocks_cover_each_unordered_pair_once(self, n):
+        count = np.zeros((n, n), dtype=int)
+        for I, J in square_blocks(n):
+            assert I.start <= J.start
+            count[I, J] += 1
+            if I != J:
+                count[J, I] += 1
+        assert np.all(count == 1)

@@ -21,9 +21,18 @@ from mcsmooth import (
     eval_components,
     eval_total,
     gaussian_kernel,
+)
+from mcsmooth.kernels import BLOCK
+from conftest import (
+    FIXTURE_ALPHA,
+    dense_weights,
+    l2_oracle,
+    make_random_fixture,
+    make_random_series,
+    relative_error,
+    tables_for,
     time_kernel,
 )
-from conftest import FIXTURE_ALPHA, l2_oracle, make_random_fixture, make_random_series, tables_for
 
 SQRT_2PI = np.sqrt(2.0 * np.pi)
 
@@ -179,9 +188,9 @@ class TestL2:
         assert eval_L2(state, tables) == pytest.approx(want, abs=1e-12)
 
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
-    def test_in_place_form_matches_the_expression_oracle(self, seed):
+    def test_blocked_form_matches_the_expression_oracle(self, seed):
         state, obs, tables = make_random_fixture(seed, n=40)
-        assert eval_L2(state, tables) == l2_oracle(state.x, obs.values, tables)
+        assert relative_error(eval_L2(state, tables), l2_oracle(state.x, obs.values, tables)) <= 1e-12
 
     def test_holds_at_most_three_pair_arrays(self):
         n = 400
@@ -196,10 +205,17 @@ class TestL2:
         assert peak < 3.5 * n * n * 8
 
     @settings(max_examples=30, deadline=None)
-    @given(seed=st.integers(0, 2**16), n=st.integers(2, 700), with_kicks=st.booleans())
-    def test_row_tiles_match_the_expression_oracle(self, seed, n, with_kicks):
+    @given(seed=st.integers(0, 2**16), n=st.integers(2, 3 * BLOCK + 1), with_kicks=st.booleans())
+    def test_blocks_match_the_expression_oracle(self, seed, n, with_kicks):
         state, obs, tables = make_random_fixture(seed, n=n, with_kicks=with_kicks)
-        assert eval_L2(state, tables) == l2_oracle(state.x, obs.values, tables)
+        assert relative_error(eval_L2(state, tables), l2_oracle(state.x, obs.values, tables)) <= 1e-12
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2**16), n=st.integers(2, 3 * BLOCK + 1), with_kicks=st.booleans())
+    def test_exactly_zero_at_data(self, seed, n, with_kicks):
+        state, obs, tables = make_random_fixture(seed, n=n, with_kicks=with_kicks)
+        at_data = replace(state, x=obs.values.copy())
+        assert eval_L2(at_data, tables) == 0.0
 
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
     def test_within_1e_15_of_the_whole_array_sum(self, seed):
@@ -208,7 +224,7 @@ class TestL2:
         bracket = (gaussian_kernel(x[:, None], x[None, :], h)
                    - 2.0 * gaussian_kernel(y[:, None], x[None, :], h)
                    + gaussian_kernel(y[:, None], y[None, :], h))
-        whole = -(tables.W * bracket).sum() / (2.0 * x.size)
+        whole = -(dense_weights(tables) * bracket).sum() / (2.0 * x.size)
         assert abs(eval_L2(state, tables) - whole) <= 1e-15
 
     def test_peak_memory_below_one_pair_array(self):

@@ -27,10 +27,11 @@ from mcsmooth import (
     reconstruct_trajectory,
     resolve_time_scales,
     run_stage,
-    time_kernel,
+    time_products,
     to_polar,
 )
-from mcsmooth.kernels import TILE_ELEMENTS
+from mcsmooth.gradients import _grad_L2
+from mcsmooth.kernels import TILE_ELEMENTS, log_time_weight
 from mcsmooth.optimizer import (
     PERIOD_BAND,
     _periodogram,
@@ -43,7 +44,16 @@ from mcsmooth.optimizer import (
     write_states_csv,
     write_trace_csv,
 )
-from conftest import TRUE_A, TRUE_B, TRUE_OMEGA, make_cycle_series, reconstruct_loop, tables_for
+from conftest import (
+    TRUE_A,
+    TRUE_B,
+    TRUE_OMEGA,
+    make_cycle_series,
+    reconstruct_loop,
+    relative_error,
+    tables_for,
+    time_kernel,
+)
 
 
 class TestInitialize:
@@ -105,28 +115,35 @@ class TestInitialize:
         assert c1 == c2
         assert s1.priors == s2.priors and s1.noise == s2.noise
         for u, v in ((s1.x, s2.x), (s1.z, s2.z), (s1.params.b, s2.params.b),
-                     (s1.params.a, s2.params.a), (s1.params.omega, s2.params.omega), (w1.W, w2.W)):
+                     (s1.params.a, s2.params.a), (s1.params.omega, s2.params.omega),
+                     (w1.inv_s, w2.inv_s), (w1.rho0, w2.rho0)):
             assert u.tobytes() == v.tobytes()
+        assert w1.wky == w2.wky
         assert PERIOD_BAND[0] <= 2 * np.pi / s1.priors.omega_tilde <= PERIOD_BAND[1]
         assert np.all(s1.params.omega == s1.priors.omega_tilde)
 
     @settings(max_examples=25, deadline=None)
     @given(seed=st.integers(0, 2**16), n=st.integers(4, 300), n_kicks=st.integers(0, 3))
     def test_tables_are_build_tables_of_a_fresh_time_kernel(self, seed, n, n_kicks):
-        # The regressions read the kernel before it becomes W; they must not write into it.
+        # The tables take the row sums of the kernel the regressions read, at the gaps' kick scale.
         obs = irregular_series(seed, n, 60.0, 20.0)
         rng = np.random.default_rng(seed)
         kt = np.unique(rng.uniform(obs.times[0], obs.times[-1], n_kicks))
         kicks = KickSeries(kt, rng.uniform(0.5, 3.0, kt.size))
-        _, cfg, tables = initialize(obs, kicks)
+        state, cfg, tables = initialize(obs, kicks)
         assert (cfg.T_s, cfg.T_l) == resolve_time_scales(obs, HyperConfig())[1:]
         alpha = kicks.alpha_kick(cfg.T_s)
         gaps = effective_gaps(obs, kicks, alpha)
-        want = build_tables(obs, time_kernel(obs.times, kicks, alpha, cfg.T_l), gaps, cfg.T_s, cfg.T_l,
-                            cfg.epsilon)
-        assert np.array_equal(tables.W, want.W)
-        assert np.array_equal(tables.rho0, want.rho0)
-        assert tables.wky == want.wky
+        S = time_products(obs.times, kicks, alpha, cfg.T_l, np.column_stack((np.ones(n), obs.values)))[:, 0]
+        want = build_tables(obs, kicks, alpha, S, gaps, cfg.T_s, cfg.T_l, cfg.epsilon)
+        for field in ("t", "before", "inv_s", "rho0"):
+            assert getattr(tables, field).tobytes() == getattr(want, field).tobytes()
+        assert (tables.wky, tables.alpha) == (want.wky, alpha)
+        # The regressions agree with the whole-array kernel.
+        Kt = time_kernel(obs.times, kicks, alpha, cfg.T_l)
+        assert relative_error(tables.inv_s, 1.0 / (np.sqrt(2.0 * np.pi) * cfg.T_l * Kt.sum(axis=1))) <= 1e-12
+        b = Kt @ obs.values / Kt.sum(axis=1)
+        assert relative_error(state.params.b, b) <= 1e-12
         # The tables own the data, its gaps at the kernel's kick scale, and epsilon.
         assert tables.y is obs.values
         assert tables.epsilon == cfg.epsilon
@@ -163,23 +180,28 @@ class TestInitialize:
         assert peak < 2.5 * n * n * 8
 
     @pytest.mark.parametrize("with_kicks", [False, True])
-    def test_time_kernel_becomes_the_tables_W(self, with_kicks):
-        # The regressions' time kernel is the buffer that becomes W: one n x n array.
-        n = 600
-        obs = make_cycle_series(n=n)
-        kicks = None
-        if with_kicks:
-            kicks = KickSeries(obs.times[[50, 200, 201, 420]] + [0.0, 1.0, 0.0, 2.5],
-                               [1.0, 2.0, 0.5, 3.0])
-        initialize(make_cycle_series(n=40))
-        tracemalloc.start()
-        try:
-            base = tracemalloc.get_traced_memory()[0]
-            initialize(obs, kicks)
-            peak = tracemalloc.get_traced_memory()[1] - base
-        finally:
-            tracemalloc.stop()
-        assert peak < 2.0 * n * n * 8
+    def test_peak_memory_is_linear_in_n(self, with_kicks):
+        # initialize, one L2 value and one L2 gradient hold no n x n array.
+        def peak(n):
+            obs = make_cycle_series(n=n)
+            kicks = None
+            if with_kicks:
+                kicks = KickSeries(obs.times[[50, 200, 201, 420]] + [0.0, 1.0, 0.0, 2.5],
+                                   [1.0, 2.0, 0.5, 3.0])
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                state, _, tables = initialize(obs, kicks)
+                eval_L2(state, tables)
+                _grad_L2(state, tables)
+                return tracemalloc.get_traced_memory()[1] - base
+            finally:
+                tracemalloc.stop()
+
+        initialize(make_cycle_series(n=40))  # a first call imports numpy.ma, for np.median
+        small, large = peak(1000), peak(2000)
+        assert large <= 2.5 * small
+        assert large < 0.1 * 2000 * 2000 * 8
 
 
 def irregular_series(seed, n, max_gap, amplitude):
@@ -418,6 +440,7 @@ class TestEstimate:
         # alpha_kick resolved from the estimated short time scale
         alpha = kicks.alpha_kick(res.config.T_s)
         assert alpha == pytest.approx(res.config.T_s / 2.0)
+        assert res.tables.alpha == alpha
         inflated = res.tables.gaps.dt_relax - res.tables.gaps.dt_phase
         assert inflated[21] == pytest.approx(alpha * 1.0)
         assert inflated[51] == pytest.approx(alpha * 3.0)
@@ -466,10 +489,17 @@ class TestKickProperties:
         intensities = data.draw(st.lists(st.floats(0.1, 5.0), min_size=len(at), max_size=len(at)))
         on, off = KickSeries(t[at], intensities), KickSeries(moved, intensities)
         alpha = on.alpha_kick(100.0)
-        for of in (lambda k: effective_gaps(obs, k, alpha).dt_relax, lambda k: time_kernel(t, k, alpha, 400.0)):
+        every = slice(None)
+        for of in (lambda k: effective_gaps(obs, k, alpha).dt_relax,
+                   lambda k: log_time_weight(t, k.intensity_before(t), alpha, 400.0, every, every)):
             assert of(on).tobytes() == of(off).tobytes()
         assert estimate_bytes(estimate(obs, on, KICK_PROPERTY_CONFIG)) == \
             estimate_bytes(estimate(obs, off, KICK_PROPERTY_CONFIG))
+
+
+def with_kicks(res, kicks):
+    """An estimate's result with other kicks, and the tables' kick scale to match."""
+    return replace(res, kicks=kicks, tables=replace(res.tables, alpha=kicks.alpha_kick(res.config.T_s)))
 
 
 class TestReconstruct:
@@ -504,6 +534,23 @@ class TestReconstruct:
         got, _ = reconstruct_trajectory(res, [t0 + tau])
         assert got[0] == pytest.approx(want, rel=1e-12)
 
+    def test_kick_scale_worked_out_once_per_estimate(self, monkeypatch):
+        # reconstruct_trajectory reads the kick scale from the tables.
+        real = KickSeries.alpha_kick
+        calls = []
+
+        def counted(self, T_s):
+            calls.append(T_s)
+            return real(self, T_s)
+
+        monkeypatch.setattr(KickSeries, "alpha_kick", counted)
+        obs = make_cycle_series(n=60)
+        kicks = KickSeries([obs.times[20] + 2.0], [1.5])
+        cfg = HyperConfig(max_iter_stage1a=2, max_iter_stage1b=2, max_iter_stage2=2)
+        res = estimate(obs, kicks, config=cfg)
+        reconstruct_trajectory(res, np.arange(obs.times[0], obs.times[-1], 1.0))
+        assert calls == [res.config.T_s]
+
     def test_grid_outside_span_rejected(self):
         res = self.result()
         with pytest.raises(ValueError, match="outside"):
@@ -515,7 +562,7 @@ class TestReconstruct:
         res = self.result()
         state, t, T_s = res.state, res.obs.times, res.config.T_s
         j, tau = 10, 2.0
-        kicked = replace(res, kicks=KickSeries([t[j]], [2.0]))
+        kicked = with_kicks(res, KickSeries([t[j]], [2.0]))
         before = [t[j - 1] + tau]
         assert reconstruct_trajectory(kicked, before)[0] == reconstruct_trajectory(res, before)[0]
         pol = to_polar(state.x[j], state.z[j], state.params.b[j])
@@ -559,7 +606,7 @@ def test_reconstruction_matches_the_loop_oracle(case):
     grid, kick_times, intensities = case
     res = irregular_result()
     if kick_times:
-        res = replace(res, kicks=KickSeries(kick_times, intensities))
+        res = with_kicks(res, KickSeries(kick_times, intensities))
     values, dashed = reconstruct_trajectory(res, grid)
     want, want_dashed = reconstruct_loop(res, grid)
     np.testing.assert_allclose(values, want, rtol=1e-15, atol=0)

@@ -8,9 +8,9 @@ from mcsmooth import (
     load_kicks,
     load_observations,
     subsample,
-    time_kernel,
     write_observations,
 )
+from mcsmooth.kernels import log_time_weight
 
 
 def write(tmp_path, name, text):
@@ -104,8 +104,9 @@ class TestKickConventions:
         t = np.array([0.0, 10.0, 20.0])
         dist = np.array([[0.0, 10.0, 22.0], [10.0, 0.0, 12.0], [22.0, 12.0, 0.0]])
         T_l = 30.0
-        want = np.exp(-(dist * dist) / (2.0 * T_l * T_l)) / (np.sqrt(2.0 * np.pi) * T_l)
-        assert np.array_equal(time_kernel(t, kicks, 1.0, T_l), want)
+        want = -(dist * dist) / (2.0 * T_l * T_l)
+        every = slice(None)
+        assert np.array_equal(log_time_weight(t, kicks.intensity_before(t), 1.0, T_l, every, every), want)
 
     def test_intensity_before_half_open(self):
         kicks = KickSeries([10.0, 30.0], [1.0, 4.0])
