@@ -4,10 +4,9 @@ The smoother oracle restates the transition densities and the gap
 reconstruction one transition or grid point at a time, apart from the
 package's vectorised ``oscillator.propagate``, and the time kernel, L2 and
 its gradient as whole n x n expressions, apart from the package's symmetric
-blocks. The
-simulator oracle restates the model equations with every parameter read
-afresh (``f1``-``f4`` and the tuple ``_rhs``), apart from the package's bound
-right-hand side, and the RK4 loop on numpy 6-vectors that
+blocks. The simulator oracle restates the model equations with every
+parameter read afresh (``f1``-``f4`` and the tuple ``_rhs``), apart from the
+package's bound right-hand side, and the RK4 loop on numpy 6-vectors that
 ``ultradian.simulate`` unrolls into Python floats. Tests compare the package
 against all of them.
 """
