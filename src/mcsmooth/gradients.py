@@ -169,10 +169,12 @@ def _perturbed(state, block: str, idx: int, value):
 def fd_check(
     state: EstimationState, tables: KernelTables, schedule: WeightSchedule, step: float = 1e-6
 ) -> float:
-    """Max relative error of grad_total against central finite differences.
+    """Max relative error of grad_total against fourth-order central finite differences.
 
-    Each coordinate is perturbed by step * max(1, |value|) and the objective
-    differences are evaluated in extended precision; the relative error
+    Each coordinate v is perturbed by s = step * max(1, |value|), and the
+    derivative is (L(v-2s) - 8 L(v-s) + 8 L(v+s) - L(v+2s)) / 12s, whose
+    truncation error is O(s^4) where the two-point difference's is O(s^2).
+    The objective is evaluated in extended precision; the relative error
     denominator is max(|analytic|, |numeric|, 1e-12).
     """
     if step <= 0:
@@ -205,9 +207,8 @@ def fd_check(
         for i in range(state.n):
             v = vals[i]
             h = np.longdouble(step) * max(1.0, abs(float(v)))
-            hi = eval_total(_perturbed(wstate, block, i, v + h), wtables, schedule)
-            lo = eval_total(_perturbed(wstate, block, i, v - h), wtables, schedule)
-            numeric = float((hi - lo) / (2.0 * h))
+            f = [eval_total(_perturbed(wstate, block, i, v + k * h), wtables, schedule) for k in (-2, -1, 1, 2)]
+            numeric = float((8.0 * (f[2] - f[1]) - (f[3] - f[0])) / (12.0 * h))
             a = float(analytic[block][i])
             err = abs(a - numeric) / max(abs(a), abs(numeric), 1e-12)
             worst = max(worst, err)
