@@ -144,8 +144,10 @@ class KernelTables:
     block. inv_s[i] is 1 / sum_l E[i, l] for the unnormalised time kernel E,
     so the L2 weight is W[i, j] = E[i, j] (inv_s[i] + inv_s[j]). wky = sum_ij
     W[i, j] K^y(y^i, y^j) is the part of L2 that does not depend on x, summed
-    over the blocks with ``eval_L2``'s expressions, so that L2 vanishes
-    exactly at x = y.
+    over the blocks with the expressions of L2's block pass
+    (``objective._L2_blocks``), so that L2 vanishes exactly at x = y.
+    ``objective.eval_L2`` and ``gradients._grad_L2`` rest on this invariant:
+    at x = y they return the block pass's -0.0 without walking the blocks.
     """
 
     y: np.ndarray

@@ -39,6 +39,8 @@ TRUE_B, TRUE_A, TRUE_PERIOD = 140.0, 30.0, 140.0
 FIXTURE_ALPHA = 50.0
 TRUE_OMEGA = 2.0 * np.pi / TRUE_PERIOD
 LOG_2PI = float(np.log(2.0 * np.pi))
+# The seven one-hot weight schedules, one per objective component.
+ONE_HOT = [tuple(1.0 if i == k else 0.0 for i in range(7)) for k in range(7)]
 
 
 # --- oracle: scalar transition densities and the per-point reconstruction

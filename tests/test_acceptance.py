@@ -42,9 +42,15 @@ from mcsmooth.optimizer import (
     read_trace_csv,
 )
 from mcsmooth.ultradian import read_trace
-from conftest import TRUE_A, TRUE_B, TRUE_OMEGA, make_cycle_series, make_random_fixture, tables_for
-
-ONE_HOT = [tuple(1.0 if i == k else 0.0 for i in range(7)) for k in range(7)]
+from conftest import (
+    ONE_HOT,
+    TRUE_A,
+    TRUE_B,
+    TRUE_OMEGA,
+    make_cycle_series,
+    make_random_fixture,
+    tables_for,
+)
 
 
 def report(num, name, ok, detail):

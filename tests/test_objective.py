@@ -22,9 +22,12 @@ from mcsmooth import (
     eval_total,
     gaussian_kernel,
 )
+from mcsmooth.gradients import _grad_L2, _grad_L2_blocks
 from mcsmooth.kernels import BLOCK
+from mcsmooth.objective import _L2_blocks
 from conftest import (
     FIXTURE_ALPHA,
+    ONE_HOT,
     dense_weights,
     l2_oracle,
     make_random_fixture,
@@ -166,11 +169,12 @@ class TestL1:
 
 class TestL2:
     def test_zero_at_data_with_and_without_kicks(self):
+        # The block pass itself: eval_L2 returns at x = y without walking it.
         for seed in range(6):
             state, obs, tables = make_random_fixture(seed)
             at_data = EstimationState(obs.values.copy(), state.z, state.params,
                                       state.priors, state.noise)
-            assert abs(eval_L2(at_data, tables)) <= 1e-14
+            assert abs(_L2_blocks(at_data, tables)) <= 1e-14
 
     def test_nonpositive_in_uniform_weight_limit(self):
         rng = np.random.default_rng(9)
@@ -215,7 +219,20 @@ class TestL2:
     def test_exactly_zero_at_data(self, seed, n, with_kicks):
         state, obs, tables = make_random_fixture(seed, n=n, with_kicks=with_kicks)
         at_data = replace(state, x=obs.values.copy())
-        assert eval_L2(at_data, tables) == 0.0
+        assert _L2_blocks(at_data, tables) == 0.0
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2**16), n=st.integers(2, 3 * BLOCK + 1), with_kicks=st.booleans())
+    def test_shortcut_at_data_is_the_block_pass_bit_for_bit(self, seed, n, with_kicks):
+        # The sign too: trace.csv prints the stage-1 L2 as -0.0.
+        state, obs, tables = make_random_fixture(seed, n=n, with_kicks=with_kicks)
+        at_data = replace(state, x=obs.values.copy())
+        value = eval_L2(at_data, tables)
+        assert type(value) is np.float64
+        assert value.tobytes() == _L2_blocks(at_data, tables).tobytes() == np.float64(-0.0).tobytes()
+        grad = _grad_L2(at_data, tables)
+        assert grad.dtype == np.float64
+        assert grad.tobytes() == _grad_L2_blocks(at_data, tables).tobytes()
 
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
     def test_within_1e_15_of_the_whole_array_sum(self, seed):
@@ -377,6 +394,20 @@ class TestTotal:
         v1 = eval_total(state, tables, sched)
         v2 = eval_total(state2, tables2, sched)
         assert v2 == pytest.approx(v1, rel=1e-9)
+
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**16), n=st.integers(4, 24), with_kicks=st.booleans(),
+           lambdas=st.one_of(st.sampled_from(ONE_HOT),
+                             st.lists(st.floats(0.1, 2.0), min_size=7, max_size=7)))
+    def test_finite_on_valid_states(self, seed, n, with_kicks, lambdas):
+        state, obs, tables = make_random_fixture(seed, n=n, with_kicks=with_kicks)
+        schedule = WeightSchedule.from_lambdas(lambdas)
+        comps = eval_components(state, tables)
+        total = eval_total(state, tables, schedule)
+        assert all(np.isfinite(c) for c in comps)
+        assert np.isfinite(total)
+        assert schedule.total(comps) == total
 
 
 class TestWeightSchedule:

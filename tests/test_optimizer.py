@@ -12,6 +12,7 @@ from scipy.signal import lombscargle
 from mcsmooth import (
     FrequencyEstimationError,
     HyperConfig,
+    KernelTables,
     KickSeries,
     ObservationSeries,
     WeightSchedule,
@@ -447,6 +448,33 @@ class TestEstimate:
         assert np.count_nonzero(inflated) == 2
         for trace in res.traces:
             assert np.all(np.diff(trace.objective) >= 0)
+
+    @pytest.mark.parametrize("with_kicks", [False, True])
+    def test_l2_walks_the_blocks_only_off_the_data(self, quick_config, monkeypatch, with_kicks):
+        # Every estimate starts at x = y, and stages 1a and 1b keep it there.
+        # There L2 and its gradient return without a block pass: the stage-1a
+        # start row and stage 2's first gradient.
+        obs = make_cycle_series(n=80)
+        kicks = KickSeries([obs.times[20] + 2.0], [1.5]) if with_kicks else None
+        passes, at_data, off_data = [], [], []
+        real_blocks = KernelTables.blocks
+
+        def counted_blocks(self):
+            passes.append(self)
+            return real_blocks(self)
+
+        def spy(f):
+            def counted(state, tables):
+                (at_data if np.array_equal(state.x, tables.y) else off_data).append(f)
+                return f(state, tables)
+            return counted
+
+        monkeypatch.setattr(KernelTables, "blocks", counted_blocks)
+        monkeypatch.setattr("mcsmooth.objective.eval_L2", spy(eval_L2))
+        monkeypatch.setattr("mcsmooth.gradients._grad_L2", spy(_grad_L2))
+        estimate(obs, kicks, config=quick_config)
+        assert at_data == [eval_L2, _grad_L2]
+        assert len(passes) == len(off_data) > 0
 
 
 def estimate_bytes(res):

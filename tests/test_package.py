@@ -47,8 +47,9 @@ def test_only_kick_series_reads_kicks():
 
 
 EVALUATORS = (
-    "objective.eval_L1", "objective.eval_L2", "objective.eval_L3_L4", "objective.eval_Lparams",
-    "objective.eval_total", "objective.eval_components", "gradients._grad_L1", "gradients._grad_L2",
+    "objective.eval_L1", "objective.eval_L2", "objective._L2_blocks", "objective.eval_L3_L4",
+    "objective.eval_Lparams", "objective.eval_total", "objective.eval_components",
+    "gradients._grad_L1", "gradients._grad_L2", "gradients._grad_L2_blocks",
     "gradients.grad_total", "gradients.fd_check", "optimizer.run_stage",
 )
 
