@@ -395,7 +395,6 @@ class TestTotal:
         v2 = eval_total(state2, tables2, sched)
         assert v2 == pytest.approx(v1, rel=1e-9)
 
-
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 2**16), n=st.integers(4, 24), with_kicks=st.booleans(),
            lambdas=st.one_of(st.sampled_from(ONE_HOT),
