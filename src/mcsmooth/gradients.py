@@ -14,9 +14,8 @@ successor's; whichever falls outside the valid transition range is dropped.
 Because the chain rule divides by r and r^2, gradients of the model terms are
 undefined at r = 0 and a hard error is raised there.
 
-Like L2, its gradient is summed over the tables' square blocks. At x = y, where stage 2 takes its first gradient, it is
-exactly -0.0 in every entry, and ``_grad_L2`` returns that after an O(n)
-comparison without walking a block.
+The L2 gradient is summed over the tables' square blocks, except at x = y,
+where stage 2 takes its first gradient (see ``KernelTables``).
 
 ``fd_check`` compares the whole bundle against central finite differences of
 the evaluated objective and is the safeguard the test suite runs.
@@ -60,12 +59,7 @@ def _grad_L1(state, tables):
 
 
 def _grad_L2(state, tables):
-    """The x-gradient of L2; at x = y, -0.0 everywhere without walking the blocks.
-
-    There every block's xx and yx terms cancel exactly, so ``_grad_L2_blocks``
-    returns -0.0 in every entry; the shortcut rests on the same
-    ``build_tables`` invariant as ``objective.eval_L2``'s.
-    """
+    """The x-gradient of L2; at x = y, -0.0 everywhere without a block pass (see ``KernelTables``)."""
     if np.array_equal(state.x, tables.y):
         return np.full_like(state.x, -0.0)
     return _grad_L2_blocks(state, tables)

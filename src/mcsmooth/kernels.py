@@ -145,9 +145,11 @@ class KernelTables:
     so the L2 weight is W[i, j] = E[i, j] (inv_s[i] + inv_s[j]). wky = sum_ij
     W[i, j] K^y(y^i, y^j) is the part of L2 that does not depend on x, summed
     over the blocks with the expressions of L2's block pass
-    (``objective._L2_blocks``), so that L2 vanishes exactly at x = y.
-    ``objective.eval_L2`` and ``gradients._grad_L2`` rest on this invariant:
-    at x = y they return the block pass's -0.0 without walking the blocks.
+    (``objective._L2_blocks``), so that L2 vanishes exactly at x = y. There
+    that pass gives -0.0, and the gradient pass (``gradients._grad_L2_blocks``),
+    whose xx and yx terms cancel, -0.0 in every entry. ``objective.eval_L2``
+    and ``gradients._grad_L2`` return these bits at x = y after an O(n)
+    comparison, without walking the blocks.
     """
 
     y: np.ndarray

@@ -11,9 +11,7 @@ The total is the lambda-weighted sum, formed in ``WeightSchedule.total`` alone.
 L2 is the only pairwise term. It is summed over the tables' square blocks
 (``KernelTables.blocks``) with the time weight folded into each kernel's
 exponent, so its memory is O(n) and no n x n array exists. At x = y, where
-every estimate starts and where stages 1a and 1b stay, the block pass would
-return exactly -0.0 (the ``build_tables`` invariant), so ``eval_L2`` returns
-that value after an O(n) comparison and walks no block.
+every estimate starts, ``eval_L2`` walks no block (see ``KernelTables``).
 """
 
 from __future__ import annotations
@@ -125,9 +123,7 @@ def eval_L2(state: EstimationState, tables: KernelTables) -> float:
 
     Vanishes exactly at x = y and, in the uniform-weight limit, is the
     negative of a squared kernel mean discrepancy, hence nonpositive.
-    At x = y it returns -0.0 without walking the blocks: ``build_tables``
-    summed ``tables.wky`` with ``_L2_blocks``' own expressions, so the block
-    pass gives exactly -0.0 there, sign included.
+    At x = y it returns -0.0 without a block pass (see ``KernelTables``).
     """
     if np.array_equal(state.x, tables.y):
         return np.float64(-0.0)

@@ -505,26 +505,9 @@ def write_trace_csv(traces, path) -> None:
     write_csv_rows(path, rows())
 
 
-def _strict_floats(text: np.ndarray) -> np.ndarray:
-    """Text fields as floats; ValueError for any field ``read_columns`` would reject.
-
-    numpy's text-to-float cast follows Python's ``float``, which also takes
-    digit separators ("1_000") and non-ASCII digits; ``read_columns`` takes neither.
-    """
-    ascii_text = np.char.encode(text, "ascii")
-    if np.any(np.char.find(ascii_text, b"_") >= 0):
-        raise ValueError("digit separator in a numeric field")
-    return ascii_text.astype(float)
-
-
 def read_trace_csv(path) -> dict[str, np.ndarray]:
-    columns = read_columns(path, 10, "read_trace_csv", dtype=str)
-    stage = columns[0]
-    try:
-        numbers = _strict_floats(columns[1:])
-    except ValueError:
-        # The numeric read names the first line whose fields do not parse.
-        numbers = read_columns(path, 10, "read_trace_csv", usecols=range(1, 10))
+    (stage,) = read_columns(path, 10, "read_trace_csv", usecols=(0,), dtype=str)
+    numbers = read_columns(path, 10, "read_trace_csv", usecols=range(1, 10))
     if not np.array_equal(numbers[0], np.trunc(numbers[0])):
         raise ValueError("read_trace_csv: iteration numbers must be integers")
     return {"stage": stage, "iter": numbers[0].astype(int), "values": numbers[1:].T}

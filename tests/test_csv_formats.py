@@ -243,30 +243,3 @@ class TestReadColumns:
         path.write_text("\n1,2\n\n\n3,x\n", encoding="utf-8")
         with pytest.raises(ValueError, match="op: line 5: parse failure"):
             read_columns(path, 2, "op")
-
-
-class TestReadTraceCsv:
-    LINES = ["stage1a,0,-1.5,0.25,-0.0,3,4,5,6,7", "stage2,1,-1.25,0.5,-1e-300,3,4,5,6,7"]
-
-    def test_a_good_file_is_read_once(self, tmp_path, monkeypatch):
-        calls = []
-
-        def counted(*args, **kwargs):
-            calls.append(args)
-            return read_columns(*args, **kwargs)
-
-        monkeypatch.setattr("mcsmooth.optimizer.read_columns", counted)
-        back = read_trace_csv(write_lines(tmp_path, self.LINES))
-        assert len(calls) == 1
-        assert back["stage"].tolist() == ["stage1a", "stage2"]
-        assert back["iter"].tolist() == [0, 1]
-        assert same(back["values"][:, 2], [-0.0, -1e-300])
-
-    @pytest.mark.parametrize("field", ["1_000", "\uff11"])
-    def test_what_python_float_takes_but_loadtxt_does_not_is_named(self, tmp_path, field):
-        # A digit separator and a non-ASCII digit parse with float() but not
-        # with the file reader, so they stay parse failures.
-        lines = list(self.LINES)
-        lines[1] = lines[1].replace("0.5", field)
-        with pytest.raises(ValueError, match="read_trace_csv: line 2: parse failure"):
-            read_trace_csv(write_lines(tmp_path, lines))

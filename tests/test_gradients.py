@@ -29,8 +29,11 @@ class TestStructuralZeros:
         assert np.all(g.d_x == 0.0)
 
     def test_L2_gradient_vanishes_at_data(self):
-        # The block pass itself: _grad_L2 returns at x = y without walking it.
+        # Both the public gradient, which returns at x = y without a block
+        # pass, and the block pass itself.
         state, obs, tables = make_random_fixture(1)
+        g = grad_total(at_data(state, obs), tables, WeightSchedule(lam2=1.0))
+        assert np.all(g.d_x == 0.0)
         assert np.all(_grad_L2_blocks(at_data(state, obs), tables) == 0.0)
 
     def test_data_terms_never_touch_other_blocks(self):

@@ -169,11 +169,13 @@ class TestL1:
 
 class TestL2:
     def test_zero_at_data_with_and_without_kicks(self):
-        # The block pass itself: eval_L2 returns at x = y without walking it.
+        # Both eval_L2, which returns at x = y without a block pass, and the
+        # block pass itself.
         for seed in range(6):
             state, obs, tables = make_random_fixture(seed)
             at_data = EstimationState(obs.values.copy(), state.z, state.params,
                                       state.priors, state.noise)
+            assert abs(eval_L2(at_data, tables)) <= 1e-14
             assert abs(_L2_blocks(at_data, tables)) <= 1e-14
 
     def test_nonpositive_in_uniform_weight_limit(self):
