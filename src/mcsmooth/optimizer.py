@@ -436,6 +436,11 @@ def density_estimate(values, times, h: float, T_l: float, at_time: float, grid) 
 
     h is the value bandwidth and T_l that of the time weights about ``at_time``.
     Serves both the surrogate density (values = x) and the data density (values = y).
+    The grid is evaluated in ``row_tiles``, so no grid x n kernel matrix
+    exists. A grid of one tile gives the bits of the whole-matrix product
+    ``gaussian_kernel(values, grid[:, None], h) @ weights``; where the grid
+    spans several tiles, BLAS groups the sums differently and a value may
+    differ from it in the last bits.
     """
     if T_l <= 0:
         raise ValueError("density_estimate: T_l must be positive")
@@ -446,7 +451,10 @@ def density_estimate(values, times, h: float, T_l: float, at_time: float, grid) 
     wt = np.exp(-(d * d) / (2.0 * T_l ** 2))
     s = wt.sum()
     wt = np.full(times.size, 1.0 / times.size) if s == 0.0 else wt / s
-    return gaussian_kernel(values[None, :], grid[:, None], h) @ wt
+    out = np.empty(grid.size)
+    for r in row_tiles(grid.size, values.size):
+        out[r] = gaussian_kernel(values[None, :], grid[r, None], h) @ wt
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -465,7 +473,7 @@ def write_states_csv(result: EstimationResult, path) -> None:
 def read_states_csv(path) -> dict[str, np.ndarray]:
     keys = ("t", "x", "z", "b", "a", "omega")
     out = dict(zip(keys, read_columns(path, 6, "read_states")))
-    if not np.all(np.diff(out["t"]) > 0):
+    if not np.all(out["t"][1:] > out["t"][:-1]):
         raise ValueError("read_states: times must be strictly increasing")
     return out
 

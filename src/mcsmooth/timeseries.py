@@ -61,7 +61,7 @@ class ObservationSeries:
             raise ValueError("ObservationSeries: empty series")
         if not (np.all(np.isfinite(times)) and np.all(np.isfinite(values))):
             raise ValueError("ObservationSeries: non-finite entry")
-        if times.size > 1 and not np.all(np.diff(times) > 0):
+        if not np.all(times[1:] > times[:-1]):
             raise ValueError("ObservationSeries: times must be strictly increasing")
 
     @property
@@ -99,7 +99,7 @@ class KickSeries:
         object.__setattr__(self, "intensities", intensities)
         if times.shape != intensities.shape or times.ndim != 1:
             raise ValueError("KickSeries: times and intensities must be equal-length 1-d arrays")
-        if times.size > 1 and not np.all(np.diff(times) > 0):
+        if not np.all(times[1:] > times[:-1]):
             raise ValueError("KickSeries: times must be strictly increasing")
         if np.any(intensities < 0):
             raise ValueError("KickSeries: negative intensity")
@@ -222,9 +222,10 @@ def load_observations(path: str | Path) -> ObservationSeries:
     times, values = read_columns(path, 2, "load_observations")
     if times.size < 2:
         raise ValueError(f"load_observations: need at least 2 rows, got {times.size}")
-    if not np.all(np.diff(times) > 0):
-        raise ValueError("load_observations: times must be strictly increasing")
-    return ObservationSeries(times, values)
+    try:
+        return ObservationSeries(times, values)
+    except ValueError as exc:
+        raise ValueError(f"load_observations: {exc}") from exc
 
 
 def load_kicks(path: str | Path) -> KickSeries:

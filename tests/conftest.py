@@ -158,8 +158,15 @@ def l2_grad_oracle(x, y, tables):
 
 
 def relative_error(got, want):
-    """max |got - want| over max |want|: agreement relative to the oracle's scale."""
-    return float(np.max(np.abs(np.asarray(got) - want)) / np.max(np.abs(want)))
+    """max |got - want| over max |want|: agreement relative to the oracle's scale.
+
+    Exact agreement is 0.0, also where both are all zeros (e.g. every kernel
+    underflows) and the quotient would be 0/0.
+    """
+    got, want = np.asarray(got), np.asarray(want)
+    if np.array_equal(got, want):
+        return 0.0
+    return float(np.max(np.abs(got - want)) / np.max(np.abs(want)))
 
 
 # --- oracle: the model equations with every field read afresh, and the RK4

@@ -71,7 +71,7 @@ def test_estimate_missing_observations(tmp_path, capsys):
 
 @pytest.mark.parametrize("text, message", [
     ("0,100\n5,101\nabc,102\n15,103\n", "load_observations: line 3: parse failure"),
-    ("0,100\n5,101\n5,102\n15,103\n", "load_observations: times must be strictly increasing"),
+    ("0,100\n5,101\n5,102\n15,103\n", "load_observations: ObservationSeries: times must be strictly increasing"),
     ("\n0,1,2,3,4,5,6\n5,1,2,3,4,5,6\nabc,1,2,3,4,5,6\n", "read_trace: line 4: parse failure"),
     (None, "load_observations: file not found"),
 ])

@@ -3,7 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mcsmooth import (
@@ -138,6 +138,7 @@ class TestL2Gradient:
 
     @settings(max_examples=30, deadline=None)
     @given(seed=st.integers(0, 2**16), n=st.integers(2, 3 * BLOCK + 1), with_kicks=st.booleans())
+    @example(seed=69, n=2, with_kicks=False)  # h = 0.026: all kernels underflow, both are 0
     def test_blocks_match_the_expression_oracle(self, seed, n, with_kicks):
         state, obs, tables = make_random_fixture(seed, n=n, with_kicks=with_kicks)
         g = grad_total(state, tables, WeightSchedule(lam2=1.0))

@@ -24,6 +24,7 @@ from mcsmooth import (
     eval_L1,
     eval_L2,
     eval_total,
+    gaussian_kernel,
     initialize,
     reconstruct_trajectory,
     resolve_time_scales,
@@ -670,6 +671,48 @@ class TestDensityEstimate:
         rx = density_estimate(obs.values, obs.times, tables.h, tables.T_l, 70.0, grid)
         ry = density_estimate(obs.values.copy(), obs.times, tables.h, tables.T_l, 70.0, grid)
         assert np.array_equal(rx, ry)
+
+    @staticmethod
+    def one_matrix_oracle(values, times, h, T_l, at_time, grid):
+        # The whole grid x n kernel matrix at once, with the same time weights.
+        d = at_time - times
+        wt = np.exp(-(d * d) / (2.0 * T_l ** 2))
+        s = wt.sum()
+        wt = np.full(times.size, 1.0 / times.size) if s == 0.0 else wt / s
+        return gaussian_kernel(values[None, :], grid[:, None], h) @ wt
+
+    @staticmethod
+    def random_case(n, zero_weight_sum):
+        rng = np.random.default_rng(n)
+        times = np.cumsum(rng.uniform(1.0, 9.0, n))
+        values = rng.normal(150.0, 20.0, n)
+        # Far outside the record, every time weight underflows and the weights fall back to 1/n.
+        at_time = times[-1] + 1e6 if zero_weight_sum else times[n // 2]
+        return values, times, 3.0, 400.0, at_time, np.linspace(80.0, 220.0, 201)
+
+    @pytest.mark.parametrize("zero_weight_sum", [False, True])
+    @pytest.mark.parametrize("n", [1, 2, 50, 163])
+    def test_one_tile_gives_the_bits_of_the_one_matrix_product(self, n, zero_weight_sum):
+        case = self.random_case(n, zero_weight_sum)
+        assert np.array_equal(density_estimate(*case), self.one_matrix_oracle(*case))
+
+    @pytest.mark.parametrize("zero_weight_sum", [False, True])
+    @pytest.mark.parametrize("n", [164, 500, 2017, 3000, 10081])
+    def test_several_tiles_match_the_one_matrix_product(self, n, zero_weight_sum):
+        case = self.random_case(n, zero_weight_sum)
+        assert relative_error(density_estimate(*case), self.one_matrix_oracle(*case)) <= 1e-12
+
+    def test_peak_memory_at_a_week_every_minute(self):
+        # The one-matrix product holds two 201 x 10081 arrays, about 32 MB.
+        case = self.random_case(10081, False)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            density_estimate(*case)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
 
 class TestCsvFormats:

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,7 @@ from mcsmooth import (
     write_observations,
 )
 from mcsmooth.kernels import log_time_weight
+from mcsmooth.optimizer import read_states_csv
 
 
 def write(tmp_path, name, text):
@@ -63,6 +66,31 @@ class TestObservationSeries:
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError, match="non-finite"):
             ObservationSeries([0.0, 1.0], [1.0, np.nan])
+
+
+class TestTimesSpanningTheFloatRange:
+    # t[1] - t[0] overflows here, so the check must compare, not subtract.
+    BUILDERS = {
+        "observations": lambda t, tmp: ObservationSeries(t, [1.0, 2.0]),
+        "kicks": lambda t, tmp: KickSeries(t, [1.0, 1.0]),
+        "loaded_observations": lambda t, tmp: load_observations(
+            write(tmp, "o.csv", "".join(f"{v!r},1.0\n" for v in t))),
+        "states": lambda t, tmp: read_states_csv(
+            write(tmp, "s.csv", "".join(f"{v!r},1,2,3,4,5\n" for v in t))),
+    }
+
+    @pytest.mark.parametrize("kind", sorted(BUILDERS))
+    def test_increasing_times_accepted_without_warning(self, tmp_path, kind):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            self.BUILDERS[kind]([-1e308, 1e308], tmp_path)
+
+    @pytest.mark.parametrize("kind", sorted(BUILDERS))
+    def test_decreasing_times_rejected_without_warning(self, tmp_path, kind):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="times must be strictly increasing"):
+                self.BUILDERS[kind]([1e308, -1e308], tmp_path)
 
 
 class TestLoadKicks:
