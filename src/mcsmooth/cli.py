@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import fields as dataclass_fields
@@ -66,6 +67,9 @@ def _load_config(path: str | None) -> dict:
         cfg = json.load(fh)
     if not isinstance(cfg, dict):
         raise ValueError("run_command: config file must hold a JSON object")
+    for section in ("hyper", "weights", "paths", "measurement"):
+        if not isinstance(cfg.get(section, {}), dict):
+            raise ValueError(f'run_command: config section "{section}" must hold a JSON object')
     return cfg
 
 
@@ -84,9 +88,6 @@ def _hyper_from_config(cfg: dict, overrides: dict) -> HyperConfig:
     for key, value in overrides.items():
         if value is not None:
             hyper[key] = value
-    for key in ("weights_stage1a", "weights_stage1b", "weights_stage2"):
-        if key in hyper and hyper[key] is not None:
-            hyper[key] = tuple(float(v) for v in hyper[key])
     return HyperConfig(**hyper)
 
 
@@ -97,8 +98,12 @@ def _out_dir(arg: str | None, cfg: dict) -> Path:
     return path
 
 
-def _parse_float_list(text: str) -> list[float]:
-    return [float(v) for v in text.replace(";", ",").split(",") if v.strip()]
+def _parse_float_list(text: str, what: str) -> list[float]:
+    """The numbers of a comma- or semicolon-separated list; errors name ``what``."""
+    try:
+        return [float(v) for v in text.replace(";", ",").split(",") if v.strip()]
+    except ValueError as exc:
+        raise ValueError(f"{what}: {exc}") from None
 
 
 def _measurement_spec(args, cfg: dict) -> MeasurementSpec:
@@ -108,7 +113,7 @@ def _measurement_spec(args, cfg: dict) -> MeasurementSpec:
         raise ValueError("subsample: measurement kind required (--spec or config)")
     explicit = None
     if args.times is not None:
-        explicit = tuple(_parse_float_list(args.times))
+        explicit = tuple(_parse_float_list(args.times, "subsample --times"))
     elif args.times_file is not None:
         explicit = tuple(read_columns(args.times_file, 1, "subsample")[0].tolist())
     elif "explicit_times" in meas:
@@ -181,12 +186,10 @@ def _estimate_hyper(args, cfg: dict) -> HyperConfig:
         "T_s": args.t_s,
         "T_l": args.t_l,
         "epsilon": args.epsilon,
-        "eta": args.eta,
         "omega_tilde": args.omega_tilde,
         "max_iter_stage1a": args.iters_stage1a,
         "max_iter_stage1b": args.iters_stage1b,
         "max_iter_stage2": args.iters_stage2,
-        "tolerance": args.tolerance,
         "dashed_gap_threshold": args.dashed_threshold,
     }
     if args.basic_state is not None:
@@ -195,6 +198,9 @@ def _estimate_hyper(args, cfg: dict) -> HyperConfig:
 
 
 def _cmd_estimate(args) -> int:
+    step = args.recon_step
+    if not (math.isfinite(step) and step > 0):
+        raise ValueError(f"estimate: --recon-step must be finite and positive, got {step!r}")
     cfg = _load_config(args.config)
     obs_path = args.obs or cfg.get("paths", {}).get("observations")
     if not obs_path:
@@ -212,7 +218,6 @@ def _cmd_estimate(args) -> int:
 
     write_states_csv(result, out / "states.csv")
 
-    step = args.recon_step
     t0, t1 = obs.span
     grid = np.arange(t0, t1 + 0.5 * step, step)
     grid = grid[grid <= t1]
@@ -259,7 +264,7 @@ def _cmd_densities(args) -> int:
         x = obs.values
 
     t0, t1 = obs.span
-    at_times = _parse_float_list(args.at_times) if args.at_times else [0.5 * (t0 + t1)]
+    at_times = _parse_float_list(args.at_times, "densities --at-times") if args.at_times else [0.5 * (t0 + t1)]
     grid = _value_grid(x, obs.values, h)
 
     out_dir = _out_dir(args.out_dir, cfg)
@@ -317,12 +322,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t-s", type=float)
     p.add_argument("--t-l", type=float)
     p.add_argument("--epsilon", type=float)
-    p.add_argument("--eta", type=float)
     p.add_argument("--omega-tilde", type=float)
     p.add_argument("--iters-stage1a", type=int)
     p.add_argument("--iters-stage1b", type=int)
     p.add_argument("--iters-stage2", type=int)
-    p.add_argument("--tolerance", type=float)
     p.add_argument("--dashed-threshold", type=float)
     p.add_argument("--basic-state", choices=["oscillatory", "non-oscillatory"])
     p.add_argument("--recon-step", type=float, default=1.0)

@@ -16,6 +16,7 @@ functions of their inputs.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -50,6 +51,15 @@ CONSTANT_TOLERANCE = 1e-9
 # Prior band of the period in minutes; ultradian periods are about 80-180 min (Sturis et al. 1991).
 PERIOD_BAND = (60.0, 400.0)
 
+# The line search. First trial step: the gradient itself; the expansion finds the scale from there.
+STEP_START = 1.0
+# Step factor per backtrack; the expansion multiplies by its inverse.
+BACKTRACK_FACTOR = 0.5
+# Trials per direction: a range of 2^20 either way around the last accepted step.
+MAX_BACKTRACKS = 20
+# A stage has converged when an accepted step gains less than this, relative to 1 + |L|.
+TOLERANCE = 1e-8
+
 
 class FrequencyEstimationError(ValueError):
     """Raised when y is constant to round-off, so omega cannot be estimated."""
@@ -57,6 +67,11 @@ class FrequencyEstimationError(ValueError):
 
 class StalledError(RuntimeError):
     """Raised when line search cannot find any nondecreasing step repeatedly."""
+
+
+def _is_number(value, kind=numbers.Real) -> bool:
+    """Whether the value is an instance of the numeric kind; JSON's true and false are not."""
+    return isinstance(value, kind) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -69,13 +84,9 @@ class HyperConfig:
     T_s: float | None = None
     T_l: float | None = None
     epsilon: float = 0.1
-    eta: float = 1.0
-    backtrack_factor: float = 0.5
-    max_backtracks: int = 20
     max_iter_stage1a: int = 200
     max_iter_stage1b: int = 200
     max_iter_stage2: int = 2000
-    tolerance: float = 1e-8
     a_tilde_zero: bool = False
     omega_tilde: float | None = None
     weights_stage1a: tuple[float, ...] = STAGE1A_LAMBDAS
@@ -84,28 +95,28 @@ class HyperConfig:
     dashed_gap_threshold: float = 120.0
 
     def __post_init__(self):
-        if self.T_s is not None and self.T_s <= 0:
-            raise ValueError("HyperConfig: T_s must be positive")
-        if self.T_l is not None and self.T_l <= 0:
-            raise ValueError("HyperConfig: T_l must be positive")
-        if self.omega_tilde is not None and self.omega_tilde <= 0:
-            raise ValueError("HyperConfig: omega_tilde must be positive")
+        for name in ("T_s", "T_l", "omega_tilde"):
+            value = getattr(self, name)
+            if value is not None and not (_is_number(value) and value > 0):
+                raise ValueError(f"HyperConfig: {name} must be positive")
         if self.T_l is not None and self.T_s is not None and self.T_l < self.T_s:
             raise ValueError("HyperConfig: T_l must be at least T_s")
-        if self.eta <= 0:
-            raise ValueError("HyperConfig: eta must be positive")
-        if min(self.max_iter_stage1a, self.max_iter_stage1b, self.max_iter_stage2) < 1:
-            raise ValueError("HyperConfig: iteration caps must be at least 1")
-        if not 0.0 < self.backtrack_factor < 1.0:
-            raise ValueError("HyperConfig: backtrack_factor must lie in (0, 1)")
-        if self.max_backtracks < 1:
-            raise ValueError("HyperConfig: max_backtracks must be at least 1")
-        if not 0.0 <= self.epsilon < 1.0:
+        for name in ("max_iter_stage1a", "max_iter_stage1b", "max_iter_stage2"):
+            value = getattr(self, name)
+            if not (_is_number(value, numbers.Integral) and value >= 1):
+                raise ValueError(f"HyperConfig: {name}: iteration caps must be integers of at least 1")
+        if not (_is_number(self.epsilon) and 0.0 <= self.epsilon < 1.0):
             raise ValueError("HyperConfig: epsilon must lie in [0, 1)")
+        if not _is_number(self.dashed_gap_threshold):
+            raise ValueError("HyperConfig: dashed_gap_threshold must be a number")
+        if not isinstance(self.a_tilde_zero, bool):
+            raise ValueError("HyperConfig: a_tilde_zero must be true or false")
         for stage in ("stage1a", "stage1b", "stage2"):
             lams = getattr(self, f"weights_{stage}")
-            if len(lams) != 7 or not all(math.isfinite(v) and v >= 0 for v in lams):
+            if not (isinstance(lams, (tuple, list)) and len(lams) == 7
+                    and all(_is_number(v) and math.isfinite(v) and v >= 0 for v in lams)):
                 raise ValueError(f"HyperConfig: weights_{stage} must hold 7 finite nonnegative weights")
+            object.__setattr__(self, f"weights_{stage}", tuple(float(v) for v in lams))
 
 
 @dataclass
@@ -270,16 +281,17 @@ def run_stage(
     schedule: WeightSchedule,
     mask,
     iters: int,
-    config: HyperConfig,
-    floors: tuple[float, float] | None = None,
     name: str = "stage",
-    start: Components | None = None,
 ) -> tuple[EstimationState, StageTrace]:
     """Gradient-ascend the schedule's objective over the masked blocks.
 
     Only blocks named in ``mask`` (subset of x, z, params) are updated; the
-    others are reused bit-identically. Stops at the iteration cap or when an
-    accepted step improves the objective by less than the tolerance. Raises
+    others are reused bit-identically. The step size is shared across blocks
+    and set by the module's line-search constants (``STEP_START``,
+    ``BACKTRACK_FACTOR``, ``MAX_BACKTRACKS``). Steps of a and omega are
+    clipped at 1e-6 times the start state's mean a and its prior
+    omega_tilde. Stops at the iteration cap or when an accepted
+    step improves the objective by less than ``TOLERANCE``. Raises
     StalledError after three consecutive iterations in which no backtracked
     step was nondecreasing.
 
@@ -288,21 +300,15 @@ def run_stage(
     block (L1/L2 when x is fixed, the parameter components when the params
     are fixed) are carried over from the stage's first row. The accepted
     trial's components become its trace row, so no state is evaluated twice.
-    ``start`` may hold earlier components at this state's x and params, such
-    as the previous stage's last row; the first row then evaluates only L3
-    and L4.
     """
     mask = frozenset(mask)
     if not mask <= {"x", "z", "params"}:
         raise ValueError(f"run_stage: unknown blocks in mask {sorted(mask)}")
-    if floors is None:
-        floors = (
-            1e-6 * float(np.mean(state.params.a)),
-            1e-6 * float(np.mean(state.params.omega)),
-        )
+    # a and omega stay positive: floors at 1e-6 of the start's mean a and of omega_tilde.
+    floors = (1e-6 * float(np.mean(state.params.a)), 1e-6 * state.priors.omega_tilde)
 
     trace = StageTrace(name=name)
-    first = eval_components(state, tables, start, moved=())
+    first = eval_components(state, tables)
     L = schedule.total(first)
     trace.objective.append(L)
     trace.components.append(first)
@@ -313,9 +319,9 @@ def run_stage(
         comps = eval_components(trial, tables, first, mask)
         return trial, comps, schedule.total(comps)
 
-    eta = 0.5 * config.eta
+    eta = 0.5 * STEP_START
     fails_in_row = 0
-    grow = 1.0 / config.backtrack_factor
+    grow = 1.0 / BACKTRACK_FACTOR
     for _ in range(iters):
         grad = grad_total(state, tables, schedule)
         eta_try = 2.0 * eta
@@ -325,15 +331,15 @@ def run_stage(
             accepted = True
             # The base step may be far below the problem's scale: expand
             # while the objective keeps strictly improving.
-            for _ in range(config.max_backtracks):
+            for _ in range(MAX_BACKTRACKS):
                 eta_next = grow * eta_try
                 candidate, c_cand, L_cand = attempt(eta_next)
                 if not (math.isfinite(L_cand) and L_cand > L_new):
                     break
                 trial, comps, L_new, eta_try = candidate, c_cand, L_cand, eta_next
         else:
-            for _ in range(config.max_backtracks):
-                eta_try *= config.backtrack_factor
+            for _ in range(MAX_BACKTRACKS):
+                eta_try *= BACKTRACK_FACTOR
                 trial, comps, L_new = attempt(eta_try)
                 if math.isfinite(L_new) and L_new >= L:
                     accepted = True
@@ -353,7 +359,7 @@ def run_stage(
         trace.iterations += 1
         trace.objective.append(L)
         trace.components.append(comps)
-        if abs(dL) < config.tolerance * (1.0 + abs(L)):
+        if abs(dL) < TOLERANCE * (1.0 + abs(L)):
             trace.converged = True
             break
     return state, trace
@@ -367,30 +373,20 @@ def estimate(
     """Full staged estimation of a series: initialize, stage 1a/1b, stage 2."""
     kicks = kicks if kicks is not None else KickSeries.empty()
     state, cfg, tables = initialize(obs, kicks, config)
-
     a_bar = float(np.mean(state.params.a))
-    floors = (1e-6 * a_bar, 1e-6 * state.priors.omega_tilde)
 
     w1a = WeightSchedule.from_lambdas(cfg.weights_stage1a)
     w1b = WeightSchedule.from_lambdas(cfg.weights_stage1b)
     w2 = WeightSchedule.from_lambdas(cfg.weights_stage2)
 
-    # Stage 1: latents only, doubled transition noise. Stages 1b and 2 start
-    # at stage 1a's x and params, so each takes the previous stage's last row
-    # as its start and re-evaluates only the noise-dependent L3 and L4.
+    # Stage 1: latents only, doubled transition noise.
     state = replace(state, noise=ModelNoise(2.0 * a_bar))
-    state, tr1a = run_stage(state, tables, w1a, {"z"}, cfg.max_iter_stage1a, cfg, floors, name="stage1a")
-    state, tr1b = run_stage(
-        state, tables, w1b, {"z"}, cfg.max_iter_stage1b, cfg, floors, name="stage1b",
-        start=tr1a.components[-1],
-    )
+    state, tr1a = run_stage(state, tables, w1a, {"z"}, cfg.max_iter_stage1a, name="stage1a")
+    state, tr1b = run_stage(state, tables, w1b, {"z"}, cfg.max_iter_stage1b, name="stage1b")
 
     # Stage 2: full objective over everything, noise reset.
     state = replace(state, noise=ModelNoise(a_bar))
-    state, tr2 = run_stage(
-        state, tables, w2, {"x", "z", "params"}, cfg.max_iter_stage2, cfg, floors, name="stage2",
-        start=tr1b.components[-1],
-    )
+    state, tr2 = run_stage(state, tables, w2, {"x", "z", "params"}, cfg.max_iter_stage2, name="stage2")
 
     return EstimationResult(
         state=state, config=cfg, tables=tables, obs=obs, kicks=kicks, traces=(tr1a, tr1b, tr2)

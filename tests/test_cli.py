@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import mcsmooth.cli
 import mcsmooth.optimizer
 from mcsmooth import ObservationSeries, initialize, load_observations, write_observations
 from mcsmooth.cli import run_command
@@ -273,38 +274,87 @@ def test_tables_built_once_per_estimate_and_never_for_densities(dense_csv, tmp_p
         assert products == [] and tables == []
 
 
+@pytest.fixture
+def short_obs_csv(tmp_path):
+    """Eight oscillating observations: enough to start an estimate."""
+    path = tmp_path / "obs.csv"
+    write_observations(ObservationSeries(70.0 * np.arange(8), 100.0 + 20.0 * np.sin(np.arange(8))), path)
+    return path
+
+
 @pytest.mark.parametrize("flags, message", [
     (["--omega-tilde", "0"], "HyperConfig: omega_tilde must be positive"),
     (["--omega-tilde", "-0.05"], "HyperConfig: omega_tilde must be positive"),
     (["--t-l", "-5"], "HyperConfig: T_l must be positive"),
 ])
-def test_bad_time_scales_rejected_before_any_work(tmp_path, capsys, monkeypatch, flags, message):
+def test_bad_time_scales_rejected_before_any_work(tmp_path, short_obs_csv, capsys, monkeypatch, flags,
+                                                  message):
     def no_work(*args, **kwargs):
         raise AssertionError("time scales resolved from a bad config")
 
     monkeypatch.setattr(mcsmooth.optimizer, "resolve_time_scales", no_work)
-    obs_path = tmp_path / "obs.csv"
-    write_observations(ObservationSeries(70.0 * np.arange(8), 100.0 + 20.0 * np.sin(np.arange(8))), obs_path)
-    assert run_command(["estimate", "--obs", str(obs_path), *flags, "--out-dir", str(tmp_path)]) == 1
+    assert run_command(["estimate", "--obs", str(short_obs_csv), *flags, "--out-dir", str(tmp_path)]) == 1
     assert message in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("flags, weights, message", [
+@pytest.mark.parametrize("flags, config, message", [
     (["--epsilon", "1.5"], {}, "HyperConfig: epsilon must lie in [0, 1)"),
-    ([], {"stage2": [1, 1, 1]}, "HyperConfig: weights_stage2 must hold 7 finite nonnegative"),
-    ([], {"stage1b": [0, 0, 1, -1, 0, 0, 0]}, "HyperConfig: weights_stage1b must hold 7 finite"),
+    ([], {"weights": {"stage2": [1, 1, 1]}}, "HyperConfig: weights_stage2 must hold 7 finite nonnegative"),
+    ([], {"weights": {"stage1b": [0, 0, 1, -1, 0, 0, 0]}}, "HyperConfig: weights_stage1b must hold 7 finite"),
+    ([], {"weights": {"stage1a": 5}}, "HyperConfig: weights_stage1a must hold 7 finite"),
+    ([], {"hyper": {"T_s": "abc"}}, "HyperConfig: T_s must be positive"),
+    ([], {"hyper": [1, 2]}, 'run_command: config section "hyper" must hold a JSON object'),
+    ([], {"paths": "run"}, 'run_command: config section "paths" must hold a JSON object'),
+    ([], {"hyper": {"epsilon": None}}, "HyperConfig: epsilon must lie in [0, 1)"),
+    ([], {"hyper": {"max_iter_stage2": 2.5}}, "HyperConfig: max_iter_stage2: iteration caps must"),
+    ([], {"hyper": {"max_iter_stage1a": True}}, "HyperConfig: max_iter_stage1a: iteration caps must"),
+    ([], {"hyper": {"omega_tilde": float("nan")}}, "HyperConfig: omega_tilde must be positive"),
+    ([], {"hyper": {"dashed_gap_threshold": "120"}}, "HyperConfig: dashed_gap_threshold must be a number"),
+    ([], {"hyper": {"a_tilde_zero": 1}}, "HyperConfig: a_tilde_zero must be true or false"),
+    ([], {"weights": {"stage2": "1111111"}}, "HyperConfig: weights_stage2 must hold 7 finite"),
 ])
-def test_bad_epsilon_or_weights_rejected_before_any_work(tmp_path, capsys, monkeypatch, flags, weights,
-                                                          message):
+def test_bad_epsilon_or_weights_rejected_before_any_work(tmp_path, short_obs_csv, capsys, monkeypatch, flags,
+                                                          config, message):
     calls = counted_calls(monkeypatch, mcsmooth.optimizer, "time_products")
-    obs_path = tmp_path / "obs.csv"
-    write_observations(ObservationSeries(70.0 * np.arange(8), 100.0 + 20.0 * np.sin(np.arange(8))), obs_path)
     config_path = tmp_path / "config.json"
-    config_path.write_text(json.dumps({"weights": weights}), encoding="utf-8")
-    assert run_command(["estimate", "--obs", str(obs_path), "--config", str(config_path), *flags,
+    config_path.write_text(json.dumps(config), encoding="utf-8")
+    assert run_command(["estimate", "--obs", str(short_obs_csv), "--config", str(config_path), *flags,
                         "--out-dir", str(tmp_path)]) == 1
     assert message in capsys.readouterr().err
     assert calls == []
+
+
+@pytest.mark.parametrize("key", ["eta", "backtrack_factor", "max_backtracks", "tolerance"])
+def test_line_search_settings_are_unknown_hyper_keys(tmp_path, short_obs_csv, capsys, key):
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps({"hyper": {key: 0.5}}), encoding="utf-8")
+    assert run_command(["estimate", "--obs", str(short_obs_csv), "--config", str(config_path),
+                        "--out-dir", str(tmp_path)]) == 1
+    assert f"unknown hyper config keys: ['{key}']" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag", ["--eta", "--tolerance"])
+def test_line_search_flags_are_gone(tmp_path, short_obs_csv, flag):
+    argv = ["estimate", "--obs", str(short_obs_csv), flag, "0.5", "--out-dir", str(tmp_path)]
+    assert run_command(argv) == 2
+
+
+@pytest.mark.parametrize("step", ["0", "-1", "nan"])
+def test_bad_recon_step_rejected_before_any_work(tmp_path, short_obs_csv, capsys, monkeypatch, step):
+    loads = counted_calls(monkeypatch, mcsmooth.cli, "load_observations")
+    assert run_command(["estimate", "--obs", str(short_obs_csv), "--recon-step", step,
+                        "--out-dir", str(tmp_path / "run")]) == 1
+    assert "estimate: --recon-step must be finite and positive" in capsys.readouterr().err
+    assert loads == []
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("argv", [["subsample", "--in", "{obs}", "--spec", "h1", "--times", "1,abc"],
+                                  ["densities", "--obs", "{obs}", "--at-times", "abc"]])
+def test_float_list_errors_name_the_command_and_flag(tmp_path, short_obs_csv, capsys, argv):
+    argv = [a.format(obs=short_obs_csv) for a in argv]
+    assert run_command([*argv, "--out", str(tmp_path / "out.csv")]) == 1
+    assert f"error: {argv[0]} {argv[-2]}: could not convert string to float: 'abc'" in capsys.readouterr().err
 
 
 def test_estimate_with_kicks_file(dense_csv, tmp_path):

@@ -255,9 +255,9 @@ class TestPeriodogram:
 
 class TestRunStage:
     def test_mask_is_airtight(self, cycle_series, quick_config):
-        state, cfg, tables = initialize(cycle_series, config=quick_config)
+        state, _, tables = initialize(cycle_series, config=quick_config)
         sched = WeightSchedule(lam3=1.0)
-        out, trace = run_stage(state, tables, sched, {"z"}, 10, cfg)
+        out, trace = run_stage(state, tables, sched, {"z"}, 10)
         assert out.x is state.x
         assert out.params is state.params
         assert not np.array_equal(out.z, state.z)
@@ -267,32 +267,31 @@ class TestRunStage:
 
         from mcsmooth import grad_total
 
-        cfg = HyperConfig(eta=1e-300)
-        state, cfg, tables = initialize(cycle_series, config=cfg)
+        state, _, tables = initialize(cycle_series)
         state = replace(state, x=state.x + 3.0)  # move off the L1/L2 peak
-        sched = WeightSchedule(lam1=1.0, lam2=1.0)
+        sched = WeightSchedule(lam1=1e-300, lam2=1e-300)  # every step vanishes next to x
         g = grad_total(state, tables, sched)
         assert np.any(g.d_x != 0.0)
-        out, trace = run_stage(state, tables, sched, {"x"}, 1, cfg)
+        out, trace = run_stage(state, tables, sched, {"x"}, 1)
         assert np.array_equal(out.x, state.x)
         assert trace.objective[0] == trace.objective[-1]
 
     def test_objective_increases_in_stage_one(self, cycle_series, quick_config):
-        state, cfg, tables = initialize(cycle_series, config=quick_config)
+        state, _, tables = initialize(cycle_series, config=quick_config)
         from mcsmooth import ModelNoise
         from dataclasses import replace
 
         a_bar = float(state.params.a.mean())
         state = replace(state, noise=ModelNoise(2 * a_bar))
         sched = WeightSchedule(lam3=1.0)
-        out, trace = run_stage(state, tables, sched, {"z"}, 30, cfg)
+        out, trace = run_stage(state, tables, sched, {"z"}, 30)
         assert trace.objective[-1] > trace.objective[0]
         assert np.all(np.diff(trace.objective) >= 0)
 
     def test_trace_rows_come_from_the_accepted_trials(self, cycle_series, quick_config):
-        state, cfg, tables = initialize(cycle_series, config=quick_config)
+        state, _, tables = initialize(cycle_series, config=quick_config)
         sched = WeightSchedule(lam1=1.0, lam2=1.0, lam3=1.0)
-        out, trace = run_stage(state, tables, sched, {"z"}, 10, cfg)
+        out, trace = run_stage(state, tables, sched, {"z"}, 10)
         assert trace.iterations > 0
         # x never moves under mask {"z"}: L1 and L2 are the start state's
         L1 = eval_L1(state, tables)
@@ -303,35 +302,47 @@ class TestRunStage:
             assert L == c.L1 + c.L2 + c.L3
         assert trace.objective[-1] == eval_total(out, tables, sched)
 
-    def test_start_row_carries_all_but_L3_L4(self, cycle_series, quick_config):
-        state, cfg, tables = initialize(cycle_series, config=quick_config)
-        sched = WeightSchedule(lam1=1.0, lam2=1.0, lam3=1.0)
-        fresh = eval_components(state, tables)
-        marked = fresh._replace(L1=-1.0, L2=-2.0, L3=5.0, L4=6.0, L_b=-3.0, L_a=-4.0, L_omega=-5.0)
-        _, trace = run_stage(state, tables, sched, {"z"}, 3, cfg, start=marked)
-        assert trace.components[0] == marked._replace(L3=fresh.L3, L4=fresh.L4)
-        # a start taken at the same state changes nothing
-        _, plain = run_stage(state, tables, sched, {"z"}, 3, cfg)
-        _, carried = run_stage(state, tables, sched, {"z"}, 3, cfg, start=fresh)
-        assert carried.components == plain.components
-        assert carried.objective == plain.objective
+    def test_a_is_clipped_at_its_floor(self, cycle_series):
+        from mcsmooth import ParamTrajectory, grad_total
+        from mcsmooth.objective import long_decay
+
+        # The last gap spans 20 T_l, so a's flex term pulls a[-1] to about a_tilde = 0.
+        t = cycle_series.times.copy()
+        t[-1] = t[-2] + 20 * 560.0
+        obs = ObservationSeries(t, cycle_series.values)
+        state, _, tables = initialize(obs, config=HyperConfig(T_s=140.0, T_l=560.0))
+        d = long_decay(tables)
+        a = np.empty(state.n)
+        a[0] = 30.0
+        for j in range(state.n - 2):  # the other residuals are exactly zero
+            a[j + 1] = d[j] * a[j]
+        a[-1] = 30.0
+        sigma_a = math.sqrt(0.75 / ((1.0 - d[-1]) * state.n))  # the unit step overshoots 0 by a third
+        state = replace(state, params=ParamTrajectory(state.params.b, a, state.params.omega),
+                        priors=replace(state.priors, a_tilde=0.0, sigma_a=sigma_a))
+        sched = WeightSchedule(lam_a=1.0)
+        assert a[-1] + grad_total(state, tables, sched).d_a[-1] < 0.0
+        out, trace = run_stage(state, tables, sched, {"params"}, 1)
+        assert trace.iterations == 1
+        assert out.params.a[-1] == 1e-6 * float(np.mean(a))
+        assert np.all(out.params.a[:-1] > out.params.a[-1])
 
     def test_unknown_mask_rejected(self, cycle_series, quick_config):
-        state, cfg, tables = initialize(cycle_series, config=quick_config)
+        state, _, tables = initialize(cycle_series, config=quick_config)
         with pytest.raises(ValueError, match="unknown blocks"):
-            run_stage(state, tables, WeightSchedule(lam3=1.0), {"q"}, 1, cfg)
+            run_stage(state, tables, WeightSchedule(lam3=1.0), {"q"}, 1)
 
     def test_stalls_when_no_step_improves(self, cycle_series):
         from dataclasses import replace
 
         from mcsmooth import StalledError
 
-        cfg = HyperConfig(eta=1e18, max_backtracks=1)
-        state, cfg, tables = initialize(cycle_series, config=cfg)
+        state, _, tables = initialize(cycle_series)
         state = replace(state, x=state.x + 3.0)  # nonzero gradient, huge steps only
-        sched = WeightSchedule(lam1=1.0)
+        # 3 iterations of 20 backtracks shrink the first step by 2^-58 at most: about 1e9 mg/dl
+        sched = WeightSchedule(lam1=1e30)
         with pytest.raises(StalledError, match="3 consecutive"):
-            run_stage(state, tables, sched, {"x"}, 10, cfg)
+            run_stage(state, tables, sched, {"x"}, 10)
 
 
 class TestHyperConfig:
@@ -345,17 +356,14 @@ class TestHyperConfig:
         with pytest.raises(ValueError, match="omega_tilde must be positive"):
             HyperConfig(omega_tilde=0.0)
 
-    def test_rejects_bad_line_search_settings(self):
-        with pytest.raises(ValueError, match="backtrack_factor"):
-            HyperConfig(backtrack_factor=1.0)
-        with pytest.raises(ValueError, match="max_backtracks"):
-            HyperConfig(max_backtracks=0)
-
     def test_rejects_bad_caps_and_eta(self):
         with pytest.raises(ValueError, match="caps"):
             HyperConfig(max_iter_stage2=0)
-        with pytest.raises(ValueError, match="eta"):
-            HyperConfig(eta=0.0)
+
+    def test_accepts_numpy_numbers_and_stores_weights_as_float_tuples(self):
+        cfg = HyperConfig(max_iter_stage2=np.int64(5), epsilon=np.float64(0.2), weights_stage2=[1] * 7)
+        assert cfg.weights_stage2 == (1.0,) * 7
+        assert all(type(v) is float for v in cfg.weights_stage2)
 
     def test_rejects_epsilon_out_of_range(self):
         with pytest.raises(ValueError, match="HyperConfig: epsilon"):
@@ -453,7 +461,7 @@ class TestEstimate:
     @pytest.mark.parametrize("with_kicks", [False, True])
     def test_l2_walks_the_blocks_only_off_the_data(self, quick_config, monkeypatch, with_kicks):
         # Every estimate starts at x = y, and stages 1a and 1b keep it there.
-        # There L2 and its gradient return without a block pass: the stage-1a
+        # There L2 and its gradient return without a block pass: each stage's
         # start row and stage 2's first gradient.
         obs = make_cycle_series(n=80)
         kicks = KickSeries([obs.times[20] + 2.0], [1.5]) if with_kicks else None
@@ -474,7 +482,7 @@ class TestEstimate:
         monkeypatch.setattr("mcsmooth.objective.eval_L2", spy(eval_L2))
         monkeypatch.setattr("mcsmooth.gradients._grad_L2", spy(_grad_L2))
         estimate(obs, kicks, config=quick_config)
-        assert at_data == [eval_L2, _grad_L2]
+        assert at_data == [eval_L2, eval_L2, eval_L2, _grad_L2]
         assert len(passes) == len(off_data) > 0
 
 
