@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import numbers
 import os
 import sys
 from dataclasses import fields as dataclass_fields
@@ -22,6 +23,7 @@ from . import __version__
 from .kernels import bandwidth_rule_of_thumb
 from .optimizer import (
     HyperConfig,
+    _is_number,
     density_estimate,
     estimate,
     read_states_csv,
@@ -106,6 +108,17 @@ def _parse_float_list(text: str, what: str) -> list[float]:
         raise ValueError(f"{what}: {exc}") from None
 
 
+def _measurement_value(flag, meas: dict, key: str, default, kind=numbers.Real):
+    """The flag's value if given, else the config's ``measurement.key``, checked to be of the numeric kind."""
+    if flag is not None:
+        return flag
+    value = meas.get(key, default)
+    if not _is_number(value, kind):
+        what = "an integer" if kind is numbers.Integral else "a number"
+        raise ValueError(f"subsample: measurement.{key} must be {what}")
+    return value
+
+
 def _measurement_spec(args, cfg: dict) -> MeasurementSpec:
     meas = cfg.get("measurement", {})
     kind = args.spec or meas.get("kind")
@@ -117,17 +130,17 @@ def _measurement_spec(args, cfg: dict) -> MeasurementSpec:
     elif args.times_file is not None:
         explicit = tuple(read_columns(args.times_file, 1, "subsample")[0].tolist())
     elif "explicit_times" in meas:
-        explicit = tuple(float(v) for v in meas["explicit_times"])
-    gap_bounds = (
-        (args.gap_min if args.gap_min is not None else meas.get("gap_min", 60.0)),
-        (args.gap_max if args.gap_max is not None else meas.get("gap_max", 90.0)),
-    )
+        times = meas["explicit_times"]
+        if not (isinstance(times, list) and all(_is_number(v) for v in times)):
+            raise ValueError("subsample: measurement.explicit_times must be a list of numbers")
+        explicit = tuple(float(v) for v in times)
     return MeasurementSpec(
         kind=kind,
         explicit_times=explicit,
-        gap_bounds=(float(gap_bounds[0]), float(gap_bounds[1])),
-        period=float(args.period if args.period is not None else meas.get("period", 5.0)),
-        rng_seed=int(args.seed if args.seed is not None else meas.get("seed", 0)),
+        gap_bounds=(float(_measurement_value(args.gap_min, meas, "gap_min", 60.0)),
+                    float(_measurement_value(args.gap_max, meas, "gap_max", 90.0))),
+        period=float(_measurement_value(args.period, meas, "period", 5.0)),
+        rng_seed=int(_measurement_value(args.seed, meas, "seed", 0, numbers.Integral)),
     )
 
 
@@ -201,6 +214,8 @@ def _cmd_estimate(args) -> int:
     step = args.recon_step
     if not (math.isfinite(step) and step > 0):
         raise ValueError(f"estimate: --recon-step must be finite and positive, got {step!r}")
+    if args.density_time is not None and not math.isfinite(args.density_time):
+        raise ValueError(f"estimate: --density-time must be finite, got {args.density_time!r}")
     cfg = _load_config(args.config)
     obs_path = args.obs or cfg.get("paths", {}).get("observations")
     if not obs_path:
@@ -250,6 +265,9 @@ def _value_grid(x, y, h: float) -> np.ndarray:
 
 
 def _cmd_densities(args) -> int:
+    at_times = _parse_float_list(args.at_times, "densities --at-times") if args.at_times else None
+    if at_times is not None and not all(math.isfinite(at) for at in at_times):
+        raise ValueError(f"densities --at-times: times must be finite, got {args.at_times!r}")
     cfg = _load_config(args.config)
     obs = load_observations(args.obs)
     hyper = _hyper_from_config(cfg, {"T_l": args.t_l})
@@ -264,7 +282,8 @@ def _cmd_densities(args) -> int:
         x = obs.values
 
     t0, t1 = obs.span
-    at_times = _parse_float_list(args.at_times, "densities --at-times") if args.at_times else [0.5 * (t0 + t1)]
+    if at_times is None:
+        at_times = [0.5 * (t0 + t1)]
     grid = _value_grid(x, obs.values, h)
 
     out_dir = _out_dir(args.out_dir, cfg)

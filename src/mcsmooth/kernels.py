@@ -36,7 +36,10 @@ __all__ = [
     "build_tables",
 ]
 
-# Elements per tile or block of an n x n quantity (256 KiB of float64).
+# Elements per tile or block of an n x n quantity (256 KiB of float64). Under
+# glibc's default malloc, an array this large comes from fresh memory pages
+# once two or more of them were freed together, which can cost more than the
+# arithmetic on it; so ``time_products`` and ``build_tables`` work in place.
 TILE_ELEMENTS = 2**15
 
 # Side of a square block of about TILE_ELEMENTS elements.
@@ -78,7 +81,11 @@ def gaussian_kernel(u, v, h):
     if h <= 0:
         raise ValueError("gaussian_kernel: bandwidth must be positive")
     d = np.asarray(v) - np.asarray(u)
-    d = -(d * d) / (2.0 * h * h)
+    # d*d / -c rounds as -(d*d) / c does, one array pass fewer; the square takes
+    # the quotient's dtype, so the division can run in place.
+    c = -(2.0 * h * h)
+    d = np.multiply(d, d, dtype=np.result_type(d, c))
+    d /= c
     return np.exp(d) / (np.sqrt(2.0 * np.pi) * h)
 
 
@@ -93,8 +100,10 @@ def log_time_weight(t, before, alpha: float, T_l: float, I: slice, J: slice) -> 
     ``before`` is the kick intensity before each time (``KickSeries.intensity_before``)
     and ``alpha`` the added time per unit intensity (``KickSeries.alpha_kick``).
     """
-    d = np.abs(t[I, None] - t[None, J])
+    d = t[I, None] - t[None, J]
+    # Squaring drops the sign bit exactly, so only the kick term needs |t_i - t_j|.
     if alpha:
+        np.abs(d, out=d)
         d += alpha * np.abs(before[I, None] - before[None, J])
     d *= d
     d /= -2.0 * T_l * T_l
@@ -125,7 +134,8 @@ def time_products(t, kicks: KickSeries, alpha: float, T_l: float, V: np.ndarray)
     before = kicks.intensity_before(t)
     out = np.zeros(V.shape)
     for I, J in square_blocks(t.size):
-        E = np.exp(log_time_weight(t, before, alpha, T_l, I, J))
+        E = log_time_weight(t, before, alpha, T_l, I, J)
+        np.exp(E, out=E)
         out[I] += E @ V[J]
         if I != J:
             out[J] += E.T @ V[I]
@@ -203,13 +213,21 @@ def build_tables(
     ky_sums = np.zeros(n)
     wky = 0.0
     for I, J in square_blocks(n):
-        Ky, _ = folded(0.0, y[I], y[J], h)
+        # One exponent serves both kernels: Ky = exp(e), then Kw = exp(e + log_w),
+        # the bits of ``folded`` with log_w = 0 (exp(-0.0) = exp(0.0)) and with log_w.
+        e = y[I, None] - y[None, J]
+        e *= e
+        e /= -2.0 * h * h
+        Ky = np.exp(e)
         ky_sums[I] += Ky.sum(axis=1)
-        Kw, _ = folded(log_time_weight(t, before, alpha, T_l, I, J), y[I], y[J], h)
+        if I != J:
+            ky_sums[J] += Ky.sum(axis=0)
+        del Ky  # freed before the log weight: see ``TILE_ELEMENTS``
+        e += log_time_weight(t, before, alpha, T_l, I, J)
+        Kw = np.exp(e, out=e)
         if I == J:
             wky += weighted_column_sums(Kw, inv_s[I], inv_s[J]).sum()
         else:
-            ky_sums[J] += Ky.sum(axis=0)
             wky += 2.0 * weighted_column_sums(Kw, inv_s[I], inv_s[J]).sum()
     c_h = kernel_peak(h)
     return KernelTables(y=y, gaps=gaps, h=h, T_s=float(T_s), T_l=T_l, epsilon=float(epsilon), t=t,

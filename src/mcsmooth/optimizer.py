@@ -107,7 +107,8 @@ class HyperConfig:
                 raise ValueError(f"HyperConfig: {name}: iteration caps must be integers of at least 1")
         if not (_is_number(self.epsilon) and 0.0 <= self.epsilon < 1.0):
             raise ValueError("HyperConfig: epsilon must lie in [0, 1)")
-        if not _is_number(self.dashed_gap_threshold):
+        # +-inf flag every gap or none; NaN would silently flag none.
+        if not (_is_number(self.dashed_gap_threshold) and not math.isnan(self.dashed_gap_threshold)):
             raise ValueError("HyperConfig: dashed_gap_threshold must be a number")
         if not isinstance(self.a_tilde_zero, bool):
             raise ValueError("HyperConfig: a_tilde_zero must be true or false")
@@ -155,11 +156,21 @@ class EstimationResult:
 
 
 def _windowed_max(times: np.ndarray, values: np.ndarray, window: float) -> np.ndarray:
-    """For each time, the maximum of the values at times less than ``window`` away."""
+    """For each time, the maximum of the values at times less than a positive ``window`` away.
+
+    Rounding is monotone and ``window`` a double, so a computed
+    |t_i - t_j| < window implies the exact inequality, hence
+    fl(t_i - window) <= t_j <= fl(t_i + window). For a tile of rows of
+    increasing times, ``searchsorted`` on the first row's lower and the last
+    row's upper rounding bounds a band of columns holding every pair that the
+    predicate accepts over all n; the predicate itself picks them within it.
+    """
     out = np.empty(times.size)
     for r in row_tiles(times.size):
-        in_window = np.abs(times[r, None] - times[None, :]) < window
-        out[r] = np.where(in_window, values[None, :], -np.inf).max(axis=1)
+        lo = np.searchsorted(times, times[r.start] - window, side="left")
+        hi = np.searchsorted(times, times[r.stop - 1] + window, side="right")
+        in_window = np.abs(times[r, None] - times[None, lo:hi]) < window
+        out[r] = np.where(in_window, values[None, lo:hi], -np.inf).max(axis=1)
     return out
 
 
@@ -440,6 +451,8 @@ def density_estimate(values, times, h: float, T_l: float, at_time: float, grid) 
     """
     if T_l <= 0:
         raise ValueError("density_estimate: T_l must be positive")
+    if not math.isfinite(at_time):
+        raise ValueError("density_estimate: at_time must be finite")
     values = np.asarray(values, dtype=float)
     times = np.asarray(times, dtype=float)
     grid = np.asarray(grid, dtype=float)

@@ -4,9 +4,12 @@ The smoother oracle restates the transition densities and the gap
 reconstruction one transition or grid point at a time, apart from the
 package's vectorised ``oscillator.propagate``, and the time kernel, L2 and
 its gradient as whole n x n expressions, apart from the package's symmetric
-blocks. The simulator oracle restates the model equations with every
-parameter read afresh (``f1``-``f4`` and the tuple ``_rhs``), apart from the
-package's bound right-hand side, and the RK4 loop on numpy 6-vectors that
+blocks. ``initialize``'s amplitude window is restated as an all-pairs
+comparison, apart from the package's banded one, and the tables' walk with
+one exponent per kernel, apart from ``build_tables``' shared one. The
+simulator oracle restates the model equations with every parameter read
+afresh (``f1``-``f4`` and the tuple ``_rhs``), apart from the package's
+bound right-hand side, and the RK4 loop on numpy 6-vectors that
 ``ultradian.simulate`` unrolls into Python floats. Tests compare the package
 against all of them.
 """
@@ -30,6 +33,7 @@ from mcsmooth import (
     time_products,
     to_polar,
 )
+from mcsmooth.kernels import square_blocks
 from mcsmooth.ultradian import BlowUpError, SimulationResult, nutrition_rate
 
 TRUE_B, TRUE_A, TRUE_PERIOD = 140.0, 30.0, 140.0
@@ -117,14 +121,15 @@ def reconstruct_loop(result, grid):
 
 # --- oracle: the time kernel, L2 and its x-gradient as whole-array expressions
 
-def _kernel_expression(u, v, h):
+def kernel_expression(u, v, h):
+    """The Gaussian kernel in the form exp(-(d*d) / (2 h^2)) / (sqrt(2 pi) h), negating d*d."""
     d = np.asarray(v) - np.asarray(u)
     return np.exp(-(d * d) / (2.0 * h * h)) / (np.sqrt(2.0 * np.pi) * h)
 
 
 def _time_kernel_expression(t, before, alpha, T_l):
     dist = np.abs(t[:, None] - t[None, :]) + alpha * np.abs(before[:, None] - before[None, :])
-    return _kernel_expression(0.0, dist, T_l)
+    return kernel_expression(0.0, dist, T_l)
 
 
 def time_kernel(t, kicks, alpha, T_l):
@@ -143,18 +148,63 @@ def dense_weights(tables):
 def l2_oracle(x, y, tables):
     """-(sum W (Kxx - 2 Kyx) + sum W Ky) / 2n over whole n x n arrays."""
     W = dense_weights(tables)
-    Kxx = _kernel_expression(x[:, None], x[None, :], tables.h)
-    Kyx = _kernel_expression(y[:, None], x[None, :], tables.h)
-    Ky = _kernel_expression(y[:, None], y[None, :], tables.h)
+    Kxx = kernel_expression(x[:, None], x[None, :], tables.h)
+    Kyx = kernel_expression(y[:, None], x[None, :], tables.h)
+    Ky = kernel_expression(y[:, None], y[None, :], tables.h)
     return -((W * (Kxx - 2.0 * Kyx)).sum() + (W * Ky).sum()) / (2.0 * x.size)
 
 
 def l2_grad_oracle(x, y, tables):
     h = tables.h
-    Kxx = _kernel_expression(x[:, None], x[None, :], h)
-    Kyx = _kernel_expression(y[:, None], x[None, :], h)
+    Kxx = kernel_expression(x[:, None], x[None, :], h)
+    Kyx = kernel_expression(y[:, None], x[None, :], h)
     T = (x[:, None] - x[None, :]) * Kxx - (y[:, None] - x[None, :]) * Kyx
     return -(dense_weights(tables) * T).sum(axis=0) / (x.size * h * h)
+
+
+# --- oracle: initialize's amplitude window and the tables' walk in their all-pairs and two-exp forms
+
+def windowed_max_all_pairs(times, values, window):
+    """For each time, the max of the values less than ``window`` away, testing every pair."""
+    in_window = np.abs(times[:, None] - times[None, :]) < window
+    return np.where(in_window, values[None, :], -np.inf).max(axis=1)
+
+
+def _folded_expression(log_w, u, v, h):
+    d = u[:, None] - v[None, :]
+    e = d * d
+    e /= -2.0 * h * h
+    e += log_w
+    return np.exp(e)
+
+
+def tables_two_exp_walk(tables):
+    """rho0 and wky of the tables, each block's Ky and Kw formed from its own exponent.
+
+    Ky takes a log weight of 0.0 and Kw the block's log time weight, built
+    from |t_i - t_j| as the absolute value even without kicks.
+    """
+    t, before, alpha, T_l = tables.t, tables.before, tables.alpha, tables.T_l
+    y, h, inv_s, n = tables.y, tables.h, tables.inv_s, tables.y.size
+    ky_sums = np.zeros(n)
+    wky = 0.0
+    for I, J in square_blocks(n):
+        d = np.abs(t[I, None] - t[None, J])
+        if alpha:
+            d += alpha * np.abs(before[I, None] - before[None, J])
+        d *= d
+        d /= -2.0 * T_l * T_l
+        Ky = _folded_expression(0.0, y[I], y[J], h)
+        Kw = _folded_expression(d, y[I], y[J], h)
+        ky_sums[I] += Ky.sum(axis=1)
+        sums = inv_s[I] @ Kw + inv_s[J] * Kw.sum(axis=0)
+        if I == J:
+            wky += sums.sum()
+        else:
+            ky_sums[J] += Ky.sum(axis=0)
+            wky += 2.0 * sums.sum()
+    c_h = 1.0 / (np.sqrt(2.0 * np.pi) * h)
+    return ky_sums * (c_h / n), c_h * wky
 
 
 def relative_error(got, want):

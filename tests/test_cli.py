@@ -310,6 +310,8 @@ def test_bad_time_scales_rejected_before_any_work(tmp_path, short_obs_csv, capsy
     ([], {"hyper": {"max_iter_stage1a": True}}, "HyperConfig: max_iter_stage1a: iteration caps must"),
     ([], {"hyper": {"omega_tilde": float("nan")}}, "HyperConfig: omega_tilde must be positive"),
     ([], {"hyper": {"dashed_gap_threshold": "120"}}, "HyperConfig: dashed_gap_threshold must be a number"),
+    (["--dashed-threshold", "nan"], {}, "HyperConfig: dashed_gap_threshold must be a number"),
+    ([], {"hyper": {"dashed_gap_threshold": float("nan")}}, "HyperConfig: dashed_gap_threshold must be a number"),
     ([], {"hyper": {"a_tilde_zero": 1}}, "HyperConfig: a_tilde_zero must be true or false"),
     ([], {"weights": {"stage2": "1111111"}}, "HyperConfig: weights_stage2 must hold 7 finite"),
 ])
@@ -347,6 +349,42 @@ def test_bad_recon_step_rejected_before_any_work(tmp_path, short_obs_csv, capsys
     assert "estimate: --recon-step must be finite and positive" in capsys.readouterr().err
     assert loads == []
     assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["estimate", "--density-time", "nan"], "estimate: --density-time must be finite, got nan"),
+    (["estimate", "--density-time", "inf"], "estimate: --density-time must be finite, got inf"),
+    (["estimate", "--density-time=-inf"], "estimate: --density-time must be finite, got -inf"),
+    (["densities", "--at-times", "100,nan"], "densities --at-times: times must be finite, got '100,nan'"),
+    (["densities", "--at-times", "inf"], "densities --at-times: times must be finite, got 'inf'"),
+])
+def test_nonfinite_density_times_rejected_before_any_work(tmp_path, short_obs_csv, capsys, monkeypatch, argv,
+                                                          message):
+    loads = counted_calls(monkeypatch, mcsmooth.cli, "load_observations")
+    assert run_command([*argv, "--obs", str(short_obs_csv), "--out-dir", str(tmp_path / "run")]) == 1
+    assert message in capsys.readouterr().err
+    assert loads == []
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("measurement, message", [
+    ({"kind": "h2", "gap_min": "x"}, "subsample: measurement.gap_min must be a number"),
+    ({"kind": "h2", "gap_max": True}, "subsample: measurement.gap_max must be a number"),
+    ({"kind": "h3", "period": None}, "subsample: measurement.period must be a number"),
+    ({"kind": "h2", "seed": 1.5}, "subsample: measurement.seed must be an integer"),
+    ({"kind": "h2", "seed": "3"}, "subsample: measurement.seed must be an integer"),
+    ({"kind": "h1", "explicit_times": "70,140"}, "subsample: measurement.explicit_times must be a list of numbers"),
+    ({"kind": "h1", "explicit_times": [70, "140"]}, "subsample: measurement.explicit_times must be a list of"),
+    ({"kind": "h1", "explicit_times": [70, False]}, "subsample: measurement.explicit_times must be a list of"),
+])
+def test_bad_measurement_values_name_their_key(tmp_path, short_obs_csv, capsys, measurement, message):
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps({"measurement": measurement}), encoding="utf-8")
+    out = tmp_path / "sub.csv"
+    assert run_command(["subsample", "--in", str(short_obs_csv), "--config", str(config_path),
+                        "--out", str(out)]) == 1
+    assert f"error: {message}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("argv", [["subsample", "--in", "{obs}", "--spec", "h1", "--times", "1,abc"],

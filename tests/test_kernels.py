@@ -11,7 +11,14 @@ from mcsmooth import (
     time_products,
 )
 from mcsmooth.kernels import BLOCK, log_time_weight, square_blocks
-from conftest import dense_weights, relative_error, tables_for, time_kernel
+from conftest import (
+    dense_weights,
+    kernel_expression,
+    relative_error,
+    tables_for,
+    tables_two_exp_walk,
+    time_kernel,
+)
 
 SQRT_2PI = np.sqrt(2.0 * np.pi)
 
@@ -42,6 +49,19 @@ class TestGaussianKernel:
     def test_nonpositive_bandwidth_rejected(self):
         with pytest.raises(ValueError, match="bandwidth"):
             gaussian_kernel(0.0, 1.0, 0.0)
+
+    @pytest.mark.parametrize("h", [1e-3, 0.7, 4.2, np.float64(13.0), 1e4])
+    def test_bits_of_the_negated_square_form(self, h):
+        rng = np.random.default_rng(7)
+        u = rng.normal(120.0, 20.0, 40)
+        v = np.concatenate((u[:10], rng.normal(120.0, 20.0, 30)))  # d = 0 at ten pairs
+        for got, want in [(gaussian_kernel(u, v, h), kernel_expression(u, v, h)),
+                          (gaussian_kernel(u[:, None], v[None, :], h), kernel_expression(u[:, None], v[None, :], h)),
+                          (gaussian_kernel(1.5, 1.5, h), kernel_expression(1.5, 1.5, h)),
+                          (gaussian_kernel(u.astype(np.float32), 0.0, h), kernel_expression(u.astype(np.float32), 0.0, h)),
+                          (gaussian_kernel(np.arange(5), 2, h), kernel_expression(np.arange(5), 2, h))]:
+            assert got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes()
 
 
 def decays(obs, kicks, alpha, T_s, T_l):
@@ -197,6 +217,18 @@ class TestBuildTables:
         Ky = gaussian_kernel(y[:, None], y[None, :], tab.h)
         assert relative_error(tab.rho0, Ky.mean(axis=1)) <= 1e-12
         assert relative_error(tab.wky, (dense_weights(tab) * Ky).sum()) <= 1e-12
+
+    @pytest.mark.parametrize("with_kicks", [False, True])
+    @pytest.mark.parametrize("n", [2, BLOCK, BLOCK + 1, 2 * BLOCK])  # 1, 1, 3 and 3 blocks
+    def test_walk_gives_the_bits_of_one_exponent_per_kernel(self, n, with_kicks):
+        obs = series(23, n=n)
+        kicks, alpha = KickSeries.empty(), 0.0
+        if with_kicks:
+            kicks, alpha = KickSeries([obs.times[0] + 0.5, obs.times[-1] - 0.5], [1.0, 2.5]), 40.0
+        tab = tables_for(obs, kicks, alpha, 100.0, 400.0)
+        rho0, wky = tables_two_exp_walk(tab)
+        assert tab.rho0.tobytes() == rho0.tobytes()
+        assert np.float64(tab.wky).tobytes() == np.float64(wky).tobytes()
 
     @pytest.mark.parametrize("n", [1, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 1])
     def test_square_blocks_cover_each_unordered_pair_once(self, n):

@@ -37,6 +37,7 @@ from mcsmooth.kernels import TILE_ELEMENTS, log_time_weight
 from mcsmooth.optimizer import (
     PERIOD_BAND,
     _periodogram,
+    _windowed_max,
     read_densities_csv,
     read_reconstruction_csv,
     read_states_csv,
@@ -55,6 +56,7 @@ from conftest import (
     relative_error,
     tables_for,
     time_kernel,
+    windowed_max_all_pairs,
 )
 
 
@@ -215,6 +217,41 @@ def irregular_series(seed, n, max_gap, amplitude):
     return ObservationSeries(t, y)
 
 
+def ulps_from(x: float, k: int) -> float:
+    """x moved k representable doubles up (k > 0) or down (k < 0)."""
+    for _ in range(abs(k)):
+        x = float(np.nextafter(x, math.copysign(math.inf, k)))
+    return x
+
+
+# n up to 400 spans up to 5 row tiles; a gap of 1e-3 min at 1e12 is about 8 ulps.
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 400), offset=st.sampled_from([0.0, -3e5, 1e12]),
+       scale=st.sampled_from([1e-3, 1.0, 60.0]), regular=st.booleans(),
+       kind=st.sampled_from(["span", "below", "gap", "inf"]), ulps=st.integers(-3, 3))
+@example(seed=0, n=1, offset=0.0, scale=1.0, regular=True, kind="span", ulps=0)
+@example(seed=1, n=2, offset=1e12, scale=1e-3, regular=True, kind="span", ulps=0)
+@example(seed=2, n=2, offset=0.0, scale=60.0, regular=False, kind="below", ulps=0)
+@example(seed=3, n=400, offset=0.0, scale=5.0, regular=True, kind="gap", ulps=1)
+def test_windowed_max_matches_the_all_pairs_comparison(seed, n, offset, scale, regular, kind, ulps):
+    rng = np.random.default_rng(seed)
+    gaps = np.full(n - 1, scale) if regular else scale * rng.uniform(0.5, 1.5, n - 1)
+    times = np.unique(offset + np.concatenate(([0.0], np.cumsum(gaps))))
+    values = rng.normal(0.0, 10.0, times.size)
+    diffs = np.abs(times[:, None] - times[None, :])
+    if kind == "span":  # at least the span for ulps >= 0, just below it otherwise
+        window = ulps_from(float(diffs[0, -1]), ulps)
+    elif kind == "below":  # a positive window under every gap, so each row sees itself alone
+        window = float(rng.uniform(0.0, 1.0)) * (float(np.diff(times).min()) if times.size > 1 else 1.0)
+    elif kind == "gap":  # within a few ulps of the distance between two samples
+        i, j = rng.choice(times.size, 2, replace=False) if times.size > 1 else (0, 0)
+        window = ulps_from(float(diffs[i, j]), ulps)
+    else:
+        window = math.inf
+    assume(window > 0)
+    assert np.array_equal(_windowed_max(times, values, window), windowed_max_all_pairs(times, values, window))
+
+
 class TestPeriodogram:
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 2**16), n=st.integers(4, 700),
@@ -370,6 +407,12 @@ class TestHyperConfig:
             HyperConfig(epsilon=1.0)
         with pytest.raises(ValueError, match="HyperConfig: epsilon"):
             HyperConfig(epsilon=-0.1)
+
+    def test_dashed_threshold_rejects_nan_and_keeps_infinities(self):
+        with pytest.raises(ValueError, match="HyperConfig: dashed_gap_threshold must be a number"):
+            HyperConfig(dashed_gap_threshold=math.nan)
+        for threshold in (math.inf, -math.inf):
+            assert HyperConfig(dashed_gap_threshold=threshold).dashed_gap_threshold == threshold
 
     @pytest.mark.parametrize("weights", [(1.0, 1.0, 1.0), (1.0,) * 8, (-1.0,) + (1.0,) * 6,
                                          (float("nan"),) + (1.0,) * 6, (float("inf"),) * 7])
@@ -671,6 +714,11 @@ class TestDensityEstimate:
     def test_nonpositive_time_bandwidth_rejected(self, T_l):
         with pytest.raises(ValueError, match="T_l must be positive"):
             density_estimate([100.0], [50.0], 1.0, T_l, at_time=50.0, grid=[100.0])
+
+    @pytest.mark.parametrize("at_time", [math.nan, math.inf, -math.inf])
+    def test_nonfinite_time_rejected(self, at_time):
+        with pytest.raises(ValueError, match="density_estimate: at_time must be finite"):
+            density_estimate([100.0], [50.0], 1.0, 560.0, at_time=at_time, grid=[100.0])
 
     def test_identical_inputs_identical_densities(self):
         obs = make_cycle_series(n=30)
