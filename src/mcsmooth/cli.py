@@ -265,7 +265,9 @@ def _value_grid(x, y, h: float) -> np.ndarray:
 
 
 def _cmd_densities(args) -> int:
-    at_times = _parse_float_list(args.at_times, "densities --at-times") if args.at_times else None
+    at_times = _parse_float_list(args.at_times, "densities --at-times") if args.at_times is not None else None
+    if at_times == []:
+        raise ValueError(f"densities --at-times: no times given, got {args.at_times!r}")
     if at_times is not None and not all(math.isfinite(at) for at in at_times):
         raise ValueError(f"densities --at-times: times must be finite, got {args.at_times!r}")
     cfg = _load_config(args.config)

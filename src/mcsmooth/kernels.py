@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .oscillator import EffectiveGaps
+from .oscillator import EffectiveGaps, effective_gaps
 from .timeseries import KickSeries, ObservationSeries
 
 __all__ = [
@@ -147,7 +147,8 @@ class KernelTables:
     """Everything the objective reads that no stage moves, all of it O(n).
 
     y is the data, gaps its kick-adjusted gaps (``oscillator.effective_gaps``)
-    and epsilon the L1 mollification weight. h is the data bandwidth and
+    and epsilon the L1 mollification weight. T_s and T_l are the estimate's
+    resolved time scales, held nowhere else. h is the data bandwidth and
     rho0[i] the mean over j of K^y(y^i, y^j). t are the times, before the
     kick intensity before each (``KickSeries.intensity_before``) and alpha the
     kick scale; with them ``blocks`` generates the log time weight of each
@@ -186,15 +187,15 @@ def build_tables(
     kicks: KickSeries,
     alpha: float,
     S: np.ndarray,
-    gaps: EffectiveGaps,
     T_s: float,
     T_l: float,
     epsilon: float,
 ) -> KernelTables:
-    """Precompute the kernel tables for an observation series and its gaps.
+    """Precompute the kernel tables for an observation series and its kicks.
 
     S holds the row sums of the series' unnormalised time kernel at kick
     scale alpha and bandwidth T_l (``time_products`` of a column of ones).
+    The gaps are ``effective_gaps`` at the same kick scale.
     """
     if T_s <= 0 or T_l <= 0:
         raise ValueError("build_tables: time scales must be positive")
@@ -204,8 +205,6 @@ def build_tables(
     S = np.asarray(S, dtype=float)
     if S.shape != (n,):
         raise ValueError(f"build_tables: row sums have shape {S.shape}, expected ({n},)")
-    if gaps.dt_relax.shape != (n,):
-        raise ValueError(f"build_tables: gaps have shape {gaps.dt_relax.shape}, expected ({n},)")
     h = bandwidth_rule_of_thumb(y)
     t, before, alpha, T_l = obs.times, kicks.intensity_before(obs.times), float(alpha), float(T_l)
     inv_s = 1.0 / S
@@ -230,5 +229,6 @@ def build_tables(
         else:
             wky += 2.0 * weighted_column_sums(Kw, inv_s[I], inv_s[J]).sum()
     c_h = kernel_peak(h)
-    return KernelTables(y=y, gaps=gaps, h=h, T_s=float(T_s), T_l=T_l, epsilon=float(epsilon), t=t,
-                        before=before, alpha=alpha, inv_s=inv_s, rho0=ky_sums * (c_h / n), wky=c_h * wky)
+    return KernelTables(y=y, gaps=effective_gaps(obs, kicks, alpha), h=h, T_s=float(T_s), T_l=T_l,
+                        epsilon=float(epsilon), t=t, before=before, alpha=alpha, inv_s=inv_s,
+                        rho0=ky_sums * (c_h / n), wky=c_h * wky)

@@ -24,7 +24,7 @@ import numpy as np
 from .gradients import grad_total
 from .kernels import KernelTables, build_tables, gaussian_kernel, row_tiles, time_products
 from .objective import Components, EstimationState, WeightSchedule, eval_components
-from .oscillator import ModelNoise, ParamPriors, ParamTrajectory, effective_gaps, propagate
+from .oscillator import ModelNoise, ParamPriors, ParamTrajectory, propagate
 from .timeseries import KickSeries, ObservationSeries, read_columns, repr_rows, write_csv_rows
 
 __all__ = [
@@ -122,18 +122,21 @@ class HyperConfig:
 
 @dataclass
 class StageTrace:
-    """Objective and component history of one descent stage."""
+    """Objective and component rows of one descent stage: its start state, then each accepted step."""
 
     name: str
     objective: list[float] = field(default_factory=list)
     components: list[Components] = field(default_factory=list)
-    iterations: int = 0
-    line_search_failures: int = 0
-    converged: bool = False
+
+    @property
+    def iterations(self) -> int:
+        return len(self.objective) - 1
 
 
 @dataclass(frozen=True)
 class EstimationResult:
+    """The final state, the config as given, and the tables, which hold the resolved T_s and T_l."""
+
     state: EstimationState
     config: HyperConfig
     tables: KernelTables
@@ -149,10 +152,6 @@ class EstimationResult:
     @property
     def iterations(self) -> int:
         return sum(t.iterations for t in self.traces)
-
-    @property
-    def line_search_failures(self) -> int:
-        return sum(t.line_search_failures for t in self.traces)
 
 
 def _windowed_max(times: np.ndarray, values: np.ndarray, window: float) -> np.ndarray:
@@ -227,8 +226,8 @@ def initialize(
     obs: ObservationSeries,
     kicks: KickSeries | None = None,
     config: HyperConfig | None = None,
-) -> tuple[EstimationState, HyperConfig, KernelTables]:
-    """Initial state, resolved time scales (``resolve_time_scales``), and kernel tables.
+) -> tuple[EstimationState, KernelTables]:
+    """Initial state and kernel tables; the tables hold T_s and T_l (``resolve_time_scales``).
 
     Surrogates start at the data, latents at zero and the frequency at omega_tilde. The
     local mean and amplitude are regressions of y and of maxima of |y - b| within T_s
@@ -247,7 +246,7 @@ def initialize(
     b = Ey / S
     a_hat = _windowed_max(t, np.abs(y - b), T_s)
     a = time_products(t, kicks, alpha, T_l, a_hat[:, None])[:, 0] / S
-    tables = build_tables(obs, kicks, alpha, S, effective_gaps(obs, kicks, alpha), T_s, T_l, cfg.epsilon)
+    tables = build_tables(obs, kicks, alpha, S, T_s, T_l, cfg.epsilon)
 
     a_tilde = 0.0 if cfg.a_tilde_zero else float(a_hat.mean())
     a_bar = float(a.mean())
@@ -261,7 +260,7 @@ def initialize(
         priors=ParamPriors(b_tilde, a_tilde, omega_tilde, sigma_b, sigma_b, omega_tilde),
         noise=ModelNoise(a_bar),
     )
-    return state, replace(cfg, T_s=T_s, T_l=T_l), tables
+    return state, tables
 
 
 def _apply_step(
@@ -357,7 +356,6 @@ def run_stage(
                     break
         eta = eta_try
         if not accepted:
-            trace.line_search_failures += 1
             fails_in_row += 1
             if fails_in_row >= 3:
                 raise StalledError(
@@ -367,11 +365,9 @@ def run_stage(
         fails_in_row = 0
         dL = L_new - L
         state, L = trial, L_new
-        trace.iterations += 1
         trace.objective.append(L)
         trace.components.append(comps)
         if abs(dL) < TOLERANCE * (1.0 + abs(L)):
-            trace.converged = True
             break
     return state, trace
 
@@ -383,8 +379,9 @@ def estimate(
 ) -> EstimationResult:
     """Full staged estimation of a series: initialize, stage 1a/1b, stage 2."""
     kicks = kicks if kicks is not None else KickSeries.empty()
-    state, cfg, tables = initialize(obs, kicks, config)
-    a_bar = float(np.mean(state.params.a))
+    cfg = config if config is not None else HyperConfig()
+    state, tables = initialize(obs, kicks, cfg)
+    a_bar = state.noise.sigma
 
     w1a = WeightSchedule.from_lambdas(cfg.weights_stage1a)
     w1b = WeightSchedule.from_lambdas(cfg.weights_stage1b)
@@ -417,7 +414,7 @@ def reconstruct_trajectory(result: EstimationResult, grid) -> tuple[np.ndarray, 
     t = result.obs.times
     state = result.state
     p = state.params
-    kicks, alpha = result.kicks, result.tables.alpha
+    tables, kicks = result.tables, result.kicks
 
     if grid.size and (grid.min() < t[0] or grid.max() > t[-1]):
         raise ValueError("reconstruct_trajectory: grid time outside the observation span")
@@ -427,14 +424,14 @@ def reconstruct_trajectory(result: EstimationResult, grid) -> tuple[np.ndarray, 
     inside = grid != t[j]
     g, j = grid[inside], j[inside]
     dt_phase = g - t[j]
-    dt_relax = dt_phase + alpha * (kicks.intensity_before(g) - kicks.intensity_before(t[j]))
+    dt_relax = dt_phase + tables.alpha * (kicks.intensity_before(g) - kicks.intensity_before(t[j]))
     q = propagate(
         state.x[j], state.z[j], p.b[j], p.b[j + 1], p.a[j + 1], p.omega[j],
-        dt_phase, dt_relax, result.config.T_s,
+        dt_phase, dt_relax, tables.T_s,
     )
     values[inside] = q.mean_x
     dashed = np.zeros(grid.size, dtype=bool)
-    dashed[inside] = np.diff(t)[j] > result.config.dashed_gap_threshold
+    dashed[inside] = tables.gaps.dt_phase[j + 1] > result.config.dashed_gap_threshold
     return values, dashed
 
 

@@ -7,6 +7,8 @@ comma-separated columns: observations are ``time_min,value`` rows, kicks are
 
 from __future__ import annotations
 
+import math
+import numbers
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -148,10 +150,12 @@ class MeasurementSpec:
         if self.kind == "h1" and not self.explicit_times:
             raise ValueError("MeasurementSpec: h1 requires explicit_times")
         lo, hi = self.gap_bounds
-        if not lo < hi:
-            raise ValueError("MeasurementSpec: gap_bounds must satisfy low < high")
-        if self.period <= 0:
-            raise ValueError("MeasurementSpec: period must be positive")
+        if not (0 < lo < hi and math.isfinite(hi)):
+            raise ValueError("MeasurementSpec: gap_bounds must be finite and satisfy 0 < low < high")
+        if not (0 < self.period and math.isfinite(self.period)):
+            raise ValueError("MeasurementSpec: period must be finite and positive")
+        if not (isinstance(self.rng_seed, numbers.Integral) and self.rng_seed >= 0):
+            raise ValueError("MeasurementSpec: rng_seed must be a nonnegative integer")
 
 
 def read_columns(path: str | Path, ncols: int, op: str, usecols=None, dtype=float) -> np.ndarray:
@@ -274,9 +278,17 @@ def subsample(dense: ObservationSeries, spec: MeasurementSpec) -> ObservationSer
             t_next = dense.times[idx[-1]] + rng.uniform(lo, hi)
             if t_next > t1:
                 break
-            idx.append(_nearest_index(dense.times, float(t_next)))
+            i = _nearest_index(dense.times, float(t_next))
+            if i <= idx[-1]:
+                raise ValueError(f"subsample: a gap of {lo!r}-{hi!r} min snaps back to the sample at "
+                                 f"t={float(dense.times[i])!r}; the dense series is coarser there")
+            idx.append(i)
         idx = np.asarray(idx)
     else:  # h3
+        # arange's length is ceil of this ratio; more targets than samples would only repeat them.
+        if (t1 + 0.5 * spec.period - t0) / spec.period > dense.n:
+            raise ValueError(f"subsample: period {spec.period!r} asks for more targets than the "
+                             f"{dense.n} dense samples")
         targets = np.arange(t0, t1 + 0.5 * spec.period, spec.period)
         targets = targets[targets <= t1]
         idx = np.unique([_nearest_index(dense.times, float(t)) for t in targets])

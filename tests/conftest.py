@@ -29,7 +29,6 @@ from mcsmooth import (
     ParamTrajectory,
     PolarState,
     build_tables,
-    effective_gaps,
     time_products,
     to_polar,
 )
@@ -98,7 +97,7 @@ def reconstruct_loop(result, grid):
     t = result.obs.times
     state = result.state
     b, a, om = state.params.b, state.params.a, state.params.omega
-    T_s = result.config.T_s
+    T_s = result.tables.T_s
     thr = result.config.dashed_gap_threshold
     kicks = result.kicks
     alpha = kicks.alpha_kick(T_s)
@@ -351,9 +350,9 @@ def make_random_series(seed, n=16, with_kicks=None):
 
 
 def tables_for(obs, kicks, alpha, T_s, T_l, epsilon=0.1):
-    """``build_tables`` on the time kernel's row sums and the gaps of the series."""
+    """``build_tables`` on the time kernel's row sums."""
     S = time_products(obs.times, kicks, alpha, T_l, np.ones((obs.n, 1)))[:, 0]
-    return build_tables(obs, kicks, alpha, S, effective_gaps(obs, kicks, alpha), T_s, T_l, epsilon)
+    return build_tables(obs, kicks, alpha, S, T_s, T_l, epsilon)
 
 
 def make_random_fixture(seed, n=16, with_kicks=None):

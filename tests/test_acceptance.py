@@ -139,7 +139,7 @@ def test_criterion_4_qualitative_dynamics_sparse():
         if g == t[j] or j == t.size - 1:
             radii[i] = pol.r
             continue
-        d_s = math.exp(-(g - t[j]) / result.config.T_s)
+        d_s = math.exp(-(g - t[j]) / result.tables.T_s)
         radii[i] = (1 - d_s) * st.params.a[j + 1] + d_s * pol.r
     mean_radius = radii.mean()
 

@@ -357,6 +357,8 @@ def test_bad_recon_step_rejected_before_any_work(tmp_path, short_obs_csv, capsys
     (["estimate", "--density-time=-inf"], "estimate: --density-time must be finite, got -inf"),
     (["densities", "--at-times", "100,nan"], "densities --at-times: times must be finite, got '100,nan'"),
     (["densities", "--at-times", "inf"], "densities --at-times: times must be finite, got 'inf'"),
+    (["densities", "--at-times", ","], "densities --at-times: no times given, got ','"),
+    (["densities", "--at-times", ";"], "densities --at-times: no times given, got ';'"),
 ])
 def test_nonfinite_density_times_rejected_before_any_work(tmp_path, short_obs_csv, capsys, monkeypatch, argv,
                                                           message):
@@ -367,9 +369,14 @@ def test_nonfinite_density_times_rejected_before_any_work(tmp_path, short_obs_cs
     assert not (tmp_path / "run").exists()
 
 
+BAD_GAPS = "MeasurementSpec: gap_bounds must be finite and satisfy 0 < low < high"
+BAD_PERIOD = "MeasurementSpec: period must be finite and positive"
+
+
 @pytest.mark.parametrize("measurement, message", [
     ({"kind": "h2", "gap_min": "x"}, "subsample: measurement.gap_min must be a number"),
     ({"kind": "h2", "gap_max": True}, "subsample: measurement.gap_max must be a number"),
+    ({"kind": "h2", "gap_max": float("inf")}, BAD_GAPS),
     ({"kind": "h3", "period": None}, "subsample: measurement.period must be a number"),
     ({"kind": "h2", "seed": 1.5}, "subsample: measurement.seed must be an integer"),
     ({"kind": "h2", "seed": "3"}, "subsample: measurement.seed must be an integer"),
@@ -383,6 +390,25 @@ def test_bad_measurement_values_name_their_key(tmp_path, short_obs_csv, capsys, 
     out = tmp_path / "sub.csv"
     assert run_command(["subsample", "--in", str(short_obs_csv), "--config", str(config_path),
                         "--out", str(out)]) == 1
+    assert f"error: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--spec", "h2", "--gap-max", "inf"], BAD_GAPS),
+    (["--spec", "h2", "--gap-min=-inf"], BAD_GAPS),
+    (["--spec", "h2", "--gap-min=-5", "--gap-max", "3"], BAD_GAPS),
+    (["--spec", "h3", "--period", "nan"], BAD_PERIOD),
+    (["--spec", "h3", "--period", "inf"], BAD_PERIOD),
+    (["--spec", "h2", "--seed", "-1"], "MeasurementSpec: rng_seed must be a nonnegative integer"),
+    # the observations are 70 min apart: every such gap snaps back to t = 0
+    (["--spec", "h2", "--gap-min", "0.2", "--gap-max", "0.4"],
+     "subsample: a gap of 0.2-0.4 min snaps back to the sample at t=0.0"),
+    (["--spec", "h3", "--period", "10"], "subsample: period 10.0 asks for more targets than the 8 dense samples"),
+])
+def test_bad_measurement_specs_rejected(tmp_path, short_obs_csv, capsys, flags, message):
+    out = tmp_path / "sub.csv"
+    assert run_command(["subsample", "--in", str(short_obs_csv), *flags, "--out", str(out)]) == 1
     assert f"error: {message}" in capsys.readouterr().err
     assert not out.exists()
 

@@ -62,13 +62,13 @@ from conftest import (
 
 class TestInitialize:
     def test_states_start_at_data(self, cycle_series):
-        state, cfg, tables = initialize(cycle_series)
+        state, tables = initialize(cycle_series)
         assert np.array_equal(state.x, cycle_series.values)
         assert np.all(state.z == 0.0)
 
     def test_scalar_initializations(self, cycle_series):
         y = cycle_series.values
-        state, cfg, tables = initialize(cycle_series)
+        state, tables = initialize(cycle_series)
         assert state.priors.b_tilde == pytest.approx(y.mean())
         assert state.priors.sigma_b == pytest.approx(y.std())
         assert state.priors.sigma_a == state.priors.sigma_b
@@ -76,17 +76,24 @@ class TestInitialize:
         assert state.noise.sigma == pytest.approx(state.params.a.mean())
 
     def test_time_scales_from_frequency(self, cycle_series):
-        state, cfg, tables = initialize(cycle_series)
+        state, tables = initialize(cycle_series)
         period = 2 * np.pi / state.priors.omega_tilde
-        assert cfg.T_s == pytest.approx(period, rel=1e-12)
-        assert cfg.T_l == pytest.approx(4 * period, rel=1e-12)
-        assert tables.T_s == cfg.T_s and tables.T_l == cfg.T_l
+        assert tables.T_s == pytest.approx(period, rel=1e-12)
+        assert tables.T_l == pytest.approx(4 * period, rel=1e-12)
+
+    @pytest.mark.parametrize("config", [HyperConfig(), HyperConfig(T_s=100.0),
+                                        HyperConfig(T_l=900.0), HyperConfig(omega_tilde=0.05, T_s=50.0)])
+    def test_returns_the_state_and_tables_of_the_resolved_time_scales(self, cycle_series, config):
+        out = initialize(cycle_series, config=config)
+        assert len(out) == 2
+        state, tables = out
+        assert (tables.T_s, tables.T_l) == resolve_time_scales(cycle_series, config)[1:]
 
     def test_frequency_recovery_on_clean_sine(self):
         P = 200.0
         t = (P / 20.0) * np.arange(200)  # 10 periods at P/20
         obs = ObservationSeries(t, np.sin(2 * np.pi * t / P))
-        state, cfg, tables = initialize(obs)
+        state, tables = initialize(obs)
         assert abs(state.priors.omega_tilde - 2 * np.pi / P) / (2 * np.pi / P) < 0.05
 
     def test_constant_data_cannot_estimate_frequency(self):
@@ -106,17 +113,17 @@ class TestInitialize:
         t = 5.0 * np.arange(50)
         rng = np.random.default_rng(1)
         obs = ObservationSeries(t, 100.0 + rng.normal(0, 1e-9, 50))
-        state, cfg, tables = initialize(obs, config=HyperConfig(omega_tilde=0.05))
+        state, tables = initialize(obs, config=HyperConfig(omega_tilde=0.05))
         assert np.all(state.params.omega == 0.05)
-        assert cfg.T_s == pytest.approx(2 * np.pi / 0.05)
+        assert tables.T_s == pytest.approx(2 * np.pi / 0.05)
 
     @settings(max_examples=25, deadline=None)
     @given(seed=st.integers(0, 2**16), n=st.integers(4, 150),
            max_gap=st.floats(2.0, 90.0), amplitude=st.floats(0.0, 40.0))
     def test_deterministic_and_period_in_the_band(self, seed, n, max_gap, amplitude):
         obs = irregular_series(seed, n, max_gap, amplitude)
-        (s1, c1, w1), (s2, c2, w2) = initialize(obs), initialize(obs)
-        assert c1 == c2
+        (s1, w1), (s2, w2) = initialize(obs), initialize(obs)
+        assert (w1.T_s, w1.T_l) == (w2.T_s, w2.T_l)
         assert s1.priors == s2.priors and s1.noise == s2.noise
         for u, v in ((s1.x, s2.x), (s1.z, s2.z), (s1.params.b, s2.params.b),
                      (s1.params.a, s2.params.a), (s1.params.omega, s2.params.omega),
@@ -134,18 +141,19 @@ class TestInitialize:
         rng = np.random.default_rng(seed)
         kt = np.unique(rng.uniform(obs.times[0], obs.times[-1], n_kicks))
         kicks = KickSeries(kt, rng.uniform(0.5, 3.0, kt.size))
-        state, cfg, tables = initialize(obs, kicks)
-        assert (cfg.T_s, cfg.T_l) == resolve_time_scales(obs, HyperConfig())[1:]
-        alpha = kicks.alpha_kick(cfg.T_s)
+        state, tables = initialize(obs, kicks)
+        cfg = HyperConfig()
+        assert (tables.T_s, tables.T_l) == resolve_time_scales(obs, cfg)[1:]
+        alpha = kicks.alpha_kick(tables.T_s)
         gaps = effective_gaps(obs, kicks, alpha)
-        S = time_products(obs.times, kicks, alpha, cfg.T_l, np.column_stack((np.ones(n), obs.values)))[:, 0]
-        want = build_tables(obs, kicks, alpha, S, gaps, cfg.T_s, cfg.T_l, cfg.epsilon)
+        S = time_products(obs.times, kicks, alpha, tables.T_l, np.column_stack((np.ones(n), obs.values)))[:, 0]
+        want = build_tables(obs, kicks, alpha, S, tables.T_s, tables.T_l, cfg.epsilon)
         for field in ("t", "before", "inv_s", "rho0"):
             assert getattr(tables, field).tobytes() == getattr(want, field).tobytes()
         assert (tables.wky, tables.alpha) == (want.wky, alpha)
         # The regressions agree with the whole-array kernel.
-        Kt = time_kernel(obs.times, kicks, alpha, cfg.T_l)
-        assert relative_error(tables.inv_s, 1.0 / (np.sqrt(2.0 * np.pi) * cfg.T_l * Kt.sum(axis=1))) <= 1e-12
+        Kt = time_kernel(obs.times, kicks, alpha, tables.T_l)
+        assert relative_error(tables.inv_s, 1.0 / (np.sqrt(2.0 * np.pi) * tables.T_l * Kt.sum(axis=1))) <= 1e-12
         b = Kt @ obs.values / Kt.sum(axis=1)
         assert relative_error(state.params.b, b) <= 1e-12
         # The tables own the data, its gaps at the kernel's kick scale, and epsilon.
@@ -160,8 +168,8 @@ class TestInitialize:
             initialize(obs)
 
     def test_basic_state_switch(self, cycle_series):
-        osc, _, _ = initialize(cycle_series)
-        flat, _, _ = initialize(cycle_series, config=HyperConfig(a_tilde_zero=True))
+        osc, _ = initialize(cycle_series)
+        flat, _ = initialize(cycle_series, config=HyperConfig(a_tilde_zero=True))
         assert osc.priors.a_tilde > 0
         assert flat.priors.a_tilde == 0.0
 
@@ -195,7 +203,7 @@ class TestInitialize:
             tracemalloc.start()
             try:
                 base = tracemalloc.get_traced_memory()[0]
-                state, _, tables = initialize(obs, kicks)
+                state, tables = initialize(obs, kicks)
                 eval_L2(state, tables)
                 _grad_L2(state, tables)
                 return tracemalloc.get_traced_memory()[1] - base
@@ -292,7 +300,7 @@ class TestPeriodogram:
 
 class TestRunStage:
     def test_mask_is_airtight(self, cycle_series, quick_config):
-        state, _, tables = initialize(cycle_series, config=quick_config)
+        state, tables = initialize(cycle_series, config=quick_config)
         sched = WeightSchedule(lam3=1.0)
         out, trace = run_stage(state, tables, sched, {"z"}, 10)
         assert out.x is state.x
@@ -304,7 +312,7 @@ class TestRunStage:
 
         from mcsmooth import grad_total
 
-        state, _, tables = initialize(cycle_series)
+        state, tables = initialize(cycle_series)
         state = replace(state, x=state.x + 3.0)  # move off the L1/L2 peak
         sched = WeightSchedule(lam1=1e-300, lam2=1e-300)  # every step vanishes next to x
         g = grad_total(state, tables, sched)
@@ -314,7 +322,7 @@ class TestRunStage:
         assert trace.objective[0] == trace.objective[-1]
 
     def test_objective_increases_in_stage_one(self, cycle_series, quick_config):
-        state, _, tables = initialize(cycle_series, config=quick_config)
+        state, tables = initialize(cycle_series, config=quick_config)
         from mcsmooth import ModelNoise
         from dataclasses import replace
 
@@ -326,7 +334,7 @@ class TestRunStage:
         assert np.all(np.diff(trace.objective) >= 0)
 
     def test_trace_rows_come_from_the_accepted_trials(self, cycle_series, quick_config):
-        state, _, tables = initialize(cycle_series, config=quick_config)
+        state, tables = initialize(cycle_series, config=quick_config)
         sched = WeightSchedule(lam1=1.0, lam2=1.0, lam3=1.0)
         out, trace = run_stage(state, tables, sched, {"z"}, 10)
         assert trace.iterations > 0
@@ -347,7 +355,7 @@ class TestRunStage:
         t = cycle_series.times.copy()
         t[-1] = t[-2] + 20 * 560.0
         obs = ObservationSeries(t, cycle_series.values)
-        state, _, tables = initialize(obs, config=HyperConfig(T_s=140.0, T_l=560.0))
+        state, tables = initialize(obs, config=HyperConfig(T_s=140.0, T_l=560.0))
         d = long_decay(tables)
         a = np.empty(state.n)
         a[0] = 30.0
@@ -365,7 +373,7 @@ class TestRunStage:
         assert np.all(out.params.a[:-1] > out.params.a[-1])
 
     def test_unknown_mask_rejected(self, cycle_series, quick_config):
-        state, _, tables = initialize(cycle_series, config=quick_config)
+        state, tables = initialize(cycle_series, config=quick_config)
         with pytest.raises(ValueError, match="unknown blocks"):
             run_stage(state, tables, WeightSchedule(lam3=1.0), {"q"}, 1)
 
@@ -374,7 +382,7 @@ class TestRunStage:
 
         from mcsmooth import StalledError
 
-        state, _, tables = initialize(cycle_series)
+        state, tables = initialize(cycle_series)
         state = replace(state, x=state.x + 3.0)  # nonzero gradient, huge steps only
         # 3 iterations of 20 backtracks shrink the first step by 2^-58 at most: about 1e9 mg/dl
         sched = WeightSchedule(lam1=1e30)
@@ -431,6 +439,12 @@ class TestEstimate:
         assert np.array_equal(r1.state.params.omega, r2.state.params.omega)
         assert r1.traces[-1].objective == r2.traces[-1].objective
 
+    def test_config_is_the_config_as_given(self, quick_config):
+        obs = make_cycle_series(n=40)
+        res = estimate(obs, config=quick_config)
+        assert res.config is quick_config
+        assert (res.tables.T_s, res.tables.T_l) == resolve_time_scales(obs, quick_config)[1:]
+
     def test_monotone_traces(self, quick_config):
         obs = make_cycle_series(n=80)
         res = estimate(obs, config=quick_config)
@@ -452,7 +466,7 @@ class TestEstimate:
         obs = make_cycle_series(n=80)
         res = estimate(obs, config=quick_config)
         # stage 2 resets sigma to the initialization amplitude mean
-        state0, _, _ = initialize(obs, config=quick_config)
+        state0, _ = initialize(obs, config=quick_config)
         assert res.state.noise.sigma == pytest.approx(state0.params.a.mean())
 
     def test_stationary_point_of_pure_L1(self):
@@ -491,8 +505,8 @@ class TestEstimate:
         res = estimate(obs, kicks, config=quick_config)
         assert res.kicks is kicks
         # alpha_kick resolved from the estimated short time scale
-        alpha = kicks.alpha_kick(res.config.T_s)
-        assert alpha == pytest.approx(res.config.T_s / 2.0)
+        alpha = kicks.alpha_kick(res.tables.T_s)
+        assert alpha == pytest.approx(res.tables.T_s / 2.0)
         assert res.tables.alpha == alpha
         inflated = res.tables.gaps.dt_relax - res.tables.gaps.dt_phase
         assert inflated[21] == pytest.approx(alpha * 1.0)
@@ -579,7 +593,7 @@ class TestKickProperties:
 
 def with_kicks(res, kicks):
     """An estimate's result with other kicks, and the tables' kick scale to match."""
-    return replace(res, kicks=kicks, tables=replace(res.tables, alpha=kicks.alpha_kick(res.config.T_s)))
+    return replace(res, kicks=kicks, tables=replace(res.tables, alpha=kicks.alpha_kick(res.tables.T_s)))
 
 
 class TestReconstruct:
@@ -608,7 +622,7 @@ class TestReconstruct:
         t0 = res.obs.times[j]
         tau = 2.0
         pol = to_polar(st.x[j], st.z[j], st.params.b[j])
-        ds = math.exp(-tau / res.config.T_s)
+        ds = math.exp(-tau / res.tables.T_s)
         r_t = (1 - ds) * st.params.a[j + 1] + ds * pol.r
         want = st.params.b[j + 1] + r_t * math.cos(pol.theta + st.params.omega[j] * tau)
         got, _ = reconstruct_trajectory(res, [t0 + tau])
@@ -629,7 +643,7 @@ class TestReconstruct:
         cfg = HyperConfig(max_iter_stage1a=2, max_iter_stage1b=2, max_iter_stage2=2)
         res = estimate(obs, kicks, config=cfg)
         reconstruct_trajectory(res, np.arange(obs.times[0], obs.times[-1], 1.0))
-        assert calls == [res.config.T_s]
+        assert calls == [res.tables.T_s]
 
     def test_grid_outside_span_rejected(self):
         res = self.result()
@@ -640,7 +654,7 @@ class TestReconstruct:
         # The gap convention of effective_gaps: a kick at t_j inflates dt_relax
         # inside (t_j, t_{j+1}), and leaves the gap ending at t_j alone.
         res = self.result()
-        state, t, T_s = res.state, res.obs.times, res.config.T_s
+        state, t, T_s = res.state, res.obs.times, res.tables.T_s
         j, tau = 10, 2.0
         kicked = with_kicks(res, KickSeries([t[j]], [2.0]))
         before = [t[j - 1] + tau]
@@ -832,3 +846,6 @@ class TestCsvFormats:
         total_rows = sum(len(t.objective) for t in res.traces)
         assert back["values"].shape == (total_rows, 8)
         assert set(back["stage"]) == {"stage1a", "stage1b", "stage2"}
+        for trace in res.traces:
+            rows = np.count_nonzero(back["stage"] == trace.name)
+            assert trace.iterations == len(trace.objective) - 1 == rows - 1

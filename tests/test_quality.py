@@ -70,7 +70,7 @@ def test_h2_reconstruction_beats_linear_interpolation(constant_feed, seed):
     ids=["h2-11", "h2-12", "h2-13", "h3"],
 )
 def test_initial_period_within_5_percent(constant_feed, spec):
-    state, _, _ = initialize(subsample(constant_feed, spec))
+    state, _ = initialize(subsample(constant_feed, spec))
     period = 2 * np.pi / state.priors.omega_tilde
     assert abs(period / TRUE_PERIOD_MIN - 1.0) <= 0.05
 
