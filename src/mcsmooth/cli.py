@@ -54,7 +54,14 @@ from .ultradian import (
 
 __all__ = ["run_command", "main"]
 
-_HYPER_FIELDS = {f.name for f in dataclass_fields(HyperConfig)}
+# The keys a config file may set, per section; "hyper" takes the HyperConfig fields.
+_CONFIG_KEYS = {
+    "paths": {"out_dir", "nutrition", "observations", "kicks"},
+    "measurement": {"kind", "explicit_times", "gap_min", "gap_max", "period", "seed"},
+    "weights": {"stage1a", "stage1b", "stage2"},
+    "hyper": {f.name for f in dataclass_fields(HyperConfig)},
+}
+_BASIC_STATES = ("oscillatory", "non-oscillatory")
 DENSITY_GRID_POINTS = 201
 DENSITY_GRID_PAD = 3.0
 
@@ -69,18 +76,24 @@ def _load_config(path: str | None) -> dict:
         cfg = json.load(fh)
     if not isinstance(cfg, dict):
         raise ValueError("run_command: config file must hold a JSON object")
-    for section in ("hyper", "weights", "paths", "measurement"):
+    unknown = set(cfg) - set(_CONFIG_KEYS) - {"basic_state"}
+    if unknown:
+        raise ValueError(f"run_command: unknown config keys: {sorted(unknown)}")
+    for section, keys in _CONFIG_KEYS.items():
         if not isinstance(cfg.get(section, {}), dict):
             raise ValueError(f'run_command: config section "{section}" must hold a JSON object')
+        unknown = set(cfg.get(section, {})) - keys
+        if unknown:
+            raise ValueError(f"run_command: unknown {section} config keys: {sorted(unknown)}")
+    if cfg.get("basic_state", _BASIC_STATES[0]) not in _BASIC_STATES:
+        raise ValueError(f"run_command: basic_state must be one of {list(_BASIC_STATES)}, "
+                         f"got {cfg['basic_state']!r}")
     return cfg
 
 
 def _hyper_from_config(cfg: dict, overrides: dict) -> HyperConfig:
     """HyperConfig from the config file's "hyper" section plus flag overrides."""
     hyper = dict(cfg.get("hyper", {}))
-    unknown = set(hyper) - _HYPER_FIELDS
-    if unknown:
-        raise ValueError(f"run_command: unknown hyper config keys: {sorted(unknown)}")
     weights = cfg.get("weights", {})
     for stage in ("stage1a", "stage1b", "stage2"):
         if stage in weights:
@@ -348,7 +361,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--iters-stage1b", type=int)
     p.add_argument("--iters-stage2", type=int)
     p.add_argument("--dashed-threshold", type=float)
-    p.add_argument("--basic-state", choices=["oscillatory", "non-oscillatory"])
+    p.add_argument("--basic-state", choices=_BASIC_STATES)
     p.add_argument("--recon-step", type=float, default=1.0)
     p.add_argument("--density-time", type=float)
     p.set_defaults(func=_cmd_estimate)

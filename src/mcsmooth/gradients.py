@@ -71,18 +71,22 @@ def _grad_L2_blocks(state, tables):
     # g_k = sum_i W_ik ((x_i - x_k) Kxx_ik - (y_i - x_k) Kyx_ik). A block's
     # columns k in J take the pairs i in I, and off the diagonal its rows
     # k in I take the pairs i in J, where (x_i - x_k) Kxx is the negated term.
+    # Each difference is formed where its kernel is scaled and freed at once,
+    # and Kyx and Kxy are freed once summed, so at most four blocks are alive.
     for I, J, log_w in tables.blocks():
-        Kxx, dxx = folded(log_w, x[I], x[J], h)
-        Kxx *= dxx
-        Kyx, dyx = folded(log_w, y[I], x[J], h)
-        Kyx *= dyx
+        Kxx = folded(log_w, x[I], x[J], h)
+        Kxx *= x[I, None] - x[None, J]
+        Kyx = folded(log_w, y[I], x[J], h)
+        Kyx *= y[I, None] - x[None, J]
         np.subtract(Kxx, Kyx, out=Kyx)
         g[J] += weighted_column_sums(Kyx, inv_s[I], inv_s[J])
+        del Kyx
         if I != J:
-            Kxy, dxy = folded(log_w, x[I], y[J], h)
-            Kxy *= dxy
+            Kxy = folded(log_w, x[I], y[J], h)
+            Kxy *= x[I, None] - y[None, J]
             Kxy -= Kxx
             g[I] += weighted_column_sums(Kxy.T, inv_s[J], inv_s[I])
+            del Kxy
     return -kernel_peak(h) * g / (state.n * h * h)
 
 

@@ -104,19 +104,26 @@ def log_time_weight(t, before, alpha: float, T_l: float, I: slice, J: slice) -> 
     # Squaring drops the sign bit exactly, so only the kick term needs |t_i - t_j|.
     if alpha:
         np.abs(d, out=d)
-        d += alpha * np.abs(before[I, None] - before[None, J])
+        k = before[I, None] - before[None, J]
+        np.abs(k, out=k)
+        k *= alpha
+        d += k
     d *= d
     d /= -2.0 * T_l * T_l
     return d
 
 
-def folded(log_w: np.ndarray, u, v, h: float) -> tuple[np.ndarray, np.ndarray]:
-    """exp(log_w_ij - (u_i - v_j)^2 / (2 h^2)) and u_i - v_j, over a block."""
-    d = u[:, None] - v[None, :]
-    e = d * d
+def folded(log_w: np.ndarray, u, v, h: float) -> np.ndarray:
+    """exp(log_w_ij - (u_i - v_j)^2 / (2 h^2)) over a block, in one array of the block's size.
+
+    The difference is squared in place, so no second block is alive while the
+    kernel forms; a caller that needs u_i - v_j forms it where it uses it.
+    """
+    e = u[:, None] - v[None, :]
+    e *= e
     e /= -2.0 * h * h
     e += log_w
-    return np.exp(e, out=e), d
+    return np.exp(e, out=e)
 
 
 def weighted_column_sums(M: np.ndarray, inv_I, inv_J) -> np.ndarray:

@@ -139,17 +139,20 @@ def _L2_blocks(state: EstimationState, tables: KernelTables) -> float:
     """
     x, y, h, inv_s = state.x, tables.y, tables.h, tables.inv_s
     total = 0.0
+    # At most three blocks are alive at once, the log weight among them: Kyx
+    # is freed once subtracted, before Kxy or the next log weight forms.
     for I, J, log_w in tables.blocks():
-        Kxx, _ = folded(log_w, x[I], x[J], h)
-        Kyx, _ = folded(log_w, y[I], x[J], h)
+        Kxx = folded(log_w, x[I], x[J], h)
+        Kyx = folded(log_w, y[I], x[J], h)
         if I == J:
             Kyx *= 2.0
             Kxx -= Kyx
+            del Kyx
             total += weighted_column_sums(Kxx, inv_s[I], inv_s[J]).sum()
         else:
-            Kxy, _ = folded(log_w, x[I], y[J], h)
             Kxx -= Kyx
-            Kxx -= Kxy
+            del Kyx
+            Kxx -= folded(log_w, x[I], y[J], h)
             total += 2.0 * weighted_column_sums(Kxx, inv_s[I], inv_s[J]).sum()
     return -(kernel_peak(h) * total + tables.wky) / (2.0 * state.n)
 

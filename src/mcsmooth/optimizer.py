@@ -179,17 +179,25 @@ def _periodogram(times: np.ndarray, resid: np.ndarray) -> tuple[np.ndarray, np.n
     The power is the sum of squares explained by a least-squares fit of
     cos(omega t) and sin(omega t): Lomb-Scargle (Lomb 1976; Scargle 1982)
     without the tau shift. The grid steps by a fifth of the resolution
-    2 pi / span and is evaluated in chunks of about ``TILE_ELEMENTS`` elements.
+    2 pi / span and is evaluated in chunks of about ``TILE_ELEMENTS`` elements,
+    two chunk arrays at a time: the sines, then the cosines in the phases'
+    array, and the products c s and c c in the sines' array once their
+    sums with the residual are taken.
     """
     shortest, longest = PERIOD_BAND
     span = times[-1] - times[0]
     grid = np.arange(2.0 * np.pi / longest, 2.0 * np.pi / shortest, 2.0 * np.pi / (5.0 * span))
     power = np.empty(grid.size)
     for k in row_tiles(grid.size, times.size):
-        phase = grid[k, None] * times[None, :]
-        c, s = np.cos(phase), np.sin(phase)
+        c = grid[k, None] * times[None, :]
+        s = np.sin(c)
+        np.cos(c, out=c)
         cr, sr = c @ resid, s @ resid
-        cc, cs = (c * c).sum(axis=1), (c * s).sum(axis=1)
+        s *= c
+        cs = s.sum(axis=1)
+        np.multiply(c, c, out=s)
+        cc = s.sum(axis=1)
+        del c, s  # freed before the next tile's phases form
         ss = times.size - cc
         det = cc * ss - cs * cs
         # Where cos and sin are collinear on the samples, the fit has one column.
@@ -408,17 +416,28 @@ def reconstruct_trajectory(result: EstimationResult, grid) -> tuple[np.ndarray, 
     a gap the mean is propagated from the gap's left state with the
     transition's parameter convention (successor mean and amplitude, source
     frequency). Grid points inside gaps longer than the dashed threshold are
-    flagged.
+    flagged. Every step is elementwise, so the grid is evaluated in tiles of
+    1638 points (``row_tiles`` of width 20: the twenty or so temporaries of a
+    tile add up to about one ``TILE_ELEMENTS`` block), and no temporary spans
+    the whole grid.
     """
     grid = np.asarray(grid, dtype=float)
+    t = result.obs.times
+    if grid.size and (grid.min() < t[0] or grid.max() > t[-1]):
+        raise ValueError("reconstruct_trajectory: grid time outside the observation span")
+    values = np.empty(grid.size)
+    dashed = np.empty(grid.size, dtype=bool)
+    for r in row_tiles(grid.size, 20):
+        values[r], dashed[r] = _reconstruct_tile(result, grid[r])
+    return values, dashed
+
+
+def _reconstruct_tile(result: EstimationResult, grid: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``reconstruct_trajectory`` on a grid inside the span; its temporaries are freed on return."""
     t = result.obs.times
     state = result.state
     p = state.params
     tables, kicks = result.tables, result.kicks
-
-    if grid.size and (grid.min() < t[0] or grid.max() > t[-1]):
-        raise ValueError("reconstruct_trajectory: grid time outside the observation span")
-
     j = np.searchsorted(t, grid, side="right") - 1
     values = state.x[j]
     inside = grid != t[j]

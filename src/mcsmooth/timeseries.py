@@ -149,6 +149,9 @@ class MeasurementSpec:
             raise ValueError(f"MeasurementSpec: unknown kind {self.kind!r}")
         if self.kind == "h1" and not self.explicit_times:
             raise ValueError("MeasurementSpec: h1 requires explicit_times")
+        # A NaN time passes the span check and snaps to the last dense sample.
+        if self.explicit_times is not None and not all(map(math.isfinite, self.explicit_times)):
+            raise ValueError("MeasurementSpec: explicit_times must be finite")
         lo, hi = self.gap_bounds
         if not (0 < lo < hi and math.isfinite(hi)):
             raise ValueError("MeasurementSpec: gap_bounds must be finite and satisfy 0 < low < high")
@@ -254,6 +257,18 @@ def _nearest_index(times: np.ndarray, t: float) -> int:
     return i if times[i] - t < t - times[i - 1] else i - 1
 
 
+def _sorted_unique(idx) -> np.ndarray:
+    """The distinct entries of an index sequence, ascending.
+
+    ``np.unique`` gives the same array, but its first call imports
+    ``numpy.ma``, which nothing else here uses.
+    """
+    idx = np.sort(np.asarray(idx))
+    keep = np.ones(idx.size, dtype=bool)
+    np.not_equal(idx[1:], idx[:-1], out=keep[1:])
+    return idx[keep]
+
+
 def subsample(dense: ObservationSeries, spec: MeasurementSpec) -> ObservationSeries:
     """Apply a measurement function to a densely sampled series.
 
@@ -269,7 +284,7 @@ def subsample(dense: ObservationSeries, spec: MeasurementSpec) -> ObservationSer
             if t < t0 or t > t1:
                 raise ValueError(f"subsample: explicit time {t} outside dense span [{t0}, {t1}]")
             idx.append(_nearest_index(dense.times, float(t)))
-        idx = np.unique(idx)
+        idx = _sorted_unique(idx)
     elif spec.kind == "h2":
         rng = np.random.default_rng(spec.rng_seed)
         lo, hi = spec.gap_bounds
@@ -291,5 +306,5 @@ def subsample(dense: ObservationSeries, spec: MeasurementSpec) -> ObservationSer
                              f"{dense.n} dense samples")
         targets = np.arange(t0, t1 + 0.5 * spec.period, spec.period)
         targets = targets[targets <= t1]
-        idx = np.unique([_nearest_index(dense.times, float(t)) for t in targets])
+        idx = _sorted_unique([_nearest_index(dense.times, float(t)) for t in targets])
     return ObservationSeries(dense.times[idx], dense.values[idx])

@@ -270,8 +270,11 @@ def simulate(
     constant-rate span (:meth:`NutritionSchedule.segment`) and reused while
     the substep times stay inside it.
     """
-    if dt <= 0 or t_end <= 0:
-        raise ValueError("simulate: dt and t_end must be positive")
+    for name, value in (("t_end", t_end), ("dt", dt)):
+        if not (math.isfinite(value) and value > 0):
+            raise ValueError(f"simulate: {name} must be finite and positive, got {value!r}")
+    if not math.isfinite(discard):
+        raise ValueError(f"simulate: discard must be finite, got {discard!r}")
     steps_per_min = round(1.0 / dt)
     if steps_per_min < 1 or abs(steps_per_min * dt - 1.0) > 1e-9:
         raise ValueError("simulate: dt must divide one minute exactly")

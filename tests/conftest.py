@@ -7,7 +7,11 @@ its gradient as whole n x n expressions, apart from the package's symmetric
 blocks. ``initialize``'s amplitude window is restated as an all-pairs
 comparison, apart from the package's banded one, and the tables' walk with
 one exponent per kernel, apart from ``build_tables``' shared one. The
-simulator oracle restates the model equations with every parameter read
+allocating forms restate the L2 value and gradient passes with a ``folded``
+that also returns the difference, the periodogram with separate cos, sin and
+product arrays and the reconstruction over the whole grid at once, apart
+from the package's in-place and tiled forms, which must give their bits.
+The simulator oracle restates the model equations with every parameter read
 afresh (``f1``-``f4`` and the tuple ``_rhs``), apart from the package's
 bound right-hand side, and the RK4 loop on numpy 6-vectors that
 ``ultradian.simulate`` unrolls into Python floats. Tests compare the package
@@ -15,6 +19,7 @@ against all of them.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -32,8 +37,18 @@ from mcsmooth import (
     time_products,
     to_polar,
 )
-from mcsmooth.kernels import square_blocks
-from mcsmooth.ultradian import BlowUpError, SimulationResult, nutrition_rate
+from mcsmooth.kernels import kernel_peak, row_tiles, square_blocks, weighted_column_sums
+from mcsmooth.optimizer import PERIOD_BAND
+from mcsmooth.oscillator import propagate
+from mcsmooth.ultradian import (
+    BlowUpError,
+    NutritionSchedule,
+    SimulationResult,
+    default_initial_state,
+    icu_fit_params,
+    nutrition_rate,
+    simulate,
+)
 
 TRUE_B, TRUE_A, TRUE_PERIOD = 140.0, 30.0, 140.0
 # Added time per unit kick intensity in ``make_random_fixture``, at T_s = TRUE_PERIOD.
@@ -206,6 +221,109 @@ def tables_two_exp_walk(tables):
     return ky_sums * (c_h / n), c_h * wky
 
 
+# --- oracle: the allocating forms of the L2 passes, the periodogram and the reconstruction
+
+def _folded_with_difference(log_w, u, v, h):
+    return _folded_expression(log_w, u, v, h), u[:, None] - v[None, :]
+
+
+def l2_blocks_allocating(state, tables):
+    """``objective._L2_blocks`` with each kernel's difference block kept alive beside it."""
+    x, y, h, inv_s = state.x, tables.y, tables.h, tables.inv_s
+    total = 0.0
+    for I, J, log_w in tables.blocks():
+        Kxx, _ = _folded_with_difference(log_w, x[I], x[J], h)
+        Kyx, _ = _folded_with_difference(log_w, y[I], x[J], h)
+        if I == J:
+            Kyx *= 2.0
+            Kxx -= Kyx
+            total += weighted_column_sums(Kxx, inv_s[I], inv_s[J]).sum()
+        else:
+            Kxy, _ = _folded_with_difference(log_w, x[I], y[J], h)
+            Kxx -= Kyx
+            Kxx -= Kxy
+            total += 2.0 * weighted_column_sums(Kxx, inv_s[I], inv_s[J]).sum()
+    return -(kernel_peak(h) * total + tables.wky) / (2.0 * state.n)
+
+
+def grad_l2_blocks_allocating(state, tables):
+    """``gradients._grad_L2_blocks`` scaling each kernel by the difference ``folded`` returned."""
+    x, y, h, inv_s = state.x, tables.y, tables.h, tables.inv_s
+    g = np.zeros_like(x)
+    for I, J, log_w in tables.blocks():
+        Kxx, dxx = _folded_with_difference(log_w, x[I], x[J], h)
+        Kxx *= dxx
+        Kyx, dyx = _folded_with_difference(log_w, y[I], x[J], h)
+        Kyx *= dyx
+        np.subtract(Kxx, Kyx, out=Kyx)
+        g[J] += weighted_column_sums(Kyx, inv_s[I], inv_s[J])
+        if I != J:
+            Kxy, dxy = _folded_with_difference(log_w, x[I], y[J], h)
+            Kxy *= dxy
+            Kxy -= Kxx
+            g[I] += weighted_column_sums(Kxy.T, inv_s[J], inv_s[I])
+    return -kernel_peak(h) * g / (state.n * h * h)
+
+
+def in_longdouble(state, tables):
+    """The state and tables with every array that the L2 passes read in extended precision."""
+    def ld(a):
+        return np.asarray(a, dtype=np.longdouble)
+    return (EstimationState(ld(state.x), state.z, state.params, state.priors, state.noise),
+            replace(tables, y=ld(tables.y), t=ld(tables.t), before=ld(tables.before), inv_s=ld(tables.inv_s)))
+
+
+def same_bits(got, want) -> bool:
+    """Whether two arrays hold the same bits; of a longdouble, the value bits only.
+
+    x87 extended precision fills 10 of its 16 bytes, and the rest is padding
+    that no operation defines, so there the values and their signs are compared.
+    """
+    got, want = np.asarray(got), np.asarray(want)
+    if got.dtype != want.dtype or got.shape != want.shape:
+        return False
+    if got.dtype == np.longdouble:
+        return np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
+    return got.tobytes() == want.tobytes()
+
+
+def periodogram_allocating(times, resid):
+    """``optimizer._periodogram`` with its phases, cosines, sines and products in separate arrays."""
+    shortest, longest = PERIOD_BAND
+    span = times[-1] - times[0]
+    grid = np.arange(2.0 * np.pi / longest, 2.0 * np.pi / shortest, 2.0 * np.pi / (5.0 * span))
+    power = np.empty(grid.size)
+    for k in row_tiles(grid.size, times.size):
+        phase = grid[k, None] * times[None, :]
+        c, s = np.cos(phase), np.sin(phase)
+        cr, sr = c @ resid, s @ resid
+        cc, cs = (c * c).sum(axis=1), (c * s).sum(axis=1)
+        ss = times.size - cc
+        det = cc * ss - cs * cs
+        power[k] = np.divide(ss * cr * cr - 2.0 * cs * cr * sr + cc * sr * sr, det,
+                             out=(cr * cr + sr * sr) / times.size, where=det > 1e-9 * cc * ss)
+    return grid, power
+
+
+def reconstruct_whole_grid(result, grid):
+    """``reconstruct_trajectory`` with every temporary spanning the whole grid."""
+    grid = np.asarray(grid, dtype=float)
+    t, state, tables, kicks = result.obs.times, result.state, result.tables, result.kicks
+    p = state.params
+    j = np.searchsorted(t, grid, side="right") - 1
+    values = state.x[j]
+    inside = grid != t[j]
+    g, j = grid[inside], j[inside]
+    dt_phase = g - t[j]
+    dt_relax = dt_phase + tables.alpha * (kicks.intensity_before(g) - kicks.intensity_before(t[j]))
+    q = propagate(state.x[j], state.z[j], p.b[j], p.b[j + 1], p.a[j + 1], p.omega[j],
+                  dt_phase, dt_relax, tables.T_s)
+    values[inside] = q.mean_x
+    dashed = np.zeros(grid.size, dtype=bool)
+    dashed[inside] = tables.gaps.dt_phase[j + 1] > result.config.dashed_gap_threshold
+    return values, dashed
+
+
 def relative_error(got, want):
     """max |got - want| over max |want|: agreement relative to the oracle's scale.
 
@@ -323,6 +441,24 @@ def simulate_oracle(params, schedule, initial, t_end, dt=0.1, discard=0.0):
 
 
 # --- fixtures
+
+# The criterion-8 h1 schedule on the ICU week: every 120 min, where the
+# periodogram's 105.2, 139.7 and 64.6-min alias peaks differ by about 7e-13.
+H1_TIMES = tuple(2000.0 + 120.0 * k for k in range(84))
+
+
+def icu_week(schedule):
+    """The ICU patient simulated for one week after a 2000-min transient, as observations."""
+    r = simulate(icu_fit_params(), schedule, default_initial_state(),
+                 t_end=12080.0, dt=0.1, discard=2000.0)
+    return ObservationSeries(r.times, r.glucose)
+
+
+@pytest.fixture(scope="session")
+def constant_feed():
+    """The ICU week on a constant 80 mg/min tube feed."""
+    return icu_week(NutritionSchedule.constant(80.0, 12081.0))
+
 
 
 def make_cycle_series(n=200, spacing=5.0, noise=0.1 * TRUE_A, seed=42):

@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -441,3 +445,97 @@ def test_outdir_env_default(dense_csv, tmp_path, monkeypatch):
     assert run_command(["subsample", "--in", str(dense_csv), "--spec", "h3",
                         "--period", "10"]) == 0
     assert (tmp_path / "envout" / "obs_h3.csv").exists()
+
+
+@pytest.mark.parametrize("command, config, message", [
+    ("estimate", {"hyperr": {"T_s": 140}, "weigths": {}}, "run_command: unknown config keys: ['hyperr', 'weigths']"),
+    ("estimate", {"paths": {"observation": "obs.csv"}}, "run_command: unknown paths config keys: ['observation']"),
+    ("estimate", {"weights": {"stage3": [1] * 7}}, "run_command: unknown weights config keys: ['stage3']"),
+    ("estimate", {"basic_state": "nonoscillatory"},
+     "run_command: basic_state must be one of ['oscillatory', 'non-oscillatory'], got 'nonoscillatory'"),
+    ("estimate", {"basic_state": None}, "run_command: basic_state must be one of"),
+    ("subsample", {"measurement": {"kind": "h2", "gap_mn": 200, "gap_max": 250}},
+     "run_command: unknown measurement config keys: ['gap_mn']"),
+    ("subsample", {"hyper": {"eta": 0.5}}, "run_command: unknown hyper config keys: ['eta']"),
+])
+def test_misspelled_config_keys_rejected_before_any_work(tmp_path, short_obs_csv, capsys, monkeypatch, command,
+                                                         config, message):
+    loads = counted_calls(monkeypatch, mcsmooth.cli, "load_observations")
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(config), encoding="utf-8")
+    flag = "--obs" if command == "estimate" else "--in"
+    assert run_command([command, flag, str(short_obs_csv), "--config", str(config_path),
+                        "--out-dir", str(tmp_path / "run")]) == 1
+    assert f"error: {message}" in capsys.readouterr().err
+    assert loads == []
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("basic_state", ["oscillatory", "non-oscillatory"])
+def test_known_basic_states_accepted(tmp_path, short_obs_csv, basic_state):
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps({"basic_state": basic_state}), encoding="utf-8")
+    assert run_command(["estimate", "--obs", str(short_obs_csv), "--config", str(config_path),
+                        "--iters-stage1a", "2", "--iters-stage1b", "2", "--iters-stage2", "2",
+                        "--out-dir", str(tmp_path / "run")]) == 0
+
+
+@pytest.mark.parametrize("source", ["flag", "file", "config"])
+def test_nonfinite_explicit_times_rejected_before_any_output(tmp_path, short_obs_csv, capsys, source):
+    argv = ["subsample", "--in", str(short_obs_csv), "--spec", "h1"]
+    if source == "flag":
+        argv += ["--times", "nan,210"]
+    elif source == "file":
+        (tmp_path / "times.txt").write_text("70\nnan\n210\n", encoding="utf-8")
+        argv += ["--times-file", str(tmp_path / "times.txt")]
+    else:
+        (tmp_path / "config.json").write_text(json.dumps({"measurement": {"explicit_times": [70, float("nan")]}}),
+                                              encoding="utf-8")
+        argv += ["--config", str(tmp_path / "config.json")]
+    out = tmp_path / "sub.csv"
+    assert run_command([*argv, "--out", str(out)]) == 1
+    assert "error: MeasurementSpec: explicit_times must be finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--t-end", "inf"], "simulate: t_end must be finite and positive, got inf"),
+    (["--t-end", "inf", "--constant-nutrition", "80"], "simulate: t_end must be finite and positive, got inf"),
+    (["--t-end", "nan"], "simulate: t_end must be finite and positive, got nan"),
+    (["--t-end", "0"], "simulate: t_end must be finite and positive, got 0.0"),
+    (["--t-end", "60", "--dt", "nan"], "simulate: dt must be finite and positive, got nan"),
+    (["--t-end", "60", "--dt", "inf"], "simulate: dt must be finite and positive, got inf"),
+    (["--t-end", "60", "--dt=-0.5"], "simulate: dt must be finite and positive, got -0.5"),
+    (["--t-end", "60", "--discard", "nan"], "simulate: discard must be finite, got nan"),
+    (["--t-end", "60", "--discard=-inf"], "simulate: discard must be finite, got -inf"),
+])
+def test_nonfinite_simulation_inputs_rejected(tmp_path, capsys, flags, message):
+    out = tmp_path / "sim.csv"
+    assert run_command(["simulate", *flags, "--out", str(out)]) == 1
+    assert f"error: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+SUBSAMPLE_IN_FRESH_INTERPRETER = """
+import sys
+import mcsmooth.cli
+if "numpy.ma" in sys.modules:
+    print("loaded by import")
+    sys.exit(0)
+for argv in (["--spec", "h1", "--times", "140,70,70,300"], ["--spec", "h3", "--period", "70"]):
+    code = mcsmooth.cli.run_command(["subsample", "--in", sys.argv[1], *argv, "--out", sys.argv[2]])
+    assert code == 0, code
+print("numpy.ma loaded" if "numpy.ma" in sys.modules else "numpy.ma not loaded")
+"""
+
+
+def test_subsample_never_imports_numpy_ma(tmp_path, short_obs_csv):
+    # np.unique imports numpy.ma on its first call: 1 MB and 12-18 ms per CLI process.
+    src = Path(mcsmooth.cli.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    done = subprocess.run([sys.executable, "-c", SUBSAMPLE_IN_FRESH_INTERPRETER, str(short_obs_csv),
+                           str(tmp_path / "sub.csv")], env=env, capture_output=True, text=True, check=True)
+    verdict = done.stdout.splitlines()[-1]
+    if verdict == "loaded by import":
+        pytest.skip("importing mcsmooth.cli already loads numpy.ma")
+    assert verdict == "numpy.ma not loaded"

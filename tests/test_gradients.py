@@ -15,7 +15,16 @@ from mcsmooth import (
 )
 from mcsmooth.gradients import _grad_L2_blocks
 from mcsmooth.kernels import BLOCK
-from conftest import FIXTURE_ALPHA, ONE_HOT, l2_grad_oracle, make_random_fixture, relative_error
+from conftest import (
+    FIXTURE_ALPHA,
+    ONE_HOT,
+    grad_l2_blocks_allocating,
+    in_longdouble,
+    l2_grad_oracle,
+    make_random_fixture,
+    relative_error,
+    same_bits,
+)
 
 
 def at_data(state, obs):
@@ -143,6 +152,33 @@ class TestL2Gradient:
         state, obs, tables = make_random_fixture(seed, n=n, with_kicks=with_kicks)
         g = grad_total(state, tables, WeightSchedule(lam2=1.0))
         assert relative_error(g.d_x, l2_grad_oracle(state.x, obs.values, tables)) <= 1e-12
+
+    @pytest.mark.parametrize("with_kicks", [False, True])
+    @pytest.mark.parametrize("n", [2, BLOCK, BLOCK + 1, 2 * BLOCK + 7])  # 1, 1, 3 and 6 blocks
+    def test_block_pass_has_the_bits_of_the_allocating_form(self, n, with_kicks):
+        state, _, tables = make_random_fixture(n, n=n, with_kicks=with_kicks)
+        assert _grad_L2_blocks(state, tables).tobytes() == grad_l2_blocks_allocating(state, tables).tobytes()
+
+    def test_block_pass_in_longdouble_has_the_bits_of_the_allocating_form(self):
+        state, _, tables = make_random_fixture(3, n=BLOCK + 1)
+        state, tables = in_longdouble(state, tables)
+        got = _grad_L2_blocks(state, tables)
+        assert got.dtype == np.longdouble
+        assert same_bits(got, grad_l2_blocks_allocating(state, tables))
+
+    def test_block_pass_holds_at_most_four_blocks(self):
+        # Without kicks, as on the dense benchmark record. The half block over
+        # four is the buffer numpy takes while it broadcasts a difference.
+        state, _, tables = make_random_fixture(0, n=3 * BLOCK, with_kicks=False)
+        tables = replace(tables, alpha=0.0)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            _grad_L2_blocks(state, tables)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < 4.6 * BLOCK * BLOCK * 8
 
     def test_peak_memory_below_one_pair_array(self):
         n = 2000

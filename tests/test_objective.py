@@ -29,10 +29,13 @@ from conftest import (
     FIXTURE_ALPHA,
     ONE_HOT,
     dense_weights,
+    in_longdouble,
+    l2_blocks_allocating,
     l2_oracle,
     make_random_fixture,
     make_random_series,
     relative_error,
+    same_bits,
     tables_for,
     time_kernel,
 )
@@ -177,6 +180,35 @@ class TestL2:
                                       state.priors, state.noise)
             assert abs(eval_L2(at_data, tables)) <= 1e-14
             assert abs(_L2_blocks(at_data, tables)) <= 1e-14
+
+    @pytest.mark.parametrize("with_kicks", [False, True])
+    @pytest.mark.parametrize("n", [2, BLOCK, BLOCK + 1, 2 * BLOCK + 7])  # 1, 1, 3 and 6 blocks
+    def test_block_pass_has_the_bits_of_the_allocating_form(self, n, with_kicks):
+        state, _, tables = make_random_fixture(n, n=n, with_kicks=with_kicks)
+        got = _L2_blocks(state, tables)
+        assert type(got) is np.float64
+        assert got.tobytes() == l2_blocks_allocating(state, tables).tobytes()
+
+    def test_block_pass_in_longdouble_has_the_bits_of_the_allocating_form(self):
+        state, _, tables = make_random_fixture(3, n=BLOCK + 1)
+        state, tables = in_longdouble(state, tables)
+        got = _L2_blocks(state, tables)
+        assert got.dtype == np.longdouble
+        assert same_bits(got, l2_blocks_allocating(state, tables))
+
+    def test_block_pass_holds_at_most_three_blocks(self):
+        # Without kicks, as on the dense benchmark record. The half block over
+        # three is the buffer numpy takes while it broadcasts a difference.
+        state, _, tables = make_random_fixture(0, n=3 * BLOCK, with_kicks=False)
+        tables = replace(tables, alpha=0.0)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            _L2_blocks(state, tables)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < 3.6 * BLOCK * BLOCK * 8
 
     def test_nonpositive_in_uniform_weight_limit(self):
         rng = np.random.default_rng(9)

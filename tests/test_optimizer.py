@@ -14,6 +14,7 @@ from mcsmooth import (
     HyperConfig,
     KernelTables,
     KickSeries,
+    MeasurementSpec,
     ObservationSeries,
     WeightSchedule,
     build_tables,
@@ -29,6 +30,7 @@ from mcsmooth import (
     reconstruct_trajectory,
     resolve_time_scales,
     run_stage,
+    subsample,
     time_products,
     to_polar,
 )
@@ -48,11 +50,14 @@ from mcsmooth.optimizer import (
     write_trace_csv,
 )
 from conftest import (
+    H1_TIMES,
     TRUE_A,
     TRUE_B,
     TRUE_OMEGA,
     make_cycle_series,
+    periodogram_allocating,
     reconstruct_loop,
+    reconstruct_whole_grid,
     relative_error,
     tables_for,
     time_kernel,
@@ -258,6 +263,40 @@ def test_windowed_max_matches_the_all_pairs_comparison(seed, n, offset, scale, r
         window = math.inf
     assume(window > 0)
     assert np.array_equal(_windowed_max(times, values, window), windowed_max_all_pairs(times, values, window))
+
+
+class TestPeriodogramInPlace:
+    """The periodogram's two tile arrays give the powers of its allocating form, bit for bit."""
+
+    @staticmethod
+    def powers(obs):
+        t, r = obs.times, obs.values - obs.values.mean()
+        return _periodogram(t, r), periodogram_allocating(t, r)
+
+    def test_h1_schedule_of_the_icu_week(self, constant_feed):
+        # Three alias peaks tie to about 7e-13 here; other roundings could change the pick.
+        obs = subsample(constant_feed, MeasurementSpec("h1", explicit_times=H1_TIMES))
+        (grid, power), (want_grid, want_power) = self.powers(obs)
+        assert grid.tobytes() == want_grid.tobytes()
+        assert power.tobytes() == want_power.tobytes()
+
+    def test_h3_week_over_many_tiles(self, constant_feed):
+        obs = subsample(constant_feed, MeasurementSpec("h3"))
+        (grid, power), (_, want_power) = self.powers(obs)
+        assert grid.size > 3 * (TILE_ELEMENTS // obs.n)
+        assert power.tobytes() == want_power.tobytes()
+
+    def test_holds_two_tile_arrays(self, constant_feed):
+        obs = subsample(constant_feed, MeasurementSpec("h3"))
+        t, r = obs.times, obs.values - obs.values.mean()
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            _periodogram(t, r)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.1 * TILE_ELEMENTS * 8
 
 
 class TestPeriodogram:
@@ -707,6 +746,40 @@ def test_reconstruction_matches_the_loop_oracle(case):
     assert np.array_equal(dashed, want_dashed)
     at_obs = np.isin(grid, res.obs.times)
     assert np.array_equal(values[at_obs], want[at_obs])
+
+
+class TestReconstructInTiles:
+    @staticmethod
+    def grid(res, points):
+        """``points`` evenly spaced times over the span, then every observation time."""
+        t = res.obs.times
+        return np.concatenate((np.linspace(t[0], t[-1], points), t))
+
+    @pytest.mark.parametrize("kicked", [False, True])
+    def test_has_the_bits_of_the_whole_grid_form(self, kicked):
+        res = irregular_result()
+        if kicked:
+            t = res.obs.times
+            res = with_kicks(res, KickSeries([t[3], 0.5 * (t[20] + t[21]), t[40]], [1.5, 0.5, 1.0]))
+        grid = self.grid(res, 3 * 1638 + 100)  # four tiles, the last partial
+        values, dashed = reconstruct_trajectory(res, grid)
+        want, want_dashed = reconstruct_whole_grid(res, grid)
+        assert values.tobytes() == want.tobytes()
+        assert dashed.tobytes() == want_dashed.tobytes()
+        assert dashed.any() and not dashed.all()
+
+    def test_no_temporary_spans_the_grid(self):
+        res = irregular_result()
+        grid = self.grid(res, 20000)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            reconstruct_trajectory(res, grid)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        # the values and flags themselves, then the temporaries of one tile
+        assert peak < grid.size * 9 + 1.5 * TILE_ELEMENTS * 8
 
 
 class TestDensityEstimate:

@@ -14,29 +14,14 @@ from mcsmooth import (
     KickSeries,
     MeasurementSpec,
     NutritionSchedule,
-    ObservationSeries,
-    default_initial_state,
     estimate,
-    icu_fit_params,
     initialize,
     reconstruct_trajectory,
-    simulate,
     subsample,
 )
+from conftest import H1_TIMES, icu_week
 
 TRUE_PERIOD_MIN = 139.8  # mean upward-crossing spacing of the constant-feed week
-H1_TIMES = tuple(2000.0 + 120.0 * k for k in range(84))
-
-
-def icu_week(schedule):
-    r = simulate(icu_fit_params(), schedule, default_initial_state(),
-                 t_end=12080.0, dt=0.1, discard=2000.0)
-    return ObservationSeries(r.times, r.glucose)
-
-
-@pytest.fixture(scope="module")
-def constant_feed():
-    return icu_week(NutritionSchedule.constant(80.0, 12081.0))
 
 
 @pytest.fixture(scope="module")

@@ -1,3 +1,4 @@
+import math
 import warnings
 
 import numpy as np
@@ -13,6 +14,7 @@ from mcsmooth import (
     write_observations,
 )
 from mcsmooth.kernels import log_time_weight
+from mcsmooth.timeseries import _sorted_unique
 from mcsmooth.optimizer import read_states_csv
 
 
@@ -191,6 +193,25 @@ class TestSubsample:
     def test_h1_snaps_to_nearest(self):
         out = subsample(self.dense(), MeasurementSpec(kind="h1", explicit_times=(10.4, 99.9)))
         assert out.times.tolist() == [10.0, 100.0]
+
+    def test_h1_unsorted_duplicates_give_sorted_unique_samples(self):
+        dense = self.dense()
+        times = (310.2, 5.0, 99.9, 310.0, 4.6, 600.0, 100.4, 0.0)
+        out = subsample(dense, MeasurementSpec(kind="h1", explicit_times=times))
+        assert out.times.tolist() == [0.0, 5.0, 100.0, 310.0, 600.0]
+        assert np.array_equal(out.values, dense.values[[0, 5, 100, 310, 600]])
+
+    @pytest.mark.parametrize("idx", [[7], [3, 3, 3], [9, 2, 5, 2, 9, 0, 5], list(range(40, 0, -3)) * 2])
+    def test_sorted_unique_is_np_unique(self, idx):
+        got = _sorted_unique(idx)
+        want = np.unique(idx)
+        assert got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_h1_nonfinite_time_rejected(self, bad):
+        with pytest.raises(ValueError, match="MeasurementSpec: explicit_times must be finite"):
+            MeasurementSpec(kind="h1", explicit_times=(100.0, bad))
 
     def test_h1_outside_span_rejected(self):
         with pytest.raises(ValueError, match="outside dense span"):
