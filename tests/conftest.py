@@ -28,12 +28,14 @@ from mcsmooth import (
     EstimationState,
     HyperConfig,
     KickSeries,
+    MeasurementSpec,
     ModelNoise,
     ObservationSeries,
     ParamPriors,
     ParamTrajectory,
     PolarState,
     build_tables,
+    subsample,
     time_products,
     to_polar,
 )
@@ -458,6 +460,31 @@ def icu_week(schedule):
 def constant_feed():
     """The ICU week on a constant 80 mg/min tube feed."""
     return icu_week(NutritionSchedule.constant(80.0, 12081.0))
+
+
+NOISY_SEEDS = tuple(range(11, 19))
+
+
+@pytest.fixture(scope="session")
+def noisy_h2(constant_feed):
+    """Noisy and outlier h2 records of the constant-feed week, by h2 seed 11-18.
+
+    Each seed s maps to ``(noisy, outliers, k)``. For the h2 samples y of
+    seed s and ``rng = default_rng(1000 + s)``, ``noisy`` is y plus
+    N(0, 7.5^2) noise. ``outliers`` continues the same rng from the clean y:
+    fresh N(0, 7.5^2) noise, then +-60 mg/dl at the ``n // 20`` indices k.
+    """
+    records = {}
+    for s in NOISY_SEEDS:
+        obs = subsample(constant_feed, MeasurementSpec("h2", rng_seed=s))
+        y, n = obs.values, obs.n
+        rng = np.random.default_rng(1000 + s)
+        noisy = ObservationSeries(obs.times, y + rng.normal(0.0, 7.5, n))
+        y2 = y + rng.normal(0.0, 7.5, n)
+        k = rng.choice(n, n // 20, replace=False)
+        y2[k] += rng.choice([-60.0, 60.0], k.size)
+        records[s] = noisy, ObservationSeries(obs.times, y2), k
+    return records
 
 
 

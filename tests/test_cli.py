@@ -516,6 +516,22 @@ def test_nonfinite_simulation_inputs_rejected(tmp_path, capsys, flags, message):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("source", ["nan", "inf", "csv"])
+def test_nonfinite_nutrition_rate_rejected_before_integrating(tmp_path, capsys, monkeypatch, source):
+    calls = []
+    monkeypatch.setattr(NutritionSchedule, "segment", lambda self, t: calls.append(t))
+    if source == "csv":
+        (tmp_path / "feed.csv").write_text("0,100,80\n100,200,nan\n", encoding="utf-8")
+        feed, rate = ["--nutrition", str(tmp_path / "feed.csv")], "nan"
+    else:
+        feed, rate = ["--constant-nutrition", source], source
+    out = tmp_path / "sim.csv"
+    assert run_command(["simulate", "--t-end", "60", *feed, "--out", str(out)]) == 1
+    assert f"error: NutritionSchedule: rate must be finite, got {rate}" in capsys.readouterr().err
+    assert calls == []
+    assert not out.exists()
+
+
 SUBSAMPLE_IN_FRESH_INTERPRETER = """
 import sys
 import mcsmooth.cli

@@ -1,4 +1,5 @@
 import dataclasses
+import sys
 
 import numpy as np
 import pytest
@@ -99,6 +100,20 @@ class TestNutrition:
     def test_negative_rate_rejected(self):
         with pytest.raises(ValueError, match="negative rate"):
             NutritionSchedule(((0.0, 100.0, -1.0),))
+
+    @pytest.mark.parametrize("rate", [float("nan"), float("inf"), float("-inf")])
+    def test_nonfinite_rate_rejected(self, rate):
+        # a NaN or infinite feed would integrate to "non-finite state at t = 1 min"
+        with pytest.raises(ValueError, match=f"NutritionSchedule: rate must be finite, got {rate!r}"):
+            NutritionSchedule(((0.0, 100.0, 80.0), (200.0, 300.0, rate)))
+        with pytest.raises(ValueError, match="NutritionSchedule: rate must be finite"):
+            NutritionSchedule.constant(rate, 100.0)
+
+    def test_nonfinite_rate_in_csv_rejected(self, tmp_path):
+        p = tmp_path / "n.csv"
+        p.write_text("0,100,80\n200,300,nan\n", encoding="utf-8")
+        with pytest.raises(ValueError, match="NutritionSchedule: rate must be finite, got nan"):
+            NutritionSchedule.from_csv(p)
 
     def test_csv_roundtrip(self, tmp_path):
         p = tmp_path / "n.csv"
@@ -255,6 +270,23 @@ class TestSimulate:
         with pytest.raises(ValueError, match="read_trace: line 3: expected 7 columns"):
             read_trace(path)
 
+    def test_step_makes_no_python_call_per_substep(self):
+        # The four stage evaluations are written out in the step; a call per
+        # stage would make 4000 calls here. No timing is involved.
+        calls = []
+
+        def count(frame, event, arg):
+            if event == "call":
+                calls.append(frame.f_code.co_name)
+
+        args = (icu_fit_params(), NutritionSchedule.constant(80.0, 101.0), default_initial_state())
+        sys.setprofile(count)
+        try:
+            simulate(*args, t_end=100.0, dt=0.1)
+        finally:
+            sys.setprofile(None)
+        assert len(calls) < 100 * 10, calls[:20]
+
     def test_constant_feed_looks_the_rate_up_once_per_span(self, monkeypatch):
         calls = []
         segment = NutritionSchedule.segment
@@ -387,6 +419,36 @@ def shaped_schedule_cases(draw):
 @given(shaped_schedule_cases())
 def test_simulate_matches_the_vector_oracle_on_shaped_schedules(case):
     got, want = _outcome(simulate, *case), _outcome(simulate_oracle, *case)
+    if isinstance(want, tuple):
+        assert got == want
+        return
+    assert np.array_equal(got.times, want.times)
+    assert np.array_equal(got.glucose, want.glucose)
+    assert np.array_equal(got.states, want.states)
+
+
+@st.composite
+def floor_cases(draw):
+    """``simulation_cases`` started at an i_i where f3 takes its floor u_0 term.
+
+    i_i is drawn from ``rhs_cases``' set: zero, negative, and so small that
+    the power overflows. A negative i_p keeps i_i at or under zero through
+    all four stages of the first steps, so each stage's i_i <= 0 branch runs.
+    """
+    params, schedule, initial, t_end, dt, discard = draw(simulation_cases())
+    initial = dataclasses.replace(initial, i_p=draw(st.floats(-50.0, 300.0)),
+                                  i_i=draw(st.sampled_from([0.0, -0.0, -3.0, 1e-200, 5e-324])))
+    return params, schedule, initial, t_end, dt, discard
+
+
+@settings(max_examples=60, deadline=None)
+@given(floor_cases())
+def test_simulate_matches_the_vector_oracle_on_the_utilization_floor(case):
+    got = _outcome(simulate, *case)
+    # On the oracle's numpy scalars 0 ** -beta warns of a division by zero
+    # and gives inf, where a Python float raises ZeroDivisionError: both floor.
+    with np.errstate(divide="ignore"):
+        want = _outcome(simulate_oracle, *case)
     if isinstance(want, tuple):
         assert got == want
         return
