@@ -58,7 +58,6 @@ __all__ = ["run_command", "main"]
 _CONFIG_KEYS = {
     "paths": {"out_dir", "nutrition", "observations", "kicks"},
     "measurement": {"kind", "explicit_times", "gap_min", "gap_max", "period", "seed"},
-    "weights": {"stage1a", "stage1b", "stage2"},
     "hyper": {f.name for f in dataclass_fields(HyperConfig)},
 }
 _BASIC_STATES = ("oscillatory", "non-oscillatory")
@@ -76,7 +75,7 @@ def _load_config(path: str | None) -> dict:
         cfg = json.load(fh)
     if not isinstance(cfg, dict):
         raise ValueError("run_command: config file must hold a JSON object")
-    unknown = set(cfg) - set(_CONFIG_KEYS) - {"basic_state"}
+    unknown = set(cfg) - set(_CONFIG_KEYS)
     if unknown:
         raise ValueError(f"run_command: unknown config keys: {sorted(unknown)}")
     for section, keys in _CONFIG_KEYS.items():
@@ -85,24 +84,20 @@ def _load_config(path: str | None) -> dict:
         unknown = set(cfg.get(section, {})) - keys
         if unknown:
             raise ValueError(f"run_command: unknown {section} config keys: {sorted(unknown)}")
-    if cfg.get("basic_state", _BASIC_STATES[0]) not in _BASIC_STATES:
-        raise ValueError(f"run_command: basic_state must be one of {list(_BASIC_STATES)}, "
-                         f"got {cfg['basic_state']!r}")
     return cfg
 
 
-def _hyper_from_config(cfg: dict, overrides: dict) -> HyperConfig:
-    """HyperConfig from the config file's "hyper" section plus flag overrides."""
+def _hyper_from_config(cfg: dict, args) -> HyperConfig:
+    """HyperConfig from the config file's "hyper" section; a given flag wins over it.
+
+    A flag whose dest is a HyperConfig field sets that field; ``--basic-state``
+    sets ``a_tilde_zero``.
+    """
+    given = {key: value for key, value in vars(args).items() if value is not None}
+    if "basic_state" in given:
+        given["a_tilde_zero"] = given["basic_state"] == "non-oscillatory"
     hyper = dict(cfg.get("hyper", {}))
-    weights = cfg.get("weights", {})
-    for stage in ("stage1a", "stage1b", "stage2"):
-        if stage in weights:
-            hyper[f"weights_{stage}"] = weights[stage]
-    if cfg.get("basic_state") == "non-oscillatory":
-        hyper["a_tilde_zero"] = True
-    for key, value in overrides.items():
-        if value is not None:
-            hyper[key] = value
+    hyper.update((key, value) for key, value in given.items() if key in _CONFIG_KEYS["hyper"])
     return HyperConfig(**hyper)
 
 
@@ -207,22 +202,6 @@ def _cmd_subsample(args) -> int:
     return 0
 
 
-def _estimate_hyper(args, cfg: dict) -> HyperConfig:
-    overrides = {
-        "T_s": args.t_s,
-        "T_l": args.t_l,
-        "epsilon": args.epsilon,
-        "omega_tilde": args.omega_tilde,
-        "max_iter_stage1a": args.iters_stage1a,
-        "max_iter_stage1b": args.iters_stage1b,
-        "max_iter_stage2": args.iters_stage2,
-        "dashed_gap_threshold": args.dashed_threshold,
-    }
-    if args.basic_state is not None:
-        overrides["a_tilde_zero"] = args.basic_state == "non-oscillatory"
-    return _hyper_from_config(cfg, overrides)
-
-
 def _cmd_estimate(args) -> int:
     step = args.recon_step
     if not (math.isfinite(step) and step > 0):
@@ -236,7 +215,7 @@ def _cmd_estimate(args) -> int:
     obs = load_observations(obs_path)
 
     kicks_path = args.kicks or cfg.get("paths", {}).get("kicks")
-    hyper = _estimate_hyper(args, cfg)
+    hyper = _hyper_from_config(cfg, args)
     kicks = KickSeries.empty()
     if kicks_path:
         kicks = load_kicks(kicks_path)
@@ -285,7 +264,7 @@ def _cmd_densities(args) -> int:
         raise ValueError(f"densities --at-times: times must be finite, got {args.at_times!r}")
     cfg = _load_config(args.config)
     obs = load_observations(args.obs)
-    hyper = _hyper_from_config(cfg, {"T_l": args.t_l})
+    hyper = _hyper_from_config(cfg, args)
     T_l = hyper.T_l if hyper.T_l is not None else resolve_time_scales(obs, hyper)[2]
     h = bandwidth_rule_of_thumb(obs.values)
 
@@ -353,14 +332,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kicks")
     p.add_argument("--config")
     p.add_argument("--out-dir")
-    p.add_argument("--t-s", type=float)
-    p.add_argument("--t-l", type=float)
+    p.add_argument("--t-s", dest="T_s", type=float)
+    p.add_argument("--t-l", dest="T_l", type=float)
     p.add_argument("--epsilon", type=float)
     p.add_argument("--omega-tilde", type=float)
-    p.add_argument("--iters-stage1a", type=int)
-    p.add_argument("--iters-stage1b", type=int)
-    p.add_argument("--iters-stage2", type=int)
-    p.add_argument("--dashed-threshold", type=float)
+    p.add_argument("--iters-stage1a", dest="max_iter_stage1a", type=int)
+    p.add_argument("--iters-stage1b", dest="max_iter_stage1b", type=int)
+    p.add_argument("--iters-stage2", dest="max_iter_stage2", type=int)
+    p.add_argument("--dashed-threshold", dest="dashed_gap_threshold", type=float)
     p.add_argument("--basic-state", choices=_BASIC_STATES)
     p.add_argument("--recon-step", type=float, default=1.0)
     p.add_argument("--density-time", type=float)
@@ -370,7 +349,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--obs", required=True)
     p.add_argument("--states", help="states CSV from estimate (x column used)")
     p.add_argument("--at-times", help="comma-separated times; default window midpoint")
-    p.add_argument("--t-l", type=float)
+    p.add_argument("--t-l", dest="T_l", type=float)
     p.add_argument("--config")
     p.add_argument("--out")
     p.add_argument("--out-dir")

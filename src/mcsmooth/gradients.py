@@ -129,30 +129,26 @@ def grad_total(state: EstimationState, tables: KernelTables, schedule: WeightSch
         cphi, sphi = np.cos(q.phi), np.sin(q.phi)
         dtp = tables.gaps.dt_phase[1:]
 
-        if schedule.lam3:
-            gx = (state.x[1:] - q.mean_x) / var
-            A3 = gx * q.d_s * cphi
-            B3 = -gx * q.r_plus * sphi
-            w = schedule.lam3 / n
-            d_x[1:] += -w * gx
-            d_b[1:] += w * gx
-            d_a[1:] += w * gx * (1.0 - q.d_s) * cphi
-            d_om[:-1] += w * dtp * B3
-            dx_src = (u / r) * A3 - (zp / (r * r)) * B3
-            dz_src = (zp / r) * A3 + (u / (r * r)) * B3
-            d_x[:-1] += w * dx_src
-            d_z[:-1] += w * dz_src
-            d_b[:-1] += -w * dx_src
-        if schedule.lam4:
-            gz = (state.z[1:] - q.mean_z) / var
-            A4 = gz * q.d_s * sphi
-            B4 = gz * q.r_plus * cphi
-            w = schedule.lam4 / n
-            d_z[1:] += -w * gz
-            d_a[1:] += w * gz * (1.0 - q.d_s) * sphi
-            d_om[:-1] += w * dtp * B4
-            dx_src = (u / r) * A4 - (zp / (r * r)) * B4
-            dz_src = (zp / r) * A4 + (u / (r * r)) * B4
+        # mean_x = b+ + r+ cos(phi) and mean_z = r+ sin(phi). A row holds a component's weight,
+        # surrogate, mean and own block, whether its mean moves with b+, and d mean / d r+ and
+        # (d mean / d phi) / r+; r+ moves with r and a+, phi with omega.
+        for lam, value, mean, own, with_b, d_r, d_phi in (
+            (schedule.lam3, state.x, q.mean_x, d_x, True, cphi, -sphi),
+            (schedule.lam4, state.z, q.mean_z, d_z, False, sphi, cphi),
+        ):
+            if not lam:
+                continue
+            g = (value[1:] - mean) / var
+            A = g * q.d_s * d_r
+            B = g * q.r_plus * d_phi
+            w = lam / n
+            own[1:] += -w * g
+            if with_b:
+                d_b[1:] += w * g
+            d_a[1:] += w * g * (1.0 - q.d_s) * d_r
+            d_om[:-1] += w * dtp * B
+            dx_src = (u / r) * A - (zp / (r * r)) * B
+            dz_src = (zp / r) * A + (u / (r * r)) * B
             d_x[:-1] += w * dx_src
             d_z[:-1] += w * dz_src
             d_b[:-1] += -w * dx_src
@@ -188,8 +184,12 @@ def fd_check(
     Each coordinate v is perturbed by s = step * max(1, |value|), and the
     derivative is (L(v-2s) - 8 L(v-s) + 8 L(v+s) - L(v+2s)) / 12s, whose
     truncation error is O(s^4) where the two-point difference's is O(s^2).
-    The objective is evaluated in extended precision; the relative error
-    denominator is max(|analytic|, |numeric|, 1e-12).
+    The objective is evaluated in extended precision. Rounding the four
+    values can move the quotient by up to r = (|L(v-2s)| + 8|L(v-s)| +
+    8|L(v+s)| + |L(v+2s)|) eps / 12s, with eps that precision's epsilon, so an
+    entry's error is the part of |analytic - numeric| beyond r, relative to
+    max(|analytic|, |numeric|): an entry under the differences' resolution
+    reads 0, and one above it is judged on its own scale.
     """
     if step <= 0:
         raise ValueError("fd_check: step must be positive")
@@ -216,6 +216,7 @@ def fd_check(
         "a": wstate.params.a,
         "omega": wstate.params.omega,
     }
+    eps = np.finfo(np.longdouble).eps
     worst = 0.0
     for block, vals in values.items():
         for i in range(state.n):
@@ -223,7 +224,9 @@ def fd_check(
             h = np.longdouble(step) * max(1.0, abs(float(v)))
             f = [eval_total(_perturbed(wstate, block, i, v + k * h), wtables, schedule) for k in (-2, -1, 1, 2)]
             numeric = float((8.0 * (f[2] - f[1]) - (f[3] - f[0])) / (12.0 * h))
+            rounding = float((abs(f[0]) + 8.0 * abs(f[1]) + 8.0 * abs(f[2]) + abs(f[3])) * eps / (12.0 * h))
             a = float(analytic[block][i])
-            err = abs(a - numeric) / max(abs(a), abs(numeric), 1e-12)
-            worst = max(worst, err)
+            excess = abs(a - numeric) - rounding
+            if excess > 0.0:
+                worst = max(worst, excess / max(abs(a), abs(numeric)))
     return worst

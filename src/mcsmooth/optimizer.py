@@ -5,7 +5,10 @@ regressions, then ascends the objective in three stages: first the model
 component for x over the latents only, then both model components over the
 latents, and finally the full weighted objective over everything. Stage one
 runs with a doubled transition standard deviation so that the uninformative
-initial latents do not sit in the far tails; stage two resets it.
+initial latents do not sit in the far tails; stage two resets it. The
+stage-one weights are part of this schedule (``STAGE1A_LAMBDAS``,
+``STAGE1B_LAMBDAS``); only the stage-two weights are a setting
+(``HyperConfig.weights_stage2``).
 
 Backtracking line search keeps the objective trace nondecreasing within every
 stage; the step size is shared across coordinate blocks and adapts by
@@ -89,8 +92,6 @@ class HyperConfig:
     max_iter_stage2: int = 2000
     a_tilde_zero: bool = False
     omega_tilde: float | None = None
-    weights_stage1a: tuple[float, ...] = STAGE1A_LAMBDAS
-    weights_stage1b: tuple[float, ...] = STAGE1B_LAMBDAS
     weights_stage2: tuple[float, ...] = STAGE2_LAMBDAS
     dashed_gap_threshold: float = 120.0
 
@@ -112,12 +113,11 @@ class HyperConfig:
             raise ValueError("HyperConfig: dashed_gap_threshold must be a number")
         if not isinstance(self.a_tilde_zero, bool):
             raise ValueError("HyperConfig: a_tilde_zero must be true or false")
-        for stage in ("stage1a", "stage1b", "stage2"):
-            lams = getattr(self, f"weights_{stage}")
-            if not (isinstance(lams, (tuple, list)) and len(lams) == 7
-                    and all(_is_number(v) and math.isfinite(v) and v >= 0 for v in lams)):
-                raise ValueError(f"HyperConfig: weights_{stage} must hold 7 finite nonnegative weights")
-            object.__setattr__(self, f"weights_{stage}", tuple(float(v) for v in lams))
+        lams = self.weights_stage2
+        if not (isinstance(lams, (tuple, list)) and len(lams) == 7
+                and all(_is_number(v) and math.isfinite(v) and v >= 0 for v in lams)):
+            raise ValueError("HyperConfig: weights_stage2 must hold 7 finite nonnegative weights")
+        object.__setattr__(self, "weights_stage2", tuple(float(v) for v in lams))
 
 
 @dataclass
@@ -391,21 +391,21 @@ def estimate(
     state, tables = initialize(obs, kicks, cfg)
     a_bar = state.noise.sigma
 
-    w1a = WeightSchedule.from_lambdas(cfg.weights_stage1a)
-    w1b = WeightSchedule.from_lambdas(cfg.weights_stage1b)
-    w2 = WeightSchedule.from_lambdas(cfg.weights_stage2)
-
-    # Stage 1: latents only, doubled transition noise.
-    state = replace(state, noise=ModelNoise(2.0 * a_bar))
-    state, tr1a = run_stage(state, tables, w1a, {"z"}, cfg.max_iter_stage1a, name="stage1a")
-    state, tr1b = run_stage(state, tables, w1b, {"z"}, cfg.max_iter_stage1b, name="stage1b")
-
-    # Stage 2: full objective over everything, noise reset.
-    state = replace(state, noise=ModelNoise(a_bar))
-    state, tr2 = run_stage(state, tables, w2, {"x", "z", "params"}, cfg.max_iter_stage2, name="stage2")
+    # name, weights, moved blocks, transition noise in units of a_bar, iteration cap
+    stages = (
+        ("stage1a", STAGE1A_LAMBDAS, {"z"}, 2.0, cfg.max_iter_stage1a),
+        ("stage1b", STAGE1B_LAMBDAS, {"z"}, 2.0, cfg.max_iter_stage1b),
+        ("stage2", cfg.weights_stage2, {"x", "z", "params"}, 1.0, cfg.max_iter_stage2),
+    )
+    traces = []
+    for name, lambdas, mask, factor, iters in stages:
+        state = replace(state, noise=ModelNoise(factor * a_bar))
+        # name= by keyword: a stage's spans in the benchmark's tracer are named from it.
+        state, trace = run_stage(state, tables, WeightSchedule.from_lambdas(lambdas), mask, iters, name=name)
+        traces.append(trace)
 
     return EstimationResult(
-        state=state, config=cfg, tables=tables, obs=obs, kicks=kicks, traces=(tr1a, tr1b, tr2)
+        state=state, config=cfg, tables=tables, obs=obs, kicks=kicks, traces=tuple(traces)
     )
 
 

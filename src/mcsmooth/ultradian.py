@@ -188,16 +188,12 @@ def _bound_units(p: UltradianParams) -> tuple:
             p.u_m - p.u_0, p.kappa, -p.beta)
 
 
-def bind_rhs(p: UltradianParams):
-    """The right-hand side for ``p``, as ``rhs(i_p, i_i, g, h1, h2, h3, i_g)``.
+def ultradian_rhs(state: UltradianState, params: UltradianParams, i_g: float) -> UltradianState:
+    """Time derivative of the state under nutrition input i_g (mg/min).
 
-    The returned function maps the six state floats and the nutrition input
-    i_g (mg/min) to the 6-tuple of their time derivatives. The parameter
-    fields and the constant units named in :func:`simulate` are bound as
-    locals once, so a call reads no attribute; the derivatives are
-    bit-identical to evaluating the equations with the fields read afresh.
-    This is the one-call form of the equations: :func:`simulate` writes the
-    same expressions out inline in its step instead of calling it.
+    These are the equations :func:`simulate` writes out inline in its step,
+    with the same constant units (:func:`_bound_units`) and operation order,
+    so the derivatives are bit-identical to its stage evaluations.
 
     Where (kappa i_i)^(-beta) is +inf, the insulin-dependent utilization
     reduces to its floor u_0 term: for i_i <= 0 (the i_i -> 0+ limit) and
@@ -205,38 +201,29 @@ def bind_rhs(p: UltradianParams):
     side total if an exploratory integration undershoots zero.
     """
     (v_p, v_i, e, t_p, t_i, t_d, r_m, a_1, u_b, u_0, r_g, alpha,
-     vg_c1, c2_vg, c3_vg, c5_vp, du, kappa, neg_beta) = _bound_units(p)
-    exp, inf = math.exp, math.inf
-
-    def rhs(i_p, i_i, g, h1, h2, h3, i_g):
-        if i_i <= 0.0:
-            damping = inf
-        else:
-            try:
-                damping = (kappa * i_i) ** neg_beta
-            except (OverflowError, ZeroDivisionError):
-                damping = inf
-        exchange = e * (i_p / v_p - i_i / v_i)
-        return (
-            # insulin secretion f1(G), exchange and plasma degradation
-            r_m / (1.0 + exp(-g / vg_c1 + a_1)) - exchange - i_p / t_p,
-            exchange - i_i / t_i,
-            # delayed production f4(h3) plus feed, minus insulin-independent
-            # utilization f2(G) and insulin-dependent utilization f3(I_i) G
-            r_g / (1.0 + exp(alpha * (h3 / c5_vp - 1.0))) + i_g
-            - u_b * (1.0 - exp(-g / c2_vg))
-            - (u_0 + du / (1.0 + damping)) / c3_vg * g,
-            (i_p - h1) / t_d,
-            (h1 - h2) / t_d,
-            (h2 - h3) / t_d,
-        )
-
-    return rhs
-
-
-def ultradian_rhs(state: UltradianState, params: UltradianParams, i_g: float) -> UltradianState:
-    """Time derivative of the state under nutrition input i_g (mg/min)."""
-    return UltradianState(*bind_rhs(params)(*state.as_array().tolist(), i_g))
+     vg_c1, c2_vg, c3_vg, c5_vp, du, kappa, neg_beta) = _bound_units(params)
+    i_p, i_i, g, h1, h2, h3 = state.as_array().tolist()
+    if i_i <= 0.0:
+        damping = math.inf
+    else:
+        try:
+            damping = (kappa * i_i) ** neg_beta
+        except (OverflowError, ZeroDivisionError):
+            damping = math.inf
+    exchange = e * (i_p / v_p - i_i / v_i)
+    return UltradianState(
+        # insulin secretion f1(G), exchange and plasma degradation
+        r_m / (1.0 + math.exp(-g / vg_c1 + a_1)) - exchange - i_p / t_p,
+        exchange - i_i / t_i,
+        # delayed production f4(h3) plus feed, minus insulin-independent
+        # utilization f2(G) and insulin-dependent utilization f3(I_i) G
+        r_g / (1.0 + math.exp(alpha * (h3 / c5_vp - 1.0))) + i_g
+        - u_b * (1.0 - math.exp(-g / c2_vg))
+        - (u_0 + du / (1.0 + damping)) / c3_vg * g,
+        (i_p - h1) / t_d,
+        (h1 - h2) / t_d,
+        (h2 - h3) / t_d,
+    )
 
 
 @dataclass(frozen=True)
@@ -246,9 +233,6 @@ class SimulationResult:
     times: np.ndarray
     glucose: np.ndarray  # mg/dl
     states: np.ndarray
-
-    def observations(self) -> ObservationSeries:
-        return ObservationSeries(self.times, self.glucose)
 
 
 def simulate(
@@ -275,8 +259,8 @@ def simulate(
     bit-identical to it; a test checks that bitwise against the 6-vector
     loop.
 
-    The four stage evaluations are :func:`bind_rhs`'s body written out in
-    the step on local floats, each in its operation order and with its
+    The four stage evaluations are :func:`ultradian_rhs`'s equations written
+    out in the step on local floats, each in its operation order and with its
     floor of the insulin-dependent utilization, so a step calls no Python
     function. The 483,200 right-hand side calls of an ICU week, each
     packing and unpacking a 6-tuple, took about a sixth of its time. The
@@ -328,7 +312,7 @@ def simulate(
             t_next = t + h
             if not lo <= t_next < hi:
                 rate, lo, hi = segment(t_next)
-            # Each stage is bind_rhs's body, written out on the stage state.
+            # Each stage is ultradian_rhs's equations, written out on the stage state.
             try:
                 # k1 = f(t, y)
                 if y1 <= 0.0:

@@ -421,7 +421,9 @@ def simulate_oracle(params, schedule, initial, t_end, dt=0.1, discard=0.0):
 
     record(0, y)
     h = 1.0 / steps_per_min
-    with np.errstate(over="ignore", invalid="ignore"):
+    # On numpy scalars 0 ** -beta warns of a division by zero and gives inf,
+    # where simulate's Python floats raise ZeroDivisionError: both floor.
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for minute in range(n_min):
             for s in range(steps_per_min):
                 t = minute + s * h

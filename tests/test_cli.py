@@ -13,6 +13,7 @@ import mcsmooth.optimizer
 from mcsmooth import ObservationSeries, initialize, load_observations, write_observations
 from mcsmooth.cli import run_command
 from mcsmooth.optimizer import (
+    HyperConfig,
     read_densities_csv,
     read_reconstruction_csv,
     read_states_csv,
@@ -152,8 +153,8 @@ def test_config_file_with_flag_override(dense_csv, tmp_path):
     run_command(["subsample", "--in", str(dense_csv), "--spec", "h3",
                  "--period", "20", "--out", str(obs_path)])
     cfg = {
-        "hyper": {"max_iter_stage1a": 5, "max_iter_stage1b": 5, "max_iter_stage2": 10},
-        "weights": {"stage2": [1, 1, 1, 1, 1, 1, 1]},
+        "hyper": {"max_iter_stage1a": 5, "max_iter_stage1b": 5, "max_iter_stage2": 10,
+                  "weights_stage2": [1, 1, 1, 1, 1, 1, 1]},
         "paths": {"out_dir": str(tmp_path / "from_config")},
     }
     cfg_path = tmp_path / "cfg.json"
@@ -303,9 +304,9 @@ def test_bad_time_scales_rejected_before_any_work(tmp_path, short_obs_csv, capsy
 
 @pytest.mark.parametrize("flags, config, message", [
     (["--epsilon", "1.5"], {}, "HyperConfig: epsilon must lie in [0, 1)"),
-    ([], {"weights": {"stage2": [1, 1, 1]}}, "HyperConfig: weights_stage2 must hold 7 finite nonnegative"),
-    ([], {"weights": {"stage1b": [0, 0, 1, -1, 0, 0, 0]}}, "HyperConfig: weights_stage1b must hold 7 finite"),
-    ([], {"weights": {"stage1a": 5}}, "HyperConfig: weights_stage1a must hold 7 finite"),
+    ([], {"hyper": {"weights_stage2": [1, 1, 1]}}, "HyperConfig: weights_stage2 must hold 7 finite nonnegative"),
+    ([], {"hyper": {"weights_stage2": [0, 0, 1, -1, 0, 0, 0]}}, "HyperConfig: weights_stage2 must hold 7 finite"),
+    ([], {"hyper": {"weights_stage2": 5}}, "HyperConfig: weights_stage2 must hold 7 finite"),
     ([], {"hyper": {"T_s": "abc"}}, "HyperConfig: T_s must be positive"),
     ([], {"hyper": [1, 2]}, 'run_command: config section "hyper" must hold a JSON object'),
     ([], {"paths": "run"}, 'run_command: config section "paths" must hold a JSON object'),
@@ -317,7 +318,7 @@ def test_bad_time_scales_rejected_before_any_work(tmp_path, short_obs_csv, capsy
     (["--dashed-threshold", "nan"], {}, "HyperConfig: dashed_gap_threshold must be a number"),
     ([], {"hyper": {"dashed_gap_threshold": float("nan")}}, "HyperConfig: dashed_gap_threshold must be a number"),
     ([], {"hyper": {"a_tilde_zero": 1}}, "HyperConfig: a_tilde_zero must be true or false"),
-    ([], {"weights": {"stage2": "1111111"}}, "HyperConfig: weights_stage2 must hold 7 finite"),
+    ([], {"hyper": {"weights_stage2": "1111111"}}, "HyperConfig: weights_stage2 must hold 7 finite"),
 ])
 def test_bad_epsilon_or_weights_rejected_before_any_work(tmp_path, short_obs_csv, capsys, monkeypatch, flags,
                                                           config, message):
@@ -450,10 +451,14 @@ def test_outdir_env_default(dense_csv, tmp_path, monkeypatch):
 @pytest.mark.parametrize("command, config, message", [
     ("estimate", {"hyperr": {"T_s": 140}, "weigths": {}}, "run_command: unknown config keys: ['hyperr', 'weigths']"),
     ("estimate", {"paths": {"observation": "obs.csv"}}, "run_command: unknown paths config keys: ['observation']"),
-    ("estimate", {"weights": {"stage3": [1] * 7}}, "run_command: unknown weights config keys: ['stage3']"),
-    ("estimate", {"basic_state": "nonoscillatory"},
-     "run_command: basic_state must be one of ['oscillatory', 'non-oscillatory'], got 'nonoscillatory'"),
-    ("estimate", {"basic_state": None}, "run_command: basic_state must be one of"),
+    # hyper.weights_stage2 and hyper.a_tilde_zero have one spelling each; the stage-1 weights are constants.
+    ("estimate", {"weights": {"stage2": [1] * 7}}, "run_command: unknown config keys: ['weights']"),
+    ("estimate", {"basic_state": "oscillatory", "hyper": {"a_tilde_zero": True}},
+     "run_command: unknown config keys: ['basic_state']"),
+    ("estimate", {"hyper": {"weights_stage1a": [0, 0, 1, 0, 0, 0, 0]}},
+     "run_command: unknown hyper config keys: ['weights_stage1a']"),
+    ("estimate", {"hyper": {"weights_stage1b": [0, 0, 1, 1, 0, 0, 0]}},
+     "run_command: unknown hyper config keys: ['weights_stage1b']"),
     ("subsample", {"measurement": {"kind": "h2", "gap_mn": 200, "gap_max": 250}},
      "run_command: unknown measurement config keys: ['gap_mn']"),
     ("subsample", {"hyper": {"eta": 0.5}}, "run_command: unknown hyper config keys: ['eta']"),
@@ -471,13 +476,39 @@ def test_misspelled_config_keys_rejected_before_any_work(tmp_path, short_obs_csv
     assert not (tmp_path / "run").exists()
 
 
-@pytest.mark.parametrize("basic_state", ["oscillatory", "non-oscillatory"])
-def test_known_basic_states_accepted(tmp_path, short_obs_csv, basic_state):
+@pytest.mark.parametrize("flags, config, a_tilde_zero", [
+    ([], {}, False),
+    (["--basic-state", "non-oscillatory"], {}, True),
+    (["--basic-state", "oscillatory"], {}, False),
+    ([], {"hyper": {"a_tilde_zero": True}}, True),
+    (["--basic-state", "oscillatory"], {"hyper": {"a_tilde_zero": True}}, False),
+])
+def test_basic_state_flag_and_hyper_key(tmp_path, short_obs_csv, monkeypatch, flags, config, a_tilde_zero):
+    calls = counted_calls(monkeypatch, mcsmooth.cli, "estimate")
     config_path = tmp_path / "config.json"
-    config_path.write_text(json.dumps({"basic_state": basic_state}), encoding="utf-8")
-    assert run_command(["estimate", "--obs", str(short_obs_csv), "--config", str(config_path),
+    config_path.write_text(json.dumps(config), encoding="utf-8")
+    assert run_command(["estimate", "--obs", str(short_obs_csv), "--config", str(config_path), *flags,
                         "--iters-stage1a", "2", "--iters-stage1b", "2", "--iters-stage2", "2",
                         "--out-dir", str(tmp_path / "run")]) == 0
+    ((_, _, hyper),) = calls
+    assert hyper.a_tilde_zero is a_tilde_zero
+
+
+def test_each_hyper_flag_sets_its_field_over_the_config(tmp_path, short_obs_csv, monkeypatch):
+    calls = counted_calls(monkeypatch, mcsmooth.cli, "estimate")
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps({"hyper": {"T_s": 90.0, "epsilon": 0.3, "max_iter_stage2": 7,
+                                                 "weights_stage2": [1, 1, 1, 1, 0, 0, 0]}}),
+                           encoding="utf-8")
+    flags = ["--t-s", "100", "--t-l", "400", "--epsilon", "0.2", "--omega-tilde", "0.05",
+             "--iters-stage1a", "2", "--iters-stage1b", "3", "--iters-stage2", "4",
+             "--dashed-threshold", "150", "--basic-state", "non-oscillatory"]
+    assert run_command(["estimate", "--obs", str(short_obs_csv), "--config", str(config_path), *flags,
+                        "--out-dir", str(tmp_path / "run")]) == 0
+    ((_, _, hyper),) = calls
+    assert hyper == HyperConfig(T_s=100.0, T_l=400.0, epsilon=0.2, omega_tilde=0.05, max_iter_stage1a=2,
+                                max_iter_stage1b=3, max_iter_stage2=4, dashed_gap_threshold=150.0,
+                                a_tilde_zero=True, weights_stage2=(1, 1, 1, 1, 0, 0, 0))
 
 
 @pytest.mark.parametrize("source", ["flag", "file", "config"])

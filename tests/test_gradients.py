@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import mcsmooth.gradients
 from mcsmooth import (
     EstimationState,
     PolarSingularityError,
@@ -86,18 +87,27 @@ class TestFiniteDifferences:
             assert fd_check(state, tables, sched) <= 1e-5
 
     @settings(max_examples=30, deadline=None)
-    @given(seed=st.integers(0, 2**16), n=st.integers(4, 24), with_kicks=st.booleans(),
+    @given(seed=st.integers(0, 2**16), n=st.integers(2, 24), with_kicks=st.booleans(),
            lambdas=st.one_of(st.sampled_from(ONE_HOT),
                              st.lists(st.floats(0.1, 2.0), min_size=7, max_size=7)))
+    # d_x[0] = 4.6e-11 is off by 9.2e-16, under its quotient's rounding of 3.7e-15.
+    @example(seed=677, n=4, with_kicks=False, lambdas=ONE_HOT[0])
     def test_random_sizes_and_schedules(self, seed, n, with_kicks, lambdas):
-        # From n = 4, the shortest series the estimator takes, and with the
-        # schedules of the one-hot and mixed tests above. Below that, a fixture
-        # bandwidth far under |x - y|, or a weight far below the others, puts a
-        # whole gradient block under fd_check's 1e-12 floor, where the
-        # differences' rounding decides the error.
         state, obs, tables = make_random_fixture(seed, n=n, with_kicks=with_kicks)
         assert tables.alpha == FIXTURE_ALPHA
         assert fd_check(state, tables, WeightSchedule.from_lambdas(lambdas)) <= 1e-5
+
+    def test_a_wrong_smallest_entry_is_caught(self, monkeypatch):
+        # The example above: its smallest entry, 4.6e-11, lies within a few
+        # roundings of its quotient, yet a relative error of 1e-4 in it shows.
+        state, obs, tables = make_random_fixture(677, n=4, with_kicks=False)
+        sched = WeightSchedule.from_lambdas(ONE_HOT[0])
+        assert fd_check(state, tables, sched) == 0.0
+        g = grad_total(state, tables, sched)
+        d_x = g.d_x.copy()
+        d_x[np.argmin(np.abs(d_x))] *= 1.0 + 1e-4
+        monkeypatch.setattr(mcsmooth.gradients, "grad_total", lambda *args: replace(g, d_x=d_x))
+        assert fd_check(state, tables, sched) > 1e-5
 
     def test_invalid_step_rejected(self):
         state, obs, tables = make_random_fixture(5)

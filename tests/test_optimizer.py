@@ -464,8 +464,8 @@ class TestHyperConfig:
     @pytest.mark.parametrize("weights", [(1.0, 1.0, 1.0), (1.0,) * 8, (-1.0,) + (1.0,) * 6,
                                          (float("nan"),) + (1.0,) * 6, (float("inf"),) * 7])
     def test_rejects_bad_stage_weights(self, weights):
-        with pytest.raises(ValueError, match="HyperConfig: weights_stage1b must hold 7"):
-            HyperConfig(weights_stage1b=weights)
+        with pytest.raises(ValueError, match="HyperConfig: weights_stage2 must hold 7"):
+            HyperConfig(weights_stage2=weights)
 
 
 class TestEstimate:
@@ -511,11 +511,8 @@ class TestEstimate:
     def test_stationary_point_of_pure_L1(self):
         obs = make_cycle_series(n=60)
         one_hot = (1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
-        cfg = HyperConfig(
-            epsilon=0.0,
-            weights_stage1a=one_hot, weights_stage1b=one_hot, weights_stage2=one_hot,
-            max_iter_stage1a=5, max_iter_stage1b=5, max_iter_stage2=20,
-        )
+        cfg = HyperConfig(epsilon=0.0, weights_stage2=one_hot,
+                          max_iter_stage1a=5, max_iter_stage1b=5, max_iter_stage2=20)
         res = estimate(obs, config=cfg)
         assert np.array_equal(res.state.x, obs.values)
 
