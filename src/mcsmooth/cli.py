@@ -142,13 +142,15 @@ def _measurement_spec(args, cfg: dict) -> MeasurementSpec:
         if not (isinstance(times, list) and all(_is_number(v) for v in times)):
             raise ValueError("subsample: measurement.explicit_times must be a list of numbers")
         explicit = tuple(float(v) for v in times)
+    # A dataclass keeps each field's default as a class attribute.
+    lo, hi = MeasurementSpec.gap_bounds
     return MeasurementSpec(
         kind=kind,
         explicit_times=explicit,
-        gap_bounds=(float(_measurement_value(args.gap_min, meas, "gap_min", 60.0)),
-                    float(_measurement_value(args.gap_max, meas, "gap_max", 90.0))),
-        period=float(_measurement_value(args.period, meas, "period", 5.0)),
-        rng_seed=int(_measurement_value(args.seed, meas, "seed", 0, numbers.Integral)),
+        gap_bounds=(float(_measurement_value(args.gap_min, meas, "gap_min", lo)),
+                    float(_measurement_value(args.gap_max, meas, "gap_max", hi))),
+        period=float(_measurement_value(args.period, meas, "period", MeasurementSpec.period)),
+        rng_seed=int(_measurement_value(args.seed, meas, "seed", MeasurementSpec.rng_seed, numbers.Integral)),
     )
 
 
@@ -232,11 +234,7 @@ def _cmd_estimate(args) -> int:
     write_reconstruction_csv(grid, values, dashed, out / "reconstruction.csv")
 
     at_time = args.density_time if args.density_time is not None else 0.5 * (t0 + t1)
-    h, T_l = result.tables.h, result.tables.T_l
-    vgrid = _value_grid(result.state.x, obs.values, h)
-    rho_x = density_estimate(result.state.x, obs.times, h, T_l, at_time, vgrid)
-    rho_y = density_estimate(obs.values, obs.times, h, T_l, at_time, vgrid)
-    write_densities_csv(vgrid, rho_x, rho_y, out / "densities.csv")
+    _write_densities(result.state.x, obs, result.tables.h, result.tables.T_l, at_time, out / "densities.csv")
 
     write_trace_csv(result.traces, out / "trace.csv")
 
@@ -248,12 +246,17 @@ def _cmd_estimate(args) -> int:
     return 0
 
 
-def _value_grid(x, y, h: float) -> np.ndarray:
-    """The density value grid: the range of x and y, padded by DENSITY_GRID_PAD bandwidths h."""
-    lo = min(x.min(), y.min())
-    hi = max(x.max(), y.max())
+def _write_densities(x, obs, h: float, T_l: float, at_time: float, path) -> None:
+    """Write rho_x of the states x and rho_y of the data at one time to ``path``.
+
+    Both share one value grid: the range of x and the data, padded by DENSITY_GRID_PAD bandwidths h.
+    """
     pad = DENSITY_GRID_PAD * h
-    return np.linspace(lo - pad, hi + pad, DENSITY_GRID_POINTS)
+    lo, hi = min(x.min(), obs.values.min()) - pad, max(x.max(), obs.values.max()) + pad
+    grid = np.linspace(lo, hi, DENSITY_GRID_POINTS)
+    rho_x = density_estimate(x, obs.times, h, T_l, at_time, grid)
+    rho_y = density_estimate(obs.values, obs.times, h, T_l, at_time, grid)
+    write_densities_csv(grid, rho_x, rho_y, path)
 
 
 def _cmd_densities(args) -> int:
@@ -278,18 +281,15 @@ def _cmd_densities(args) -> int:
     t0, t1 = obs.span
     if at_times is None:
         at_times = [0.5 * (t0 + t1)]
-    grid = _value_grid(x, obs.values, h)
 
     out_dir = _out_dir(args.out_dir, cfg)
     for at in at_times:
-        rho_x = density_estimate(x, obs.times, h, T_l, at, grid)
-        rho_y = density_estimate(obs.values, obs.times, h, T_l, at, grid)
         if args.out and len(at_times) == 1:
             out = Path(args.out)
         else:
             stem = Path(args.out).stem if args.out else "densities"
             out = out_dir / f"{stem}_t{at:g}.csv"
-        write_densities_csv(grid, rho_x, rho_y, out)
+        _write_densities(x, obs, h, T_l, at, out)
         print(f"wrote {out}")
     return 0
 

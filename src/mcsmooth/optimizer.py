@@ -28,7 +28,7 @@ from .gradients import grad_total
 from .kernels import KernelTables, build_tables, gaussian_kernel, row_tiles, time_products
 from .objective import Components, EstimationState, WeightSchedule, eval_components
 from .oscillator import ModelNoise, ParamPriors, ParamTrajectory, propagate
-from .timeseries import KickSeries, ObservationSeries, read_columns, repr_rows, write_csv_rows
+from .timeseries import KickSeries, ObservationSeries, read_columns, write_columns
 
 __all__ = [
     "HyperConfig",
@@ -423,7 +423,8 @@ def reconstruct_trajectory(result: EstimationResult, grid) -> tuple[np.ndarray, 
     """
     grid = np.asarray(grid, dtype=float)
     t = result.obs.times
-    if grid.size and (grid.min() < t[0] or grid.max() > t[-1]):
+    # Written so that a NaN, whose comparisons are all False, fails it.
+    if grid.size and not (t[0] <= grid.min() and grid.max() <= t[-1]):
         raise ValueError("reconstruct_trajectory: grid time outside the observation span")
     values = np.empty(grid.size)
     dashed = np.empty(grid.size, dtype=bool)
@@ -485,14 +486,11 @@ def density_estimate(values, times, h: float, T_l: float, at_time: float, grid) 
 # ---------------------------------------------------------------------------
 # CSV output formats owned by this module (and their re-parsers).
 
-def _floats(*columns):
-    return [np.asarray(c, dtype=float) for c in columns]
-
-
 def write_states_csv(result: EstimationResult, path) -> None:
     """Estimated states as "t,x,z,b,a,omega" rows."""
     s, p = result.state, result.state.params
-    write_csv_rows(path, repr_rows(*_floats(result.obs.times, s.x, s.z, p.b, p.a, p.omega)))
+    columns = (result.obs.times, s.x, s.z, p.b, p.a, p.omega)
+    write_columns(path, *(np.asarray(c, dtype=float) for c in columns))
 
 
 def read_states_csv(path) -> dict[str, np.ndarray]:
@@ -505,7 +503,8 @@ def read_states_csv(path) -> dict[str, np.ndarray]:
 
 def write_reconstruction_csv(times, values, dashed, path) -> None:
     """Reconstructed trajectory as "t,value,dashed" rows (dashed is 0/1)."""
-    write_csv_rows(path, repr_rows(*_floats(times, values), np.asarray(dashed, dtype=int)))
+    write_columns(path, np.asarray(times, dtype=float), np.asarray(values, dtype=float),
+                  np.asarray(dashed, dtype=int))
 
 
 def read_reconstruction_csv(path) -> dict[str, np.ndarray]:
@@ -517,7 +516,7 @@ def read_reconstruction_csv(path) -> dict[str, np.ndarray]:
 
 def write_densities_csv(grid, rho_x, rho_y, path) -> None:
     """Density grids as "value,rho_x,rho_y" rows."""
-    write_csv_rows(path, repr_rows(*_floats(grid, rho_x, rho_y)))
+    write_columns(path, *(np.asarray(c, dtype=float) for c in (grid, rho_x, rho_y)))
 
 
 def read_densities_csv(path) -> dict[str, np.ndarray]:
@@ -529,13 +528,10 @@ def read_densities_csv(path) -> dict[str, np.ndarray]:
 
 def write_trace_csv(traces, path) -> None:
     """Objective traces as "stage,iter,L,L1,L2,L3,L4,Lb,La,Lomega" rows."""
-    def rows():
-        for trace in traces:
-            for it, (L, comps) in enumerate(zip(trace.objective, trace.components)):
-                yield (trace.name, str(it), repr(float(L))) + tuple(
-                    repr(float(c)) for c in comps
-                )
-    write_csv_rows(path, rows())
+    stages = [trace.name for trace in traces for _ in trace.objective]
+    iters = [it for trace in traces for it in range(len(trace.objective))]
+    values = [[L, *comps] for trace in traces for L, comps in zip(trace.objective, trace.components)]
+    write_columns(path, stages, iters, *np.asarray(values, dtype=float).reshape(-1, 8).T)
 
 
 def read_trace_csv(path) -> dict[str, np.ndarray]:

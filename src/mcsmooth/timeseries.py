@@ -25,7 +25,7 @@ __all__ = [
     "write_observations",
 ]
 
-# Rows formatted per block by the CSV writers.
+# Rows formatted per block by write_columns.
 CSV_BLOCK_ROWS = 1024
 
 
@@ -203,22 +203,23 @@ def read_columns(path: str | Path, ncols: int, op: str, usecols=None, dtype=floa
         raise
 
 
-def write_csv_rows(path: str | Path, rows) -> None:
-    """Write rows of already formatted fields as comma-joined lines."""
-    with Path(path).open("w", newline="", encoding="utf-8") as fh:
-        for row in rows:
-            fh.write(",".join(row) + "\n")
+def write_columns(path: str | Path, *columns) -> None:
+    """Write equal-length columns as headerless CSV rows, the mirror of ``read_columns``.
 
-
-def repr_rows(*columns):
-    """Rows of ``repr`` of each column's Python scalars.
-
-    Columns are converted with ``tolist()`` one block of rows at a time, so
-    no whole column is held as strings.
+    Every CSV the package writes goes through here. Each column (an array or
+    a sequence) is converted ``CSV_BLOCK_ROWS`` rows at a time with ``tolist()``,
+    and each value is printed with ``str``: a float as its shortest repr, an
+    int as its digits, a str as itself.
     """
-    for start in range(0, len(columns[0]), CSV_BLOCK_ROWS):
-        block = slice(start, start + CSV_BLOCK_ROWS)
-        yield from zip(*(map(repr, c[block].tolist()) for c in columns))
+    columns = [np.asarray(c) for c in columns]
+    if any(c.ndim != 1 or c.size != columns[0].size for c in columns):
+        raise ValueError("write_columns: columns must be equal-length 1-d arrays")
+    line = ",".join(["%s"] * len(columns)) + "\n"
+    with Path(path).open("w", newline="", encoding="utf-8") as fh:
+        for start in range(0, len(columns[0]), CSV_BLOCK_ROWS):
+            # Not bound to a name: the last block's rows are freed before the next block's are made.
+            for row in zip(*(c[start:start + CSV_BLOCK_ROWS].tolist() for c in columns)):
+                fh.write(line % row)
 
 
 def load_observations(path: str | Path) -> ObservationSeries:
@@ -245,7 +246,8 @@ def load_kicks(path: str | Path) -> KickSeries:
 
 
 def write_observations(series: ObservationSeries, path: str | Path) -> None:
-    write_csv_rows(path, repr_rows(series.times, series.values))
+    """Write the series as "time_min,value" rows."""
+    write_columns(path, series.times, series.values)
 
 
 def _nearest_index(times: np.ndarray, t: float) -> int:

@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .timeseries import ObservationSeries, read_columns, repr_rows, write_csv_rows
+from .timeseries import ObservationSeries, read_columns, write_columns
 
 __all__ = [
     "UltradianParams",
@@ -412,8 +412,7 @@ def simulate(
 def write_trace(result: SimulationResult, path) -> None:
     """Write the minute trace as "t,G_mg_dl,Ip,Ii,h1,h2,h3"."""
     st = result.states
-    write_csv_rows(path, repr_rows(result.times, result.glucose,
-                                   st[:, 0], st[:, 1], st[:, 3], st[:, 4], st[:, 5]))
+    write_columns(path, result.times, result.glucose, st[:, 0], st[:, 1], st[:, 3], st[:, 4], st[:, 5])
 
 
 def read_trace(path) -> ObservationSeries:

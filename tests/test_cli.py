@@ -10,7 +10,14 @@ import pytest
 
 import mcsmooth.cli
 import mcsmooth.optimizer
-from mcsmooth import ObservationSeries, initialize, load_observations, write_observations
+from mcsmooth import (
+    MeasurementSpec,
+    ObservationSeries,
+    initialize,
+    load_observations,
+    subsample,
+    write_observations,
+)
 from mcsmooth.cli import run_command
 from mcsmooth.optimizer import (
     HyperConfig,
@@ -112,6 +119,15 @@ def test_subsample_h3_and_h1(dense_csv, tmp_path):
     assert run_command(["subsample", "--in", str(dense_csv), "--spec", "h1",
                         "--times", "2000,2100,2222.4", "--out", str(out1)]) == 0
     assert load_observations(out1).n == 3
+
+
+@pytest.mark.parametrize("kind", ["h2", "h3"])
+def test_subsample_defaults_are_the_measurement_spec_defaults(dense_csv, tmp_path, kind):
+    # With no gap, period or seed given, the CLI writes what the library does.
+    out, want = tmp_path / "cli.csv", tmp_path / "library.csv"
+    assert run_command(["subsample", "--in", str(dense_csv), "--spec", kind, "--out", str(out)]) == 0
+    write_observations(subsample(load_observations(dense_csv), MeasurementSpec(kind)), want)
+    assert out.read_bytes() == want.read_bytes()
 
 
 def test_subsample_times_file_is_parsed_strictly(dense_csv, tmp_path, capsys):

@@ -683,8 +683,10 @@ class TestReconstruct:
 
     def test_grid_outside_span_rejected(self):
         res = self.result()
-        with pytest.raises(ValueError, match="outside"):
-            reconstruct_trajectory(res, [res.obs.times[-1] + 1.0])
+        t0 = res.obs.times[0]
+        for grid in ([res.obs.times[-1] + 1.0], [math.nan], [t0, math.nan]):
+            with pytest.raises(ValueError, match="outside the observation span"):
+                reconstruct_trajectory(res, grid)
 
     def test_kick_relaxes_the_following_gap_only(self):
         # The gap convention of effective_gaps: a kick at t_j inflates dt_relax

@@ -31,6 +31,16 @@ def test_only_read_columns_parses_csv():
         assert source.count("np.loadtxt") == inside, path.name
 
 
+def test_only_write_columns_writes_csv():
+    # Every file the package writes goes through timeseries.write_columns.
+    writes = re.compile(r"""open\([^)]*["'](?:[wax]|r\+)[bt+]*["']|write_text|write_bytes|savetxt|tofile|np\.save""")
+    writer = inspect.getsource(mcsmooth.timeseries.write_columns)
+    assert len(writes.findall(writer)) == 1
+    for path in sorted(Path(mcsmooth.__file__).parent.glob("*.py")):
+        source = path.read_text(encoding="utf-8")
+        assert writes.findall(source) == writes.findall(writer if path.name == "timeseries.py" else ""), path.name
+
+
 def test_only_kick_series_reads_kicks():
     # How a kick adds time is written once: other modules see kicks only through
     # KickSeries.intensity_before and KickSeries.alpha_kick, the one division by

@@ -252,6 +252,14 @@ class TestSimulate:
         assert np.allclose(data[:, 0], r.times)
         assert np.allclose(data[:, 1], r.glucose)
 
+    def test_trace_with_a_short_column_is_not_written(self, tmp_path):
+        # SimulationResult does not check its lengths; the writer must not drop rows.
+        r = simulate(nominal_params(), NutritionSchedule.empty(), default_initial_state(),
+                     t_end=5.0, dt=0.5)
+        short = dataclasses.replace(r, glucose=r.glucose[:-1])
+        with pytest.raises(ValueError, match="equal-length"):
+            write_trace(short, tmp_path / "trace.csv")
+
     def test_read_trace_returns_exact_times_and_glucose(self, tmp_path):
         r = simulate(icu_fit_params(), NutritionSchedule.constant(80.0, 100.0),
                      default_initial_state(), t_end=60.0, dt=0.1)
