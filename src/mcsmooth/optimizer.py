@@ -98,8 +98,8 @@ class HyperConfig:
     def __post_init__(self):
         for name in ("T_s", "T_l", "omega_tilde"):
             value = getattr(self, name)
-            if value is not None and not (_is_number(value) and value > 0):
-                raise ValueError(f"HyperConfig: {name} must be positive")
+            if value is not None and not (_is_number(value) and 0 < value < math.inf):
+                raise ValueError(f"HyperConfig: {name} must be positive and finite")
         if self.T_l is not None and self.T_s is not None and self.T_l < self.T_s:
             raise ValueError("HyperConfig: T_l must be at least T_s")
         for name in ("max_iter_stage1a", "max_iter_stage1b", "max_iter_stage2"):

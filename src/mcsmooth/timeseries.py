@@ -157,7 +157,9 @@ class MeasurementSpec:
             raise ValueError("MeasurementSpec: gap_bounds must be finite and satisfy 0 < low < high")
         if not (0 < self.period and math.isfinite(self.period)):
             raise ValueError("MeasurementSpec: period must be finite and positive")
-        if not (isinstance(self.rng_seed, numbers.Integral) and self.rng_seed >= 0):
+        # A bool is an Integral, but True is no seed.
+        if not (isinstance(self.rng_seed, numbers.Integral) and not isinstance(self.rng_seed, bool)
+                and self.rng_seed >= 0):
             raise ValueError("MeasurementSpec: rng_seed must be a nonnegative integer")
 
 
@@ -271,6 +273,67 @@ def _sorted_unique(idx) -> np.ndarray:
     return idx[keep]
 
 
+# PCG64's 128-bit LCG multiplier (O'Neill 2014, HMC-CS-2014-0905), as numpy uses it.
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK32, _MASK64, _MASK128 = (1 << 32) - 1, (1 << 64) - 1, (1 << 128) - 1
+
+
+def _pcg64_uniform(seed: int, low: float, high: float):
+    """The draws of ``np.random.default_rng(seed).uniform(low, high)``, one per step, without end.
+
+    ``seed`` is a nonnegative integer. Its 32-bit words are hashed into four
+    64-bit words as ``SeedSequence`` does; the first two seed PCG64's 128-bit
+    LCG state and the last two its increment. Each step advances the LCG and
+    applies the XSL-RR output function; its top 53 bits give u in [0, 1), and
+    the draw is ``low + (high - low) * u`` in doubles, as ``Generator.uniform``
+    forms it. numpy.random is not imported for this: it costs a process more
+    than 2 MB.
+    """
+    seed = int(seed)
+    words = [seed & _MASK32]
+    while seed := seed >> 32:
+        words.append(seed & _MASK32)
+    # SeedSequence's hash: the multiplier is advanced on every call.
+    mult = 0x43B0D7E5
+
+    def hashmix(value):
+        nonlocal mult
+        value ^= mult
+        mult = mult * 0x931E8875 & _MASK32
+        value = value * mult & _MASK32
+        return value ^ value >> 16
+
+    def mix(x, y):
+        value = (0xCA01F9DD * x - 0x4973F715 * y) & _MASK32
+        return value ^ value >> 16
+
+    pool = [hashmix(words[i] if i < len(words) else 0) for i in range(4)]
+    for src in range(4):
+        for dst in range(4):
+            if dst != src:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in words[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    mult, out = 0x8B51F9DD, []
+    for i in range(8):
+        value = pool[i % 4] ^ mult
+        mult = mult * 0x58F38DED & _MASK32
+        value = value * mult & _MASK32
+        out.append(value ^ value >> 16)
+    # The eight 32-bit words read as four little-endian 64-bit words a, b, c, d:
+    # the LCG starts from a:b and steps by c:d, forced odd.
+    a, b, c, d = (out[2 * k] | out[2 * k + 1] << 32 for k in range(4))
+    inc = ((c << 64 | d) << 1 | 1) & _MASK128
+    state = ((inc + (a << 64 | b)) * _PCG64_MULT + inc) & _MASK128
+    low, width = float(low), float(high) - float(low)
+    while True:
+        state = (state * _PCG64_MULT + inc) & _MASK128
+        x, rot = (state >> 64 ^ state) & _MASK64, state >> 122
+        x = (x >> rot | x << (64 - rot)) & _MASK64
+        yield low + width * ((x >> 11) * 2.0 ** -53)
+
+
 def subsample(dense: ObservationSeries, spec: MeasurementSpec) -> ObservationSeries:
     """Apply a measurement function to a densely sampled series.
 
@@ -288,11 +351,11 @@ def subsample(dense: ObservationSeries, spec: MeasurementSpec) -> ObservationSer
             idx.append(_nearest_index(dense.times, float(t)))
         idx = _sorted_unique(idx)
     elif spec.kind == "h2":
-        rng = np.random.default_rng(spec.rng_seed)
         lo, hi = spec.gap_bounds
+        gaps = _pcg64_uniform(spec.rng_seed, lo, hi)
         idx = [0]
         while True:
-            t_next = dense.times[idx[-1]] + rng.uniform(lo, hi)
+            t_next = dense.times[idx[-1]] + next(gaps)
             if t_next > t1:
                 break
             i = _nearest_index(dense.times, float(t_next))

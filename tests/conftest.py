@@ -11,6 +11,8 @@ allocating forms restate the L2 value and gradient passes with a ``folded``
 that also returns the difference, the periodogram with separate cos, sin and
 product arrays and the reconstruction over the whole grid at once, apart
 from the package's in-place and tiled forms, which must give their bits.
+The h2 sampler oracle draws its gaps from numpy's own ``default_rng``,
+apart from the package's restated PCG64 stream.
 The simulator oracle restates the model equations with every parameter read
 afresh (``f1``-``f4`` and the tuple ``_rhs``), apart from the package's
 bound right-hand side, and the RK4 loop on numpy 6-vectors that
@@ -442,6 +444,17 @@ def simulate_oracle(params, schedule, initial, t_end, dt=0.1, discard=0.0):
     if not times:
         raise ValueError("simulate: discard removed every output sample")
     return SimulationResult(np.asarray(times), np.asarray(glucose), np.asarray(states))
+
+
+# --- oracle: the h2 sampler on numpy's own generator
+
+def h2_oracle(dense: ObservationSeries, seed, gap_bounds=(60.0, 90.0)) -> ObservationSeries:
+    """``subsample`` h2 with each gap from ``np.random.default_rng(seed).uniform``, snapped to the nearest sample."""
+    rng = np.random.default_rng(seed)
+    t, idx = dense.times, [0]
+    while (t_next := t[idx[-1]] + rng.uniform(*gap_bounds)) <= t[-1]:
+        idx.append(int(np.argmin(np.abs(t - t_next))))
+    return ObservationSeries(t[idx], dense.values[idx])
 
 
 # --- fixtures

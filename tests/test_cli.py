@@ -307,6 +307,9 @@ def short_obs_csv(tmp_path):
     (["--omega-tilde", "0"], "HyperConfig: omega_tilde must be positive"),
     (["--omega-tilde", "-0.05"], "HyperConfig: omega_tilde must be positive"),
     (["--t-l", "-5"], "HyperConfig: T_l must be positive"),
+    (["--t-s", "inf"], "HyperConfig: T_s must be positive and finite"),
+    (["--t-l", "inf"], "HyperConfig: T_l must be positive and finite"),
+    (["--omega-tilde", "inf"], "HyperConfig: omega_tilde must be positive and finite"),
 ])
 def test_bad_time_scales_rejected_before_any_work(tmp_path, short_obs_csv, capsys, monkeypatch, flags,
                                                   message):
@@ -582,23 +585,29 @@ def test_nonfinite_nutrition_rate_rejected_before_integrating(tmp_path, capsys, 
 SUBSAMPLE_IN_FRESH_INTERPRETER = """
 import sys
 import mcsmooth.cli
-if "numpy.ma" in sys.modules:
+module = sys.argv[3]
+if module in sys.modules:
     print("loaded by import")
     sys.exit(0)
-for argv in (["--spec", "h1", "--times", "140,70,70,300"], ["--spec", "h3", "--period", "70"]):
+# Each 60-90 min h2 gap snaps forward on the 70-min grid.
+for argv in (["--spec", "h1", "--times", "140,70,70,300"], ["--spec", "h3", "--period", "70"],
+             ["--spec", "h2", "--seed", "11"]):
     code = mcsmooth.cli.run_command(["subsample", "--in", sys.argv[1], *argv, "--out", sys.argv[2]])
     assert code == 0, code
-print("numpy.ma loaded" if "numpy.ma" in sys.modules else "numpy.ma not loaded")
+print("loaded" if module in sys.modules else "not loaded")
 """
 
 
-def test_subsample_never_imports_numpy_ma(tmp_path, short_obs_csv):
-    # np.unique imports numpy.ma on its first call: 1 MB and 12-18 ms per CLI process.
+# np.unique imports numpy.ma on its first call: 1 MB and 12-18 ms per CLI process. numpy.random,
+# which once drew the h2 gaps, costs more than 2 MB, for it also loads secrets and hmac.
+@pytest.mark.parametrize("module", ["numpy.ma", "numpy.random"])
+def test_subsample_never_imports(tmp_path, short_obs_csv, module):
     src = Path(mcsmooth.cli.__file__).resolve().parents[1]
     env = {**os.environ, "PYTHONPATH": str(src)}
     done = subprocess.run([sys.executable, "-c", SUBSAMPLE_IN_FRESH_INTERPRETER, str(short_obs_csv),
-                           str(tmp_path / "sub.csv")], env=env, capture_output=True, text=True, check=True)
+                           str(tmp_path / "sub.csv"), module], env=env, capture_output=True, text=True,
+                          check=True)
     verdict = done.stdout.splitlines()[-1]
     if verdict == "loaded by import":
-        pytest.skip("importing mcsmooth.cli already loads numpy.ma")
-    assert verdict == "numpy.ma not loaded"
+        pytest.skip(f"importing mcsmooth.cli already loads {module}")
+    assert verdict == "not loaded"

@@ -439,6 +439,9 @@ class TestHyperConfig:
             HyperConfig(T_l=-5.0)
         with pytest.raises(ValueError, match="omega_tilde must be positive"):
             HyperConfig(omega_tilde=0.0)
+        for name in ("T_s", "T_l", "omega_tilde"):
+            with pytest.raises(ValueError, match=f"HyperConfig: {name} must be positive and finite"):
+                HyperConfig(**{name: math.inf})
 
     def test_rejects_bad_caps_and_eta(self):
         with pytest.raises(ValueError, match="caps"):

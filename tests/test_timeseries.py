@@ -14,8 +14,10 @@ from mcsmooth import (
     write_observations,
 )
 from mcsmooth.kernels import log_time_weight
-from mcsmooth.timeseries import _sorted_unique
+from mcsmooth.timeseries import _pcg64_uniform, _sorted_unique
 from mcsmooth.optimizer import read_states_csv
+
+from conftest import NOISY_SEEDS, h2_oracle
 
 
 def write(tmp_path, name, text):
@@ -185,6 +187,25 @@ class TestSubsample:
         a = subsample(dense, spec)
         b = subsample(dense, spec)
         assert np.array_equal(a.times, b.times) and np.array_equal(a.values, b.values)
+
+    @pytest.mark.parametrize("gap_bounds", [(60.0, 90.0), (1, 2.5), (0.5, 1e6)])
+    @pytest.mark.parametrize("seed", [0, 1, *range(11, 19), 2**32 - 1, 2**32, 2**64, 2**100 + 7, np.int64(7)])
+    def test_h2_gaps_are_numpy_pcg64_uniform_draws(self, seed, gap_bounds):
+        gaps = _pcg64_uniform(seed, *gap_bounds)
+        got = [next(gaps) for _ in range(250)]
+        assert got == np.random.default_rng(seed).uniform(*gap_bounds, 250).tolist()
+
+    def test_h2_icu_week_matches_default_rng_oracle(self, constant_feed):
+        for seed in NOISY_SEEDS:
+            got = subsample(constant_feed, MeasurementSpec(kind="h2", rng_seed=seed))
+            want = h2_oracle(constant_feed, seed)
+            assert got.times.tobytes() == want.times.tobytes(), seed
+            assert got.values.tobytes() == want.values.tobytes(), seed
+
+    @pytest.mark.parametrize("seed", [True, False])
+    def test_bool_seed_rejected(self, seed):
+        with pytest.raises(ValueError, match="MeasurementSpec: rng_seed must be a nonnegative integer"):
+            MeasurementSpec(kind="h2", rng_seed=seed)
 
     def test_h1_single_time(self):
         out = subsample(self.dense(), MeasurementSpec(kind="h1", explicit_times=(0.0,)))
