@@ -598,8 +598,8 @@ print("loaded" if module in sys.modules else "not loaded")
 """
 
 
-# np.unique imports numpy.ma on its first call: 1 MB and 12-18 ms per CLI process. numpy.random,
-# which once drew the h2 gaps, costs more than 2 MB, for it also loads secrets and hmac.
+# np.unique imports numpy.ma on its first call: 1 MB and 12-18 ms per CLI process. numpy.random
+# loads secrets and hmac with it: more than 2 MB.
 @pytest.mark.parametrize("module", ["numpy.ma", "numpy.random"])
 def test_subsample_never_imports(tmp_path, short_obs_csv, module):
     src = Path(mcsmooth.cli.__file__).resolve().parents[1]
