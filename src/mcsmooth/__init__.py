@@ -44,9 +44,7 @@ from .oscillator import (
     ModelNoise,
     ParamPriors,
     ParamTrajectory,
-    PolarState,
     effective_gaps,
-    to_polar,
 )
 from .timeseries import (
     KickSeries,

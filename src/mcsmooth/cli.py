@@ -265,6 +265,12 @@ def _cmd_densities(args) -> int:
         raise ValueError(f"densities --at-times: no times given, got {args.at_times!r}")
     if at_times is not None and not all(math.isfinite(at) for at in at_times):
         raise ValueError(f"densities --at-times: times must be finite, got {args.at_times!r}")
+    stem = Path(args.out).stem if args.out else "densities"
+    names = [f"{stem}_t{at:g}.csv" for at in at_times or ()]
+    for name in names:
+        if names.count(name) > 1:
+            clash = [at for at, other in zip(at_times, names) if other == name]
+            raise ValueError(f"densities --at-times: times {clash} all map to one file, {name}")
     cfg = _load_config(args.config)
     obs = load_observations(args.obs)
     hyper = _hyper_from_config(cfg, args)
@@ -282,13 +288,9 @@ def _cmd_densities(args) -> int:
     if at_times is None:
         at_times = [0.5 * (t0 + t1)]
 
-    out_dir = _out_dir(args.out_dir, cfg)
+    out_dir = Path(args.out).parent if args.out else _out_dir(args.out_dir, cfg)
     for at in at_times:
-        if args.out and len(at_times) == 1:
-            out = Path(args.out)
-        else:
-            stem = Path(args.out).stem if args.out else "densities"
-            out = out_dir / f"{stem}_t{at:g}.csv"
+        out = Path(args.out) if args.out and len(at_times) == 1 else out_dir / f"{stem}_t{at:g}.csv"
         _write_densities(x, obs, h, T_l, at, out)
         print(f"wrote {out}")
     return 0

@@ -27,8 +27,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .kernels import KernelTables, folded, gaussian_kernel, kernel_peak, weighted_column_sums
-from .objective import EstimationState, WeightSchedule, eval_total, long_decay
+from .kernels import KernelTables, folded, kernel_peak, weighted_column_sums
+from .objective import (EstimationState, WeightSchedule, eval_total, flex_residuals, l1_mixture,
+                        long_decay, transition_residuals)
 from .oscillator import EffectiveGaps, transition_quantities
 
 __all__ = ["GradientBundle", "PolarSingularityError", "grad_total", "fd_check"]
@@ -51,11 +52,9 @@ class GradientBundle:
 
 
 def _grad_L1(state, tables):
-    y, eps = tables.y, tables.epsilon
-    ky = gaussian_kernel(y, state.x, tables.h)
-    denom = (1.0 - eps) * ky + eps * tables.rho0
-    h2 = tables.h ** 2
-    return (1.0 - eps) / (state.n * h2) * (y - state.x) * ky / denom
+    ky, mixture = l1_mixture(state, tables)
+    eps, h2 = tables.epsilon, tables.h ** 2
+    return (1.0 - eps) / (state.n * h2) * (tables.y - state.x) * ky / mixture
 
 
 def _grad_L2(state, tables):
@@ -91,9 +90,8 @@ def _grad_L2_blocks(state, tables):
 
 
 def _grad_Lparam(alpha, alpha_tilde, sigma_l, d_l, n):
-    mean = d_l * alpha[:-1] + (1.0 - d_l) * alpha_tilde
-    var = (1.0 - d_l) * sigma_l * sigma_l
-    g = (alpha[1:] - mean) / var
+    resid, var = flex_residuals(alpha, alpha_tilde, sigma_l, d_l)
+    g = resid / var
     out = np.zeros_like(alpha)
     out[1:] -= g
     out[:-1] += d_l * g
@@ -116,29 +114,27 @@ def grad_total(state: EstimationState, tables: KernelTables, schedule: WeightSch
 
     if schedule.lam3 or schedule.lam4:
         q = transition_quantities(state.x, state.z, state.params, tables.gaps, tables.T_s)
-        r = q.r_prev
+        r = q.r
         floor = 1e-8 * float(np.mean(state.params.a))
         if np.any(r <= floor):
             raise PolarSingularityError(
                 "grad_total: polar radius at or below the singularity floor; "
                 "model gradients are undefined at r = 0"
             )
-        var = state.noise.sigma ** 2
-        u = state.x[:-1] - state.params.b[:-1]
-        zp = state.z[:-1]
-        cphi, sphi = np.cos(q.phi), np.sin(q.phi)
+        rx, rz, var = transition_residuals(state, q)
+        u, zp = q.offset, state.z[:-1]
         dtp = tables.gaps.dt_phase[1:]
 
         # mean_x = b+ + r+ cos(phi) and mean_z = r+ sin(phi). A row holds a component's weight,
-        # surrogate, mean and own block, whether its mean moves with b+, and d mean / d r+ and
+        # residual, own block, whether its mean moves with b+, and d mean / d r+ and
         # (d mean / d phi) / r+; r+ moves with r and a+, phi with omega.
-        for lam, value, mean, own, with_b, d_r, d_phi in (
-            (schedule.lam3, state.x, q.mean_x, d_x, True, cphi, -sphi),
-            (schedule.lam4, state.z, q.mean_z, d_z, False, sphi, cphi),
+        for lam, resid, own, with_b, d_r, d_phi in (
+            (schedule.lam3, rx, d_x, True, q.cos_phi, -q.sin_phi),
+            (schedule.lam4, rz, d_z, False, q.sin_phi, q.cos_phi),
         ):
             if not lam:
                 continue
-            g = (value[1:] - mean) / var
+            g = resid / var
             A = g * q.d_s * d_r
             B = g * q.r_plus * d_phi
             w = lam / n

@@ -7,6 +7,8 @@ L1 rewards point-wise kernel agreement of the surrogate x with the data y
 densities, L3/L4 reward coherence with the oscillatory model's transition
 densities, and the three parameter components reward slow parameter drift.
 The total is the lambda-weighted sum, formed in ``WeightSchedule.total`` alone.
+The L1 mixture, the transition and flex residuals and the Gaussian
+log-density sum are each written once here; ``gradients`` reads them.
 
 L2 is the only pairwise term. It is summed over the tables' square blocks
 (``KernelTables.blocks``) with the time weight folded into each kernel's
@@ -22,7 +24,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .kernels import KernelTables, folded, gaussian_kernel, kernel_peak, weighted_column_sums
-from .oscillator import LOG_2PI, ModelNoise, ParamPriors, ParamTrajectory, transition_quantities
+from .oscillator import (LOG_2PI, ModelNoise, ParamPriors, ParamTrajectory, TransitionQuantities,
+                         transition_quantities)
 from .timeseries import float_array
 
 __all__ = [
@@ -111,11 +114,16 @@ class Components(NamedTuple):
     L_omega: float
 
 
-def eval_L1(state: EstimationState, tables: KernelTables) -> float:
-    """Mollified point-wise log-likelihood of the data under the surrogates."""
+def l1_mixture(state: EstimationState, tables: KernelTables) -> tuple[np.ndarray, np.ndarray]:
+    """The L1 kernel K_h(y, x) and its mixture (1 - epsilon) K_h + epsilon rho0 with the floor."""
     ky = gaussian_kernel(tables.y, state.x, tables.h)
     eps = tables.epsilon
-    return np.mean(np.log((1.0 - eps) * ky + eps * tables.rho0))
+    return ky, (1.0 - eps) * ky + eps * tables.rho0
+
+
+def eval_L1(state: EstimationState, tables: KernelTables) -> float:
+    """Mollified point-wise log-likelihood of the data under the surrogates."""
+    return np.mean(np.log(l1_mixture(state, tables)[1]))
 
 
 def eval_L2(state: EstimationState, tables: KernelTables) -> float:
@@ -157,19 +165,23 @@ def _L2_blocks(state: EstimationState, tables: KernelTables) -> float:
     return -(kernel_peak(h) * total + tables.wky) / (2.0 * state.n)
 
 
+def _gauss_log_sum(resid: np.ndarray, var, n: int) -> float:
+    """Sum of Gaussian log-densities of the residuals at variance ``var``, 1/n normalized."""
+    return np.sum(-0.5 * (LOG_2PI + np.log(var)) - resid * resid / (2.0 * var)) / n
+
+
+def transition_residuals(state: EstimationState, q: TransitionQuantities):
+    """The residuals x+ - mean_x and z+ - mean_z of the transitions ``q``, and their variance."""
+    return state.x[1:] - q.mean_x, state.z[1:] - q.mean_z, state.noise.sigma ** 2
+
+
 def eval_L3_L4(state: EstimationState, tables: KernelTables) -> tuple[float, float]:
     """Model-coherence log-likelihoods of x and z transitions, 1/n normalized."""
     if state.n < 2:
         raise ValueError("eval_L3_L4: need at least 2 samples")
     q = transition_quantities(state.x, state.z, state.params, tables.gaps, tables.T_s)
-    var = state.noise.sigma ** 2
-    base = -0.5 * (LOG_2PI + np.log(var))
-    rx = state.x[1:] - q.mean_x
-    rz = state.z[1:] - q.mean_z
-    n = state.n
-    L3 = np.sum(base - rx * rx / (2.0 * var)) / n
-    L4 = np.sum(base - rz * rz / (2.0 * var)) / n
-    return L3, L4
+    rx, rz, var = transition_residuals(state, q)
+    return _gauss_log_sum(rx, var, state.n), _gauss_log_sum(rz, var, state.n)
 
 
 def long_decay(tables: KernelTables) -> np.ndarray:
@@ -177,11 +189,10 @@ def long_decay(tables: KernelTables) -> np.ndarray:
     return np.exp(-tables.gaps.dt_relax[1:] / tables.T_l)
 
 
-def _param_flex(alpha: np.ndarray, alpha_tilde: float, sigma_l: float, d_l: np.ndarray, n: int) -> float:
+def flex_residuals(alpha: np.ndarray, alpha_tilde: float, sigma_l: float, d_l: np.ndarray):
+    """Residuals of a parameter trajectory about d_l alpha + (1 - d_l) alpha_tilde, and their variances."""
     mean = d_l * alpha[:-1] + (1.0 - d_l) * alpha_tilde
-    var = (1.0 - d_l) * sigma_l * sigma_l
-    resid = alpha[1:] - mean
-    return np.sum(-0.5 * (LOG_2PI + np.log(var)) - resid * resid / (2.0 * var)) / n
+    return alpha[1:] - mean, (1.0 - d_l) * sigma_l * sigma_l
 
 
 def eval_Lparams(state: EstimationState, tables: KernelTables) -> tuple[float, float, float]:
@@ -191,9 +202,9 @@ def eval_Lparams(state: EstimationState, tables: KernelTables) -> tuple[float, f
     d_l = long_decay(tables)
     p, pr, n = state.params, state.priors, state.n
     return (
-        _param_flex(p.b, pr.b_tilde, pr.sigma_b, d_l, n),
-        _param_flex(p.a, pr.a_tilde, pr.sigma_a, d_l, n),
-        _param_flex(p.omega, pr.omega_tilde, pr.sigma_omega, d_l, n),
+        _gauss_log_sum(*flex_residuals(p.b, pr.b_tilde, pr.sigma_b, d_l), n),
+        _gauss_log_sum(*flex_residuals(p.a, pr.a_tilde, pr.sigma_a, d_l), n),
+        _gauss_log_sum(*flex_residuals(p.omega, pr.omega_tilde, pr.sigma_omega, d_l), n),
     )
 
 

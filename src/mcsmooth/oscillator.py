@@ -24,9 +24,7 @@ __all__ = [
     "ParamTrajectory",
     "ParamPriors",
     "ModelNoise",
-    "PolarState",
     "EffectiveGaps",
-    "to_polar",
     "effective_gaps",
 ]
 
@@ -89,27 +87,11 @@ class ModelNoise:
             raise ValueError("ModelNoise: sigma must be positive")
 
 
-class PolarState(NamedTuple):
-    r: float | np.ndarray
-    theta: float | np.ndarray
-
-
 class EffectiveGaps(NamedTuple):
     """Raw phase gaps and kick-inflated relaxation gaps, leading entry zero."""
 
     dt_phase: np.ndarray
     dt_relax: np.ndarray
-
-
-def to_polar(x, z, b) -> PolarState:
-    """Polar coordinates of (x, z) about the local mean b; theta = 0 at r = 0."""
-    u = np.asarray(x) - np.asarray(b)
-    z = np.asarray(z)
-    r = np.hypot(u, z)
-    theta = np.where(r > 0, np.arctan2(z, u), 0.0)
-    if r.ndim == 0:
-        return PolarState(float(r), float(theta))
-    return PolarState(r, theta)
 
 
 def effective_gaps(obs: ObservationSeries, kicks: KickSeries, alpha: float) -> EffectiveGaps:
@@ -130,13 +112,16 @@ class TransitionQuantities(NamedTuple):
 
     Entry k describes the transition from the k-th source state across its
     gap; for consecutive observations, from index k into index k + 1.
+    ``offset`` is the source's x - b, ``r`` its polar radius and phi the
+    propagated phase, read through its cosine and sine.
     """
 
-    r_prev: np.ndarray
-    theta_prev: np.ndarray
+    offset: np.ndarray
+    r: np.ndarray
     d_s: np.ndarray
     r_plus: np.ndarray
-    phi: np.ndarray
+    cos_phi: np.ndarray
+    sin_phi: np.ndarray
     mean_x: np.ndarray
     mean_z: np.ndarray
 
@@ -144,18 +129,22 @@ class TransitionQuantities(NamedTuple):
 def propagate(x, z, b, b_next, a_next, omega, dt_phase, dt_relax, T_s: float) -> TransitionQuantities:
     """Propagate source states (x, z) about their local means b across gaps.
 
-    The amplitude relaxes toward the target a_next with weight
+    The source has polar coordinates (r, theta) about b, with theta = 0 at
+    r = 0. The amplitude relaxes toward the target a_next with weight
     d_s = exp(-dt_relax / T_s); the phase advances by omega * dt_phase (raw
-    gap, kicks excluded). The propagated mean is (b_next + r_plus cos phi,
-    r_plus sin phi). All arguments are equal-length arrays.
+    gap, kicks excluded) to phi = theta + omega * dt_phase. The propagated
+    mean is (b_next + r_plus cos phi, r_plus sin phi). All arguments are
+    equal-length arrays.
     """
-    prev = to_polar(x, z, b)
+    offset = x - b
+    r = np.hypot(offset, z)
+    theta = np.where(r > 0, np.arctan2(z, offset), 0.0)
     d_s = np.exp(-dt_relax / T_s)
-    r_plus = (1.0 - d_s) * a_next + d_s * prev.r
-    phi = prev.theta + omega * dt_phase
-    mean_x = b_next + r_plus * np.cos(phi)
-    mean_z = r_plus * np.sin(phi)
-    return TransitionQuantities(prev.r, prev.theta, d_s, r_plus, phi, mean_x, mean_z)
+    r_plus = (1.0 - d_s) * a_next + d_s * r
+    phi = theta + omega * dt_phase
+    cos_phi, sin_phi = np.cos(phi), np.sin(phi)
+    return TransitionQuantities(offset, r, d_s, r_plus, cos_phi, sin_phi,
+                                b_next + r_plus * cos_phi, r_plus * sin_phi)
 
 
 def transition_quantities(

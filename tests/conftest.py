@@ -1,10 +1,10 @@
 """Shared fixtures, canonical-truth generators, and the model oracles.
 
-The smoother oracle restates the transition densities and the gap
-reconstruction one transition or grid point at a time, apart from the
-package's vectorised ``oscillator.propagate``, and the time kernel, L2 and
-its gradient as whole n x n expressions, apart from the package's symmetric
-blocks. ``initialize``'s amplitude window is restated as an all-pairs
+The smoother oracle restates the source's polar coordinates (``to_polar``),
+the transition densities and the gap reconstruction one transition or grid
+point at a time, apart from the package's vectorised ``oscillator.propagate``,
+and the time kernel, L2 and its gradient as whole n x n expressions, apart
+from the package's symmetric blocks. ``initialize``'s amplitude window is restated as an all-pairs
 comparison, apart from the package's banded one, and the tables' walk with
 one exponent per kernel, apart from ``build_tables``' shared one. The
 allocating forms restate the L2 value and gradient passes with a ``folded``
@@ -22,6 +22,7 @@ against all of them.
 
 import math
 from dataclasses import replace
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -35,11 +36,9 @@ from mcsmooth import (
     ObservationSeries,
     ParamPriors,
     ParamTrajectory,
-    PolarState,
     build_tables,
     subsample,
     time_products,
-    to_polar,
 )
 from mcsmooth.kernels import kernel_peak, row_tiles, square_blocks, weighted_column_sums
 from mcsmooth.optimizer import PERIOD_BAND
@@ -65,7 +64,23 @@ LOG_2PI = float(np.log(2.0 * np.pi))
 ONE_HOT = [tuple(1.0 if i == k else 0.0 for i in range(7)) for k in range(7)]
 
 
-# --- oracle: scalar transition densities and the per-point reconstruction
+# --- oracle: polar coordinates, scalar transition densities and the per-point reconstruction
+
+class PolarState(NamedTuple):
+    r: float | np.ndarray
+    theta: float | np.ndarray
+
+
+def to_polar(x, z, b) -> PolarState:
+    """Polar coordinates of (x, z) about the local mean b; theta = 0 at r = 0."""
+    u = np.asarray(x) - np.asarray(b)
+    z = np.asarray(z)
+    r = np.hypot(u, z)
+    theta = np.where(r > 0, np.arctan2(z, u), 0.0)
+    if r.ndim == 0:
+        return PolarState(float(r), float(theta))
+    return PolarState(r, theta)
+
 
 def propagate_mean(prev: PolarState, a_next, omega_prev, dt_phase, dt_relax, T_s: float) -> PolarState:
     """Propagate (r, theta) across a gap.

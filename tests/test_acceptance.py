@@ -31,7 +31,6 @@ from mcsmooth import (
     nominal_params,
     simulate,
     subsample,
-    to_polar,
 )
 from mcsmooth.kernels import log_time_weight
 from mcsmooth.cli import run_command
@@ -50,6 +49,7 @@ from conftest import (
     make_cycle_series,
     make_random_fixture,
     tables_for,
+    to_polar,
 )
 
 

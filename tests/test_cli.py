@@ -223,6 +223,35 @@ def test_densities_multiple_times_and_states(dense_csv, tmp_path):
         assert read_densities_csv(tmp_path / f"densities_t{at}.csv")["value"].size > 0
 
 
+def test_densities_at_several_times_write_beside_out(dense_csv, tmp_path, monkeypatch):
+    obs_path = tmp_path / "obs.csv"
+    run_command(["subsample", "--in", str(dense_csv), "--spec", "h3",
+                 "--period", "10", "--out", str(obs_path)])
+    (tmp_path / "run").mkdir()
+    (tmp_path / "cwd").mkdir()
+    monkeypatch.chdir(tmp_path / "cwd")
+    code = run_command(["densities", "--obs", str(obs_path), "--out", str(tmp_path / "run" / "dens.csv"),
+                        "--at-times", "2200,2800"])
+    assert code == 0
+    assert sorted(p.name for p in (tmp_path / "run").iterdir()) == ["dens_t2200.csv", "dens_t2800.csv"]
+    assert list((tmp_path / "cwd").iterdir()) == []
+
+
+def test_densities_times_that_share_a_file_name_rejected(dense_csv, tmp_path, capsys):
+    obs_path = tmp_path / "obs.csv"
+    run_command(["subsample", "--in", str(dense_csv), "--spec", "h3",
+                 "--period", "10", "--out", str(obs_path)])
+    out_dir = tmp_path / "dens"
+    code = run_command(["densities", "--obs", str(obs_path), "--out-dir", str(out_dir),
+                        "--at-times", "2200,2500.001,2500.004,2500.0041"])
+    assert code == 1
+    assert capsys.readouterr().err == (
+        "error: densities --at-times: times [2500.001, 2500.004, 2500.0041] all map to one file, "
+        "densities_t2500.csv\n"
+    )
+    assert not out_dir.exists()
+
+
 def test_densities_without_t_l_use_the_t_l_initialize_resolves(dense_csv, tmp_path):
     obs_path = tmp_path / "obs.csv"
     run_command(["subsample", "--in", str(dense_csv), "--spec", "h2",

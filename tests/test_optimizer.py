@@ -32,7 +32,6 @@ from mcsmooth import (
     run_stage,
     subsample,
     time_products,
-    to_polar,
 )
 from mcsmooth.gradients import _grad_L2
 from mcsmooth.kernels import TILE_ELEMENTS, log_time_weight
@@ -61,6 +60,7 @@ from conftest import (
     relative_error,
     tables_for,
     time_kernel,
+    to_polar,
     windowed_max_all_pairs,
 )
 

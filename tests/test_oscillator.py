@@ -11,18 +11,18 @@ from mcsmooth import (
     ObservationSeries,
     ParamPriors,
     ParamTrajectory,
-    PolarState,
     effective_gaps,
     eval_L3_L4,
     eval_Lparams,
-    to_polar,
 )
 from mcsmooth.oscillator import propagate, transition_quantities
 from conftest import (
+    PolarState,
     make_random_fixture,
     param_transition_logpdf,
     propagate_mean,
     tables_for,
+    to_polar,
     transition_logpdfs,
 )
 
@@ -41,7 +41,8 @@ def propagated(prev, a_next, omega_prev, dt_phase, dt_relax, T_s, b=0.0):
     q = propagate(*(np.atleast_1d(v).astype(float) for v in args), T_s)
     want = propagate_mean(to_polar(x, z, b), a_next, omega_prev, dt_phase, dt_relax, T_s)
     np.testing.assert_allclose(q.r_plus, want.r, rtol=1e-15, atol=0)
-    np.testing.assert_allclose(q.phi, want.theta, rtol=1e-15, atol=0)
+    np.testing.assert_allclose(q.cos_phi, np.cos(want.theta), rtol=1e-15, atol=0)
+    np.testing.assert_allclose(q.sin_phi, np.sin(want.theta), rtol=1e-15, atol=0)
     return q
 
 
@@ -53,36 +54,51 @@ def two_index_state(dt, x=(0.0, 0.0), z=(0.0, 0.0), b=(120.0, 120.0), a=(3.0, 3.
     priors = priors if priors is not None else ParamPriors(120.0, 3.0, 0.05, 1.0, 1.0, 1.0)
     state = EstimationState(x, z, ParamTrajectory(b, a, omega), priors, ModelNoise(sigma))
     return state, obs, tables
-class TestToPolar:
+def source_polar(x, z, b, a_next=7.0, omega=0.1, dt_phase=0.0, dt_relax=0.0):
+    """``propagate`` of one source (x, z) about b, by default across a zero gap with b_next = b."""
+    args = np.broadcast_arrays(x, z, b, b, a_next, omega, dt_phase, dt_relax)
+    return propagate(*(np.atleast_1d(v).astype(float) for v in args), 100.0)
+
+
+class TestSourcePolar:
     def test_positive_x_axis(self):
-        p = to_polar(5.0, 0.0, 4.0)
-        assert p.r == 1.0 and p.theta == 0.0
+        q = source_polar(5.0, 0.0, 4.0)
+        assert q.offset[0] == 1.0 and q.r[0] == 1.0
+        assert q.cos_phi[0] == 1.0 and q.sin_phi[0] == 0.0
 
     def test_positive_z_axis(self):
-        p = to_polar(4.0, 1.0, 4.0)
-        assert p.r == 1.0 and p.theta == pytest.approx(np.pi / 2, rel=1e-15)
+        q = source_polar(4.0, 1.0, 4.0)
+        assert q.r[0] == 1.0 and q.sin_phi[0] == 1.0
+        assert q.cos_phi[0] == pytest.approx(0.0, abs=1e-16)
 
-    def test_origin_convention(self):
-        p = to_polar(4.0, 0.0, 4.0)
-        assert p.r == 0.0 and p.theta == 0.0
+    @pytest.mark.parametrize("x, z, b", [(4.0, 0.0, 4.0), (4.0, -0.0, 4.0),
+                                         (-0.0, 0.0, 0.0), (-0.0, -0.0, 0.0)])
+    def test_origin_convention(self, x, z, b):
+        # At r = 0 the source has theta = 0, whatever the signs of its zeros
+        # (arctan2(0, -0) is pi), so the mean points along phi = omega dt_phase.
+        q = source_polar(x, z, b, a_next=3.0, omega=0.05, dt_phase=20.0, dt_relax=30.0)
+        assert q.r[0] == 0.0
+        plus = propagate_mean(PolarState(0.0, 0.0), 3.0, 0.05, 20.0, 30.0, 100.0)
+        assert q.mean_x[0] == b + plus.r * np.cos(plus.theta)
+        assert q.mean_z[0] == plus.r * np.sin(plus.theta)
+        assert q.cos_phi[0] == np.cos(0.05 * 20.0)
 
     def test_roundtrip(self):
         rng = np.random.default_rng(3)
-        for _ in range(200):
-            b = rng.normal(0, 10)
-            x, z = b + rng.normal(0, 5), rng.normal(0, 5)
-            p = to_polar(x, z, b)
-            if p.r == 0.0:
-                continue
-            assert b + p.r * np.cos(p.theta) == pytest.approx(x, abs=1e-12 * max(1, abs(x)))
-            assert p.r * np.sin(p.theta) == pytest.approx(z, abs=1e-12 * max(1, abs(z)))
+        b = rng.normal(0, 10, 200)
+        x, z = b + rng.normal(0, 5, 200), rng.normal(0, 5, 200)
+        q = source_polar(x, z, b)
+        assert np.all(q.r > 0)
+        np.testing.assert_array_equal(q.offset, x - b)
+        np.testing.assert_allclose(q.mean_x, x, rtol=0, atol=1e-12 * np.maximum(1, np.abs(x)).max())
+        np.testing.assert_allclose(q.mean_z, z, rtol=0, atol=1e-12 * np.maximum(1, np.abs(z)).max())
 
 
 class TestPropagateMean:
     def test_zero_gap_keeps_radius(self):
         q = propagated(PolarState(3.0, 0.5), a_next=7.0, omega_prev=0.1,
                        dt_phase=0.0, dt_relax=0.0, T_s=100.0)
-        assert q.r_plus[0] == q.r_prev[0]
+        assert q.r_plus[0] == q.r[0]
         assert q.r_plus[0] == pytest.approx(3.0, rel=1e-15)
 
     def test_long_gap_relaxes_to_target(self):
@@ -92,13 +108,14 @@ class TestPropagateMean:
     def test_half_period_phase(self):
         P = 120.0
         q = propagated(PolarState(1.0, 0.25), 1.0, 2 * np.pi / P, P / 2, P / 2, 100.0)
-        assert q.phi[0] == pytest.approx(0.25 + np.pi, rel=1e-14)
+        assert q.cos_phi[0] == pytest.approx(np.cos(0.25 + np.pi), rel=1e-14)
+        assert q.sin_phi[0] == pytest.approx(np.sin(0.25 + np.pi), rel=1e-13)
 
     def test_radius_is_convex_combination(self):
         rng = np.random.default_rng(5)
         r0, a = rng.uniform(0, 10, (2, 200))
         q = propagated(PolarState(r0, 0.0), a, 0.05, 5.0, rng.uniform(0, 500, 200), 100.0, b=3.0)
-        lo, hi = np.minimum(q.r_prev, a), np.maximum(q.r_prev, a)
+        lo, hi = np.minimum(q.r, a), np.maximum(q.r, a)
         assert np.all((lo - 1e-12 <= q.r_plus) & (q.r_plus <= hi + 1e-12))
 
 
@@ -160,10 +177,11 @@ class TestTransitionLogpdfs:
             plus = propagate_mean(prev, p.a[1:], p.omega[:-1], gaps.dt_phase[1:],
                                   gaps.dt_relax[1:], T_s)
             q = transition_quantities(state.x, state.z, p, gaps, T_s)
-            np.testing.assert_array_equal(q.r_prev, prev.r)
-            np.testing.assert_array_equal(q.theta_prev, prev.theta)
+            np.testing.assert_array_equal(q.offset, state.x[:-1] - p.b[:-1])
+            np.testing.assert_array_equal(q.r, prev.r)
             np.testing.assert_allclose(q.r_plus, plus.r, rtol=1e-15, atol=0)
-            np.testing.assert_allclose(q.phi, plus.theta, rtol=1e-15, atol=0)
+            np.testing.assert_array_equal(q.cos_phi, np.cos(plus.theta))
+            np.testing.assert_array_equal(q.sin_phi, np.sin(plus.theta))
             np.testing.assert_allclose(q.mean_x, p.b[1:] + plus.r * np.cos(plus.theta),
                                        rtol=1e-15, atol=0)
             lx, lz = transition_logpdfs(state.x[1:], state.z[1:], prev, p.b[1:], p.a[1:],

@@ -56,6 +56,17 @@ def test_only_kick_series_reads_kicks():
         assert divides.findall(source) == divides.findall(owner if path.name == "timeseries.py" else ""), path.name
 
 
+def test_gradients_restate_no_objective_term():
+    # Each objective term is written once: the gradient reads the L1 mixture, the
+    # transition and flex residuals from objective.py, and x - b, cos phi and
+    # sin phi from oscillator.propagate, instead of forming them again.
+    restated = re.compile(r"\bgaussian_kernel\(|\bnp\.(?:cos|sin|hypot|arctan2)\(|\(1\.0 - d_l\)|\bq\.mean_[xz]\b")
+    assert restated.findall(inspect.getsource(mcsmooth.gradients)) == []
+    objective = inspect.getsource(mcsmooth.objective)
+    assert len(re.findall(r"\(1\.0 - d_l\)", objective)) == 2  # the relaxed mean and its variance
+    assert len(re.findall(r"\bq\.mean_[xz]\b", objective)) == 2  # x+ - mean_x and z+ - mean_z
+
+
 EVALUATORS = (
     "objective.eval_L1", "objective.eval_L2", "objective._L2_blocks", "objective.eval_L3_L4",
     "objective.eval_Lparams", "objective.eval_total", "objective.eval_components",
