@@ -115,7 +115,7 @@ class Components(NamedTuple):
 
 
 def l1_mixture(state: EstimationState, tables: KernelTables) -> tuple[np.ndarray, np.ndarray]:
-    """The L1 kernel K_h(y, x) and its mixture (1 - epsilon) K_h + epsilon rho0 with the floor."""
+    """The L1 kernel K_h(y, x) and the mixture (1 - epsilon) K_h + epsilon rho0 whose log L1 averages."""
     ky = gaussian_kernel(tables.y, state.x, tables.h)
     eps = tables.epsilon
     return ky, (1.0 - eps) * ky + eps * tables.rho0
@@ -190,7 +190,7 @@ def long_decay(tables: KernelTables) -> np.ndarray:
 
 
 def flex_residuals(alpha: np.ndarray, alpha_tilde: float, sigma_l: float, d_l: np.ndarray):
-    """Residuals of a parameter trajectory about d_l alpha + (1 - d_l) alpha_tilde, and their variances."""
+    """Residuals of a trajectory about d_l alpha + (1 - d_l) alpha_tilde, and their variances."""
     mean = d_l * alpha[:-1] + (1.0 - d_l) * alpha_tilde
     return alpha[1:] - mean, (1.0 - d_l) * sigma_l * sigma_l
 

@@ -138,11 +138,11 @@ def propagate(x, z, b, b_next, a_next, omega, dt_phase, dt_relax, T_s: float) ->
     """
     offset = x - b
     r = np.hypot(offset, z)
-    theta = np.where(r > 0, np.arctan2(z, offset), 0.0)
+    phi = np.where(r > 0, np.arctan2(z, offset), 0.0) + omega * dt_phase
+    cos_phi, sin_phi = np.cos(phi), np.sin(phi)
+    del phi  # freed before d_s and r_plus form, which bounds a reconstruction tile's peak
     d_s = np.exp(-dt_relax / T_s)
     r_plus = (1.0 - d_s) * a_next + d_s * r
-    phi = theta + omega * dt_phase
-    cos_phi, sin_phi = np.cos(phi), np.sin(phi)
     return TransitionQuantities(offset, r, d_s, r_plus, cos_phi, sin_phi,
                                 b_next + r_plus * cos_phi, r_plus * sin_phi)
 
