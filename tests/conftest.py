@@ -4,13 +4,14 @@ The smoother oracle restates the source's polar coordinates (``to_polar``),
 the transition densities and the gap reconstruction one transition or grid
 point at a time, apart from the package's vectorised ``oscillator.propagate``,
 and the time kernel, L2 and its gradient as whole n x n expressions, apart
-from the package's symmetric blocks. ``initialize``'s amplitude window is restated as an all-pairs
-comparison, apart from the package's banded one, and the tables' walk with
-one exponent per kernel, apart from ``build_tables``' shared one. The
-allocating forms restate the L2 value and gradient passes with a ``folded``
-that also returns the difference, the periodogram with separate cos, sin and
-product arrays and the reconstruction over the whole grid at once, apart
-from the package's in-place and tiled forms, which must give their bits.
+from the package's symmetric blocks. ``initialize``'s amplitude window is
+restated as an all-pairs comparison, apart from the package's banded one,
+and the tables' walk with one exponent per kernel, apart from
+``build_tables``' shared one. The allocating forms restate the L2 value and
+gradient passes with a ``folded`` that also returns the difference, the
+periodogram with separate cos, sin and product arrays and the
+reconstruction over the whole grid at once, apart from the package's
+in-place and tiled forms, which must give their bits.
 The h2 sampler oracle draws its gaps from numpy's own ``default_rng``,
 apart from the package's restated PCG64 stream.
 The simulator oracle restates the model equations with every parameter read
