@@ -7,7 +7,6 @@ ultradian glucose-insulin ODE simulator is included as a synthetic data
 source.
 """
 
-from .gradients import GradientBundle, PolarSingularityError, fd_check, grad_total
 from .kernels import (
     KernelTables,
     bandwidth_rule_of_thumb,
@@ -18,6 +17,8 @@ from .kernels import (
 from .objective import (
     Components,
     EstimationState,
+    GradientBundle,
+    PolarSingularityError,
     WeightSchedule,
     eval_components,
     eval_L1,
@@ -25,6 +26,8 @@ from .objective import (
     eval_L3_L4,
     eval_Lparams,
     eval_total,
+    fd_check,
+    grad_total,
 )
 from .optimizer import (
     EstimationResult,

@@ -278,9 +278,10 @@ def _cmd_densities(args) -> int:
     h = bandwidth_rule_of_thumb(obs.values)
 
     if args.states:
-        x = read_states_csv(args.states)["x"]
-        if x.size != obs.n:
-            raise ValueError("densities: states file length does not match observations")
+        states = read_states_csv(args.states)
+        if not np.array_equal(states["t"], obs.times):
+            raise ValueError("densities: the states file's times are not the observations' times")
+        x = states["x"]
     else:
         x = obs.values
 

@@ -24,9 +24,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .gradients import grad_total
 from .kernels import KernelTables, build_tables, gaussian_kernel, row_tiles, time_products
-from .objective import Components, EstimationState, WeightSchedule, eval_components
+from .objective import Components, EstimationState, WeightSchedule, eval_components, grad_total
 from .oscillator import ModelNoise, ParamPriors, ParamTrajectory, propagate
 from .timeseries import KickSeries, ObservationSeries, read_columns, write_columns
 
@@ -496,6 +495,8 @@ def write_states_csv(result: EstimationResult, path) -> None:
 def read_states_csv(path) -> dict[str, np.ndarray]:
     keys = ("t", "x", "z", "b", "a", "omega")
     out = dict(zip(keys, read_columns(path, 6, "read_states")))
+    if not all(np.all(np.isfinite(column)) for column in out.values()):
+        raise ValueError("read_states: non-finite entry")
     if not np.all(out["t"][1:] > out["t"][:-1]):
         raise ValueError("read_states: times must be strictly increasing")
     return out

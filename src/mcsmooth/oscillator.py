@@ -108,7 +108,7 @@ def effective_gaps(obs: ObservationSeries, kicks: KickSeries, alpha: float) -> E
 
 
 class TransitionQuantities(NamedTuple):
-    """Per-transition quantities shared by objective, gradients and reconstruction.
+    """Per-transition quantities shared by the objective, its gradient and reconstruction.
 
     Entry k describes the transition from the k-th source state across its
     gap; for consecutive observations, from index k into index k + 1.

@@ -101,6 +101,8 @@ class KickSeries:
         object.__setattr__(self, "intensities", intensities)
         if times.shape != intensities.shape or times.ndim != 1:
             raise ValueError("KickSeries: times and intensities must be equal-length 1-d arrays")
+        if not (np.all(np.isfinite(times)) and np.all(np.isfinite(intensities))):
+            raise ValueError("KickSeries: non-finite entry")
         if not np.all(times[1:] > times[:-1]):
             raise ValueError("KickSeries: times must be strictly increasing")
         if np.any(intensities < 0):

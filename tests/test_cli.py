@@ -332,6 +332,32 @@ def short_obs_csv(tmp_path):
     return path
 
 
+@pytest.mark.parametrize("fault, message", [
+    ("nan_x", "read_states: non-finite entry"),
+    ("shifted_t", "densities: the states file's times are not the observations' times"),
+    ("one_row_short", "densities: the states file's times are not the observations' times"),
+])
+def test_densities_rejects_states_of_other_observations(short_obs_csv, tmp_path, capsys, fault, message):
+    # The states must be an estimate on --obs itself: the x of other times, or
+    # a NaN x, would be weighted at the observations' times without a word.
+    obs = load_observations(short_obs_csv)
+    t, x = obs.times.copy(), obs.values.copy()
+    if fault == "nan_x":
+        x[3] = np.nan
+    elif fault == "shifted_t":
+        t += 5000.0
+    else:
+        t, x = t[:-1], x[:-1]
+    states = tmp_path / "states.csv"
+    rows = (f"{ti!r},{xi!r},0.0,100.0,20.0,0.05\n" for ti, xi in zip(t.tolist(), x.tolist()))
+    states.write_text("".join(rows), encoding="utf-8")
+    out = tmp_path / "dens.csv"
+    code = run_command(["densities", "--obs", str(short_obs_csv), "--states", str(states), "--out", str(out)])
+    assert code == 1
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("flags, message", [
     (["--omega-tilde", "0"], "HyperConfig: omega_tilde must be positive"),
     (["--omega-tilde", "-0.05"], "HyperConfig: omega_tilde must be positive"),
@@ -487,6 +513,17 @@ def test_estimate_with_kicks_file(dense_csv, tmp_path):
                         "--iters-stage2", "20"])
     assert code == 0
     assert read_states_csv(out_dir / "states.csv")["t"].size > 0
+
+
+@pytest.mark.parametrize("text", ["nan,1.0\n", "100,1.0\ninf,1.0\n", "100,inf\n"])
+def test_estimate_rejects_a_non_finite_kick(short_obs_csv, tmp_path, capsys, text):
+    kicks_path = tmp_path / "kicks.csv"
+    kicks_path.write_text(text, encoding="utf-8")
+    code = run_command(["estimate", "--obs", str(short_obs_csv), "--kicks", str(kicks_path),
+                        "--out-dir", str(tmp_path / "run")])
+    assert code == 1
+    assert "load_kicks: KickSeries: non-finite entry" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
 
 
 def test_outdir_env_default(dense_csv, tmp_path, monkeypatch):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-import mcsmooth.gradients
+import mcsmooth.objective
 from mcsmooth import (
     EstimationState,
     PolarSingularityError,
@@ -14,7 +14,7 @@ from mcsmooth import (
     fd_check,
     grad_total,
 )
-from mcsmooth.gradients import _grad_L2_blocks
+from mcsmooth.objective import _grad_L2_blocks
 from mcsmooth.kernels import BLOCK
 from conftest import (
     FIXTURE_ALPHA,
@@ -67,7 +67,7 @@ class TestStructuralZeros:
     def test_all_zero_weights(self):
         state, obs, tables = make_random_fixture(4)
         g = grad_total(state, tables, WeightSchedule())
-        assert all(np.all(b == 0.0) for b in g.blocks())
+        assert all(np.all(b == 0.0) for b in vars(g).values())
         assert fd_check(state, tables, WeightSchedule()) == 0.0
 
 
@@ -106,13 +106,25 @@ class TestFiniteDifferences:
         g = grad_total(state, tables, sched)
         d_x = g.d_x.copy()
         d_x[np.argmin(np.abs(d_x))] *= 1.0 + 1e-4
-        monkeypatch.setattr(mcsmooth.gradients, "grad_total", lambda *args: replace(g, d_x=d_x))
+        monkeypatch.setattr(mcsmooth.objective, "grad_total", lambda *args: replace(g, d_x=d_x))
         assert fd_check(state, tables, sched) > 1e-5
 
-    def test_invalid_step_rejected(self):
+    # A NaN step makes every quotient NaN, which would pass any gradient.
+    @pytest.mark.parametrize("step", [0.0, float("nan"), float("inf")])
+    def test_invalid_step_rejected(self, step):
         state, obs, tables = make_random_fixture(5)
         with pytest.raises(ValueError, match="step"):
-            fd_check(state, tables, WeightSchedule(lam1=1.0), step=0.0)
+            fd_check(state, tables, WeightSchedule(lam1=1.0), step=step)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_a_non_finite_entry_is_an_infinite_error(self, monkeypatch, bad):
+        state, obs, tables = make_random_fixture(0, n=6)
+        sched = WeightSchedule.from_lambdas([1.0] * 7)
+        g = grad_total(state, tables, sched)
+        d_x = g.d_x.copy()
+        d_x[2] = bad
+        monkeypatch.setattr(mcsmooth.objective, "grad_total", lambda *args: replace(g, d_x=d_x))
+        assert fd_check(state, tables, sched) == np.inf
 
 
 class TestPolarSingularity:

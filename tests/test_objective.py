@@ -22,9 +22,8 @@ from mcsmooth import (
     eval_total,
     gaussian_kernel,
 )
-from mcsmooth.gradients import _grad_L2, _grad_L2_blocks
 from mcsmooth.kernels import BLOCK
-from mcsmooth.objective import _L2_blocks
+from mcsmooth.objective import _grad_L2, _grad_L2_blocks, _L2_blocks
 from conftest import (
     FIXTURE_ALPHA,
     ONE_HOT,

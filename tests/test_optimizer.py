@@ -33,8 +33,8 @@ from mcsmooth import (
     subsample,
     time_products,
 )
-from mcsmooth.gradients import _grad_L2
 from mcsmooth.kernels import TILE_ELEMENTS, log_time_weight
+from mcsmooth.objective import _grad_L2
 from mcsmooth.optimizer import (
     PERIOD_BAND,
     _periodogram,
@@ -576,7 +576,7 @@ class TestEstimate:
 
         monkeypatch.setattr(KernelTables, "blocks", counted_blocks)
         monkeypatch.setattr("mcsmooth.objective.eval_L2", spy(eval_L2))
-        monkeypatch.setattr("mcsmooth.gradients._grad_L2", spy(_grad_L2))
+        monkeypatch.setattr("mcsmooth.objective._grad_L2", spy(_grad_L2))
         estimate(obs, kicks, config=quick_config)
         assert at_data == [eval_L2, eval_L2, eval_L2, _grad_L2]
         assert len(passes) == len(off_data) > 0
@@ -869,6 +869,15 @@ class TestCsvFormats:
         assert np.array_equal(back["t"], res.obs.times)
         assert np.array_equal(back["x"], res.state.x)
         assert np.array_equal(back["omega"], res.state.params.omega)
+
+    @pytest.mark.parametrize("column", range(6))
+    def test_states_non_finite_entry_rejected(self, tmp_path, column):
+        rows = [[10.0 * k, 1.0, 2.0, 3.0, 4.0, 5.0] for k in range(3)]
+        rows[1][column] = float("nan")
+        p = tmp_path / "states.csv"
+        p.write_text("".join(",".join(map(repr, row)) + "\n" for row in rows), encoding="utf-8")
+        with pytest.raises(ValueError, match="read_states: non-finite entry"):
+            read_states_csv(p)
 
     def test_reconstruction_roundtrip(self, tmp_path, quick_config):
         res = estimate(make_cycle_series(n=40), config=quick_config)

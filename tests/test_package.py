@@ -1,7 +1,10 @@
+import ast
 import importlib
+import importlib.util
 import inspect
 import pkgutil
 import re
+import sys
 from pathlib import Path
 
 import pytest
@@ -56,22 +59,38 @@ def test_only_kick_series_reads_kicks():
         assert divides.findall(source) == divides.findall(owner if path.name == "timeseries.py" else ""), path.name
 
 
+GRADIENTS = ("_grad_L1", "_grad_L2", "_grad_L2_blocks", "_grad_Lparam", "grad_total", "fd_check")
+
+
 def test_gradients_restate_no_objective_term():
     # Each objective term is written once: the gradient reads the L1 mixture, the
-    # transition and flex residuals from objective.py, and x - b, cos phi and
+    # transition and flex residuals beside their values, and x - b, cos phi and
     # sin phi from oscillator.propagate, instead of forming them again.
     restated = re.compile(r"\bgaussian_kernel\(|\bnp\.(?:cos|sin|hypot|arctan2)\(|\(1\.0 - d_l\)|\bq\.mean_[xz]\b")
-    assert restated.findall(inspect.getsource(mcsmooth.gradients)) == []
+    for name in GRADIENTS:
+        assert restated.findall(inspect.getsource(getattr(mcsmooth.objective, name))) == [], name
     objective = inspect.getsource(mcsmooth.objective)
     assert len(re.findall(r"\(1\.0 - d_l\)", objective)) == 2  # the relaxed mean and its variance
     assert len(re.findall(r"\bq\.mean_[xz]\b", objective)) == 2  # x+ - mean_x and z+ - mean_z
 
 
+def test_each_gradient_sits_beside_its_value():
+    # One module holds the objective: a term's value and its gradient change together.
+    assert importlib.util.find_spec("mcsmooth.gradients") is None
+    imports = re.compile(r"^\s*(?:from|import)\s.*\bgradients\b", re.MULTILINE)
+    for path in sorted(Path(mcsmooth.__file__).parent.glob("*.py")):
+        assert imports.findall(path.read_text(encoding="utf-8")) == [], path.name
+    beside_grad_total = mcsmooth.grad_total.__globals__
+    for value, gradient in (("eval_L1", "_grad_L1"), ("eval_L2", "_grad_L2"), ("eval_Lparams", "_grad_Lparam"),
+                            ("eval_components", "grad_total")):
+        assert getattr(mcsmooth, value).__module__ == beside_grad_total[gradient].__module__, gradient
+
+
 EVALUATORS = (
     "objective.eval_L1", "objective.eval_L2", "objective._L2_blocks", "objective.eval_L3_L4",
     "objective.eval_Lparams", "objective.eval_total", "objective.eval_components",
-    "gradients._grad_L1", "gradients._grad_L2", "gradients._grad_L2_blocks",
-    "gradients.grad_total", "gradients.fd_check", "optimizer.run_stage",
+    "objective._grad_L1", "objective._grad_L2", "objective._grad_L2_blocks",
+    "objective.grad_total", "objective.fd_check", "optimizer.run_stage",
 )
 
 
@@ -82,3 +101,24 @@ def test_evaluators_read_fixed_inputs_only_from_the_tables(name):
     params = inspect.signature(getattr(importlib.import_module(f"mcsmooth.{module}"), attr)).parameters
     assert "tables" in params
     assert {"obs", "gaps", "epsilon"} & set(params) == set()
+
+
+def test_test_dependencies_are_declared():
+    # A test module whose import fails is dropped from a --continue-on-collection-errors
+    # run without a failure, so every third-party module the tests import must be declared.
+    tomllib = pytest.importorskip("tomllib")
+    project = tomllib.loads((Path(__file__).parents[1] / "pyproject.toml").read_text(encoding="utf-8"))["project"]
+    requirements = project["dependencies"] + project["optional-dependencies"]["test"]
+    declared = {re.match(r"[A-Za-z0-9_.-]+", req).group().lower() for req in requirements}
+    tests = Path(__file__).parent
+    local = {"mcsmooth", *(path.stem for path in tests.glob("*.py"))}
+    imported = set()
+    for path in sorted(tests.glob("*.py")):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(node, ast.Import):
+                imported.update(alias.name.split(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported.add(node.module.split(".")[0])
+    third_party = imported - set(sys.stdlib_module_names) - local
+    assert {"numpy", "pytest", "hypothesis", "scipy"} <= third_party
+    assert sorted(third_party - declared) == []

@@ -122,6 +122,13 @@ class TestLoadKicks:
         with pytest.raises(ValueError, match="mean intensity must be positive"):
             KickSeries([10.0, 20.0], [0.0, 0.0])
 
+    @pytest.mark.parametrize("text", ["nan,1.0\n", "100,1.0\ninf,1.0\n", "100,inf\n", "200,nan\n"])
+    def test_non_finite_row_rejected(self, tmp_path, text):
+        # A NaN or infinite time is a kick that never acts, and an infinite
+        # intensity sets alpha to 0, which turns every kick off.
+        with pytest.raises(ValueError, match="load_kicks: KickSeries: non-finite entry"):
+            load_kicks(write(tmp_path, "k.csv", text))
+
 
 class TestKickConventions:
     def test_kick_at_measurement_time_counts_in_following_gap(self):
