@@ -67,9 +67,7 @@ from .ultradian import (
     default_initial_state,
     icu_fit_params,
     nominal_params,
-    nutrition_rate,
     simulate,
-    ultradian_rhs,
 )
 
 __version__ = "0.1.0"

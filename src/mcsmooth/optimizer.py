@@ -80,7 +80,8 @@ def _is_number(value, kind=numbers.Real) -> bool:
 class HyperConfig:
     """Tunables for initialization and the staged descent.
 
-    Unset, T_s, T_l and ``omega_tilde`` are estimated by ``resolve_time_scales``.
+    Unset, T_s, T_l and ``omega_tilde`` are estimated by ``resolve_time_scales``,
+    which also holds T_l >= T_s on the resolved scales.
     """
 
     T_s: float | None = None
@@ -99,8 +100,6 @@ class HyperConfig:
             value = getattr(self, name)
             if value is not None and not (_is_number(value) and 0 < value < math.inf):
                 raise ValueError(f"HyperConfig: {name} must be positive and finite")
-        if self.T_l is not None and self.T_s is not None and self.T_l < self.T_s:
-            raise ValueError("HyperConfig: T_l must be at least T_s")
         for name in ("max_iter_stage1a", "max_iter_stage1b", "max_iter_stage2"):
             value = getattr(self, name)
             if not (_is_number(value, numbers.Integral) and value >= 1):
@@ -205,16 +204,27 @@ def _periodogram(times: np.ndarray, resid: np.ndarray) -> tuple[np.ndarray, np.n
     return grid, power
 
 
+def _ordered_scales(T_s: float, T_l: float) -> tuple[float, float]:
+    """T_s and T_l as floats; the long scale must be at least the short one."""
+    if T_l < T_s:
+        raise ValueError(f"resolve_time_scales: T_l must be at least T_s, got T_s = {T_s:.6g} "
+                         f"and T_l = {T_l:.6g} min")
+    return float(T_s), float(T_l)
+
+
 def resolve_time_scales(obs: ObservationSeries, config: HyperConfig) -> tuple[float, float, float]:
     """omega_tilde, T_s and T_l of a series: the config's pinned values, else estimates.
 
     omega_tilde is the periodogram peak of y - mean(y) over the prior band of
     periods of 60-400 min (``PERIOD_BAND``). Samples exactly every 120 min
     cannot tell a 140-min period from its aliases at 105 or 64.6 min. T_s and
-    T_l default to one and four periods 2 pi / omega_tilde.
+    T_l default to one and four periods 2 pi / omega_tilde. Raises ValueError
+    unless T_l >= T_s, before the periodogram when both are pinned.
     """
     if obs.n < 4:
         raise ValueError("resolve_time_scales: need at least 4 observations")
+    if config.T_s is not None and config.T_l is not None:
+        _ordered_scales(config.T_s, config.T_l)
     if config.omega_tilde is not None:
         omega_tilde = float(config.omega_tilde)
     else:
@@ -226,7 +236,8 @@ def resolve_time_scales(obs: ObservationSeries, config: HyperConfig) -> tuple[fl
         omega_tilde = float(grid[np.argmax(power)])
     T_s = config.T_s if config.T_s is not None else 2.0 * np.pi / omega_tilde
     T_l = config.T_l if config.T_l is not None else 4.0 * 2.0 * np.pi / omega_tilde
-    return omega_tilde, float(T_s), float(T_l)
+    return (omega_tilde, *_ordered_scales(T_s, T_l))
+
 
 
 def initialize(

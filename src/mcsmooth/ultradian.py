@@ -26,8 +26,6 @@ __all__ = [
     "nominal_params",
     "icu_fit_params",
     "default_initial_state",
-    "nutrition_rate",
-    "ultradian_rhs",
     "simulate",
 ]
 
@@ -103,10 +101,6 @@ class UltradianState:
     def as_array(self) -> np.ndarray:
         return np.array([self.i_p, self.i_i, self.g, self.h1, self.h2, self.h3])
 
-    @classmethod
-    def from_array(cls, arr) -> "UltradianState":
-        return cls(*(float(v) for v in arr))
-
 
 def default_initial_state() -> UltradianState:
     """A physiological starting point (~100 mg/dl); run a transient to settle."""
@@ -170,62 +164,6 @@ class NutritionSchedule:
         return 0.0, lo, iv[i + 1][0] if i + 1 < len(iv) else math.inf
 
 
-def nutrition_rate(t: float, schedule: NutritionSchedule) -> float:
-    """Carbohydrate rate at time t (mg/min)."""
-    return schedule.segment(t)[0]
-
-
-def _bound_units(p: UltradianParams) -> tuple:
-    """The parameter fields and hoisted constant units that the equations read.
-
-    ``(v_p, v_i, e, t_p, t_i, t_d, r_m, a_1, u_b, u_0, r_g, alpha, vg_c1,
-    c2_vg, c3_vg, c5_vp, du, kappa, neg_beta)``. Each hoisted unit is a
-    product, difference or quotient of constants that the equations evaluate
-    as one parenthesised unit, so the float is the one they would compute.
-    """
-    return (p.v_p, p.v_i, p.e, p.t_p, p.t_i, p.t_d, p.r_m, p.a_1, p.u_b, p.u_0, p.r_g,
-            p.alpha, p.v_g * p.c_1, p.c_2 * p.v_g, p.c_3 * p.v_g, p.c_5 * p.v_p,
-            p.u_m - p.u_0, p.kappa, -p.beta)
-
-
-def ultradian_rhs(state: UltradianState, params: UltradianParams, i_g: float) -> UltradianState:
-    """Time derivative of the state under nutrition input i_g (mg/min).
-
-    These are the equations :func:`simulate` writes out inline in its step,
-    with the same constant units (:func:`_bound_units`) and operation order,
-    so the derivatives are bit-identical to its stage evaluations.
-
-    Where (kappa i_i)^(-beta) is +inf, the insulin-dependent utilization
-    reduces to its floor u_0 term: for i_i <= 0 (the i_i -> 0+ limit) and
-    for an i_i so small that the power overflows. This keeps the right-hand
-    side total if an exploratory integration undershoots zero.
-    """
-    (v_p, v_i, e, t_p, t_i, t_d, r_m, a_1, u_b, u_0, r_g, alpha,
-     vg_c1, c2_vg, c3_vg, c5_vp, du, kappa, neg_beta) = _bound_units(params)
-    i_p, i_i, g, h1, h2, h3 = state.as_array().tolist()
-    if i_i <= 0.0:
-        damping = math.inf
-    else:
-        try:
-            damping = (kappa * i_i) ** neg_beta
-        except (OverflowError, ZeroDivisionError):
-            damping = math.inf
-    exchange = e * (i_p / v_p - i_i / v_i)
-    return UltradianState(
-        # insulin secretion f1(G), exchange and plasma degradation
-        r_m / (1.0 + math.exp(-g / vg_c1 + a_1)) - exchange - i_p / t_p,
-        exchange - i_i / t_i,
-        # delayed production f4(h3) plus feed, minus insulin-independent
-        # utilization f2(G) and insulin-dependent utilization f3(I_i) G
-        r_g / (1.0 + math.exp(alpha * (h3 / c5_vp - 1.0))) + i_g
-        - u_b * (1.0 - math.exp(-g / c2_vg))
-        - (u_0 + du / (1.0 + damping)) / c3_vg * g,
-        (i_p - h1) / t_d,
-        (h1 - h2) / t_d,
-        (h2 - h3) / t_d,
-    )
-
-
 @dataclass(frozen=True)
 class SimulationResult:
     """Minute-sampled trajectory; ``states`` columns are Ip, Ii, G, h1, h2, h3."""
@@ -259,12 +197,15 @@ def simulate(
     bit-identical to it; a test checks that bitwise against the 6-vector
     loop.
 
-    The four stage evaluations are :func:`ultradian_rhs`'s equations written
-    out in the step on local floats, each in its operation order and with its
-    floor of the insulin-dependent utilization, so a step calls no Python
-    function. The 483,200 right-hand side calls of an ICU week, each
-    packing and unpacking a 6-tuple, took about a sixth of its time. The
-    parameter fields are read once per call (:func:`_bound_units`). Only
+    The right-hand side is stated once, here: the four stage evaluations
+    are written out in the step on local floats, each in the same operation
+    order, so a step calls no Python function. The 483,200 right-hand side
+    calls of an ICU week, each packing and unpacking a 6-tuple, took about a
+    sixth of its time. Where (kappa I_i)^(-beta) is +inf, the
+    insulin-dependent utilization reduces to its floor u_0 term: for
+    I_i <= 0 (the I_i -> 0+ limit) and for an I_i so small that the power
+    overflows, which keeps the right-hand side total if an integration
+    undershoots zero. The parameter fields are read once per call. Only
     products, differences and quotients of constants are hoisted out of the
     step (``v_g*c_1``, ``c_2*v_g``, ``c_3*v_g``, ``c_5*v_p``, ``u_m-u_0``,
     ``kappa``, ``-beta``): each is a parenthesised unit of the equations, so
@@ -292,8 +233,11 @@ def simulate(
     if first == 0:
         states[0] = y0, y1, y2, y3, y4, y5
 
-    (v_p, v_i, e, t_p, t_i, t_d, r_m, a_1, u_b, u_0, r_g, alpha,
-     vg_c1, c2_vg, c3_vg, c5_vp, du, kappa, neg_beta) = _bound_units(params)
+    p = params
+    v_p, v_i, e, t_p, t_i, t_d = p.v_p, p.v_i, p.e, p.t_p, p.t_i, p.t_d
+    r_m, a_1, u_b, u_0, r_g, alpha = p.r_m, p.a_1, p.u_b, p.u_0, p.r_g, p.alpha
+    vg_c1, c2_vg, c3_vg, c5_vp = p.v_g * p.c_1, p.c_2 * p.v_g, p.c_3 * p.v_g, p.c_5 * p.v_p
+    du, kappa, neg_beta = p.u_m - p.u_0, p.kappa, -p.beta
     exp, inf = math.exp, math.inf
     segment = schedule.segment
     rate, lo, hi = segment(0.0)
@@ -312,7 +256,6 @@ def simulate(
             t_next = t + h
             if not lo <= t_next < hi:
                 rate, lo, hi = segment(t_next)
-            # Each stage is ultradian_rhs's equations, written out on the stage state.
             try:
                 # k1 = f(t, y)
                 if y1 <= 0.0:
@@ -323,8 +266,11 @@ def simulate(
                     except (OverflowError, ZeroDivisionError):
                         damping = inf
                 exchange = e * (y0 / v_p - y1 / v_i)
+                # insulin secretion f1(G), exchange and plasma degradation
                 a0 = r_m / (1.0 + exp(-y2 / vg_c1 + a_1)) - exchange - y0 / t_p
                 a1 = exchange - y1 / t_i
+                # delayed production f4(h3) plus feed, minus insulin-independent
+                # utilization f2(G) and insulin-dependent utilization f3(I_i) G
                 a2 = (r_g / (1.0 + exp(alpha * (y5 / c5_vp - 1.0))) + i_start
                       - u_b * (1.0 - exp(-y2 / c2_vg))
                       - (u_0 + du / (1.0 + damping)) / c3_vg * y2)

@@ -15,10 +15,10 @@ in-place and tiled forms, which must give their bits.
 The h2 sampler oracle draws its gaps from numpy's own ``default_rng``,
 apart from the package's restated PCG64 stream.
 The simulator oracle restates the model equations with every parameter read
-afresh (``f1``-``f4`` and the tuple ``_rhs``), apart from the package's
-bound right-hand side, and the RK4 loop on numpy 6-vectors that
-``ultradian.simulate`` unrolls into Python floats. Tests compare the package
-against all of them.
+afresh (``f1``-``f4`` and the tuple ``_rhs``), apart from the stage
+evaluations that ``ultradian.simulate`` writes out on hoisted units, and the
+RK4 loop on numpy 6-vectors that ``simulate`` unrolls into Python floats.
+Tests compare the package against all of them.
 """
 
 import math
@@ -50,7 +50,6 @@ from mcsmooth.ultradian import (
     SimulationResult,
     default_initial_state,
     icu_fit_params,
-    nutrition_rate,
     simulate,
 )
 
@@ -391,7 +390,10 @@ def f4(h3: float, p) -> float:
 
 
 def _rhs(y: tuple, p, i_g: float) -> tuple:
-    """Time derivative of the 6-tuple (Ip, Ii, G, h1, h2, h3), in Python floats."""
+    """Time derivative of the state (Ip, Ii, G, h1, h2, h3) under nutrition input i_g (mg/min).
+
+    The entries may be Python floats or, in ``simulate_oracle``, numpy scalars.
+    """
     i_p, i_i, g, h1, h2, h3 = y
     exchange = p.e * (i_p / p.v_p - i_i / p.v_i)
     return (
@@ -401,21 +403,6 @@ def _rhs(y: tuple, p, i_g: float) -> tuple:
         (i_p - h1) / p.t_d,
         (h1 - h2) / p.t_d,
         (h2 - h3) / p.t_d,
-    )
-
-
-def _rhs_vector(y, p, i_g):
-    i_p, i_i, g, h1, h2, h3 = y
-    exchange = p.e * (i_p / p.v_p - i_i / p.v_i)
-    return np.array(
-        [
-            f1(g, p) - exchange - i_p / p.t_p,
-            exchange - i_i / p.t_i,
-            f4(h3, p) + i_g - f2(g, p) - f3(i_i, p) * g,
-            (i_p - h1) / p.t_d,
-            (h1 - h2) / p.t_d,
-            (h2 - h3) / p.t_d,
-        ]
     )
 
 
@@ -439,6 +426,7 @@ def simulate_oracle(params, schedule, initial, t_end, dt=0.1, discard=0.0):
 
     record(0, y)
     h = 1.0 / steps_per_min
+    segment = schedule.segment
     # On numpy scalars 0 ** -beta warns of a division by zero and gives inf,
     # where simulate's Python floats raise ZeroDivisionError: both floor.
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
@@ -446,10 +434,10 @@ def simulate_oracle(params, schedule, initial, t_end, dt=0.1, discard=0.0):
             for s in range(steps_per_min):
                 t = minute + s * h
                 try:
-                    k1 = _rhs_vector(y, params, nutrition_rate(t, schedule))
-                    k2 = _rhs_vector(y + 0.5 * h * k1, params, nutrition_rate(t + 0.5 * h, schedule))
-                    k3 = _rhs_vector(y + 0.5 * h * k2, params, nutrition_rate(t + 0.5 * h, schedule))
-                    k4 = _rhs_vector(y + h * k3, params, nutrition_rate(t + h, schedule))
+                    k1 = np.array(_rhs(y, params, segment(t)[0]))
+                    k2 = np.array(_rhs(y + 0.5 * h * k1, params, segment(t + 0.5 * h)[0]))
+                    k3 = np.array(_rhs(y + 0.5 * h * k2, params, segment(t + 0.5 * h)[0]))
+                    k4 = np.array(_rhs(y + h * k3, params, segment(t + h)[0]))
                 except (OverflowError, ValueError) as exc:
                     raise BlowUpError(f"simulate: state blew up near t = {t:.3f} min") from exc
                 y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)

@@ -376,6 +376,19 @@ def test_bad_time_scales_rejected_before_any_work(tmp_path, short_obs_csv, capsy
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flags", [["--t-l", "10"], ["--t-s", "1000"], ["--omega-tilde", "1e-6", "--t-l", "100"],
+                                   ["--t-s", "100", "--t-l", "10"]])
+def test_t_l_below_the_resolved_t_s_rejected(dense_csv, tmp_path, capsys, flags):
+    # The h2 record resolves T_s to about 140 min and T_l to about 560 min.
+    obs_path = tmp_path / "obs.csv"
+    assert run_command(["subsample", "--in", str(dense_csv), "--spec", "h2", "--out", str(obs_path)]) == 0
+    capsys.readouterr()
+    out_dir = tmp_path / "out"
+    assert run_command(["estimate", "--obs", str(obs_path), *flags, "--out-dir", str(out_dir)]) == 1
+    assert "error: resolve_time_scales: T_l must be at least T_s" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
 @pytest.mark.parametrize("flags, config, message", [
     (["--epsilon", "1.5"], {}, "HyperConfig: epsilon must lie in [0, 1)"),
     ([], {"hyper": {"weights_stage2": [1, 1, 1]}}, "HyperConfig: weights_stage2 must hold 7 finite nonnegative"),
@@ -648,31 +661,41 @@ def test_nonfinite_nutrition_rate_rejected_before_integrating(tmp_path, capsys, 
     assert not out.exists()
 
 
-SUBSAMPLE_IN_FRESH_INTERPRETER = """
+COMMAND_IN_FRESH_INTERPRETER = """
 import sys
 import mcsmooth.cli
-module = sys.argv[3]
+module = sys.argv[1]
 if module in sys.modules:
     print("loaded by import")
     sys.exit(0)
-# Each 60-90 min h2 gap snaps forward on the 70-min grid.
-for argv in (["--spec", "h1", "--times", "140,70,70,300"], ["--spec", "h3", "--period", "70"],
-             ["--spec", "h2", "--seed", "11"]):
-    code = mcsmooth.cli.run_command(["subsample", "--in", sys.argv[1], *argv, "--out", sys.argv[2]])
-    assert code == 0, code
+code = mcsmooth.cli.run_command(sys.argv[2:])
+assert code == 0, code
 print("loaded" if module in sys.modules else "not loaded")
 """
+
+# Each command on the 8-sample record; each 60-90 min h2 gap snaps forward on its 70-min grid.
+COMMANDS = {
+    "simulate": ["simulate", "--t-end", "30", "--constant-nutrition", "80", "--out", "{out}/sim.csv"],
+    "subsample_h1": ["subsample", "--in", "{obs}", "--spec", "h1", "--times", "140,70,70,300",
+                     "--out", "{out}/sub.csv"],
+    "subsample_h2": ["subsample", "--in", "{obs}", "--spec", "h2", "--seed", "11", "--out", "{out}/sub.csv"],
+    "subsample_h3": ["subsample", "--in", "{obs}", "--spec", "h3", "--period", "70", "--out", "{out}/sub.csv"],
+    "estimate": ["estimate", "--obs", "{obs}", "--iters-stage1a", "2", "--iters-stage1b", "2",
+                 "--iters-stage2", "2", "--out-dir", "{out}"],
+    "densities": ["densities", "--obs", "{obs}", "--out", "{out}/dens.csv"],
+}
 
 
 # np.unique imports numpy.ma on its first call: 1 MB and 12-18 ms per CLI process. numpy.random
 # loads secrets and hmac with it: more than 2 MB.
 @pytest.mark.parametrize("module", ["numpy.ma", "numpy.random"])
-def test_subsample_never_imports(tmp_path, short_obs_csv, module):
+@pytest.mark.parametrize("command", COMMANDS)
+def test_command_never_imports(tmp_path, short_obs_csv, command, module):
     src = Path(mcsmooth.cli.__file__).resolve().parents[1]
     env = {**os.environ, "PYTHONPATH": str(src)}
-    done = subprocess.run([sys.executable, "-c", SUBSAMPLE_IN_FRESH_INTERPRETER, str(short_obs_csv),
-                           str(tmp_path / "sub.csv"), module], env=env, capture_output=True, text=True,
-                          check=True)
+    argv = [arg.format(obs=short_obs_csv, out=tmp_path) for arg in COMMANDS[command]]
+    done = subprocess.run([sys.executable, "-c", COMMAND_IN_FRESH_INTERPRETER, module, *argv], env=env,
+                          capture_output=True, text=True, check=True)
     verdict = done.stdout.splitlines()[-1]
     if verdict == "loaded by import":
         pytest.skip(f"importing mcsmooth.cli already loads {module}")

@@ -114,6 +114,22 @@ class TestInitialize:
         with pytest.raises(FrequencyEstimationError):
             initialize(obs)
 
+    @pytest.mark.parametrize("config", [HyperConfig(T_l=10.0), HyperConfig(T_s=1000.0),
+                                        HyperConfig(omega_tilde=1e-6, T_l=100.0),
+                                        HyperConfig(T_s=100.0, T_l=10.0)])
+    def test_rejects_a_resolved_t_l_below_t_s(self, cycle_series, config):
+        # Resolved here: T_s 140 min and T_l 560 min, or 2 pi / 1e-6 for T_s.
+        with pytest.raises(ValueError, match="resolve_time_scales: T_l must be at least T_s"):
+            initialize(cycle_series, config=config)
+
+    def test_pinned_t_l_below_t_s_is_rejected_before_the_periodogram(self, cycle_series, monkeypatch):
+        def no_periodogram(*args):
+            raise AssertionError("periodogram run for a pinned pair")
+
+        monkeypatch.setattr("mcsmooth.optimizer._periodogram", no_periodogram)
+        with pytest.raises(ValueError, match="got T_s = 100 and T_l = 10 min"):
+            resolve_time_scales(cycle_series, HyperConfig(T_s=100.0, T_l=10.0))
+
     def test_omega_override_skips_the_frequency_estimate(self):
         t = 5.0 * np.arange(50)
         rng = np.random.default_rng(1)
@@ -430,9 +446,10 @@ class TestRunStage:
 
 
 class TestHyperConfig:
-    def test_rejects_bad_time_scales(self):
-        with pytest.raises(ValueError, match="T_l"):
-            HyperConfig(T_s=100.0, T_l=50.0)
+    def test_rejects_bad_time_scales(self, cycle_series):
+        # resolve_time_scales owns the order of the scales, pinned or resolved.
+        with pytest.raises(ValueError, match="T_l must be at least T_s"):
+            resolve_time_scales(cycle_series, HyperConfig(T_s=100.0, T_l=50.0))
         with pytest.raises(ValueError, match="T_s"):
             HyperConfig(T_s=-1.0)
         with pytest.raises(ValueError, match="T_l must be positive"):

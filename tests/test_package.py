@@ -59,6 +59,18 @@ def test_only_kick_series_reads_kicks():
         assert divides.findall(source) == divides.findall(owner if path.name == "timeseries.py" else ""), path.name
 
 
+def test_only_simulate_states_the_model_equations():
+    # The right-hand side is written once, in simulate's step; tests/conftest.py's
+    # _rhs is its readable reference. The terms are those of f4, f3 and f1.
+    terms = ("exp(alpha * (", "(kappa * ", "du / (1.0 + damping)", "/ vg_c1 + a_1)")
+    owner = inspect.getsource(mcsmooth.ultradian.simulate)
+    assert all(term in owner for term in terms)
+    for path in sorted(Path(mcsmooth.__file__).parent.glob("*.py")):
+        source = path.read_text(encoding="utf-8")
+        for term in terms:
+            assert source.count(term) == (owner.count(term) if path.name == "ultradian.py" else 0), (path.name, term)
+
+
 GRADIENTS = ("_grad_L1", "_grad_L2", "_grad_L2_blocks", "_grad_Lparam", "grad_total", "fd_check")
 
 
