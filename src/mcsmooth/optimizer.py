@@ -239,7 +239,6 @@ def resolve_time_scales(obs: ObservationSeries, config: HyperConfig) -> tuple[fl
     return (omega_tilde, *_ordered_scales(T_s, T_l))
 
 
-
 def initialize(
     obs: ObservationSeries,
     kicks: KickSeries | None = None,

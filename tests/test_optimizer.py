@@ -202,7 +202,7 @@ class TestInitialize:
         if with_kicks:
             kicks = KickSeries(obs.times[[50, 200, 201, 420]] + [0.0, 1.0, 0.0, 2.5],
                                [1.0, 2.0, 0.5, 3.0])
-        initialize(make_cycle_series(n=40))  # a first call imports numpy.ma, for np.median
+        initialize(make_cycle_series(n=40))  # a first call does the one-time imports
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
@@ -231,7 +231,7 @@ class TestInitialize:
             finally:
                 tracemalloc.stop()
 
-        initialize(make_cycle_series(n=40))  # a first call imports numpy.ma, for np.median
+        initialize(make_cycle_series(n=40))  # a first call does the one-time imports
         small, large = peak(1000), peak(2000)
         assert large <= 2.5 * small
         assert large < 0.1 * 2000 * 2000 * 8
