@@ -84,6 +84,9 @@ def _load_config(path: str | None) -> dict:
         unknown = set(cfg.get(section, {})) - keys
         if unknown:
             raise ValueError(f"run_command: unknown {section} config keys: {sorted(unknown)}")
+    for key, value in cfg.get("paths", {}).items():
+        if value is not None and not isinstance(value, str):  # null leaves the path unset
+            raise ValueError(f"run_command: paths.{key} must be a string")
     return cfg
 
 

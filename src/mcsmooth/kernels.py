@@ -4,7 +4,8 @@ The time kernel operates on kick-adjusted distances: the plain distance
 |t_i - t_j| is inflated by alpha times the total intensity of the kicks at
 min(t_i, t_j) <= k < max(t_i, t_j), the gaps' half-open rule
 (``KickSeries.intensity_before``). Per-gap decay factors are not tabulated here;
-the objective derives them from the tables' gaps (``oscillator.effective_gaps``).
+the objective derives them from the tables' gaps, one per transition k -> k + 1
+(``oscillator.effective_gaps``).
 
 No n x n array exists. Every pairwise quantity is generated in square blocks
 I x J with I <= J (``square_blocks``) of about ``TILE_ELEMENTS`` elements, and
@@ -153,21 +154,21 @@ def time_products(t, kicks: KickSeries, alpha: float, T_l: float, V: np.ndarray)
 class KernelTables:
     """Everything the objective reads that no stage moves, all of it O(n).
 
-    y is the data, gaps its kick-adjusted gaps (``oscillator.effective_gaps``)
-    and epsilon the L1 mollification weight. T_s and T_l are the estimate's
-    resolved time scales, held nowhere else. h is the data bandwidth and
-    rho0[i] the mean over j of K^y(y^i, y^j). t are the times, before the
-    kick intensity before each (``KickSeries.intensity_before``) and alpha the
-    kick scale; with them ``blocks`` generates the log time weight of each
-    block. inv_s[i] is 1 / sum_l E[i, l] for the unnormalised time kernel E,
-    so the L2 weight is W[i, j] = E[i, j] (inv_s[i] + inv_s[j]). wky = sum_ij
-    W[i, j] K^y(y^i, y^j) is the part of L2 that does not depend on x, summed
-    over the blocks with the expressions of L2's block pass
-    (``objective._L2_blocks``), so that L2 vanishes exactly at x = y. There
-    that pass gives -0.0, and the gradient pass (``objective._grad_L2_blocks``),
-    whose xx and yx terms cancel, -0.0 in every entry. ``objective.eval_L2``
-    and ``objective._grad_L2`` return these bits at x = y after an O(n)
-    comparison, without walking the blocks.
+    y is the data, gaps its kick-adjusted gaps, one per transition k -> k + 1
+    (``oscillator.effective_gaps``), and epsilon the L1 mollification weight.
+    T_s and T_l are the estimate's resolved time scales, held nowhere else. h
+    is the data bandwidth and rho0[i] the mean over j of K^y(y^i, y^j). t are
+    the times, before the kick intensity before each
+    (``KickSeries.intensity_before``) and alpha the kick scale; with them
+    ``blocks`` generates the log time weight of each block. inv_s[i] is
+    1 / sum_l E[i, l] for the unnormalised time kernel E, so the L2 weight is
+    W[i, j] = E[i, j] (inv_s[i] + inv_s[j]). wky = sum_ij W[i, j] K^y(y^i, y^j)
+    is the part of L2 that does not depend on x, summed over the blocks with
+    the expressions of L2's block pass (``objective._L2_blocks``), so that L2
+    vanishes exactly at x = y. There that pass gives -0.0, and the gradient
+    pass (``objective._grad_L2_blocks``), whose xx and yx terms cancel, -0.0
+    in every entry. ``objective.eval_L2`` and ``objective._grad_L2`` return
+    these bits at x = y after an O(n) comparison, without walking the blocks.
     """
 
     y: np.ndarray

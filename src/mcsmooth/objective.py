@@ -231,7 +231,7 @@ def eval_L3_L4(state: EstimationState, tables: KernelTables) -> tuple[float, flo
 
 def long_decay(tables: KernelTables) -> np.ndarray:
     """Decay d_l = exp(-dt_relax / T_l) of the parameter trajectories across each gap."""
-    return np.exp(-tables.gaps.dt_relax[1:] / tables.T_l)
+    return np.exp(-tables.gaps.dt_relax / tables.T_l)
 
 
 def flex_residuals(alpha: np.ndarray, alpha_tilde: float, sigma_l: float, d_l: np.ndarray):
@@ -242,7 +242,7 @@ def flex_residuals(alpha: np.ndarray, alpha_tilde: float, sigma_l: float, d_l: n
 
 def eval_Lparams(state: EstimationState, tables: KernelTables) -> tuple[float, float, float]:
     """Flex log-likelihoods for the b, a and omega trajectories."""
-    if np.any(tables.gaps.dt_relax[1:] <= 0):
+    if np.any(tables.gaps.dt_relax <= 0):
         raise ValueError("eval_Lparams: degenerate variance at zero gap")
     d_l = long_decay(tables)
     p, pr, n = state.params, state.priors, state.n
@@ -351,7 +351,6 @@ def grad_total(state: EstimationState, tables: KernelTables, schedule: WeightSch
             )
         rx, rz, var = transition_residuals(state, q)
         u, zp = q.offset, state.z[:-1]
-        dtp = tables.gaps.dt_phase[1:]
 
         # mean_x = b+ + r+ cos(phi) and mean_z = r+ sin(phi). A row holds a component's weight,
         # residual, own block, whether its mean moves with b+, and d mean / d r+ and
@@ -370,7 +369,7 @@ def grad_total(state: EstimationState, tables: KernelTables, schedule: WeightSch
             if with_b:
                 d_b[1:] += w * g
             d_a[1:] += w * g * (1.0 - q.d_s) * d_r
-            d_om[:-1] += w * dtp * B
+            d_om[:-1] += w * tables.gaps.dt_phase * B
             dx_src = (u / r) * A - (zp / (r * r)) * B
             dz_src = (zp / r) * A + (u / (r * r)) * B
             d_x[:-1] += w * dx_src

@@ -26,7 +26,7 @@ import numpy as np
 
 from .kernels import KernelTables, build_tables, gaussian_kernel, row_tiles, time_products
 from .objective import Components, EstimationState, WeightSchedule, eval_components, grad_total
-from .oscillator import ModelNoise, ParamPriors, ParamTrajectory, propagate
+from .oscillator import ModelNoise, ParamPriors, ParamTrajectory, propagate, relaxation_gap
 from .timeseries import KickSeries, ObservationSeries, read_columns, write_columns
 
 __all__ = [
@@ -453,14 +453,13 @@ def _reconstruct_tile(result: EstimationResult, grid: np.ndarray) -> tuple[np.nd
     inside = grid != t[j]
     g, j = grid[inside], j[inside]
     dt_phase = g - t[j]
-    dt_relax = dt_phase + tables.alpha * (kicks.intensity_before(g) - kicks.intensity_before(t[j]))
     q = propagate(
         state.x[j], state.z[j], p.b[j], p.b[j + 1], p.a[j + 1], p.omega[j],
-        dt_phase, dt_relax, tables.T_s,
+        dt_phase, relaxation_gap(dt_phase, kicks, t[j], g, tables.alpha), tables.T_s,
     )
     values[inside] = q.mean_x
     dashed = np.zeros(grid.size, dtype=bool)
-    dashed[inside] = tables.gaps.dt_phase[j + 1] > result.config.dashed_gap_threshold
+    dashed[inside] = tables.gaps.dt_phase[j] > result.config.dashed_gap_threshold
     return values, dashed
 
 

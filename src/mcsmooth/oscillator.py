@@ -88,23 +88,26 @@ class ModelNoise:
 
 
 class EffectiveGaps(NamedTuple):
-    """Raw phase gaps and kick-inflated relaxation gaps, leading entry zero."""
+    """Raw phase gaps and kick-inflated relaxation gaps, one per transition k -> k + 1."""
 
     dt_phase: np.ndarray
     dt_relax: np.ndarray
 
 
-def effective_gaps(obs: ObservationSeries, kicks: KickSeries, alpha: float) -> EffectiveGaps:
-    """Raw and kick-inflated gaps for every observation index.
+def relaxation_gap(dt, kicks: KickSeries, lo, hi, alpha: float):
+    """The gap dt = hi - lo of [lo, hi), elementwise, plus ``alpha`` (``KickSeries.alpha_kick``)
+    per unit intensity of the kicks at lo <= k < hi."""
+    return dt + alpha * (kicks.intensity_before(hi) - kicks.intensity_before(lo))
 
-    dt_phase is always the raw gap; dt_relax adds ``alpha`` (added time per
-    unit intensity, ``KickSeries.alpha_kick``) times the intensity of kicks
-    inside the gap [t^{j-1}, t^j).
+
+def effective_gaps(obs: ObservationSeries, kicks: KickSeries, alpha: float) -> EffectiveGaps:
+    """Raw and kick-inflated gaps of the n - 1 transitions, [t^k, t^{k+1}) for entry k.
+
+    dt_phase is always the raw gap; dt_relax is its ``relaxation_gap``.
     """
-    raw = obs.gaps()
-    relax = raw.copy()
-    relax[1:] += alpha * np.diff(kicks.intensity_before(obs.times))
-    return EffectiveGaps(raw, relax)
+    t = obs.times
+    dt = np.diff(t)
+    return EffectiveGaps(dt, relaxation_gap(dt, kicks, t[:-1], t[1:], alpha))
 
 
 class TransitionQuantities(NamedTuple):
@@ -156,7 +159,4 @@ def transition_quantities(
 ) -> TransitionQuantities:
     """The n - 1 transitions between consecutive observation indices."""
     b, a, omega = params.b, params.a, params.omega
-    return propagate(
-        x[:-1], z[:-1], b[:-1], b[1:], a[1:], omega[:-1],
-        gaps.dt_phase[1:], gaps.dt_relax[1:], T_s,
-    )
+    return propagate(x[:-1], z[:-1], b[:-1], b[1:], a[1:], omega[:-1], gaps.dt_phase, gaps.dt_relax, T_s)

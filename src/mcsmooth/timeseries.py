@@ -70,12 +70,6 @@ class ObservationSeries:
     def n(self) -> int:
         return self.times.size
 
-    def gaps(self) -> np.ndarray:
-        """Per-index gap t^j - t^{j-1}, with a zero leading entry for j = 0."""
-        out = np.zeros(self.n)
-        out[1:] = np.diff(self.times)
-        return out
-
     @property
     def span(self) -> tuple[float, float]:
         return float(self.times[0]), float(self.times[-1])

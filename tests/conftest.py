@@ -339,7 +339,7 @@ def reconstruct_whole_grid(result, grid):
                   dt_phase, dt_relax, tables.T_s)
     values[inside] = q.mean_x
     dashed = np.zeros(grid.size, dtype=bool)
-    dashed[inside] = tables.gaps.dt_phase[j + 1] > result.config.dashed_gap_threshold
+    dashed[inside] = tables.gaps.dt_phase[j] > result.config.dashed_gap_threshold
     return values, dashed
 
 

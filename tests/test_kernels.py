@@ -115,14 +115,14 @@ class TestBuildTables:
     def test_decay_factor_at_one_timescale(self):
         obs = ObservationSeries([0.0, 100.0], [0.0, 1.0])
         ds, dl = decays(obs, KickSeries.empty(), 0.0, T_s=100.0, T_l=400.0)
-        assert ds[1] == pytest.approx(np.exp(-1.0), rel=1e-14)
-        assert ds[0] == 1.0 and dl[0] == 1.0
+        assert ds[0] == pytest.approx(np.exp(-1.0), rel=1e-14)
+        assert ds.shape == dl.shape == (1,)  # one decay per transition, none before the first sample
 
     def test_ds_below_dl_when_scales_ordered(self):
         obs = series(7)
         ds, dl = decays(obs, KickSeries.empty(), 0.0, T_s=100.0, T_l=400.0)
-        assert np.all(ds[1:] <= dl[1:])
-        assert np.all((ds[1:] > 0) & (ds[1:] < 1))
+        assert np.all(ds <= dl)
+        assert np.all((ds > 0) & (ds < 1))
 
     def test_kick_of_typical_intensity_scales_ds_by_inv_e(self):
         obs = ObservationSeries([0.0, 50.0, 150.0], [10.0, 20.0, 15.0])
@@ -130,8 +130,8 @@ class TestBuildTables:
         kicks = KickSeries([75.0], [2.0])
         ds0, _ = decays(obs, KickSeries.empty(), 0.0, T_s, 400.0)
         ds1, _ = decays(obs, kicks, kicks.alpha_kick(T_s), T_s, 400.0)
-        assert ds1[2] == pytest.approx(ds0[2] * np.exp(-1.0), rel=1e-12)
-        assert ds1[1] == ds0[1]
+        assert ds1[1] == pytest.approx(ds0[1] * np.exp(-1.0), rel=1e-12)
+        assert ds1[0] == ds0[0]
 
     def test_kicks_never_increase_time_couplings(self):
         obs = series(11)
@@ -166,9 +166,10 @@ class TestBuildTables:
         obs = series(19, n=2 * BLOCK + 5)
         kicks = KickSeries([obs.times[40] + 0.5], [1.0]) if with_kicks else KickSeries.empty()
         tab = tables_for(obs, kicks, 30.0 * with_kicks, 100.0, 400.0)
-        arrays = [v for v in vars(tab).values() if isinstance(v, np.ndarray)] + list(tab.gaps)
-        assert len(arrays) == 7
+        arrays = [v for v in vars(tab).values() if isinstance(v, np.ndarray)]
+        assert len(arrays) == 5
         assert all(a.shape == (obs.n,) for a in arrays)
+        assert all(a.shape == (obs.n - 1,) for a in tab.gaps)  # one per transition
 
     @pytest.mark.parametrize("with_kicks", [False, True])
     def test_gaps_are_the_effective_gaps_at_the_kick_scale(self, with_kicks):

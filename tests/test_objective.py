@@ -86,9 +86,9 @@ def ref_model_loglik(state, gaps, T_s):
     for j in range(1, n):
         r = np.hypot(x[j - 1] - b[j - 1], z[j - 1])
         th = np.arctan2(z[j - 1], x[j - 1] - b[j - 1])
-        ds = np.exp(-gaps.dt_relax[j] / T_s)
+        ds = np.exp(-gaps.dt_relax[j - 1] / T_s)
         rp = (1 - ds) * a[j] + ds * r
-        ph = th + om[j - 1] * gaps.dt_phase[j]
+        ph = th + om[j - 1] * gaps.dt_phase[j - 1]
         L3 += ref_normal_logpdf(x[j], b[j] + rp * np.cos(ph), var)
         L4 += ref_normal_logpdf(z[j], rp * np.sin(ph), var)
     return L3 / n, L4 / n
@@ -98,7 +98,7 @@ def ref_param_loglik(alpha, tilde, sigma_l, gaps, T_l):
     n = len(alpha)
     total = 0.0
     for j in range(1, n):
-        d_l = np.exp(-gaps.dt_relax[j] / T_l)
+        d_l = np.exp(-gaps.dt_relax[j - 1] / T_l)
         total += ref_normal_logpdf(alpha[j], d_l * alpha[j - 1] + (1 - d_l) * tilde,
                                    (1 - d_l) * sigma_l ** 2)
     return total / n
@@ -124,9 +124,9 @@ def peak_state(obs, tables, sigma=5.0):
     for j in range(1, n):
         r = np.hypot(x[j - 1] - b[j - 1], z[j - 1])
         th = np.arctan2(z[j - 1], x[j - 1] - b[j - 1])
-        ds = np.exp(-tables.gaps.dt_relax[j] / tables.T_s)
+        ds = np.exp(-tables.gaps.dt_relax[j - 1] / tables.T_s)
         rp = (1 - ds) * a[j] + ds * r
-        ph = th + om[j - 1] * tables.gaps.dt_phase[j]
+        ph = th + om[j - 1] * tables.gaps.dt_phase[j - 1]
         x[j] = b[j] + rp * np.cos(ph)
         z[j] = rp * np.sin(ph)
     return EstimationState(

@@ -565,8 +565,8 @@ class TestEstimate:
         assert alpha == pytest.approx(res.tables.T_s / 2.0)
         assert res.tables.alpha == alpha
         inflated = res.tables.gaps.dt_relax - res.tables.gaps.dt_phase
-        assert inflated[21] == pytest.approx(alpha * 1.0)
-        assert inflated[51] == pytest.approx(alpha * 3.0)
+        assert inflated[20] == pytest.approx(alpha * 1.0)  # transitions 20 -> 21 and 50 -> 51
+        assert inflated[50] == pytest.approx(alpha * 3.0)
         assert np.count_nonzero(inflated) == 2
         for trace in res.traces:
             assert np.all(np.diff(trace.objective) >= 0)

@@ -176,8 +176,7 @@ class TestTransitionLogpdfs:
             state, obs, tables = make_random_fixture(seed, with_kicks=with_kicks)
             p, T_s, gaps = state.params, tables.T_s, tables.gaps
             prev = to_polar(state.x[:-1], state.z[:-1], p.b[:-1])
-            plus = propagate_mean(prev, p.a[1:], p.omega[:-1], gaps.dt_phase[1:],
-                                  gaps.dt_relax[1:], T_s)
+            plus = propagate_mean(prev, p.a[1:], p.omega[:-1], gaps.dt_phase, gaps.dt_relax, T_s)
             q = transition_quantities(state.x, state.z, p, gaps, T_s)
             np.testing.assert_array_equal(q.offset, state.x[:-1] - p.b[:-1])
             np.testing.assert_array_equal(q.r, prev.r)
@@ -187,7 +186,7 @@ class TestTransitionLogpdfs:
             np.testing.assert_allclose(q.mean_x, p.b[1:] + plus.r * np.cos(plus.theta),
                                        rtol=1e-15, atol=0)
             lx, lz = transition_logpdfs(state.x[1:], state.z[1:], prev, p.b[1:], p.a[1:],
-                                        p.omega[:-1], gaps.dt_phase[1:], gaps.dt_relax[1:],
+                                        p.omega[:-1], gaps.dt_phase, gaps.dt_relax,
                                         state.noise.sigma, T_s)
             L3, L4 = eval_L3_L4(state, tables)
             assert L3 == pytest.approx(lx.sum() / state.n, rel=1e-13)
@@ -229,7 +228,7 @@ class TestParamTransition:
 
     def test_zero_gap_degenerate_variance(self):
         state, _, tables = two_index_state(10.0)
-        tables = replace(tables, gaps=EffectiveGaps(np.zeros(2), np.zeros(2)))
+        tables = replace(tables, gaps=EffectiveGaps(np.zeros(1), np.zeros(1)))
         with pytest.raises(ValueError, match="degenerate"):
             eval_Lparams(state, tables)
 
@@ -237,7 +236,7 @@ class TestParamTransition:
     def test_package_matches_oracle(self, with_kicks):
         for seed in range(4):
             state, _, tables = make_random_fixture(seed, with_kicks=with_kicks)
-            p, pr, dt = state.params, state.priors, tables.gaps.dt_relax[1:]
+            p, pr, dt = state.params, state.priors, tables.gaps.dt_relax
             want = [
                 param_transition_logpdf(alpha[1:], alpha[:-1], tilde, sigma_l, dt, tables.T_l).sum()
                 / state.n
@@ -259,25 +258,25 @@ class TestEffectiveGaps:
     def test_no_kicks_equal(self):
         gaps = effective_gaps(self.obs(), KickSeries.empty(), 0.0)
         assert np.array_equal(gaps.dt_phase, gaps.dt_relax)
-        assert gaps.dt_phase.tolist() == [0.0, 60.0, 90.0]
+        assert gaps.dt_phase.tolist() == [60.0, 90.0]
 
     def test_typical_kick_adds_one_timescale(self):
         T_s = 100.0
         kicks = KickSeries([30.0], [2.0])
         gaps = effective_gaps(self.obs(), kicks, kicks.alpha_kick(T_s))
-        assert gaps.dt_relax[1] == pytest.approx(60.0 + T_s, rel=1e-14)
-        assert gaps.dt_relax[2] == 90.0
+        assert gaps.dt_relax[0] == pytest.approx(60.0 + T_s, rel=1e-14)
+        assert gaps.dt_relax[1] == 90.0
 
     def test_kick_at_measurement_time_in_following_gap(self):
         kicks = KickSeries([60.0], [2.0])
         gaps = effective_gaps(self.obs(), kicks, kicks.alpha_kick(100.0))
-        assert gaps.dt_relax[1] == 60.0
-        assert gaps.dt_relax[2] == pytest.approx(90.0 + 100.0, rel=1e-14)
+        assert gaps.dt_relax[0] == 60.0
+        assert gaps.dt_relax[1] == pytest.approx(90.0 + 100.0, rel=1e-14)
 
     def test_phase_gaps_never_inflated(self):
         rng = np.random.default_rng(23)
         obs = self.obs()
         kicks = KickSeries(np.sort(rng.uniform(1, 149, 5)), rng.uniform(0, 4, 5))
         gaps = effective_gaps(obs, kicks, 60.0)
-        assert np.array_equal(gaps.dt_phase, obs.gaps())
+        assert np.array_equal(gaps.dt_phase, np.diff(obs.times))
         assert np.all(gaps.dt_relax >= gaps.dt_phase)

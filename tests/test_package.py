@@ -71,6 +71,23 @@ def test_only_simulate_states_the_model_equations():
             assert source.count(term) == (owner.count(term) if path.name == "ultradian.py" else 0), (path.name, term)
 
 
+def test_transition_gaps_have_one_shape_and_one_owner():
+    # Entry k of the gaps is the transition k -> k + 1: there is no dummy leading entry
+    # for a consumer to slice off, and one function adds the kicks' time to a gap.
+    obs = mcsmooth.ObservationSeries([0.0, 60.0, 150.0, 160.0], [1.0, 2.0, 3.0, 4.0])
+    gaps = mcsmooth.effective_gaps(obs, mcsmooth.KickSeries([60.0], [2.0]), 30.0)
+    assert [field.tolist() for field in gaps] == [[60.0, 90.0, 10.0], [60.0, 150.0, 10.0]]
+    assert not hasattr(obs, "gaps")
+    sliced = re.compile(r"\b(?:dt_phase|dt_relax)\[(?:1:|j \+ 1)\]")
+    relaxes = re.compile(r"\+=? [\w.]*\balpha \*")  # dt + alpha * (intensity inside the gap)
+    owner = inspect.getsource(mcsmooth.oscillator.relaxation_gap)
+    assert len(relaxes.findall(owner)) == 1
+    for path in sorted(Path(mcsmooth.__file__).parent.glob("*.py")):
+        source = path.read_text(encoding="utf-8")
+        assert sliced.findall(source) == [], path.name
+        assert relaxes.findall(source) == relaxes.findall(owner if path.name == "oscillator.py" else ""), path.name
+
+
 GRADIENTS = ("_grad_L1", "_grad_L2", "_grad_L2_blocks", "_grad_Lparam", "grad_total", "fd_check")
 
 

@@ -8,6 +8,7 @@ from mcsmooth import (
     KickSeries,
     MeasurementSpec,
     ObservationSeries,
+    effective_gaps,
     load_kicks,
     load_observations,
     subsample,
@@ -63,9 +64,9 @@ class TestLoadObservations:
 
 
 class TestObservationSeries:
-    def test_gaps_leading_zero(self):
+    def test_gaps_are_one_per_transition(self):
         obs = ObservationSeries([0.0, 5.0, 20.0], [1.0, 2.0, 3.0])
-        assert obs.gaps().tolist() == [0.0, 5.0, 15.0]
+        assert effective_gaps(obs, KickSeries.empty(), 0.0).dt_phase.tolist() == [5.0, 15.0]
 
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError, match="non-finite"):
