@@ -397,6 +397,7 @@ def test_t_l_below_the_resolved_t_s_rejected(dense_csv, tmp_path, capsys, flags)
     ([], {"hyper": {"T_s": "abc"}}, "HyperConfig: T_s must be positive"),
     ([], {"hyper": [1, 2]}, 'run_command: config section "hyper" must hold a JSON object'),
     ([], {"paths": "run"}, 'run_command: config section "paths" must hold a JSON object'),
+    ([], [1, 2], "run_command: config file must hold a JSON object"),
     ([], {"hyper": {"epsilon": None}}, "HyperConfig: epsilon must lie in [0, 1)"),
     ([], {"hyper": {"max_iter_stage2": 2.5}}, "HyperConfig: max_iter_stage2: iteration caps must"),
     ([], {"hyper": {"max_iter_stage1a": True}}, "HyperConfig: max_iter_stage1a: iteration caps must"),
@@ -475,6 +476,7 @@ BAD_PERIOD = "MeasurementSpec: period must be finite and positive"
     ({"kind": "h1", "explicit_times": "70,140"}, "subsample: measurement.explicit_times must be a list of numbers"),
     ({"kind": "h1", "explicit_times": [70, "140"]}, "subsample: measurement.explicit_times must be a list of"),
     ({"kind": "h1", "explicit_times": [70, False]}, "subsample: measurement.explicit_times must be a list of"),
+    ({"seed": 3}, "subsample: measurement kind required (--spec or config)"),
 ])
 def test_bad_measurement_values_name_their_key(tmp_path, short_obs_csv, capsys, measurement, message):
     config_path = tmp_path / "config.json"
@@ -700,3 +702,57 @@ def test_command_never_imports(tmp_path, short_obs_csv, command, module):
     if verdict == "loaded by import":
         pytest.skip(f"importing mcsmooth.cli already loads {module}")
     assert verdict == "not loaded"
+
+
+def files_under(root):
+    return sorted(path.relative_to(root) for path in Path(root).rglob("*"))
+
+
+@pytest.mark.parametrize("command, key, value", [
+    ("estimate", "observations", 5),
+    ("estimate", "kicks", ["kicks.csv"]),
+    ("estimate", "out_dir", 1.5),
+    ("subsample", "out_dir", ["a"]),
+    ("simulate", "nutrition", {"file": "n.csv"}),
+    ("simulate", "out_dir", True),
+])
+def test_a_non_string_config_path_is_rejected(tmp_path, short_obs_csv, capsys, monkeypatch, command, key, value):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("MCSMOOTH_OUTDIR", raising=False)
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps({"paths": {key: value}}), encoding="utf-8")
+    argv = {
+        "estimate": ["estimate", "--config", str(config_path)]
+                    + (["--obs", str(short_obs_csv)] if key != "observations" else []),
+        "subsample": ["subsample", "--in", str(short_obs_csv), "--spec", "h3", "--config", str(config_path)],
+        "simulate": ["simulate", "--t-end", "5", "--config", str(config_path)],
+    }[command]
+    before = files_under(tmp_path)
+    assert run_command(argv) == 1
+    assert f"error: run_command: paths.{key} must be a string" in capsys.readouterr().err
+    assert files_under(tmp_path) == before
+
+
+def test_a_null_config_path_is_unset(tmp_path, short_obs_csv, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps({"paths": {"out_dir": None, "kicks": None}}), encoding="utf-8")
+    argv = ["subsample", "--in", str(short_obs_csv), "--spec", "h3", "--period", "70",
+            "--config", str(config_path), "--out-dir", str(tmp_path / "run")]
+    assert run_command(argv) == 0
+    assert (tmp_path / "run" / "obs_h3.csv").is_file()
+
+
+@pytest.mark.parametrize("argv, config, message", [
+    (["estimate", "--obs", "{obs}", "--config", "{tmp}/absent.json"], None, "run_command: config file not found"),
+    (["estimate", "--config", "{tmp}/config.json"], {"paths": {"kicks": None}},
+     "estimate: observations path required (--obs or config)"),
+])
+def test_a_run_without_its_inputs_is_rejected(tmp_path, short_obs_csv, capsys, monkeypatch, argv, config, message):
+    monkeypatch.chdir(tmp_path)
+    if config is not None:
+        (tmp_path / "config.json").write_text(json.dumps(config), encoding="utf-8")
+    before = files_under(tmp_path)
+    assert run_command([arg.format(obs=short_obs_csv, tmp=tmp_path) for arg in argv]) == 1
+    assert f"error: {message}" in capsys.readouterr().err
+    assert files_under(tmp_path) == before

@@ -238,3 +238,16 @@ class TestBuildTables:
             if I != J:
                 count[J, I] += 1
         assert np.all(count == 1)
+
+
+@pytest.mark.parametrize("values", [[], [120.0]])
+def test_bandwidth_needs_two_values(values):
+    with pytest.raises(ValueError, match="bandwidth_rule_of_thumb: need at least 2 values"):
+        bandwidth_rule_of_thumb(values)
+
+
+@pytest.mark.parametrize("T_s, T_l", [(0.0, 400.0), (-100.0, 400.0), (100.0, 0.0)])
+def test_build_tables_rejects_a_nonpositive_scale(T_s, T_l):
+    obs = series(19)
+    with pytest.raises(ValueError, match="build_tables: time scales must be positive"):
+        build_tables(obs, KickSeries.empty(), 0.0, np.ones(obs.n), T_s, T_l, 0.1)

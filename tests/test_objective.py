@@ -446,3 +446,18 @@ class TestWeightSchedule:
     def test_rejects_negative_weight(self):
         with pytest.raises(ValueError, match="nonnegative"):
             WeightSchedule(lam1=-0.1)
+
+
+def test_a_state_of_mismatched_lengths_is_rejected():
+    state, _, _ = make_random_fixture(0)
+    for x, z in ((state.x[:-1], state.z[:-1]), (state.x, state.z[:-1]), (state.x[:, None], state.z[:, None])):
+        with pytest.raises(ValueError, match="EstimationState: x, z and parameter trajectories must share one length"):
+            replace(state, x=x, z=z)
+
+
+def test_l3_l4_need_two_samples():
+    _, _, tables = make_random_fixture(0)
+    state = EstimationState([126.0], [3.0], ParamTrajectory([120.0], [10.0], [0.05]),
+                            ParamPriors(120.0, 10.0, 0.05, 3.0, 3.0, 0.01), ModelNoise(5.0))
+    with pytest.raises(ValueError, match="eval_L3_L4: need at least 2 samples"):
+        eval_L3_L4(state, tables)

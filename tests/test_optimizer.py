@@ -950,3 +950,26 @@ class TestCsvFormats:
         for trace in res.traces:
             rows = np.count_nonzero(back["stage"] == trace.name)
             assert trace.iterations == len(trace.objective) - 1 == rows - 1
+
+
+def test_initialize_rejects_a_zero_mean_amplitude():
+    # Samples 1000 min apart under T_l = 1 min: every off-diagonal time weight underflows
+    # to 0, so the local mean b is y itself and no sample sits off it.
+    obs = ObservationSeries(1000.0 * np.arange(6), [100.0, 130.0, 90.0, 120.0, 95.0, 125.0])
+    with pytest.raises(ValueError, match="initialize: zero mean amplitude; data carry no oscillation"):
+        initialize(obs, config=HyperConfig(T_s=1.0, T_l=1.0, omega_tilde=0.05))
+
+
+@pytest.mark.parametrize("reader, rows, message", [
+    (read_reconstruction_csv, "0,100,0\n1,101,2\n", "read_reconstruction: dashed flags must be 0 or 1"),
+    (read_reconstruction_csv, "0,100,0.5\n", "read_reconstruction: dashed flags must be 0 or 1"),
+    (read_densities_csv, "90,0.01,0.02\n100,-1e-300,0.02\n", "read_densities: densities must be nonnegative"),
+    (read_densities_csv, "90,0.01,-0.02\n", "read_densities: densities must be nonnegative"),
+    (read_trace_csv, "stage1a,0,1,2,3,4,5,6,7,8\nstage1a,1.5,1,2,3,4,5,6,7,8\n",
+     "read_trace_csv: iteration numbers must be integers"),
+])
+def test_a_csv_value_out_of_its_range_is_rejected(tmp_path, reader, rows, message):
+    path = tmp_path / "out.csv"
+    path.write_text(rows, encoding="utf-8")
+    with pytest.raises(ValueError, match=message):
+        reader(path)

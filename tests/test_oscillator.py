@@ -280,3 +280,20 @@ class TestEffectiveGaps:
         gaps = effective_gaps(obs, kicks, 60.0)
         assert np.array_equal(gaps.dt_phase, np.diff(obs.times))
         assert np.all(gaps.dt_relax >= gaps.dt_phase)
+
+
+@pytest.mark.parametrize("b, a, omega, message", [
+    ([1.0, 2.0], [3.0], [0.05, 0.05], "b, a, omega must be equal-length 1-d arrays"),
+    ([[1.0, 2.0]], [[3.0, 3.0]], [[0.05, 0.05]], "b, a, omega must be equal-length 1-d arrays"),
+    ([1.0, 2.0], [3.0, -1e-300], [0.05, 0.05], "amplitudes must be nonnegative"),
+    ([1.0, 2.0], [3.0, 3.0], [0.05, 0.0], "frequencies must be positive"),
+    ([1.0, 2.0], [3.0, 3.0], [-0.05, 0.05], "frequencies must be positive"),
+])
+def test_a_bad_param_trajectory_is_rejected(b, a, omega, message):
+    with pytest.raises(ValueError, match=f"ParamTrajectory: {message}"):
+        ParamTrajectory(b, a, omega)
+
+
+def test_a_negative_a_tilde_is_rejected():
+    with pytest.raises(ValueError, match="ParamPriors: a_tilde must be nonnegative"):
+        ParamPriors(120.0, -1.0, 0.05, 3.0, 3.0, 0.01)

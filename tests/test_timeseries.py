@@ -72,6 +72,13 @@ class TestObservationSeries:
         with pytest.raises(ValueError, match="non-finite"):
             ObservationSeries([0.0, 1.0], [1.0, np.nan])
 
+    @pytest.mark.parametrize("times, values", [([0.0, 1.0], [1.0]), ([[0.0, 1.0]], [[1.0, 2.0]])])
+    def test_rejects_a_shape_mismatch(self, times, values):
+        with pytest.raises(ValueError, match="ObservationSeries: times and values must be equal-length 1-d arrays"):
+            ObservationSeries(times, values)
+        with pytest.raises(ValueError, match="KickSeries: times and intensities must be equal-length 1-d arrays"):
+            KickSeries(times, values)
+
 
 class TestTimesSpanningTheFloatRange:
     # t[1] - t[0] overflows here, so the check must compare, not subtract.
@@ -167,6 +174,11 @@ class TestSubsample:
         t = np.arange(minutes + 1, dtype=float)
         return ObservationSeries(t, 100.0 + rng.normal(0, 5, t.size))
 
+    @pytest.mark.parametrize("explicit", [None, ()])
+    def test_h1_requires_explicit_times(self, explicit):
+        with pytest.raises(ValueError, match="MeasurementSpec: h1 requires explicit_times"):
+            MeasurementSpec(kind="h1", explicit_times=explicit)
+
     def test_h3_every_fifth_sample(self):
         dense = self.dense()
         out = subsample(dense, MeasurementSpec(kind="h3", period=5.0))
@@ -197,7 +209,8 @@ class TestSubsample:
         assert np.array_equal(a.times, b.times) and np.array_equal(a.values, b.values)
 
     @pytest.mark.parametrize("gap_bounds", [(60.0, 90.0), (1, 2.5), (0.5, 1e6)])
-    @pytest.mark.parametrize("seed", [0, 1, *range(11, 19), 2**32 - 1, 2**32, 2**64, 2**100 + 7, np.int64(7)])
+    @pytest.mark.parametrize("seed", [0, 1, *range(11, 19), 2**32 - 1, 2**32, 2**64, 2**100 + 7, np.int64(7),
+                                      2**128, 2**128 + 1, 2**200 + 3, 10**50])  # the last four: over 4 words
     def test_h2_gaps_are_numpy_pcg64_uniform_draws(self, seed, gap_bounds):
         gaps = _pcg64_uniform(seed, *gap_bounds)
         got = [next(gaps) for _ in range(250)]

@@ -81,6 +81,11 @@ class TestNutrition:
     def sched(self):
         return NutritionSchedule(((0.0, 100.0, 80.0), (200.0, 300.0, 50.0)))
 
+    @pytest.mark.parametrize("start, end", [(100.0, 100.0), (200.0, 100.0)])
+    def test_an_interval_must_start_before_it_ends(self, start, end):
+        with pytest.raises(ValueError, match="NutritionSchedule: interval start must precede end"):
+            NutritionSchedule(((start, end, 80.0),))
+
     def test_outside_intervals_zero(self):
         assert self.sched().segment(150.0)[0] == 0.0
         assert self.sched().segment(-5.0)[0] == 0.0
@@ -458,3 +463,25 @@ def test_simulate_matches_the_vector_oracle_on_the_utilization_floor(case):
     assert np.array_equal(got.glucose, want.glucose)
     assert np.array_equal(got.states, want.states)
 
+
+
+def test_simulate_matches_the_vector_oracle_where_every_stage_overflows_the_power():
+    # With v_p = 1e300 no plasma insulin reaches the interstitial pool, so i_i stays
+    # near 1e-200 through all four stages, and in each (kappa i_i) ** -beta overflows
+    # to the u_0 floor of f3.
+    params = dataclasses.replace(icu_fit_params(), v_p=1e300)
+    initial = dataclasses.replace(default_initial_state(), i_i=1e-200)
+    args = (params, NutritionSchedule.empty(), initial, 3.0, 0.5)
+    got, want = simulate(*args), simulate_oracle(*args)
+    assert np.array_equal(got.times, want.times)
+    assert np.array_equal(got.states, want.states)
+
+
+@pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+@pytest.mark.parametrize("name", STATE_FIELDS)
+def test_a_non_finite_start_is_caught_after_the_first_minute(name, value):
+    initial = dataclasses.replace(default_initial_state(), **{name: value})
+    args = (icu_fit_params(), NutritionSchedule.empty(), initial, 3.0, 0.5)
+    for fn in (simulate, simulate_oracle):
+        with pytest.raises(BlowUpError, match=r"^simulate: non-finite state at t = 1 min$"):
+            fn(*args)
