@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import sys
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -72,7 +73,12 @@ class StalledError(RuntimeError):
 
 
 def _is_number(value, kind=numbers.Real) -> bool:
-    """Whether the value is an instance of the numeric kind; JSON's true and false are not."""
+    """Whether the value is an instance of the numeric kind; JSON's true and false are not.
+
+    JSON reads an integer of any size, so a real must also lie within the float range.
+    """
+    if kind is not numbers.Integral and isinstance(value, int) and abs(value) > sys.float_info.max:
+        return False
     return isinstance(value, kind) and not isinstance(value, bool)
 
 
@@ -492,7 +498,7 @@ def density_estimate(values, times, h: float, T_l: float, at_time: float, grid) 
 
 
 # ---------------------------------------------------------------------------
-# CSV output formats owned by this module (and their re-parsers).
+# CSV output formats owned by this module.
 
 def write_states_csv(result: EstimationResult, path) -> None:
     """Estimated states as "t,x,z,b,a,omega" rows."""
@@ -517,23 +523,9 @@ def write_reconstruction_csv(times, values, dashed, path) -> None:
                   np.asarray(dashed, dtype=int))
 
 
-def read_reconstruction_csv(path) -> dict[str, np.ndarray]:
-    t, value, dashed = read_columns(path, 3, "read_reconstruction")
-    if not np.all((dashed == 0) | (dashed == 1)):
-        raise ValueError("read_reconstruction: dashed flags must be 0 or 1")
-    return {"t": t, "value": value, "dashed": dashed == 1}
-
-
 def write_densities_csv(grid, rho_x, rho_y, path) -> None:
     """Density grids as "value,rho_x,rho_y" rows."""
     write_columns(path, *(np.asarray(c, dtype=float) for c in (grid, rho_x, rho_y)))
-
-
-def read_densities_csv(path) -> dict[str, np.ndarray]:
-    value, rho_x, rho_y = read_columns(path, 3, "read_densities")
-    if np.any(rho_x < 0) or np.any(rho_y < 0):
-        raise ValueError("read_densities: densities must be nonnegative")
-    return {"value": value, "rho_x": rho_x, "rho_y": rho_y}
 
 
 def write_trace_csv(traces, path) -> None:
@@ -542,11 +534,3 @@ def write_trace_csv(traces, path) -> None:
     iters = [it for trace in traces for it in range(len(trace.objective))]
     values = [[L, *comps] for trace in traces for L, comps in zip(trace.objective, trace.components)]
     write_columns(path, stages, iters, *np.asarray(values, dtype=float).reshape(-1, 8).T)
-
-
-def read_trace_csv(path) -> dict[str, np.ndarray]:
-    (stage,) = read_columns(path, 10, "read_trace_csv", usecols=(0,), dtype=str)
-    numbers = read_columns(path, 10, "read_trace_csv", usecols=range(1, 10))
-    if not np.array_equal(numbers[0], np.trunc(numbers[0])):
-        raise ValueError("read_trace_csv: iteration numbers must be integers")
-    return {"stage": stage, "iter": numbers[0].astype(int), "values": numbers[1:].T}

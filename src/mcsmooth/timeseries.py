@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import math
 import numbers
-import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -159,12 +158,12 @@ class MeasurementSpec:
             raise ValueError("MeasurementSpec: rng_seed must be a nonnegative integer")
 
 
-def read_columns(path: str | Path, ncols: int, op: str, usecols=None, dtype=float) -> np.ndarray:
+def read_columns(path: str | Path, ncols: int, op: str, usecols=None) -> np.ndarray:
     """The columns of a headerless CSV of ``ncols`` fields, one array row each.
 
     Empty lines are skipped. Every other line must have exactly ``ncols``
     comma-separated fields; there are no comments, header or quoting. Only
-    the ``usecols`` columns (all by default) are parsed, as ``dtype``. A
+    the ``usecols`` columns (all by default) are parsed, as floats. A
     missing file, a line of another width or a field that does not parse
     raises with the caller's ``op`` as message prefix; a faulty line is
     named by its line number in the file.
@@ -181,14 +180,10 @@ def read_columns(path: str | Path, ncols: int, op: str, usecols=None, dtype=floa
                     raise ValueError(f"{op}: line {lineno}: expected {ncols} columns, got {got}")
                 rows += 1
     if rows == 0:
-        return np.empty((ncols if usecols is None else len(usecols), 0), dtype=dtype)
-    options = dict(delimiter=",", usecols=usecols, ndmin=2, comments=None, encoding="utf-8", dtype=dtype)
+        return np.empty((ncols if usecols is None else len(usecols), 0))
+    options = dict(delimiter=",", usecols=usecols, ndmin=2, comments=None, encoding="utf-8")
     try:
-        with warnings.catch_warnings():
-            # Text columns are read in chunks, and loadtxt warns of the
-            # blank lines in each; skipping them is the rule here.
-            warnings.filterwarnings("ignore", "Input line", UserWarning)
-            return np.loadtxt(path, **options).T.copy()
+        return np.loadtxt(path, **options).T.copy()
     except ValueError:
         # loadtxt counts rows, not lines: parse line by line to name the first that fails.
         with path.open(encoding="utf-8") as fh:

@@ -13,7 +13,9 @@ periodogram with separate cos, sin and product arrays and the
 reconstruction over the whole grid at once, apart from the package's
 in-place and tiled forms, which must give their bits.
 The h2 sampler oracle draws its gaps from numpy's own ``default_rng``,
-apart from the package's restated PCG64 stream.
+apart from the package's restated PCG64 stream. ``solve_stage2`` solves
+stage 2 to a stationary point with scipy's L-BFGS-B, apart from the
+package's stopped ascent.
 The simulator oracle restates the model equations with every parameter read
 afresh (``f1``-``f4`` and the tuple ``_rhs``), apart from the stage
 evaluations that ``ultradian.simulate`` writes out on hoisted units, and the
@@ -23,10 +25,12 @@ Tests compare the package against all of them.
 
 import math
 from dataclasses import replace
+from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
 import pytest
+from scipy.optimize import minimize
 
 from mcsmooth import (
     EstimationState,
@@ -37,13 +41,17 @@ from mcsmooth import (
     ObservationSeries,
     ParamPriors,
     ParamTrajectory,
+    PolarSingularityError,
     build_tables,
+    eval_total,
+    grad_total,
     subsample,
     time_products,
 )
 from mcsmooth.kernels import kernel_peak, row_tiles, square_blocks, weighted_column_sums
 from mcsmooth.optimizer import PERIOD_BAND
 from mcsmooth.oscillator import propagate
+from mcsmooth.timeseries import read_columns
 from mcsmooth.ultradian import (
     BlowUpError,
     NutritionSchedule,
@@ -459,6 +467,76 @@ def h2_oracle(dense: ObservationSeries, seed, gap_bounds=(60.0, 90.0)) -> Observ
     while (t_next := t[idx[-1]] + rng.uniform(*gap_bounds)) <= t[-1]:
         idx.append(int(np.argmin(np.abs(t - t_next))))
     return ObservationSeries(t[idx], dense.values[idx])
+
+
+# --- oracle: stage 2 solved to a stationary point
+
+# -L where grad_total finds a polar radius at its singularity floor: no finite L is that bad.
+SINGULAR_SCORE = 1e10
+
+
+class Stage2Solution(NamedTuple):
+    state: EstimationState
+    L: float
+    grad_inf: float  # the largest entry of the scaled, projected dL
+    r_min: float  # the smallest polar radius |(x - b, z)|
+
+
+def solve_stage2(state: EstimationState, tables, schedule) -> Stage2Solution:
+    """The schedule's objective maximised from ``state`` by L-BFGS-B, to a stationary point.
+
+    x, z, b and a are scaled by the prior sigma_b and omega by omega_tilde;
+    a and omega keep ``run_stage``'s floors (1e-6 of the start's mean a and
+    of omega_tilde) as bounds. A point where ``grad_total`` raises
+    ``PolarSingularityError`` scores -L = ``SINGULAR_SCORE`` with a zero
+    gradient, so the line search steps back from it. The gradient entries of
+    a and omega at their floor that push below it are projected out.
+    """
+    n = state.n
+    scale = np.repeat([state.priors.sigma_b] * 4 + [state.priors.omega_tilde], n)
+    floor = np.repeat([-np.inf] * 3 + [1e-6 * float(np.mean(state.params.a)), 1e-6 * state.priors.omega_tilde], n)
+    lower = floor / scale
+
+    def at(u):
+        x, z, b, a, omega = np.split(u * scale, 5)
+        return replace(state, x=x, z=z, params=ParamTrajectory(b, a, omega))
+
+    def scaled_gradient(s):
+        g = grad_total(s, tables, schedule)
+        return np.concatenate((g.d_x, g.d_z, g.d_b, g.d_a, g.d_omega)) * scale
+
+    def negated(u):
+        s = at(u)
+        try:
+            g = scaled_gradient(s)
+        except PolarSingularityError:
+            return SINGULAR_SCORE, np.zeros_like(u)
+        return -eval_total(s, tables, schedule), -g
+
+    p = state.params
+    u = np.concatenate((state.x, state.z, p.b, p.a, p.omega)) / scale
+    u = minimize(negated, u, jac=True, method="L-BFGS-B", bounds=[(lo, None) for lo in lower],
+                 options=dict(maxiter=20000, maxfun=40000, ftol=0.0, gtol=1e-9)).x
+    solved = at(u)
+    g = scaled_gradient(solved)
+    g[(u <= lower) & (g < 0)] = 0.0
+    r = to_polar(solved.x, solved.z, solved.params.b).r
+    return Stage2Solution(solved, eval_total(solved, tables, schedule), float(np.abs(g).max()), float(r.min()))
+
+
+# --- the objective trace, which the package writes but never reads
+
+def read_objective_trace(path) -> dict[str, np.ndarray]:
+    """The stage names, iteration numbers and value rows of an objective-trace CSV.
+
+    ``read_columns`` parses numbers only, so the stage names are split off by hand.
+    """
+    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    numbers = read_columns(path, 10, "read_objective_trace", usecols=range(1, 10))
+    iters = numbers[0].astype(int)
+    assert np.array_equal(iters, numbers[0]), "iteration numbers must be integers"
+    return {"stage": np.array([line.split(",", 1)[0] for line in lines if line]), "iter": iters,
+            "values": numbers[1:].T}
 
 
 # --- fixtures

@@ -34,12 +34,8 @@ from mcsmooth import (
 )
 from mcsmooth.kernels import log_time_weight
 from mcsmooth.cli import run_command
-from mcsmooth.optimizer import (
-    read_densities_csv,
-    read_reconstruction_csv,
-    read_states_csv,
-    read_trace_csv,
-)
+from mcsmooth.optimizer import read_states_csv
+from mcsmooth.timeseries import read_columns
 from mcsmooth.ultradian import read_trace
 from conftest import (
     ONE_HOT,
@@ -48,6 +44,7 @@ from conftest import (
     TRUE_OMEGA,
     make_cycle_series,
     make_random_fixture,
+    read_objective_trace,
     tables_for,
     to_polar,
 )
@@ -292,9 +289,10 @@ def test_criterion_8_pipeline_round_trip(tmp_path):
 
     for sub in ("est_h1", "est_h2", "est_h3"):
         read_states_csv(d / sub / "states.csv")
-        read_reconstruction_csv(d / sub / "reconstruction.csv")
-        read_densities_csv(d / sub / "densities.csv")
-        read_trace_csv(d / sub / "trace.csv")
+        _, _, dashed = read_columns(d / sub / "reconstruction.csv", 3, "reconstruction")
+        assert np.all((dashed == 0) | (dashed == 1))
+        assert np.all(read_columns(d / sub / "densities.csv", 3, "densities")[1:] >= 0)
+        read_objective_trace(d / sub / "trace.csv")
 
     # determinism of the estimation
     run(["estimate", "--obs", str(d / "h2.csv"), "--out-dir", str(d / "est_h2_again")])

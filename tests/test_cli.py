@@ -19,14 +19,10 @@ from mcsmooth import (
     write_observations,
 )
 from mcsmooth.cli import run_command
-from mcsmooth.optimizer import (
-    HyperConfig,
-    read_densities_csv,
-    read_reconstruction_csv,
-    read_states_csv,
-    read_trace_csv,
-)
+from mcsmooth.optimizer import HyperConfig, read_states_csv
+from mcsmooth.timeseries import read_columns
 from mcsmooth.ultradian import NutritionSchedule, default_initial_state, icu_fit_params, simulate
+from conftest import read_objective_trace
 
 
 @pytest.fixture
@@ -154,13 +150,13 @@ def test_estimate_writes_all_outputs(dense_csv, tmp_path):
     ])
     assert code == 0
     states = read_states_csv(out_dir / "states.csv")
-    recon = read_reconstruction_csv(out_dir / "reconstruction.csv")
-    dens = read_densities_csv(out_dir / "densities.csv")
-    trace = read_trace_csv(out_dir / "trace.csv")
+    _, _, dashed = read_columns(out_dir / "reconstruction.csv", 3, "reconstruction")
+    dens = read_columns(out_dir / "densities.csv", 3, "densities")
+    trace = read_objective_trace(out_dir / "trace.csv")
     obs = load_observations(obs_path)
     assert states["t"].size == obs.n
-    assert np.array_equal(np.unique(recon["dashed"]), np.unique(recon["dashed"]))
-    assert dens["value"].size == 201
+    assert np.all((dashed == 0) | (dashed == 1))
+    assert dens.shape == (3, 201) and np.all(dens[1:] >= 0)
     assert set(trace["stage"]) == {"stage1a", "stage1b", "stage2"}
 
 
@@ -204,8 +200,8 @@ def test_densities_command(dense_csv, tmp_path):
     code = run_command(["densities", "--obs", str(obs_path), "--out", str(out),
                         "--at-times", "2500"])
     assert code == 0
-    back = read_densities_csv(out)
-    assert np.array_equal(back["rho_x"], back["rho_y"])  # no states file: x = y
+    _, rho_x, rho_y = read_columns(out, 3, "densities")
+    assert np.array_equal(rho_x, rho_y)  # no states file: x = y
 
 
 def test_densities_multiple_times_and_states(dense_csv, tmp_path):
@@ -220,7 +216,7 @@ def test_densities_multiple_times_and_states(dense_csv, tmp_path):
                         "--at-times", "2200,2800", "--out-dir", str(tmp_path)])
     assert code == 0
     for at in ("2200", "2800"):
-        assert read_densities_csv(tmp_path / f"densities_t{at}.csv")["value"].size > 0
+        assert read_columns(tmp_path / f"densities_t{at}.csv", 3, "densities")[0].size > 0
 
 
 def test_densities_at_several_times_write_beside_out(dense_csv, tmp_path, monkeypatch):
@@ -486,6 +482,37 @@ def test_bad_measurement_values_name_their_key(tmp_path, short_obs_csv, capsys, 
                         "--out", str(out)]) == 1
     assert f"error: {message}" in capsys.readouterr().err
     assert not out.exists()
+
+
+BEYOND_FLOATS = 10**400  # JSON reads it as an int, which no float can hold
+
+
+@pytest.mark.parametrize("command, config, message", [
+    ("estimate", {"hyper": {"T_s": BEYOND_FLOATS}}, "HyperConfig: T_s must be positive and finite"),
+    ("estimate", {"hyper": {"omega_tilde": BEYOND_FLOATS}}, "HyperConfig: omega_tilde must be positive and finite"),
+    ("estimate", {"hyper": {"dashed_gap_threshold": BEYOND_FLOATS}},
+     "HyperConfig: dashed_gap_threshold must be a number"),
+    ("estimate", {"hyper": {"weights_stage2": [BEYOND_FLOATS] + [1] * 6}},
+     "HyperConfig: weights_stage2 must hold 7 finite nonnegative weights"),
+    ("subsample", {"measurement": {"kind": "h2", "gap_min": BEYOND_FLOATS}},
+     "subsample: measurement.gap_min must be a number"),
+    ("subsample", {"measurement": {"kind": "h3", "period": BEYOND_FLOATS}},
+     "subsample: measurement.period must be a number"),
+    ("subsample", {"measurement": {"kind": "h1", "explicit_times": [BEYOND_FLOATS]}},
+     "subsample: measurement.explicit_times must be a list of numbers"),
+], ids=["T_s", "omega_tilde", "dashed_gap_threshold", "weights_stage2", "gap_min", "period", "explicit_times"])
+def test_a_config_integer_beyond_the_float_range_is_rejected(tmp_path, short_obs_csv, capsys, command, config,
+                                                             message):
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(config), encoding="utf-8")
+    argv = {
+        "estimate": ["estimate", "--obs", str(short_obs_csv), "--out-dir", str(tmp_path / "run")],
+        "subsample": ["subsample", "--in", str(short_obs_csv), "--out", str(tmp_path / "sub.csv")],
+    }[command]
+    before = files_under(tmp_path)
+    assert run_command([*argv, "--config", str(config_path)]) == 1
+    assert f"error: {message}" in capsys.readouterr().err
+    assert files_under(tmp_path) == before
 
 
 @pytest.mark.parametrize("flags, message", [

@@ -1,4 +1,4 @@
-"""Every file format the package reads: round trips and the shared reading rules."""
+"""Every file format the package writes or reads: round trips, and the shared rules of each reader."""
 
 import warnings
 from types import SimpleNamespace
@@ -17,10 +17,7 @@ from mcsmooth import (
     write_observations,
 )
 from mcsmooth.optimizer import (
-    read_densities_csv,
-    read_reconstruction_csv,
     read_states_csv,
-    read_trace_csv,
     write_densities_csv,
     write_reconstruction_csv,
     write_states_csv,
@@ -28,6 +25,7 @@ from mcsmooth.optimizer import (
 )
 from mcsmooth.timeseries import read_columns
 from mcsmooth.ultradian import read_trace, write_trace
+from conftest import read_objective_trace
 
 EDGE_FLOATS = [-0.0, 0.0, 5e-324, -5e-324, 1e308, -1e308, 1.0 / 3.0]
 FLOATS = st.one_of(st.sampled_from(EDGE_FLOATS), st.floats(allow_nan=False, allow_infinity=False))
@@ -85,9 +83,9 @@ class TestRoundTrip:
         t, value = column(n, data.draw), column(n, data.draw)
         dashed = np.array(data.draw(st.lists(st.booleans(), min_size=n, max_size=n)), dtype=bool)
         write_reconstruction_csv(t, value, dashed, path)
-        back = read_reconstruction_csv(path)
-        assert same(back["t"], t) and same(back["value"], value)
-        assert np.array_equal(back["dashed"], dashed)
+        back_t, back_value, back_dashed = read_columns(path, 3, "reconstruction")
+        assert same(back_t, t) and same(back_value, value)
+        assert same(back_dashed, dashed.astype(float))
 
     @settings(max_examples=40, deadline=None)
     @given(data=st.data(), n=st.integers(0, 30))
@@ -97,9 +95,9 @@ class TestRoundTrip:
         rho_x, rho_y = (np.abs(column(n, data.draw)) for _ in range(2))
         rho_x[: n // 2] = -0.0  # not negative, so a density may be -0.0
         write_densities_csv(grid, rho_x, rho_y, path)
-        back = read_densities_csv(path)
-        assert same(back["value"], grid)
-        assert same(back["rho_x"], rho_x) and same(back["rho_y"], rho_y)
+        back_grid, back_x, back_y = read_columns(path, 3, "densities")
+        assert same(back_grid, grid)
+        assert same(back_x, rho_x) and same(back_y, rho_y)
 
     @settings(max_examples=40, deadline=None)
     @given(data=st.data(), lengths=st.lists(st.integers(1, 6), min_size=1, max_size=3))
@@ -114,7 +112,7 @@ class TestRoundTrip:
             for name, k in zip(("stage1a", "stage1b", "stage2"), lengths)
         ]
         write_trace_csv(traces, path)
-        back = read_trace_csv(path)
+        back = read_objective_trace(path)
         rows = [[L, *c] for tr in traces for L, c in zip(tr.objective, tr.components)]
         assert back["stage"].tolist() == [tr.name for tr in traces for _ in tr.objective]
         assert back["iter"].tolist() == [i for tr in traces for i in range(len(tr.objective))]
@@ -144,13 +142,6 @@ READERS = {
                              columns=lambda r: [r.times, r.values], empty="empty series"),
     "states": dict(read=read_states_csv, op="read_states", ncols=6, line="{k}.0,1,2,3,4,5",
                    columns=lambda r: list(r.values()), empty=None),
-    "reconstruction": dict(read=read_reconstruction_csv, op="read_reconstruction", ncols=3,
-                           line="{k}.0,100.0,1", columns=lambda r: list(r.values()), empty=None),
-    "densities": dict(read=read_densities_csv, op="read_densities", ncols=3,
-                      line="{k}.0,0.25,0.5", columns=lambda r: list(r.values()), empty=None),
-    "objective_trace": dict(read=read_trace_csv, op="read_trace_csv", ncols=10,
-                            line="stage2,{k},1,2,3,4,5,6,7,8",
-                            columns=lambda r: list(r.values()), empty=None),
 }
 
 

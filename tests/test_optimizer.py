@@ -1,4 +1,5 @@
 import math
+import sys
 import tracemalloc
 from dataclasses import replace
 from functools import cache
@@ -39,15 +40,13 @@ from mcsmooth.optimizer import (
     PERIOD_BAND,
     _periodogram,
     _windowed_max,
-    read_densities_csv,
-    read_reconstruction_csv,
     read_states_csv,
-    read_trace_csv,
     write_densities_csv,
     write_reconstruction_csv,
     write_states_csv,
     write_trace_csv,
 )
+from mcsmooth.timeseries import read_columns
 from conftest import (
     H1_TIMES,
     TRUE_A,
@@ -55,6 +54,7 @@ from conftest import (
     TRUE_OMEGA,
     make_cycle_series,
     periodogram_allocating,
+    read_objective_trace,
     reconstruct_loop,
     reconstruct_whole_grid,
     relative_error,
@@ -459,6 +459,13 @@ class TestHyperConfig:
         for name in ("T_s", "T_l", "omega_tilde"):
             with pytest.raises(ValueError, match=f"HyperConfig: {name} must be positive and finite"):
                 HyperConfig(**{name: math.inf})
+
+    def test_a_real_beyond_the_float_range_is_rejected_but_a_big_cap_is_not(self):
+        # JSON reads an integer of any size; a real must fit a float, an iteration cap need not.
+        with pytest.raises(ValueError, match="HyperConfig: T_s must be positive and finite"):
+            HyperConfig(T_s=10**400)
+        assert HyperConfig(dashed_gap_threshold=int(sys.float_info.max)).dashed_gap_threshold == sys.float_info.max
+        assert HyperConfig(max_iter_stage2=10**400).max_iter_stage2 == 10**400
 
     def test_rejects_bad_caps_and_eta(self):
         with pytest.raises(ValueError, match="caps"):
@@ -902,10 +909,10 @@ class TestCsvFormats:
         values, dashed = reconstruct_trajectory(res, grid)
         p = tmp_path / "recon.csv"
         write_reconstruction_csv(grid, values, dashed, p)
-        back = read_reconstruction_csv(p)
-        assert np.array_equal(back["t"], grid)
-        assert np.array_equal(back["value"], values)
-        assert np.array_equal(back["dashed"], dashed)
+        back_t, back_values, back_dashed = read_columns(p, 3, "reconstruction")
+        assert np.array_equal(back_t, grid)
+        assert np.array_equal(back_values, values)
+        assert np.array_equal(back_dashed, dashed)
 
     def test_densities_roundtrip(self, tmp_path, quick_config):
         res = estimate(make_cycle_series(n=40), config=quick_config)
@@ -914,9 +921,9 @@ class TestCsvFormats:
         ry = density_estimate(res.obs.values, res.obs.times, res.tables.h, res.tables.T_l, 100.0, grid)
         p = tmp_path / "dens.csv"
         write_densities_csv(grid, rx, ry, p)
-        back = read_densities_csv(p)
-        assert np.array_equal(back["rho_x"], rx)
-        assert np.array_equal(back["rho_y"], ry)
+        _, back_x, back_y = read_columns(p, 3, "densities")
+        assert np.array_equal(back_x, rx)
+        assert np.array_equal(back_y, ry)
 
     def test_writers_format_each_value_with_repr(self, tmp_path, quick_config):
         res = estimate(make_cycle_series(n=40), config=quick_config)
@@ -943,7 +950,7 @@ class TestCsvFormats:
         res = estimate(make_cycle_series(n=40), config=quick_config)
         p = tmp_path / "trace.csv"
         write_trace_csv(res.traces, p)
-        back = read_trace_csv(p)
+        back = read_objective_trace(p)
         total_rows = sum(len(t.objective) for t in res.traces)
         assert back["values"].shape == (total_rows, 8)
         assert set(back["stage"]) == {"stage1a", "stage1b", "stage2"}
@@ -958,18 +965,3 @@ def test_initialize_rejects_a_zero_mean_amplitude():
     obs = ObservationSeries(1000.0 * np.arange(6), [100.0, 130.0, 90.0, 120.0, 95.0, 125.0])
     with pytest.raises(ValueError, match="initialize: zero mean amplitude; data carry no oscillation"):
         initialize(obs, config=HyperConfig(T_s=1.0, T_l=1.0, omega_tilde=0.05))
-
-
-@pytest.mark.parametrize("reader, rows, message", [
-    (read_reconstruction_csv, "0,100,0\n1,101,2\n", "read_reconstruction: dashed flags must be 0 or 1"),
-    (read_reconstruction_csv, "0,100,0.5\n", "read_reconstruction: dashed flags must be 0 or 1"),
-    (read_densities_csv, "90,0.01,0.02\n100,-1e-300,0.02\n", "read_densities: densities must be nonnegative"),
-    (read_densities_csv, "90,0.01,-0.02\n", "read_densities: densities must be nonnegative"),
-    (read_trace_csv, "stage1a,0,1,2,3,4,5,6,7,8\nstage1a,1.5,1,2,3,4,5,6,7,8\n",
-     "read_trace_csv: iteration numbers must be integers"),
-])
-def test_a_csv_value_out_of_its_range_is_rejected(tmp_path, reader, rows, message):
-    path = tmp_path / "out.csv"
-    path.write_text(rows, encoding="utf-8")
-    with pytest.raises(ValueError, match=message):
-        reader(path)

@@ -34,6 +34,19 @@ def test_only_read_columns_parses_csv():
         assert source.count("np.loadtxt") == inside, path.name
 
 
+def test_the_package_reads_numbers_only():
+    # The reconstruction, densities and objective trace are written but never read
+    # back, so read_columns parses floats only and no source filters numpy's
+    # warnings about text columns.
+    assert list(inspect.signature(mcsmooth.timeseries.read_columns).parameters) == ["path", "ncols", "op", "usecols"]
+    warnings_import = re.compile(r"^\s*(?:import|from)\s+warnings\b", re.MULTILINE)
+    written_only = re.compile(r"\bread_(?:reconstruction|densities|trace_csv)")
+    for path in sorted(Path(mcsmooth.__file__).parent.glob("*.py")):
+        source = path.read_text(encoding="utf-8")
+        assert warnings_import.findall(source) == [], path.name
+        assert written_only.findall(source) == [], path.name
+
+
 def test_only_write_columns_writes_csv():
     # Every file the package writes goes through timeseries.write_columns.
     writes = re.compile(r"""open\([^)]*["'](?:[wax]|r\+)[bt+]*["']|write_text|write_bytes|savetxt|tofile|np\.save""")

@@ -9,19 +9,26 @@ samples with added noise (``noisy_h2``) and are still scored against the
 clean truth.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from mcsmooth import (
     KickSeries,
     MeasurementSpec,
+    ModelNoise,
     NutritionSchedule,
+    WeightSchedule,
     estimate,
+    eval_total,
     initialize,
     reconstruct_trajectory,
+    run_stage,
     subsample,
 )
-from conftest import H1_TIMES, NOISY_SEEDS, icu_week
+from mcsmooth.optimizer import STAGE1A_LAMBDAS, STAGE1B_LAMBDAS, STAGE2_LAMBDAS
+from conftest import H1_TIMES, NOISY_SEEDS, icu_week, solve_stage2
 
 TRUE_PERIOD_MIN = 139.8  # mean upward-crossing spacing of the constant-feed week
 
@@ -35,14 +42,15 @@ def h2(dense, seed):
     return subsample(dense, MeasurementSpec("h2", rng_seed=seed))
 
 
+def rmse(dense, grid, values):
+    return float(np.sqrt(np.mean((values - np.interp(grid, dense.times, dense.values)) ** 2)))
+
+
 def rmse_pair(dense, obs, kicks=None):
     """RMSE of the reconstruction and of linear interpolation on the 1-min grid."""
     grid = np.arange(obs.times[0], obs.times[-1] + 0.5, 1.0)
     values, _ = reconstruct_trajectory(estimate(obs, kicks), grid)
-    truth = np.interp(grid, dense.times, dense.values)
-    linear = np.interp(grid, obs.times, obs.values)
-    return (float(np.sqrt(np.mean((values - truth) ** 2))),
-            float(np.sqrt(np.mean((linear - truth) ** 2))))
+    return rmse(dense, grid, values), rmse(dense, grid, np.interp(grid, obs.times, obs.values))
 
 
 @pytest.mark.parametrize("seed", [11, 12, 13])
@@ -93,8 +101,11 @@ def test_noisy_h2_reconstruction_beats_linear_interpolation(noisy_scores, seed):
 
 
 def test_noisy_h2_mean_reconstruction_error(noisy_scores):
-    # 7.4243 mg/dl with the default stopping rule; solving stage 2 to
-    # convergence gives 9.43, worse on every seed.
+    # 7.4243 mg/dl with the default stopping rule. Stage 2 solved from the same
+    # start (``solve_stage2``) gives 8.541: better on seeds 11 and 18 (7.97
+    # against 8.12, and 8.03 against 8.36), worse on the other six. Those two
+    # end unconverged at r -> 0, so their figures depend on how the solver
+    # treats the polar singularity.
     assert np.mean([noisy[0] for noisy, _ in noisy_scores.values()]) <= 7.43
 
 
@@ -102,3 +113,30 @@ def test_noisy_h2_mean_reconstruction_error(noisy_scores):
 def test_outlier_h2_reconstruction_beats_linear_interpolation(noisy_scores, seed):
     recon, linear = noisy_scores[seed][1]
     assert recon < linear
+
+
+def stage2_start(obs):
+    """The state, tables and schedule with which ``estimate`` enters stage 2."""
+    state, tables = initialize(obs)
+    a_bar = state.noise.sigma
+    state = replace(state, noise=ModelNoise(2.0 * a_bar))
+    for lambdas in (STAGE1A_LAMBDAS, STAGE1B_LAMBDAS):
+        state, _ = run_stage(state, tables, WeightSchedule.from_lambdas(lambdas), {"z"}, 200)
+    return replace(state, noise=ModelNoise(a_bar)), tables, WeightSchedule.from_lambdas(STAGE2_LAMBDAS)
+
+
+@pytest.mark.parametrize("seed, solved_rmse", [(11, 3.958), (12, 3.525), (13, 3.053)])
+def test_solved_stage2_is_stationary_and_reproduces_its_rmse(constant_feed, seed, solved_rmse):
+    # The reference for changes to the solver: stage 2 solved from estimate's own
+    # start reaches a stationary point, the clean optimum of mean RMSE 3.480 over
+    # seeds 11-18.
+    obs = h2(constant_feed, seed)
+    result = estimate(obs)
+    start, tables, schedule = stage2_start(obs)
+    assert eval_total(start, tables, schedule) == result.traces[-1].objective[0]
+    solved = solve_stage2(start, tables, schedule)
+    assert solved.grad_inf <= 1e-6
+    assert solved.L >= result.traces[-1].objective[0] and solved.r_min > 0
+    grid = np.arange(obs.times[0], obs.times[-1] + 0.5, 1.0)
+    values, _ = reconstruct_trajectory(replace(result, state=solved.state), grid)
+    assert abs(rmse(constant_feed, grid, values) - solved_rmse) <= 1e-3
