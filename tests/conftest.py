@@ -471,7 +471,8 @@ def h2_oracle(dense: ObservationSeries, seed, gap_bounds=(60.0, 90.0)) -> Observ
 
 # --- oracle: stage 2 solved to a stationary point
 
-# -L where grad_total finds a polar radius at its singularity floor: no finite L is that bad.
+# The -L of a point where grad_total finds a polar radius at its singularity floor:
+# far above the -L of any state the objective scores.
 SINGULAR_SCORE = 1e10
 
 

@@ -385,6 +385,9 @@ def test_t_l_below_the_resolved_t_s_rejected(dense_csv, tmp_path, capsys, flags)
     assert not out_dir.exists()
 
 
+BEYOND_FLOATS = 10**400  # JSON reads it as an int, which no float can hold
+
+
 @pytest.mark.parametrize("flags, config, message", [
     (["--epsilon", "1.5"], {}, "HyperConfig: epsilon must lie in [0, 1)"),
     ([], {"hyper": {"weights_stage2": [1, 1, 1]}}, "HyperConfig: weights_stage2 must hold 7 finite nonnegative"),
@@ -403,6 +406,11 @@ def test_t_l_below_the_resolved_t_s_rejected(dense_csv, tmp_path, capsys, flags)
     ([], {"hyper": {"dashed_gap_threshold": float("nan")}}, "HyperConfig: dashed_gap_threshold must be a number"),
     ([], {"hyper": {"a_tilde_zero": 1}}, "HyperConfig: a_tilde_zero must be true or false"),
     ([], {"hyper": {"weights_stage2": "1111111"}}, "HyperConfig: weights_stage2 must hold 7 finite"),
+    # JSON reads an integer of any size; a real must fit a float.
+    ([], {"hyper": {"T_s": BEYOND_FLOATS}}, "HyperConfig: T_s must be positive and finite"),
+    ([], {"hyper": {"omega_tilde": BEYOND_FLOATS}}, "HyperConfig: omega_tilde must be positive and finite"),
+    ([], {"hyper": {"dashed_gap_threshold": BEYOND_FLOATS}}, "HyperConfig: dashed_gap_threshold must be a number"),
+    ([], {"hyper": {"weights_stage2": [BEYOND_FLOATS] + [1] * 6}}, "HyperConfig: weights_stage2 must hold 7 finite"),
 ])
 def test_bad_epsilon_or_weights_rejected_before_any_work(tmp_path, short_obs_csv, capsys, monkeypatch, flags,
                                                           config, message):
@@ -473,6 +481,9 @@ BAD_PERIOD = "MeasurementSpec: period must be finite and positive"
     ({"kind": "h1", "explicit_times": [70, "140"]}, "subsample: measurement.explicit_times must be a list of"),
     ({"kind": "h1", "explicit_times": [70, False]}, "subsample: measurement.explicit_times must be a list of"),
     ({"seed": 3}, "subsample: measurement kind required (--spec or config)"),
+    ({"kind": "h2", "gap_min": BEYOND_FLOATS}, "subsample: measurement.gap_min must be a number"),
+    ({"kind": "h3", "period": BEYOND_FLOATS}, "subsample: measurement.period must be a number"),
+    ({"kind": "h1", "explicit_times": [BEYOND_FLOATS]}, "subsample: measurement.explicit_times must be a list of"),
 ])
 def test_bad_measurement_values_name_their_key(tmp_path, short_obs_csv, capsys, measurement, message):
     config_path = tmp_path / "config.json"
@@ -482,37 +493,6 @@ def test_bad_measurement_values_name_their_key(tmp_path, short_obs_csv, capsys, 
                         "--out", str(out)]) == 1
     assert f"error: {message}" in capsys.readouterr().err
     assert not out.exists()
-
-
-BEYOND_FLOATS = 10**400  # JSON reads it as an int, which no float can hold
-
-
-@pytest.mark.parametrize("command, config, message", [
-    ("estimate", {"hyper": {"T_s": BEYOND_FLOATS}}, "HyperConfig: T_s must be positive and finite"),
-    ("estimate", {"hyper": {"omega_tilde": BEYOND_FLOATS}}, "HyperConfig: omega_tilde must be positive and finite"),
-    ("estimate", {"hyper": {"dashed_gap_threshold": BEYOND_FLOATS}},
-     "HyperConfig: dashed_gap_threshold must be a number"),
-    ("estimate", {"hyper": {"weights_stage2": [BEYOND_FLOATS] + [1] * 6}},
-     "HyperConfig: weights_stage2 must hold 7 finite nonnegative weights"),
-    ("subsample", {"measurement": {"kind": "h2", "gap_min": BEYOND_FLOATS}},
-     "subsample: measurement.gap_min must be a number"),
-    ("subsample", {"measurement": {"kind": "h3", "period": BEYOND_FLOATS}},
-     "subsample: measurement.period must be a number"),
-    ("subsample", {"measurement": {"kind": "h1", "explicit_times": [BEYOND_FLOATS]}},
-     "subsample: measurement.explicit_times must be a list of numbers"),
-], ids=["T_s", "omega_tilde", "dashed_gap_threshold", "weights_stage2", "gap_min", "period", "explicit_times"])
-def test_a_config_integer_beyond_the_float_range_is_rejected(tmp_path, short_obs_csv, capsys, command, config,
-                                                             message):
-    config_path = tmp_path / "config.json"
-    config_path.write_text(json.dumps(config), encoding="utf-8")
-    argv = {
-        "estimate": ["estimate", "--obs", str(short_obs_csv), "--out-dir", str(tmp_path / "run")],
-        "subsample": ["subsample", "--in", str(short_obs_csv), "--out", str(tmp_path / "sub.csv")],
-    }[command]
-    before = files_under(tmp_path)
-    assert run_command([*argv, "--config", str(config_path)]) == 1
-    assert f"error: {message}" in capsys.readouterr().err
-    assert files_under(tmp_path) == before
 
 
 @pytest.mark.parametrize("flags, message", [
