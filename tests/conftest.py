@@ -532,8 +532,8 @@ def read_objective_trace(path) -> dict[str, np.ndarray]:
 
     ``read_columns`` parses numbers only, so the stage names are split off by hand.
     """
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
     numbers = read_columns(path, 10, "read_objective_trace", usecols=range(1, 10))
+    lines = Path(path).read_text(encoding="utf-8").splitlines()
     iters = numbers[0].astype(int)
     assert np.array_equal(iters, numbers[0]), "iteration numbers must be integers"
     return {"stage": np.array([line.split(",", 1)[0] for line in lines if line]), "iter": iters,

@@ -123,6 +123,16 @@ def _times_file(path):
     return read_columns(path, 1, "subsample")[0]
 
 
+# The reconstruction and densities, which the package writes but never reads
+# back, are read as the tests read them: numbers only, through read_columns.
+def _reconstruction_file(path):
+    return read_columns(path, 3, "reconstruction")
+
+
+def _densities_file(path):
+    return read_columns(path, 3, "densities")
+
+
 # Each reader: its message prefix, its width, its k-th valid line, and how to
 # get the parsed columns from its result. ``empty`` is the message of the
 # reader's own schema check on an empty file, or None if it accepts one.
@@ -142,6 +152,13 @@ READERS = {
                              columns=lambda r: [r.times, r.values], empty="empty series"),
     "states": dict(read=read_states_csv, op="read_states", ncols=6, line="{k}.0,1,2,3,4,5",
                    columns=lambda r: list(r.values()), empty=None),
+    "reconstruction": dict(read=_reconstruction_file, op="reconstruction", ncols=3,
+                           line="{k}.0,100.0,1", columns=list, empty=None),
+    "densities": dict(read=_densities_file, op="densities", ncols=3,
+                      line="{k}.0,0.25,0.5", columns=list, empty=None),
+    "objective_trace": dict(read=read_objective_trace, op="read_objective_trace", ncols=10,
+                            line="stage2,{k},1,2,3,4,5,6,7,8",
+                            columns=lambda r: list(r.values()), empty=None),
 }
 
 
