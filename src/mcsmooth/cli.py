@@ -9,6 +9,7 @@ emit plot-ready CSVs only.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import numbers
@@ -300,7 +301,16 @@ def _cmd_densities(args) -> int:
     return 0
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built at the first call and then shared by every call in the process.
+
+    A parser tree is a reference cycle that only the cyclic collector frees, and the
+    numeric code gives that collector little reason to run, so one tree per
+    ``run_command`` would pile up in the resident memory of an in-process caller.
+    Parsing leaves the parser unchanged, and each handler looks its module's names up
+    when it runs, so a shared parser behaves like a fresh one.
+    """
     parser = argparse.ArgumentParser(
         prog="mcsmooth",
         description="Multicomponent smoother for sparse oscillatory time series",

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -26,6 +27,11 @@ __all__ = [
 
 # Rows formatted per block by write_columns.
 CSV_BLOCK_ROWS = 1024
+
+
+def _finite(value) -> bool:
+    """``math.isfinite`` without its OverflowError: a number no float holds (int 10**400) is not finite."""
+    return abs(value) <= sys.float_info.max
 
 
 def float_array(a) -> np.ndarray:
@@ -145,12 +151,12 @@ class MeasurementSpec:
         if self.kind == "h1" and not self.explicit_times:
             raise ValueError("MeasurementSpec: h1 requires explicit_times")
         # A NaN time passes the span check and snaps to the last dense sample.
-        if self.explicit_times is not None and not all(map(math.isfinite, self.explicit_times)):
+        if self.explicit_times is not None and not all(map(_finite, self.explicit_times)):
             raise ValueError("MeasurementSpec: explicit_times must be finite")
         lo, hi = self.gap_bounds
-        if not (0 < lo < hi and math.isfinite(hi)):
+        if not (0 < lo < hi and _finite(hi)):
             raise ValueError("MeasurementSpec: gap_bounds must be finite and satisfy 0 < low < high")
-        if not (0 < self.period and math.isfinite(self.period)):
+        if not (0 < self.period and _finite(self.period)):
             raise ValueError("MeasurementSpec: period must be finite and positive")
         # A bool is an Integral, but True is no seed.
         if not (isinstance(self.rng_seed, numbers.Integral) and not isinstance(self.rng_seed, bool)
