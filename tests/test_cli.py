@@ -1,8 +1,10 @@
+import gc
 import json
 import os
 import subprocess
 import sys
 import tracemalloc
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -671,15 +673,24 @@ def test_nonfinite_nutrition_rate_rejected_before_integrating(tmp_path, capsys, 
 
 
 COMMAND_IN_FRESH_INTERPRETER = """
+import argparse
+import gc
 import sys
 import mcsmooth.cli
-module = sys.argv[1]
-if module in sys.modules:
+
+def loaded(what):
+    # "parser": whether any argparse parser exists; anything else names a module.
+    if what == "parser":
+        return any(isinstance(obj, argparse.ArgumentParser) for obj in gc.get_objects())
+    return what in sys.modules
+
+what = sys.argv[1]
+if loaded(what):
     print("loaded by import")
     sys.exit(0)
 code = mcsmooth.cli.run_command(sys.argv[2:])
 assert code == 0, code
-print("loaded" if module in sys.modules else "not loaded")
+print("loaded" if loaded(what) else "not loaded")
 """
 
 # Each command on the 8-sample record; each 60-90 min h2 gap snaps forward on its 70-min grid.
@@ -695,20 +706,68 @@ COMMANDS = {
 }
 
 
+def command_argv(command, obs, out):
+    return [arg.format(obs=obs, out=out) for arg in COMMANDS[command]]
+
+
+def in_fresh_interpreter(what, argv):
+    """Import mcsmooth.cli and run ``argv`` in a new interpreter; say whether ``what`` was loaded."""
+    src = Path(mcsmooth.cli.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    done = subprocess.run([sys.executable, "-c", COMMAND_IN_FRESH_INTERPRETER, what, *argv], env=env,
+                          capture_output=True, text=True, check=True)
+    return done.stdout.splitlines()[-1]
+
+
 # np.unique imports numpy.ma on its first call: 1 MB and 12-18 ms per CLI process. numpy.random
 # loads secrets and hmac with it: more than 2 MB.
 @pytest.mark.parametrize("module", ["numpy.ma", "numpy.random"])
 @pytest.mark.parametrize("command", COMMANDS)
 def test_command_never_imports(tmp_path, short_obs_csv, command, module):
-    src = Path(mcsmooth.cli.__file__).resolve().parents[1]
-    env = {**os.environ, "PYTHONPATH": str(src)}
-    argv = [arg.format(obs=short_obs_csv, out=tmp_path) for arg in COMMANDS[command]]
-    done = subprocess.run([sys.executable, "-c", COMMAND_IN_FRESH_INTERPRETER, module, *argv], env=env,
-                          capture_output=True, text=True, check=True)
-    verdict = done.stdout.splitlines()[-1]
+    verdict = in_fresh_interpreter(module, command_argv(command, short_obs_csv, tmp_path))
     if verdict == "loaded by import":
         pytest.skip(f"importing mcsmooth.cli already loads {module}")
     assert verdict == "not loaded"
+
+
+def test_importing_the_cli_builds_no_parser():
+    # Import time is part of every benchmark workload's setup_s; the first call builds the parser.
+    assert in_fresh_interpreter("parser", ["version"]) == "loaded"
+
+
+@pytest.mark.parametrize("command", [*COMMANDS, "version"])
+def test_a_command_leaves_no_reference_cycles(tmp_path, short_obs_csv, command):
+    # Only the cyclic collector frees a cycle, and the numeric code rarely sets it off, so
+    # cycles left per call pile up in an in-process caller: a parser per call left 363 objects.
+    argv = command_argv(command, short_obs_csv, tmp_path) if command in COMMANDS else [command]
+    assert run_command(argv) == 0  # a first run does the imports and builds the parser
+    gc.collect()
+    gc.disable()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        assert run_command(argv) == 0
+        found = gc.collect()
+    finally:
+        gc.set_debug(0)
+        gc.enable()
+    kinds = Counter(type(obj).__name__ for obj in gc.garbage)
+    gc.garbage.clear()
+    assert found == 0, kinds.most_common(5)
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_a_reused_parser_runs_a_command_as_a_fresh_one_does(tmp_path, short_obs_csv, capsys, command):
+    fresh, reused = tmp_path / "fresh", tmp_path / "reused"
+    fresh.mkdir()
+    reused.mkdir()
+    in_fresh_interpreter("parser", command_argv(command, short_obs_csv, fresh))
+    name = COMMANDS[command][0]
+    assert run_command([name, "--config"]) == 2  # the subcommand's own usage error
+    assert capsys.readouterr().err.startswith(f"usage: mcsmooth {name} ")
+    assert run_command(command_argv(command, short_obs_csv, reused)) == 0
+    assert files_under(reused) == files_under(fresh) != []
+    for path in files_under(fresh):
+        assert (reused / path).read_bytes() == (fresh / path).read_bytes(), path
 
 
 def files_under(root):

@@ -250,10 +250,21 @@ class TestSubsample:
         assert got.dtype == want.dtype
         assert got.tobytes() == want.tobytes()
 
-    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    # An int no float can hold is not finite either; it used to raise OverflowError.
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, pytest.param(10**400, id="10**400")])
     def test_h1_nonfinite_time_rejected(self, bad):
         with pytest.raises(ValueError, match="MeasurementSpec: explicit_times must be finite"):
             MeasurementSpec(kind="h1", explicit_times=(100.0, bad))
+
+    @pytest.mark.parametrize("spec, message", [
+        (dict(kind="h2", gap_bounds=(60, math.inf)), "MeasurementSpec: gap_bounds must be finite"),
+        (dict(kind="h2", gap_bounds=(60, 10**400)), "MeasurementSpec: gap_bounds must be finite"),
+        (dict(kind="h3", period=math.nan), "MeasurementSpec: period must be finite and positive"),
+        (dict(kind="h3", period=10**400), "MeasurementSpec: period must be finite and positive"),
+    ])
+    def test_nonfinite_gap_bound_or_period_rejected(self, spec, message):
+        with pytest.raises(ValueError, match=message):
+            MeasurementSpec(**spec)
 
     def test_h1_outside_span_rejected(self):
         with pytest.raises(ValueError, match="outside dense span"):

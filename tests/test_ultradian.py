@@ -62,9 +62,12 @@ class TestParams:
         want = (1.0 / 80.0) * (1.0 / 11.0 - 1.0 / 20.0)
         assert nominal_params().kappa == pytest.approx(want, rel=1e-15)
 
-    def test_rejects_nonpositive(self):
-        with pytest.raises(ValueError, match="positive"):
-            UltradianParams(v_p=0.0)
+    # An infinite volume used to run silently, a NaN one to blow up at t = 1 and an int no
+    # float can hold to end simulate in OverflowError.
+    @pytest.mark.parametrize("v_p", [0.0, -3.0, np.inf, np.nan, pytest.param(10**400, id="10**400")])
+    def test_rejects_nonpositive(self, v_p):
+        with pytest.raises(ValueError, match="UltradianParams: v_p must be finite and positive"):
+            UltradianParams(v_p=v_p)
 
     def test_rejects_um_below_u0(self):
         with pytest.raises(ValueError, match="u_m"):
@@ -111,6 +114,16 @@ class TestNutrition:
             NutritionSchedule(((0.0, 100.0, 80.0), (200.0, 300.0, rate)))
         with pytest.raises(ValueError, match="NutritionSchedule: rate must be finite"):
             NutritionSchedule.constant(rate, 100.0)
+
+    @pytest.mark.parametrize("interval, field", [
+        ((10**400, 2.0, 80.0), "interval start"),
+        ((0.0, 10**400, 80.0), "interval end"),
+        ((0.0, 100.0, 10**400), "rate"),
+    ])
+    def test_a_value_no_float_holds_is_rejected(self, interval, field):
+        # float() of such an int raised OverflowError
+        with pytest.raises(ValueError, match=f"NutritionSchedule: {field} must lie within the float range"):
+            NutritionSchedule((interval,))
 
     def test_nonfinite_rate_in_csv_rejected(self, tmp_path):
         p = tmp_path / "n.csv"
@@ -217,6 +230,16 @@ class TestSimulate:
         with pytest.raises(ValueError, match="discard removed every output sample"):
             simulate(nominal_params(), NutritionSchedule.empty(), bad,
                      t_end=30.0, dt=0.5, discard=31.0)
+
+    @pytest.mark.parametrize("times, message", [
+        (dict(t_end=10**400), "simulate: t_end must be finite and positive"),
+        (dict(t_end=10.0, dt=10**400), "simulate: dt must be finite and positive"),
+        (dict(t_end=10.0, discard=-10**400), "simulate: discard must be finite"),
+    ])
+    def test_a_time_no_float_holds_is_rejected(self, times, message):
+        # math.isfinite of such an int raised OverflowError
+        with pytest.raises(ValueError, match=message):
+            simulate(nominal_params(), NutritionSchedule.empty(), default_initial_state(), **times)
 
     def test_dt_must_divide_minute(self):
         with pytest.raises(ValueError, match="divide one minute"):
