@@ -738,7 +738,7 @@ def test_importing_the_cli_builds_no_parser():
 @pytest.mark.parametrize("command", [*COMMANDS, "version"])
 def test_a_command_leaves_no_reference_cycles(tmp_path, short_obs_csv, command):
     # Only the cyclic collector frees a cycle, and the numeric code rarely sets it off, so
-    # cycles left per call pile up in an in-process caller: a parser per call left 363 objects.
+    # cycles left per call pile up in an in-process caller: a parser built per call leaves 363 objects.
     argv = command_argv(command, short_obs_csv, tmp_path) if command in COMMANDS else [command]
     assert run_command(argv) == 0  # a first run does the imports and builds the parser
     gc.collect()

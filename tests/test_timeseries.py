@@ -250,7 +250,7 @@ class TestSubsample:
         assert got.dtype == want.dtype
         assert got.tobytes() == want.tobytes()
 
-    # An int no float can hold is not finite either; it used to raise OverflowError.
+    # An int no float can hold is not finite either, though math.isfinite raises OverflowError for it.
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, pytest.param(10**400, id="10**400")])
     def test_h1_nonfinite_time_rejected(self, bad):
         with pytest.raises(ValueError, match="MeasurementSpec: explicit_times must be finite"):

@@ -62,8 +62,8 @@ class TestParams:
         want = (1.0 / 80.0) * (1.0 / 11.0 - 1.0 / 20.0)
         assert nominal_params().kappa == pytest.approx(want, rel=1e-15)
 
-    # An infinite volume used to run silently, a NaN one to blow up at t = 1 and an int no
-    # float can hold to end simulate in OverflowError.
+    # Unchecked, an infinite volume runs silently, a NaN one blows up at t = 1 and an int no
+    # float can hold ends simulate in OverflowError.
     @pytest.mark.parametrize("v_p", [0.0, -3.0, np.inf, np.nan, pytest.param(10**400, id="10**400")])
     def test_rejects_nonpositive(self, v_p):
         with pytest.raises(ValueError, match="UltradianParams: v_p must be finite and positive"):
@@ -121,7 +121,7 @@ class TestNutrition:
         ((0.0, 100.0, 10**400), "rate"),
     ])
     def test_a_value_no_float_holds_is_rejected(self, interval, field):
-        # float() of such an int raised OverflowError
+        # float() of such an int raises OverflowError
         with pytest.raises(ValueError, match=f"NutritionSchedule: {field} must lie within the float range"):
             NutritionSchedule((interval,))
 
@@ -237,7 +237,7 @@ class TestSimulate:
         (dict(t_end=10.0, discard=-10**400), "simulate: discard must be finite"),
     ])
     def test_a_time_no_float_holds_is_rejected(self, times, message):
-        # math.isfinite of such an int raised OverflowError
+        # math.isfinite of such an int raises OverflowError
         with pytest.raises(ValueError, match=message):
             simulate(nominal_params(), NutritionSchedule.empty(), default_initial_state(), **times)
 
