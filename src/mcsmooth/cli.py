@@ -24,7 +24,6 @@ from . import __version__
 from .kernels import bandwidth_rule_of_thumb
 from .optimizer import (
     HyperConfig,
-    _is_number,
     density_estimate,
     estimate,
     read_states_csv,
@@ -38,6 +37,7 @@ from .optimizer import (
 from .timeseries import (
     KickSeries,
     MeasurementSpec,
+    _is_number,
     load_kicks,
     load_observations,
     read_columns,

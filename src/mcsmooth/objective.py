@@ -29,7 +29,7 @@ import numpy as np
 from .kernels import KernelTables, folded, gaussian_kernel, kernel_peak, weighted_column_sums
 from .oscillator import (LOG_2PI, EffectiveGaps, ModelNoise, ParamPriors, ParamTrajectory,
                          TransitionQuantities, transition_quantities)
-from .timeseries import float_array
+from .timeseries import _is_number, float_array
 
 __all__ = [
     "EstimationState",
@@ -85,8 +85,8 @@ class WeightSchedule:
 
     def __post_init__(self):
         lams = (self.lam1, self.lam2, self.lam3, self.lam4, self.lam_b, self.lam_a, self.lam_omega)
-        if min(lams) < 0:
-            raise ValueError("WeightSchedule: weights must be nonnegative")
+        if not all(_is_number(v) and 0 <= v < math.inf for v in lams):
+            raise ValueError("WeightSchedule: weights must be finite and nonnegative")
 
     @classmethod
     def from_lambdas(cls, lambdas) -> "WeightSchedule":

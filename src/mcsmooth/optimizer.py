@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import math
 import numbers
-import sys
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -28,7 +27,7 @@ import numpy as np
 from .kernels import KernelTables, build_tables, gaussian_kernel, row_tiles, time_products
 from .objective import Components, EstimationState, WeightSchedule, eval_components, grad_total
 from .oscillator import ModelNoise, ParamPriors, ParamTrajectory, propagate, relaxation_gap
-from .timeseries import KickSeries, ObservationSeries, read_columns, write_columns
+from .timeseries import KickSeries, ObservationSeries, _is_number, read_columns, write_columns
 
 __all__ = [
     "HyperConfig",
@@ -70,16 +69,6 @@ class FrequencyEstimationError(ValueError):
 
 class StalledError(RuntimeError):
     """Raised when line search cannot find any nondecreasing step repeatedly."""
-
-
-def _is_number(value, kind=numbers.Real) -> bool:
-    """Whether the value is an instance of the numeric kind; JSON's true and false are not.
-
-    JSON reads an integer of any size, so a real must also lie within the float range.
-    """
-    if kind is not numbers.Integral and isinstance(value, int) and abs(value) > sys.float_info.max:
-        return False
-    return isinstance(value, kind) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)

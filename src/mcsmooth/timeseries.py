@@ -29,9 +29,34 @@ __all__ = [
 CSV_BLOCK_ROWS = 1024
 
 
-def _finite(value) -> bool:
-    """``math.isfinite`` without its OverflowError: a number no float holds (int 10**400) is not finite."""
-    return abs(value) <= sys.float_info.max
+def _is_number(value, kind=numbers.Real) -> bool:
+    """Whether a value from a file, a config or a library call is a number of the kind.
+
+    That is an instance of the kind that is not a bool. A real must also lie within
+    the float range, so ``math.isfinite`` never raises on it; NaN and +-inf are
+    numbers, left to each field's range check. An integral kind takes any int.
+    """
+    if not isinstance(value, kind) or isinstance(value, bool):
+        return False
+    return (kind is numbers.Integral or not isinstance(value, numbers.Rational)
+            or abs(value) <= sys.float_info.max)
+
+
+def _check_pair(series, column: str) -> None:
+    """Convert ``times`` and ``column`` to float arrays: equal-length 1-d, finite, times strictly increasing."""
+    owner = type(series).__name__
+    try:
+        times, values = (np.asarray(getattr(series, name), dtype=float) for name in ("times", column))
+    except OverflowError:  # an int no float can hold
+        raise ValueError(f"{owner}: non-finite entry") from None
+    object.__setattr__(series, "times", times)
+    object.__setattr__(series, column, values)
+    if times.ndim != 1 or times.shape != values.shape:
+        raise ValueError(f"{owner}: times and {column} must be equal-length 1-d arrays")
+    if not (np.all(np.isfinite(times)) and np.all(np.isfinite(values))):
+        raise ValueError(f"{owner}: non-finite entry")
+    if not np.all(times[1:] > times[:-1]):
+        raise ValueError(f"{owner}: times must be strictly increasing")
 
 
 def float_array(a) -> np.ndarray:
@@ -58,18 +83,9 @@ class ObservationSeries:
     values: np.ndarray
 
     def __post_init__(self):
-        times = np.asarray(self.times, dtype=float)
-        values = np.asarray(self.values, dtype=float)
-        object.__setattr__(self, "times", times)
-        object.__setattr__(self, "values", values)
-        if times.ndim != 1 or values.ndim != 1 or times.shape != values.shape:
-            raise ValueError("ObservationSeries: times and values must be equal-length 1-d arrays")
-        if times.size == 0:
+        _check_pair(self, "values")
+        if self.times.size == 0:
             raise ValueError("ObservationSeries: empty series")
-        if not (np.all(np.isfinite(times)) and np.all(np.isfinite(values))):
-            raise ValueError("ObservationSeries: non-finite entry")
-        if not np.all(times[1:] > times[:-1]):
-            raise ValueError("ObservationSeries: times must be strictly increasing")
 
     @property
     def n(self) -> int:
@@ -94,19 +110,10 @@ class KickSeries:
     intensities: np.ndarray
 
     def __post_init__(self):
-        times = np.asarray(self.times, dtype=float)
-        intensities = np.asarray(self.intensities, dtype=float)
-        object.__setattr__(self, "times", times)
-        object.__setattr__(self, "intensities", intensities)
-        if times.shape != intensities.shape or times.ndim != 1:
-            raise ValueError("KickSeries: times and intensities must be equal-length 1-d arrays")
-        if not (np.all(np.isfinite(times)) and np.all(np.isfinite(intensities))):
-            raise ValueError("KickSeries: non-finite entry")
-        if not np.all(times[1:] > times[:-1]):
-            raise ValueError("KickSeries: times must be strictly increasing")
-        if np.any(intensities < 0):
+        _check_pair(self, "intensities")
+        if np.any(self.intensities < 0):
             raise ValueError("KickSeries: negative intensity")
-        if times.size > 0 and not intensities.mean() > 0:
+        if self.times.size > 0 and not self.intensities.mean() > 0:
             raise ValueError("KickSeries: mean intensity must be positive for a nonempty series")
 
     @classmethod
@@ -147,20 +154,21 @@ class MeasurementSpec:
 
     def __post_init__(self):
         if self.kind not in ("h1", "h2", "h3"):
-            raise ValueError(f"MeasurementSpec: unknown kind {self.kind!r}")
+            # Only a str is shown: an int of over 4300 digits cannot even be formatted.
+            shown = f" {self.kind!r}" if isinstance(self.kind, str) else ""
+            raise ValueError(f"MeasurementSpec: unknown kind{shown}")
         if self.kind == "h1" and not self.explicit_times:
             raise ValueError("MeasurementSpec: h1 requires explicit_times")
         # A NaN time passes the span check and snaps to the last dense sample.
-        if self.explicit_times is not None and not all(map(_finite, self.explicit_times)):
+        if self.explicit_times is not None and not all(_is_number(t) and math.isfinite(t)
+                                                       for t in self.explicit_times):
             raise ValueError("MeasurementSpec: explicit_times must be finite")
         lo, hi = self.gap_bounds
-        if not (0 < lo < hi and _finite(hi)):
+        if not (_is_number(lo) and _is_number(hi) and 0 < lo < hi < math.inf):
             raise ValueError("MeasurementSpec: gap_bounds must be finite and satisfy 0 < low < high")
-        if not (0 < self.period and _finite(self.period)):
+        if not (_is_number(self.period) and 0 < self.period < math.inf):
             raise ValueError("MeasurementSpec: period must be finite and positive")
-        # A bool is an Integral, but True is no seed.
-        if not (isinstance(self.rng_seed, numbers.Integral) and not isinstance(self.rng_seed, bool)
-                and self.rng_seed >= 0):
+        if not (_is_number(self.rng_seed, numbers.Integral) and self.rng_seed >= 0):
             raise ValueError("MeasurementSpec: rng_seed must be a nonnegative integer")
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .timeseries import ObservationSeries, _finite, read_columns, write_columns
+from .timeseries import ObservationSeries, _is_number, read_columns, write_columns
 
 __all__ = [
     "UltradianParams",
@@ -69,7 +69,7 @@ class UltradianParams:
     def __post_init__(self):
         for name in self.__dataclass_fields__:
             value = getattr(self, name)
-            if not (_finite(value) and value > 0):
+            if not (_is_number(value) and 0 < value < math.inf):
                 raise ValueError(f"UltradianParams: {name} must be finite and positive")
         if self.u_m <= self.u_0:
             raise ValueError("UltradianParams: u_m must exceed u_0")
@@ -108,14 +108,6 @@ def default_initial_state() -> UltradianState:
     return UltradianState(i_p=40.0, i_i=40.0, g=10000.0, h1=40.0, h2=40.0, h3=40.0)
 
 
-def _float(value, field: str) -> float:
-    """``float(value)``; a number no float can hold raises a ValueError naming the schedule's field."""
-    try:
-        return float(value)
-    except OverflowError:
-        raise ValueError(f"NutritionSchedule: {field} must lie within the float range") from None
-
-
 @dataclass(frozen=True)
 class NutritionSchedule:
     """Non-overlapping constant-rate carbohydrate intervals, mg/min.
@@ -127,8 +119,12 @@ class NutritionSchedule:
     intervals: tuple[tuple[float, float, float], ...]
 
     def __post_init__(self):
-        iv = tuple(sorted((_float(a, "interval start"), _float(b, "interval end"), _float(r, "rate"))
-                          for a, b, r in self.intervals))
+        for interval in self.intervals:
+            for field, value in zip(("interval start", "interval end", "rate"), interval):
+                if not _is_number(value):
+                    raise ValueError(f"NutritionSchedule: {field} must lie within the float range "
+                                     "as a number")
+        iv = tuple(sorted((float(a), float(b), float(r)) for a, b, r in self.intervals))
         object.__setattr__(self, "intervals", iv)
         for t0, t1, rate in iv:
             if not t0 < t1:
@@ -225,11 +221,14 @@ def simulate(
     constant-rate span (:meth:`NutritionSchedule.segment`) and reused while
     the substep times stay inside it.
     """
-    for name, value in (("t_end", t_end), ("dt", dt)):
-        if not (_finite(value) and value > 0):
-            raise ValueError(f"simulate: {name} must be finite and positive, got {value!r}")
-    if not _finite(discard):
-        raise ValueError(f"simulate: discard must be finite, got {discard!r}")
+    # A value is shown only if it is a number: an int of over 4300 digits cannot even be formatted.
+    for name, value, positive in (("t_end", t_end, True), ("dt", dt, True), ("discard", discard, False)):
+        if not (_is_number(value) and math.isfinite(value) and (value > 0 or not positive)):
+            shown = f", got {value!r}" if _is_number(value) else ""
+            raise ValueError(f"simulate: {name} must be finite{' and positive' if positive else ''}{shown}")
+    for name in UltradianState.__dataclass_fields__:
+        if not _is_number(getattr(initial, name)):
+            raise ValueError(f"simulate: initial {name} must be a number")
     steps_per_min = round(1.0 / dt)
     if steps_per_min < 1 or abs(steps_per_min * dt - 1.0) > 1e-9:
         raise ValueError("simulate: dt must divide one minute exactly")

@@ -446,6 +446,10 @@ class TestWeightSchedule:
     def test_rejects_negative_weight(self):
         with pytest.raises(ValueError, match="nonnegative"):
             WeightSchedule(lam1=-0.1)
+        # A NaN or infinite weight makes the objective NaN or infinite.
+        for bad in (float("nan"), float("inf"), 10**400):
+            with pytest.raises(ValueError, match="WeightSchedule: weights must be finite and nonnegative"):
+                WeightSchedule(lam1=bad)
 
 
 def test_a_state_of_mismatched_lengths_is_rejected():

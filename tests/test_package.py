@@ -47,6 +47,14 @@ def test_the_package_reads_numbers_only():
         assert written_only.findall(source) == [], path.name
 
 
+def test_only_timeseries_states_what_a_number_is():
+    # timeseries._is_number is the one rule for a number from outside; a second
+    # module reading the float range would state it again.
+    for path in sorted(Path(mcsmooth.__file__).parent.glob("*.py")):
+        source = path.read_text(encoding="utf-8")
+        assert ("sys.float_info" in source) == (path.name == "timeseries.py"), path.name
+
+
 def test_only_write_columns_writes_csv():
     # Every file the package writes goes through timeseries.write_columns.
     writes = re.compile(r"""open\([^)]*["'](?:[wax]|r\+)[bt+]*["']|write_text|write_bytes|savetxt|tofile|np\.save""")

@@ -71,6 +71,11 @@ class TestObservationSeries:
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError, match="non-finite"):
             ObservationSeries([0.0, 1.0], [1.0, np.nan])
+        # An int no float can hold is not finite either, though converting it raises OverflowError.
+        with pytest.raises(ValueError, match="ObservationSeries: non-finite entry"):
+            ObservationSeries([0.0, 1.0], [10**400, 1.0])
+        with pytest.raises(ValueError, match="KickSeries: non-finite entry"):
+            KickSeries([0.0], [10**400])
 
     @pytest.mark.parametrize("times, values", [([0.0, 1.0], [1.0]), ([[0.0, 1.0]], [[1.0, 2.0]])])
     def test_rejects_a_shape_mismatch(self, times, values):
@@ -251,7 +256,7 @@ class TestSubsample:
         assert got.tobytes() == want.tobytes()
 
     # An int no float can hold is not finite either, though math.isfinite raises OverflowError for it.
-    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, pytest.param(10**400, id="10**400")])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, pytest.param(10**400, id="10**400"), True])
     def test_h1_nonfinite_time_rejected(self, bad):
         with pytest.raises(ValueError, match="MeasurementSpec: explicit_times must be finite"):
             MeasurementSpec(kind="h1", explicit_times=(100.0, bad))
@@ -261,6 +266,8 @@ class TestSubsample:
         (dict(kind="h2", gap_bounds=(60, 10**400)), "MeasurementSpec: gap_bounds must be finite"),
         (dict(kind="h3", period=math.nan), "MeasurementSpec: period must be finite and positive"),
         (dict(kind="h3", period=10**400), "MeasurementSpec: period must be finite and positive"),
+        (dict(kind="h3", period=True), "MeasurementSpec: period must be finite and positive"),
+        (dict(kind="h2", gap_bounds=("a", "b")), "MeasurementSpec: gap_bounds must be finite"),
     ])
     def test_nonfinite_gap_bound_or_period_rejected(self, spec, message):
         with pytest.raises(ValueError, match=message):
@@ -273,3 +280,6 @@ class TestSubsample:
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError, match="unknown kind"):
             MeasurementSpec(kind="h9")
+        # Formatting an int of over 4300 digits raises a ValueError that names no field.
+        with pytest.raises(ValueError, match="^MeasurementSpec: unknown kind$"):
+            MeasurementSpec(kind=10**5000)

@@ -62,9 +62,9 @@ class TestParams:
         want = (1.0 / 80.0) * (1.0 / 11.0 - 1.0 / 20.0)
         assert nominal_params().kappa == pytest.approx(want, rel=1e-15)
 
-    # Unchecked, an infinite volume runs silently, a NaN one blows up at t = 1 and an int no
-    # float can hold ends simulate in OverflowError.
-    @pytest.mark.parametrize("v_p", [0.0, -3.0, np.inf, np.nan, pytest.param(10**400, id="10**400")])
+    # Unchecked, an infinite volume runs silently, a NaN one blows up at t = 1, an int no
+    # float can hold ends simulate in OverflowError and True is no volume.
+    @pytest.mark.parametrize("v_p", [0.0, -3.0, np.inf, np.nan, pytest.param(10**400, id="10**400"), True])
     def test_rejects_nonpositive(self, v_p):
         with pytest.raises(ValueError, match="UltradianParams: v_p must be finite and positive"):
             UltradianParams(v_p=v_p)
@@ -119,9 +119,11 @@ class TestNutrition:
         ((10**400, 2.0, 80.0), "interval start"),
         ((0.0, 10**400, 80.0), "interval end"),
         ((0.0, 100.0, 10**400), "rate"),
+        ((0, 1, "5"), "rate"),
+        ((0, 1, True), "rate"),
     ])
     def test_a_value_no_float_holds_is_rejected(self, interval, field):
-        # float() of such an int raises OverflowError
+        # float() of such an int raises OverflowError, and it reads "5" as 5.0 and True as 1.0
         with pytest.raises(ValueError, match=f"NutritionSchedule: {field} must lie within the float range"):
             NutritionSchedule((interval,))
 
@@ -235,9 +237,13 @@ class TestSimulate:
         (dict(t_end=10**400), "simulate: t_end must be finite and positive"),
         (dict(t_end=10.0, dt=10**400), "simulate: dt must be finite and positive"),
         (dict(t_end=10.0, discard=-10**400), "simulate: discard must be finite"),
+        (dict(t_end=True), "simulate: t_end must be finite and positive"),
+        (dict(t_end=-10**400), "^simulate: t_end must be finite and positive$"),
+        (dict(t_end=10**5000), "^simulate: t_end must be finite and positive$"),
     ])
     def test_a_time_no_float_holds_is_rejected(self, times, message):
-        # math.isfinite of such an int raises OverflowError
+        # math.isfinite of such an int raises OverflowError, and True would run one minute.
+        # The message never prints the int: 401 digits are noise, and over 4300 cannot be printed.
         with pytest.raises(ValueError, match=message):
             simulate(nominal_params(), NutritionSchedule.empty(), default_initial_state(), **times)
 
@@ -498,6 +504,14 @@ def test_simulate_matches_the_vector_oracle_where_every_stage_overflows_the_powe
     got, want = simulate(*args), simulate_oracle(*args)
     assert np.array_equal(got.times, want.times)
     assert np.array_equal(got.states, want.states)
+
+
+@pytest.mark.parametrize("name", STATE_FIELDS)
+def test_a_start_no_float_holds_is_rejected_before_the_first_step(name):
+    # Unchecked, the first state row or step ends in OverflowError.
+    initial = dataclasses.replace(default_initial_state(), **{name: 10**400})
+    with pytest.raises(ValueError, match=f"^simulate: initial {name} must be a number$"):
+        simulate(icu_fit_params(), NutritionSchedule.empty(), initial, 3.0, 0.5)
 
 
 @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
