@@ -114,15 +114,17 @@ def log_time_weight(t, before, alpha: float, T_l: float, I: slice, J: slice) -> 
     return d
 
 
-def folded(log_w: np.ndarray, u, v, h: float) -> np.ndarray:
-    """exp(log_w_ij - (u_i - v_j)^2 / (2 h^2)) over a block, in one array of the block's size.
-
-    The difference is squared in place, so no second block is alive while the
-    kernel forms; a caller that needs u_i - v_j forms it where it uses it.
-    """
+def value_exponent(u, v, h: float) -> np.ndarray:
+    """The block -(u_i - v_j)^2 / (2 h^2), formed in place so no second block is alive as it forms."""
     e = u[:, None] - v[None, :]
     e *= e
     e /= -2.0 * h * h
+    return e
+
+
+def folded(log_w: np.ndarray, u, v, h: float) -> np.ndarray:
+    """exp(log_w_ij - (u_i - v_j)^2 / (2 h^2)) over a block, in one array of the block's size."""
+    e = value_exponent(u, v, h)
     e += log_w
     return np.exp(e, out=e)
 
@@ -130,6 +132,12 @@ def folded(log_w: np.ndarray, u, v, h: float) -> np.ndarray:
 def weighted_column_sums(M: np.ndarray, inv_I, inv_J) -> np.ndarray:
     """sum_i (inv_I[i] + inv_J[j]) M[i, j] for each column j: the W-weighted column sums."""
     return inv_I @ M + inv_J * M.sum(axis=0)
+
+
+def pair_sum(M: np.ndarray, inv_s: np.ndarray, I: slice, J: slice) -> float:
+    """sum_ij (inv_s[i] + inv_s[j]) M[i, j] over a block (I, J); one off the diagonal counts both orders."""
+    total = weighted_column_sums(M, inv_s[I], inv_s[J]).sum()
+    return total if I == J else 2.0 * total
 
 
 def time_products(t, kicks: KickSeries, alpha: float, T_l: float, V: np.ndarray) -> np.ndarray:
@@ -163,12 +171,10 @@ class KernelTables:
     ``blocks`` generates the log time weight of each block. inv_s[i] is
     1 / sum_l E[i, l] for the unnormalised time kernel E, so the L2 weight is
     W[i, j] = E[i, j] (inv_s[i] + inv_s[j]). wky = sum_ij W[i, j] K^y(y^i, y^j)
-    is the part of L2 that does not depend on x, summed over the blocks with
-    the expressions of L2's block pass (``objective._L2_blocks``), so that L2
-    vanishes exactly at x = y. There that pass gives -0.0, and the gradient
-    pass (``objective._grad_L2_blocks``), whose xx and yx terms cancel, -0.0
-    in every entry. ``objective.eval_L2`` and ``objective._grad_L2`` return
-    these bits at x = y after an O(n) comparison, without walking the blocks.
+    is the part of L2 that does not depend on x, summed through L2's own block
+    functions (``value_exponent``, ``pair_sum``), so L2 is -0.0 at x = y, as is
+    its gradient, whose xx and yx terms cancel; there ``objective.eval_L2`` and
+    ``objective._grad_L2`` return without walking the blocks.
     """
 
     y: np.ndarray
@@ -222,20 +228,14 @@ def build_tables(
     for I, J in square_blocks(n):
         # One exponent serves both kernels: Ky = exp(e), then Kw = exp(e + log_w),
         # the bits of ``folded`` with log_w = 0 (exp(-0.0) = exp(0.0)) and with log_w.
-        e = y[I, None] - y[None, J]
-        e *= e
-        e /= -2.0 * h * h
+        e = value_exponent(y[I], y[J], h)
         Ky = np.exp(e)
         ky_sums[I] += Ky.sum(axis=1)
         if I != J:
             ky_sums[J] += Ky.sum(axis=0)
         del Ky  # freed before the log weight: see ``TILE_ELEMENTS``
         e += log_time_weight(t, before, alpha, T_l, I, J)
-        Kw = np.exp(e, out=e)
-        if I == J:
-            wky += weighted_column_sums(Kw, inv_s[I], inv_s[J]).sum()
-        else:
-            wky += 2.0 * weighted_column_sums(Kw, inv_s[I], inv_s[J]).sum()
+        wky += pair_sum(np.exp(e, out=e), inv_s, I, J)
     c_h = kernel_peak(h)
     return KernelTables(y=y, gaps=effective_gaps(obs, kicks, alpha), h=h, T_s=float(T_s), T_l=T_l,
                         epsilon=float(epsilon), t=t, before=before, alpha=alpha, inv_s=inv_s,

@@ -26,7 +26,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .kernels import KernelTables, folded, gaussian_kernel, kernel_peak, weighted_column_sums
+from .kernels import KernelTables, folded, gaussian_kernel, kernel_peak, pair_sum, weighted_column_sums
 from .oscillator import (LOG_2PI, EffectiveGaps, ModelNoise, ParamPriors, ParamTrajectory,
                          TransitionQuantities, transition_quantities)
 from .timeseries import _is_number, float_array
@@ -87,11 +87,6 @@ class WeightSchedule:
         lams = (self.lam1, self.lam2, self.lam3, self.lam4, self.lam_b, self.lam_a, self.lam_omega)
         if not all(_is_number(v) and 0 <= v < math.inf for v in lams):
             raise ValueError("WeightSchedule: weights must be finite and nonnegative")
-
-    @classmethod
-    def from_lambdas(cls, lambdas) -> "WeightSchedule":
-        l1, l2, l3, l4, lb, la, lo = (float(v) for v in lambdas)
-        return cls(l1, l2, l3, l4, lb, la, lo)
 
     @property
     def any_param(self) -> bool:
@@ -154,9 +149,8 @@ def eval_L2(state: EstimationState, tables: KernelTables) -> float:
 def _L2_blocks(state: EstimationState, tables: KernelTables) -> float:
     """L2 summed over the tables' blocks.
 
-    The x-dependent part sum W * (Kxx - 2 Kyx) is summed over the tables'
-    blocks, each off-diagonal block counting both orders of its pairs; the
-    rest, sum W * Ky, is the precomputed ``tables.wky``.
+    The x-dependent part sum W * (Kxx - 2 Kyx) is summed block by block with
+    ``pair_sum``; the rest, sum W * Ky, is the precomputed ``tables.wky``.
     """
     x, y, h, inv_s = state.x, tables.y, tables.h, tables.inv_s
     total = 0.0
@@ -169,12 +163,11 @@ def _L2_blocks(state: EstimationState, tables: KernelTables) -> float:
             Kyx *= 2.0
             Kxx -= Kyx
             del Kyx
-            total += weighted_column_sums(Kxx, inv_s[I], inv_s[J]).sum()
         else:
             Kxx -= Kyx
             del Kyx
             Kxx -= folded(log_w, x[I], y[J], h)
-            total += 2.0 * weighted_column_sums(Kxx, inv_s[I], inv_s[J]).sum()
+        total += pair_sum(Kxx, inv_s, I, J)
     return -(kernel_peak(h) * total + tables.wky) / (2.0 * state.n)
 
 

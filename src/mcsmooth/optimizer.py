@@ -405,7 +405,7 @@ def estimate(
     for name, lambdas, mask, factor, iters in stages:
         state = replace(state, noise=ModelNoise(factor * a_bar))
         # name= by keyword: a stage's spans in the benchmark's tracer are named from it.
-        state, trace = run_stage(state, tables, WeightSchedule.from_lambdas(lambdas), mask, iters, name=name)
+        state, trace = run_stage(state, tables, WeightSchedule(*lambdas), mask, iters, name=name)
         traces.append(trace)
 
     return EstimationResult(

@@ -43,8 +43,18 @@ def _is_number(value, kind=numbers.Real) -> bool:
 
 
 def _check_pair(series, column: str) -> None:
-    """Convert ``times`` and ``column`` to float arrays: equal-length 1-d, finite, times strictly increasing."""
+    """Convert ``times`` and ``column`` to float arrays: equal-length 1-d, finite, times strictly increasing.
+
+    Entries must be numbers; a str or a bool is not read as one. An int or
+    float ndarray is converted as it is.
+    """
     owner = type(series).__name__
+    for name in ("times", column):
+        a = getattr(series, name)
+        if not (isinstance(a, np.ndarray) and a.dtype.kind in "iuf"):
+            # Any int passes here: one no float can hold is a non-finite entry below.
+            if not all(_is_number(v) or _is_number(v, numbers.Integral) for v in np.asarray(a, dtype=object).flat):
+                raise ValueError(f"{owner}: {name} entries must be numbers")
     try:
         times, values = (np.asarray(getattr(series, name), dtype=float) for name in ("times", column))
     except OverflowError:  # an int no float can hold
@@ -157,14 +167,17 @@ class MeasurementSpec:
             # Only a str is shown: an int of over 4300 digits cannot even be formatted.
             shown = f" {self.kind!r}" if isinstance(self.kind, str) else ""
             raise ValueError(f"MeasurementSpec: unknown kind{shown}")
-        if self.kind == "h1" and not self.explicit_times:
+        times = self.explicit_times
+        if times is not None and not isinstance(times, (tuple, list)):
+            raise ValueError("MeasurementSpec: explicit_times must be a tuple or list")
+        if self.kind == "h1" and not times:
             raise ValueError("MeasurementSpec: h1 requires explicit_times")
         # A NaN time passes the span check and snaps to the last dense sample.
-        if self.explicit_times is not None and not all(_is_number(t) and math.isfinite(t)
-                                                       for t in self.explicit_times):
+        if times is not None and not all(_is_number(t) and math.isfinite(t) for t in times):
             raise ValueError("MeasurementSpec: explicit_times must be finite")
-        lo, hi = self.gap_bounds
-        if not (_is_number(lo) and _is_number(hi) and 0 < lo < hi < math.inf):
+        bounds = self.gap_bounds
+        if not (isinstance(bounds, (tuple, list)) and len(bounds) == 2 and all(_is_number(v) for v in bounds)
+                and 0 < bounds[0] < bounds[1] < math.inf):
             raise ValueError("MeasurementSpec: gap_bounds must be finite and satisfy 0 < low < high")
         if not (_is_number(self.period) and 0 < self.period < math.inf):
             raise ValueError("MeasurementSpec: period must be finite and positive")
@@ -257,13 +270,11 @@ def write_observations(series: ObservationSeries, path: str | Path) -> None:
     write_columns(path, series.times, series.values)
 
 
-def _nearest_index(times: np.ndarray, t: float) -> int:
-    i = int(np.searchsorted(times, t))
-    if i == 0:
-        return 0
-    if i == times.size:
-        return times.size - 1
-    return i if times[i] - t < t - times[i - 1] else i - 1
+def _nearest(times: np.ndarray, t):
+    """The index of the sample of sorted ``times`` nearest each ``t``; a tie goes to the earlier sample."""
+    i = times.searchsorted(t)
+    lo, hi = np.maximum(i - 1, 0), np.minimum(i, times.size - 1)
+    return np.where(times[hi] - t < t - times[lo], hi, lo)
 
 
 def _sorted_unique(idx) -> np.ndarray:
@@ -349,12 +360,12 @@ def subsample(dense: ObservationSeries, spec: MeasurementSpec) -> ObservationSer
     """
     t0, t1 = dense.span
     if spec.kind == "h1":
-        idx = []
-        for t in spec.explicit_times:
-            if t < t0 or t > t1:
-                raise ValueError(f"subsample: explicit time {t} outside dense span [{t0}, {t1}]")
-            idx.append(_nearest_index(dense.times, float(t)))
-        idx = _sorted_unique(idx)
+        t = np.asarray(spec.explicit_times, dtype=float)
+        outside = (t < t0) | (t > t1)
+        if outside.any():
+            raise ValueError(f"subsample: explicit time {spec.explicit_times[outside.argmax()]} "
+                             f"outside dense span [{t0}, {t1}]")
+        idx = _sorted_unique(_nearest(dense.times, t))
     elif spec.kind == "h2":
         lo, hi = spec.gap_bounds
         gaps = _pcg64_uniform(spec.rng_seed, lo, hi)
@@ -363,7 +374,7 @@ def subsample(dense: ObservationSeries, spec: MeasurementSpec) -> ObservationSer
             t_next = dense.times[idx[-1]] + next(gaps)
             if t_next > t1:
                 break
-            i = _nearest_index(dense.times, float(t_next))
+            i = int(_nearest(dense.times, t_next))
             if i <= idx[-1]:
                 raise ValueError(f"subsample: a gap of {lo!r}-{hi!r} min snaps back to the sample at "
                                  f"t={float(dense.times[i])!r}; the dense series is coarser there")
@@ -376,5 +387,5 @@ def subsample(dense: ObservationSeries, spec: MeasurementSpec) -> ObservationSer
                              f"{dense.n} dense samples")
         targets = np.arange(t0, t1 + 0.5 * spec.period, spec.period)
         targets = targets[targets <= t1]
-        idx = _sorted_unique([_nearest_index(dense.times, float(t)) for t in targets])
+        idx = _sorted_unique(_nearest(dense.times, targets))
     return ObservationSeries(dense.times[idx], dense.values[idx])

@@ -119,6 +119,9 @@ class NutritionSchedule:
     intervals: tuple[tuple[float, float, float], ...]
 
     def __post_init__(self):
+        if not (isinstance(self.intervals, (tuple, list))
+                and all(isinstance(iv, (tuple, list)) and len(iv) == 3 for iv in self.intervals)):
+            raise ValueError("NutritionSchedule: intervals must be (start, end, rate) triples")
         for interval in self.intervals:
             for field, value in zip(("interval start", "interval end", "rate"), interval):
                 if not _is_number(value):
@@ -143,8 +146,8 @@ class NutritionSchedule:
         return cls(())
 
     @classmethod
-    def constant(cls, rate: float, t_end: float, t_start: float = 0.0) -> "NutritionSchedule":
-        return cls(((t_start, t_end, rate),))
+    def constant(cls, rate: float, t_end: float) -> "NutritionSchedule":
+        return cls(((0.0, t_end, rate),))
 
     @classmethod
     def from_csv(cls, path) -> "NutritionSchedule":

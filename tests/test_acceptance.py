@@ -69,7 +69,7 @@ def test_criterion_1_gradient_correctness():
     for seed in range(100):
         state, obs, tables = make_random_fixture(seed, n=16)
         for lam in ONE_HOT:
-            err = fd_check(state, tables, WeightSchedule.from_lambdas(lam), step=1e-6)
+            err = fd_check(state, tables, WeightSchedule(*lam), step=1e-6)
             worst = max(worst, err)
     elapsed = time.time() - t0
     ok = worst <= 1e-5 and elapsed < 60.0

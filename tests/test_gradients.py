@@ -76,14 +76,14 @@ class TestFiniteDifferences:
     def test_one_hot_components(self, component):
         for seed in range(10):
             state, obs, tables = make_random_fixture(seed)
-            sched = WeightSchedule.from_lambdas(ONE_HOT[component])
+            sched = WeightSchedule(*ONE_HOT[component])
             assert fd_check(state, tables, sched) <= 1e-5
 
     def test_mixed_schedule(self):
         rng = np.random.default_rng(77)
         for seed in range(5):
             state, obs, tables = make_random_fixture(100 + seed)
-            sched = WeightSchedule.from_lambdas(rng.uniform(0.1, 2.0, 7))
+            sched = WeightSchedule(*rng.uniform(0.1, 2.0, 7))
             assert fd_check(state, tables, sched) <= 1e-5
 
     @settings(max_examples=30, deadline=None)
@@ -95,13 +95,13 @@ class TestFiniteDifferences:
     def test_random_sizes_and_schedules(self, seed, n, with_kicks, lambdas):
         state, obs, tables = make_random_fixture(seed, n=n, with_kicks=with_kicks)
         assert tables.alpha == FIXTURE_ALPHA
-        assert fd_check(state, tables, WeightSchedule.from_lambdas(lambdas)) <= 1e-5
+        assert fd_check(state, tables, WeightSchedule(*lambdas)) <= 1e-5
 
     def test_a_wrong_smallest_entry_is_caught(self, monkeypatch):
         # The example above: its smallest entry, 4.6e-11, lies within a few
         # roundings of its quotient, yet a relative error of 1e-4 in it shows.
         state, obs, tables = make_random_fixture(677, n=4, with_kicks=False)
-        sched = WeightSchedule.from_lambdas(ONE_HOT[0])
+        sched = WeightSchedule(*ONE_HOT[0])
         assert fd_check(state, tables, sched) == 0.0
         g = grad_total(state, tables, sched)
         d_x = g.d_x.copy()
@@ -119,7 +119,7 @@ class TestFiniteDifferences:
     @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
     def test_a_non_finite_entry_is_an_infinite_error(self, monkeypatch, bad):
         state, obs, tables = make_random_fixture(0, n=6)
-        sched = WeightSchedule.from_lambdas([1.0] * 7)
+        sched = WeightSchedule(*[1.0] * 7)
         g = grad_total(state, tables, sched)
         d_x = g.d_x.copy()
         d_x[2] = bad

@@ -392,14 +392,14 @@ class TestTotal:
         for i in range(7):
             lam = [0.0] * 7
             lam[i] = 1.0
-            sched = WeightSchedule.from_lambdas(lam)
+            sched = WeightSchedule(*lam)
             assert eval_total(state, tables, sched) == pytest.approx(comps[i], abs=1e-14)
 
     def test_random_weights_match_manual_sum(self):
         rng = np.random.default_rng(31)
         state, obs, tables = make_random_fixture(8)
         lam = rng.uniform(0, 2, 7)
-        sched = WeightSchedule.from_lambdas(lam)
+        sched = WeightSchedule(*lam)
         comps = eval_components(state, tables)
         want = float(np.dot(lam, comps))
         assert eval_total(state, tables, sched) == pytest.approx(want, abs=1e-12)
@@ -407,13 +407,13 @@ class TestTotal:
     def test_linear_in_weights(self):
         state, obs, tables = make_random_fixture(9)
         lam = [0.3, 0.7, 1.1, 0.2, 0.9, 0.4, 1.3]
-        L1x = eval_total(state, tables, WeightSchedule.from_lambdas(lam))
-        L2x = eval_total(state, tables, WeightSchedule.from_lambdas([2 * v for v in lam]))
+        L1x = eval_total(state, tables, WeightSchedule(*lam))
+        L2x = eval_total(state, tables, WeightSchedule(*[2 * v for v in lam]))
         assert L2x == pytest.approx(2 * L1x, rel=1e-12)
 
     def test_translation_invariance(self):
         state, obs, tables = make_random_fixture(10, with_kicks=False)
-        sched = WeightSchedule.from_lambdas([1] * 7)
+        sched = WeightSchedule(*[1] * 7)
         c = 55.5
         obs2 = ObservationSeries(obs.times, obs.values + c)
         tables2 = tables_for(obs2, KickSeries.empty(), 0.0, tables.T_s, tables.T_l)
@@ -434,7 +434,7 @@ class TestTotal:
                              st.lists(st.floats(0.1, 2.0), min_size=7, max_size=7)))
     def test_finite_on_valid_states(self, seed, n, with_kicks, lambdas):
         state, obs, tables = make_random_fixture(seed, n=n, with_kicks=with_kicks)
-        schedule = WeightSchedule.from_lambdas(lambdas)
+        schedule = WeightSchedule(*lambdas)
         comps = eval_components(state, tables)
         total = eval_total(state, tables, schedule)
         assert all(np.isfinite(c) for c in comps)
@@ -447,9 +447,12 @@ class TestWeightSchedule:
         with pytest.raises(ValueError, match="nonnegative"):
             WeightSchedule(lam1=-0.1)
         # A NaN or infinite weight makes the objective NaN or infinite.
-        for bad in (float("nan"), float("inf"), 10**400):
+        for bad in (float("nan"), float("inf"), 10**400, "1", True):
             with pytest.raises(ValueError, match="WeightSchedule: weights must be finite and nonnegative"):
                 WeightSchedule(lam1=bad)
+        # The constructor is the only way in: from_lambdas applied float() before the check,
+        # so "1" and True passed as 1.0.
+        assert not hasattr(WeightSchedule, "from_lambdas")
 
 
 def test_a_state_of_mismatched_lengths_is_rejected():

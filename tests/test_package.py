@@ -55,6 +55,25 @@ def test_only_timeseries_states_what_a_number_is():
         assert ("sys.float_info" in source) == (path.name == "timeseries.py"), path.name
 
 
+def test_l2_block_expressions_are_stated_once():
+    # wky and L2 sum their blocks through the same two functions, so L2 is -0.0 at
+    # x = y without a block walk: the value exponent and the W-weighted block sum,
+    # with its off-diagonal doubling, are written nowhere else.
+    kernels = mcsmooth.kernels
+    terms = {
+        re.escape("-2.0 * h * h"): kernels.value_exponent,
+        r"weighted_column_sums\([^\n]*\)\.sum\(\)": kernels.pair_sum,
+        r"\b2\.0 \* (?:total\b|weighted_column_sums\b)": kernels.pair_sum,
+    }
+    for pattern, owner in terms.items():
+        assert len(re.findall(pattern, inspect.getsource(owner))) == 1, pattern
+        for path in sorted(Path(mcsmooth.__file__).parent.glob("*.py")):
+            found = re.findall(pattern, path.read_text(encoding="utf-8"))
+            assert len(found) == (path.name == "kernels.py"), (path.name, pattern)
+    for caller in (kernels.build_tables, mcsmooth.objective._L2_blocks):
+        assert "pair_sum(" in inspect.getsource(caller), caller.__name__
+
+
 def test_only_write_columns_writes_csv():
     # Every file the package writes goes through timeseries.write_columns.
     writes = re.compile(r"""open\([^)]*["'](?:[wax]|r\+)[bt+]*["']|write_text|write_bytes|savetxt|tofile|np\.save""")

@@ -121,8 +121,8 @@ def stage2_start(obs):
     a_bar = state.noise.sigma
     state = replace(state, noise=ModelNoise(2.0 * a_bar))
     for lambdas in (STAGE1A_LAMBDAS, STAGE1B_LAMBDAS):
-        state, _ = run_stage(state, tables, WeightSchedule.from_lambdas(lambdas), {"z"}, 200)
-    return replace(state, noise=ModelNoise(a_bar)), tables, WeightSchedule.from_lambdas(STAGE2_LAMBDAS)
+        state, _ = run_stage(state, tables, WeightSchedule(*lambdas), {"z"}, 200)
+    return replace(state, noise=ModelNoise(a_bar)), tables, WeightSchedule(*STAGE2_LAMBDAS)
 
 
 @pytest.mark.parametrize("seed, solved_rmse", [(11, 3.958), (12, 3.525), (13, 3.053)])

@@ -15,7 +15,7 @@ from mcsmooth import (
     write_observations,
 )
 from mcsmooth.kernels import log_time_weight
-from mcsmooth.timeseries import _pcg64_uniform, _sorted_unique
+from mcsmooth.timeseries import _nearest, _pcg64_uniform, _sorted_unique
 from mcsmooth.optimizer import read_states_csv
 
 from conftest import NOISY_SEEDS, h2_oracle
@@ -83,6 +83,28 @@ class TestObservationSeries:
             ObservationSeries(times, values)
         with pytest.raises(ValueError, match="KickSeries: times and intensities must be equal-length 1-d arrays"):
             KickSeries(times, values)
+
+    # np.asarray(..., dtype=float) reads "1.5" as 1.5 and True as 1.0, and raises TypeError on an object.
+    @pytest.mark.parametrize("times, values, column", [
+        (["0", "1.5"], ["5", "6"], "times"),
+        ([0.0, 1.0], [5.0, "6"], "values"),
+        ([True, 2.0], [5.0, 6.0], "times"),
+        ([0.0], [object()], "values"),
+        (np.array([0.0, 1.0]), np.array([True, False]), "values"),
+        (np.array(["0", "1"]), np.array([5.0, 6.0]), "times"),
+    ])
+    def test_rejects_entries_that_are_not_numbers(self, times, values, column):
+        with pytest.raises(ValueError, match=f"^ObservationSeries: {column} entries must be numbers$"):
+            ObservationSeries(times, values)
+        column = "intensities" if column == "values" else column
+        with pytest.raises(ValueError, match=f"^KickSeries: {column} entries must be numbers$"):
+            KickSeries(times, values)
+
+    def test_int_and_float_arrays_are_converted(self):
+        obs = ObservationSeries(np.arange(3), np.array([5, 6, 7], dtype=np.int32))
+        assert obs.times.dtype == obs.values.dtype == np.float64
+        assert obs.times.tolist() == [0.0, 1.0, 2.0] and obs.values.tolist() == [5.0, 6.0, 7.0]
+        assert ObservationSeries(np.array([0.5], dtype=np.float32), [np.int64(4)]).values.tolist() == [4.0]
 
 
 class TestTimesSpanningTheFloatRange:
@@ -247,6 +269,14 @@ class TestSubsample:
         out = subsample(dense, MeasurementSpec(kind="h1", explicit_times=times))
         assert out.times.tolist() == [0.0, 5.0, 100.0, 310.0, 600.0]
         assert np.array_equal(out.values, dense.values[[0, 5, 100, 310, 600]])
+        # Random times, out of order and repeated, with a tie between 300 and 301.
+        times = np.random.default_rng(3).uniform(0.0, 600.0, 40)
+        times = tuple(np.concatenate([times, times[::3], [300.5, 0.0, 300.5]]).tolist())
+        want = sorted({int(np.argmin(np.abs(dense.times - t))) for t in times})
+        out = subsample(dense, MeasurementSpec(kind="h1", explicit_times=times))
+        assert 300 in want and 301 not in want
+        assert out.times.tolist() == dense.times[want].tolist()
+        assert out.values.tolist() == dense.values[want].tolist()
 
     @pytest.mark.parametrize("idx", [[7], [3, 3, 3], [9, 2, 5, 2, 9, 0, 5], list(range(40, 0, -3)) * 2])
     def test_sorted_unique_is_np_unique(self, idx):
@@ -268,6 +298,9 @@ class TestSubsample:
         (dict(kind="h3", period=10**400), "MeasurementSpec: period must be finite and positive"),
         (dict(kind="h3", period=True), "MeasurementSpec: period must be finite and positive"),
         (dict(kind="h2", gap_bounds=("a", "b")), "MeasurementSpec: gap_bounds must be finite"),
+        (dict(kind="h2", gap_bounds=5), "MeasurementSpec: gap_bounds must be finite"),
+        (dict(kind="h2", gap_bounds=(60.0, 75.0, 90.0)), "MeasurementSpec: gap_bounds must be finite"),
+        (dict(kind="h1", explicit_times=5.0), "MeasurementSpec: explicit_times must be a tuple or list"),
     ])
     def test_nonfinite_gap_bound_or_period_rejected(self, spec, message):
         with pytest.raises(ValueError, match=message):
@@ -276,6 +309,28 @@ class TestSubsample:
     def test_h1_outside_span_rejected(self):
         with pytest.raises(ValueError, match="outside dense span"):
             subsample(self.dense(), MeasurementSpec(kind="h1", explicit_times=(-5.0,)))
+        # The first time outside is named as it was given.
+        with pytest.raises(ValueError, match=r"^subsample: explicit time 601 outside dense span \[0.0, 600.0\]$"):
+            subsample(self.dense(), MeasurementSpec(kind="h1", explicit_times=(5.0, 601, -5.0)))
+
+    def test_nearest_is_the_scalar_rule(self):
+        # The scalar rule is argmin |times - t|, whose first index takes a tie, the earlier sample.
+        rng = np.random.default_rng(5)
+        whole = np.unique(rng.integers(0, 1000, 60)).astype(float)
+        for times in (whole, np.sort(rng.uniform(0.0, 100.0, 50))):
+            midpoints = 0.5 * (times[:-1] + times[1:])
+            t = np.concatenate([midpoints, times, rng.uniform(times[0] - 10.0, times[-1] + 10.0, 200)])
+            want = [int(np.argmin(np.abs(times - s))) for s in t]
+            assert _nearest(times, t).tolist() == want
+            assert [int(_nearest(times, s)) for s in t] == want
+        # Each midpoint of whole-minute times is an exact tie.
+        assert _nearest(whole, 0.5 * (whole[:-1] + whole[1:])).tolist() == list(range(whole.size - 1))
+
+    def test_h1_and_h3_on_a_one_sample_series(self):
+        dense = ObservationSeries([5.0], [1.5])
+        for spec in (MeasurementSpec(kind="h1", explicit_times=(5.0, 5)), MeasurementSpec(kind="h3", period=5.0)):
+            out = subsample(dense, spec)
+            assert out.times.tolist() == [5.0] and out.values.tolist() == [1.5]
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError, match="unknown kind"):

@@ -127,6 +127,12 @@ class TestNutrition:
         with pytest.raises(ValueError, match=f"NutritionSchedule: {field} must lie within the float range"):
             NutritionSchedule((interval,))
 
+    @pytest.mark.parametrize("intervals", [5, (5.0,), ((0.0, 100.0),), ((0.0, 100.0, 80.0, 1.0),)])
+    def test_intervals_of_another_shape_are_rejected(self, intervals):
+        # each raised TypeError or an unpacking ValueError that names no field
+        with pytest.raises(ValueError, match=r"^NutritionSchedule: intervals must be \(start, end, rate\) triples$"):
+            NutritionSchedule(intervals)
+
     def test_nonfinite_rate_in_csv_rejected(self, tmp_path):
         p = tmp_path / "n.csv"
         p.write_text("0,100,80\n200,300,nan\n", encoding="utf-8")
