@@ -163,9 +163,7 @@ def _cmd_simulate(args) -> int:
     params = icu_fit_params() if args.params == "icu" else nominal_params()
     nutrition_path = args.nutrition or cfg.get("paths", {}).get("nutrition")
     if args.constant_nutrition is not None:
-        # extend past the horizon so the final integrator substeps do not
-        # sample the half-open interval's end
-        schedule = NutritionSchedule.constant(args.constant_nutrition, args.t_end + 1.0)
+        schedule = NutritionSchedule.constant(args.constant_nutrition, math.inf)
     elif nutrition_path:
         schedule = NutritionSchedule.from_csv(nutrition_path)
     else:

@@ -26,7 +26,7 @@ __all__ = [
 ]
 
 # Rows formatted per block by write_columns.
-CSV_BLOCK_ROWS = 1024
+CSV_BLOCK_ROWS = 128
 
 
 def _is_number(value, kind=numbers.Real) -> bool:
@@ -277,13 +277,12 @@ def _nearest(times: np.ndarray, t):
     return np.where(times[hi] - t < t - times[lo], hi, lo)
 
 
-def _sorted_unique(idx) -> np.ndarray:
-    """The distinct entries of an index sequence, ascending.
+def _drop_repeats(idx: np.ndarray) -> np.ndarray:
+    """A nondecreasing index array without its repeated entries.
 
-    ``np.unique`` gives the same array, but its first call imports
-    ``numpy.ma``, which nothing else here uses.
+    No numpy sort or unique is called: each first call pages in numpy code
+    that a process's peak RSS counts.
     """
-    idx = np.sort(np.asarray(idx))
     keep = np.ones(idx.size, dtype=bool)
     np.not_equal(idx[1:], idx[:-1], out=keep[1:])
     return idx[keep]
@@ -354,7 +353,9 @@ def subsample(dense: ObservationSeries, spec: MeasurementSpec) -> ObservationSer
     """Apply a measurement function to a densely sampled series.
 
     Requested times always snap to the nearest dense sample: measurements
-    are reads of the dense truth, never interpolations. For h2 the gaps are
+    are reads of the dense truth, never interpolations. Every kind snaps its
+    times in nondecreasing order (h1 sorts them first), so the snapped
+    indices are nondecreasing too and repeats are adjacent. For h2 the gaps are
     drawn relative to the previously snapped sample so that the realized
     gaps stay inside ``gap_bounds`` on grids at least as fine as the bounds.
     """
@@ -365,7 +366,7 @@ def subsample(dense: ObservationSeries, spec: MeasurementSpec) -> ObservationSer
         if outside.any():
             raise ValueError(f"subsample: explicit time {spec.explicit_times[outside.argmax()]} "
                              f"outside dense span [{t0}, {t1}]")
-        idx = _sorted_unique(_nearest(dense.times, t))
+        idx = _drop_repeats(_nearest(dense.times, np.array(sorted(t.tolist()))))
     elif spec.kind == "h2":
         lo, hi = spec.gap_bounds
         gaps = _pcg64_uniform(spec.rng_seed, lo, hi)
@@ -387,5 +388,5 @@ def subsample(dense: ObservationSeries, spec: MeasurementSpec) -> ObservationSer
                              f"{dense.n} dense samples")
         targets = np.arange(t0, t1 + 0.5 * spec.period, spec.period)
         targets = targets[targets <= t1]
-        idx = _sorted_unique(_nearest(dense.times, targets))
+        idx = _drop_repeats(_nearest(dense.times, targets))
     return ObservationSeries(dense.times[idx], dense.values[idx])

@@ -642,6 +642,8 @@ def test_nonfinite_explicit_times_rejected_before_any_output(tmp_path, short_obs
     (["--t-end", "inf"], "simulate: t_end must be finite and positive, got inf"),
     (["--t-end", "inf", "--constant-nutrition", "80"], "simulate: t_end must be finite and positive, got inf"),
     (["--t-end", "nan"], "simulate: t_end must be finite and positive, got nan"),
+    (["--t-end", "nan", "--constant-nutrition", "80"], "simulate: t_end must be finite and positive, got nan"),
+    (["--t-end=-5", "--constant-nutrition", "80"], "simulate: t_end must be finite and positive, got -5.0"),
     (["--t-end", "0"], "simulate: t_end must be finite and positive, got 0.0"),
     (["--t-end", "60", "--dt", "nan"], "simulate: dt must be finite and positive, got nan"),
     (["--t-end", "60", "--dt", "inf"], "simulate: dt must be finite and positive, got inf"),

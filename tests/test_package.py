@@ -74,6 +74,15 @@ def test_l2_block_expressions_are_stated_once():
         assert "pair_sum(" in inspect.getsource(caller), caller.__name__
 
 
+def test_the_package_calls_no_numpy_sort():
+    # The first call of a numpy sort pages in about 0.25 MB of numpy code, which a
+    # process's peak RSS counts; subsample snaps its times in order instead. Python's
+    # sorted stays allowed.
+    numpy_sorts = re.compile(r"\b(?:np|numpy)\.(?:sort|unique)\b|\b(?:arg|lex)sort\b|\.sort\(")
+    for path in sorted(Path(mcsmooth.__file__).parent.glob("*.py")):
+        assert numpy_sorts.findall(path.read_text(encoding="utf-8")) == [], path.name
+
+
 def test_only_write_columns_writes_csv():
     # Every file the package writes goes through timeseries.write_columns.
     writes = re.compile(r"""open\([^)]*["'](?:[wax]|r\+)[bt+]*["']|write_text|write_bytes|savetxt|tofile|np\.save""")

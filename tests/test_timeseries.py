@@ -3,6 +3,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mcsmooth import (
     KickSeries,
@@ -15,7 +17,7 @@ from mcsmooth import (
     write_observations,
 )
 from mcsmooth.kernels import log_time_weight
-from mcsmooth.timeseries import _nearest, _pcg64_uniform, _sorted_unique
+from mcsmooth.timeseries import _drop_repeats, _nearest, _pcg64_uniform
 from mcsmooth.optimizer import read_states_csv
 
 from conftest import NOISY_SEEDS, h2_oracle
@@ -216,6 +218,18 @@ class TestSubsample:
         out = subsample(self.dense(), MeasurementSpec(kind="h3", period=7.0))
         assert np.allclose(np.diff(out.times), 7.0)
 
+    def test_h3_period_finer_than_the_grid_takes_each_sample_once(self):
+        # Every minute up to 300, then every 5 min: period 3 snaps twice to most samples
+        # after 300, and each of them is kept once, in order.
+        t = np.concatenate([np.arange(301.0), np.arange(305.0, 601.0, 5.0)])
+        dense = ObservationSeries(t, 100.0 + np.sin(t))
+        targets = np.arange(0.0, 601.5, 3.0)
+        want = sorted({int(np.argmin(np.abs(t - s))) for s in targets})
+        out = subsample(dense, MeasurementSpec(kind="h3", period=3.0))
+        assert len(want) < targets.size and 305.0 in out.times and 310.0 in out.times
+        assert out.times.tolist() == t[want].tolist()
+        assert out.values.tolist() == dense.values[want].tolist()
+
     def test_h2_gap_bounds_and_mean(self):
         # ~1000 gaps across seeds: all in [60, 90], empirical mean near 75
         gaps = []
@@ -278,9 +292,10 @@ class TestSubsample:
         assert out.times.tolist() == dense.times[want].tolist()
         assert out.values.tolist() == dense.values[want].tolist()
 
-    @pytest.mark.parametrize("idx", [[7], [3, 3, 3], [9, 2, 5, 2, 9, 0, 5], list(range(40, 0, -3)) * 2])
-    def test_sorted_unique_is_np_unique(self, idx):
-        got = _sorted_unique(idx)
+    # subsample hands the helper nondecreasing indices only.
+    @pytest.mark.parametrize("idx", [[7], [3, 3, 3], [0, 2, 2, 5, 5, 9, 9], sorted(list(range(40, 0, -3)) * 2)])
+    def test_drop_repeats_is_np_unique(self, idx):
+        got = _drop_repeats(np.asarray(idx))
         want = np.unique(idx)
         assert got.dtype == want.dtype
         assert got.tobytes() == want.tobytes()
@@ -325,6 +340,20 @@ class TestSubsample:
             assert [int(_nearest(times, s)) for s in t] == want
         # Each midpoint of whole-minute times is an exact tie.
         assert _nearest(whole, 0.5 * (whole[:-1] + whole[1:])).tolist() == list(range(whole.size - 1))
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), whole=st.booleans())
+    def test_nearest_keeps_the_order_of_its_targets(self, data, whole):
+        # h1 and h3 drop repeated samples without a sort, which needs this order. Whole-minute
+        # times put exact ties at their midpoints; targets repeat and reach past the span.
+        number = st.integers(-1000, 1000).map(float) if whole else st.floats(-1e3, 1e3)
+        times = np.array(sorted(set(data.draw(st.lists(number, min_size=1, max_size=30)))))
+        midpoints = (0.5 * (times[:-1] + times[1:])).tolist()
+        near = st.floats(times[0] - 50.0, times[-1] + 50.0)
+        targets = data.draw(st.lists(st.one_of(st.sampled_from(times.tolist() + midpoints), near), min_size=1))
+        targets = sorted(targets + targets[::2])
+        idx = _nearest(times, np.array(targets))
+        assert np.all(idx[1:] >= idx[:-1])
 
     def test_h1_and_h3_on_a_one_sample_series(self):
         dense = ObservationSeries([5.0], [1.5])
