@@ -34,7 +34,6 @@ from .optimizer import (
     FrequencyEstimationError,
     HyperConfig,
     StageTrace,
-    StalledError,
     density_estimate,
     estimate,
     initialize,

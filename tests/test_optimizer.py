@@ -38,6 +38,7 @@ from mcsmooth.kernels import TILE_ELEMENTS, log_time_weight
 from mcsmooth.objective import _grad_L2
 from mcsmooth.optimizer import (
     PERIOD_BAND,
+    TOLERANCE,
     _periodogram,
     _windowed_max,
     read_states_csv,
@@ -49,6 +50,7 @@ from mcsmooth.optimizer import (
 from mcsmooth.timeseries import read_columns
 from conftest import (
     H1_TIMES,
+    NOISY_SEEDS,
     TRUE_A,
     TRUE_B,
     TRUE_OMEGA,
@@ -433,16 +435,17 @@ class TestRunStage:
             run_stage(state, tables, WeightSchedule(lam3=1.0), {"q"}, 1)
 
     def test_stalls_when_no_step_improves(self, cycle_series):
-        from dataclasses import replace
-
-        from mcsmooth import StalledError
-
         state, tables = initialize(cycle_series)
         state = replace(state, x=state.x + 3.0)  # nonzero gradient, huge steps only
-        # 3 iterations of 20 backtracks shrink the first step by 2^-58 at most: about 1e9 mg/dl
+        # 20 backtracks shrink the first step by 2^-20 at most: still about 2.5e20 mg/dl
         sched = WeightSchedule(lam1=1e30)
-        with pytest.raises(StalledError, match="3 consecutive"):
-            run_stage(state, tables, sched, {"x"}, 10)
+        out, trace = run_stage(state, tables, sched, {"x"}, 10)
+        # A stall ends the stage and passes on the last accepted state, here the start.
+        assert trace.stop_reason == "stall"
+        assert len(trace.objective) == 1
+        for got, want in ((out.x, state.x), (out.z, state.z), (out.params.b, state.params.b),
+                          (out.params.a, state.params.a), (out.params.omega, state.params.omega)):
+            assert got.tobytes() == want.tobytes()
 
 
 class TestHyperConfig:
@@ -616,6 +619,37 @@ def estimate_bytes(res):
 
 
 KICK_PROPERTY_CONFIG = HyperConfig(max_iter_stage1a=5, max_iter_stage1b=5, max_iter_stage2=10)
+
+
+class TestStopReasons:
+    """Each stage of an estimate on the ICU week says why it stopped, and its trace agrees."""
+
+    @staticmethod
+    def assert_agrees_with_its_trace(trace, cap):
+        # A gain below the bound ends the stage, so only the last one may fall below it.
+        L = trace.objective
+        below = [abs(L[k + 1] - L[k]) < TOLERANCE * (1.0 + abs(L[k + 1])) for k in range(len(L) - 1)]
+        assert not any(below[:-1])
+        assert below[-1] == (trace.stop_reason == "tolerance")
+        assert len(L) == cap + 1 if trace.stop_reason == "cap" else len(L) <= cap + 1
+
+    @pytest.mark.parametrize("seed", NOISY_SEEDS)
+    def test_h2_seeds(self, constant_feed, seed):
+        cfg = HyperConfig()
+        res = estimate(subsample(constant_feed, MeasurementSpec("h2", rng_seed=seed)), config=cfg)
+        stage1a = "cap" if seed in (13, 15) else "tolerance"
+        assert [t.stop_reason for t in res.traces] == [stage1a, "tolerance", "tolerance"]
+        for trace, cap in zip(res.traces, (cfg.max_iter_stage1a, cfg.max_iter_stage1b, cfg.max_iter_stage2)):
+            self.assert_agrees_with_its_trace(trace, cap)
+
+    def test_h3_at_reduced_caps(self, constant_feed):
+        caps = (20, 20, 40)
+        cfg = HyperConfig(max_iter_stage1a=caps[0], max_iter_stage1b=caps[1], max_iter_stage2=caps[2])
+        res = estimate(subsample(constant_feed, MeasurementSpec("h3", period=5.0)), config=cfg)
+        assert [(t.stop_reason, t.iterations) for t in res.traces] == [
+            ("tolerance", 12), ("cap", 20), ("tolerance", 1)]
+        for trace, cap in zip(res.traces, caps):
+            self.assert_agrees_with_its_trace(trace, cap)
 
 
 class TestKickProperties:
