@@ -70,10 +70,17 @@ def _load_config(path: str | None) -> dict:
     if not path:
         return {}
     p = Path(path)
-    if not p.exists():
-        raise FileNotFoundError(f"run_command: config file not found: {p}")
-    with p.open(encoding="utf-8") as fh:
-        cfg = json.load(fh)
+    if not p.is_file():
+        if not p.exists():
+            raise FileNotFoundError(f"run_command: config file not found: {p}")
+        raise OSError(f"run_command: config file is not a file: {p}")
+    try:
+        with p.open(encoding="utf-8") as fh:
+            cfg = json.load(fh)
+    except UnicodeDecodeError:
+        raise ValueError(f"run_command: config file is not UTF-8 text: {p}") from None
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"run_command: config file is not JSON: {exc}") from None
     if not isinstance(cfg, dict):
         raise ValueError("run_command: config file must hold a JSON object")
     unknown = set(cfg) - set(_CONFIG_KEYS)
@@ -183,10 +190,13 @@ def _cmd_simulate(args) -> int:
 
 
 def _load_series(path):
-    """Observations from a 2-column CSV or a 7-column trace, by the first nonblank line's width."""
+    """Observations from a 2-column CSV or a 7-column trace, by the first nonblank line's width.
+
+    A fault of the file, such as a byte that is not UTF-8, is left to the reader it picks.
+    """
     first = ""
     if Path(path).is_file():
-        with Path(path).open(encoding="utf-8") as fh:
+        with Path(path).open(encoding="utf-8", errors="replace") as fh:
             first = next((line for line in fh if line != "\n"), "")
     if first.count(",") + 1 == 7:
         from .ultradian import read_trace

@@ -392,10 +392,22 @@ def _perturbed(state, block: str, idx: int, value):
     return replace(state, params=replace(owner, **{block: arr}))
 
 
+class FDCheck(NamedTuple):
+    """``fd_check``'s two figures, each relative to an entry's own scale.
+
+    ``worst`` is the largest error found. ``resolution`` is the largest
+    rounding bound of a quotient: a relative error below it can read 0 in
+    some entry, so it is the smallest error the check sees in every entry.
+    """
+
+    worst: float
+    resolution: float
+
+
 def fd_check(
     state: EstimationState, tables: KernelTables, schedule: WeightSchedule, step: float = 1e-6
-) -> float:
-    """Max relative error of grad_total against fourth-order central finite differences.
+) -> FDCheck:
+    """Relative errors of grad_total against fourth-order central finite differences.
 
     Each coordinate v is perturbed by s = step * max(1, |value|), and the
     derivative is (L(v-2s) - 8 L(v-s) + 8 L(v+s) - L(v+2s)) / 12s, whose
@@ -404,9 +416,11 @@ def fd_check(
     values can move the quotient by up to r = (|L(v-2s)| + 8|L(v-s)| +
     8|L(v+s)| + |L(v+2s)|) eps / 12s, with eps that precision's epsilon, so an
     entry's error is the part of |analytic - numeric| beyond r, relative to
-    max(|analytic|, |numeric|): an entry under the differences' resolution
-    reads 0, and one above it is judged on its own scale. An entry whose
-    analytic value or quotient is not finite has an infinite error.
+    its scale max(|analytic|, |numeric|): an entry under the differences'
+    resolution reads 0, and one above it is judged on its own scale. An
+    entry whose analytic value or quotient is not finite has an infinite
+    error. ``worst`` is the largest error, and ``resolution`` the largest
+    r relative to its entry's scale, over the entries of nonzero scale.
     """
     if not (math.isfinite(step) and step > 0):
         raise ValueError("fd_check: step must be finite and positive")
@@ -434,7 +448,7 @@ def fd_check(
         "omega": wstate.params.omega,
     }
     eps = np.finfo(np.longdouble).eps
-    worst = 0.0
+    worst = resolution = 0.0
     for block, vals in values.items():
         for i in range(state.n):
             v = vals[i]
@@ -443,7 +457,10 @@ def fd_check(
             numeric = float((8.0 * (f[2] - f[1]) - (f[3] - f[0])) / (12.0 * h))
             rounding = float((abs(f[0]) + 8.0 * abs(f[1]) + 8.0 * abs(f[2]) + abs(f[3])) * eps / (12.0 * h))
             a = float(analytic[block][i])
+            scale = max(abs(a), abs(numeric))
+            if scale > 0.0:  # a NaN scale fails the comparison too
+                resolution = max(resolution, rounding / scale)
             excess = abs(a - numeric) - rounding
             if not excess <= 0.0:  # a NaN excess fails the comparison too
-                worst = max(worst, excess / max(abs(a), abs(numeric)) if math.isfinite(excess) else math.inf)
-    return worst
+                worst = max(worst, excess / scale if math.isfinite(excess) else math.inf)
+    return FDCheck(worst, resolution)

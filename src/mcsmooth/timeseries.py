@@ -191,21 +191,31 @@ def read_columns(path: str | Path, ncols: int, op: str, usecols=None) -> np.ndar
     Empty lines are skipped. Every other line must have exactly ``ncols``
     comma-separated fields; there are no comments, header or quoting. Only
     the ``usecols`` columns (all by default) are parsed, as floats. A
-    missing file, a line of another width or a field that does not parse
-    raises with the caller's ``op`` as message prefix; a faulty line is
-    named by its line number in the file.
+    missing file, a path that is not a file, a byte that is not UTF-8, a
+    line of another width or a field that does not parse raises with the
+    caller's ``op`` as message prefix; a faulty line is named by its line
+    number in the file.
     """
     path = Path(path)
-    if not path.exists():
-        raise FileNotFoundError(f"{op}: file not found: {path}")
+    if not path.is_file():
+        if not path.exists():
+            raise FileNotFoundError(f"{op}: file not found: {path}")
+        raise OSError(f"{op}: not a file: {path}")
     rows = 0
-    with path.open(encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if line != "\n":
-                got = line.count(",") + 1
-                if got != ncols:
-                    raise ValueError(f"{op}: line {lineno}: expected {ncols} columns, got {got}")
-                rows += 1
+    try:
+        with path.open(encoding="utf-8") as fh:
+            for lineno, line in enumerate(fh, start=1):
+                if line != "\n":
+                    got = line.count(",") + 1
+                    if got != ncols:
+                        raise ValueError(f"{op}: line {lineno}: expected {ncols} columns, got {got}")
+                    rows += 1
+    except UnicodeDecodeError:
+        # Text mode decodes ahead in blocks, so the line is found by a second read that
+        # keeps each undecodable byte as a lone surrogate, U+DC80 to U+DCFF.
+        with path.open(encoding="utf-8", errors="surrogateescape") as fh:
+            lineno = next(k for k, line in enumerate(fh, start=1) if any("\udc80" <= c <= "\udcff" for c in line))
+        raise ValueError(f"{op}: line {lineno}: not UTF-8 text") from None
     if rows == 0:
         return np.empty((ncols if usecols is None else len(usecols), 0))
     options = dict(delimiter=",", usecols=usecols, ndmin=2, comments=None, encoding="utf-8")

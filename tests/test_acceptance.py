@@ -66,15 +66,17 @@ def dense_truth_result():
 
 def test_criterion_1_gradient_correctness():
     t0 = time.time()
-    worst = 0.0
+    worst = resolution = 0.0
     for seed in range(100):
         state, obs, tables = make_random_fixture(seed, n=16)
         for lam in ONE_HOT:
-            err = fd_check(state, tables, WeightSchedule(*lam), step=1e-6)
-            worst = max(worst, err)
+            check = fd_check(state, tables, WeightSchedule(*lam), step=1e-6)
+            worst = max(worst, check.worst)
+            resolution = max(resolution, check.resolution)
     elapsed = time.time() - t0
     ok = worst <= 1e-5 and elapsed < 60.0
-    report(1, "gradient correctness", ok, f"max rel err {worst:.3g}, {elapsed:.1f}s")
+    report(1, "gradient correctness", ok,
+           f"max rel err {worst:.3g}, worst resolution {resolution:.3g}, {elapsed:.1f}s")
     assert worst <= 1e-5
     assert elapsed < 60.0
 

@@ -85,11 +85,19 @@ def test_estimate_missing_observations(tmp_path, capsys):
     ("0,100\n5,101\n5,102\n15,103\n", "load_observations: ObservationSeries: times must be strictly increasing"),
     ("\n0,1,2,3,4,5,6\n5,1,2,3,4,5,6\nabc,1,2,3,4,5,6\n", "read_trace: line 4: parse failure"),
     (None, "load_observations: file not found"),
+    (b"0,100\n5,\xff101\n10,102\n", "load_observations: line 2: not UTF-8 text"),
+    # The byte is decoded with the first line, which still picks the reader.
+    (b"0,1,2,3,4,5,6\n5,1,2,3,4,5,6\n\xff10,1,2,3,4,5,6\n", "read_trace: line 3: not UTF-8 text"),
+    (IsADirectoryError, "load_observations: not a file"),
 ])
 def test_subsample_reports_the_fault_of_the_files_own_format(tmp_path, capsys, text, message):
     # The first nonblank line's width picks the reader: 7 fields a trace, else observations.
     path = tmp_path / "in.csv"
-    if text is not None:
+    if text is IsADirectoryError:
+        path.mkdir()
+    elif isinstance(text, bytes):
+        path.write_bytes(text)
+    elif text is not None:
         path.write_text(text, encoding="utf-8")
     code = run_command(["subsample", "--in", str(path), "--spec", "h3",
                         "--out", str(tmp_path / "out.csv")])
@@ -680,6 +688,24 @@ def test_nonfinite_simulation_inputs_rejected(tmp_path, capsys, flags, message):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["estimate", "--obs", "{bad}", "--out-dir", "{tmp}/run"], "load_observations: line 2: not UTF-8 text"),
+    (["estimate", "--obs", "{obs}", "--kicks", "{bad}", "--out-dir", "{tmp}/run"],
+     "load_kicks: line 2: not UTF-8 text"),
+    (["subsample", "--in", "{obs}", "--spec", "h1", "--times-file", "{bad}", "--out", "{tmp}/run.csv"],
+     "subsample: line 2: not UTF-8 text"),
+    (["simulate", "--nutrition", "{bad}", "--t-end", "60", "--out", "{tmp}/run.csv"],
+     "load_nutrition: line 2: not UTF-8 text"),
+])
+def test_a_csv_that_is_not_utf8_is_named_by_its_reader_and_line(tmp_path, short_obs_csv, capsys, argv, message):
+    bad = tmp_path / "bad.csv"
+    bad.write_bytes(b"0,0,80\n100,\xff,80\n")
+    before = files_under(tmp_path)
+    assert run_command([arg.format(bad=bad, obs=short_obs_csv, tmp=tmp_path) for arg in argv]) == 1
+    assert f"error: {message}" in capsys.readouterr().err
+    assert files_under(tmp_path) == before
+
+
 @pytest.mark.parametrize("source", ["nan", "inf", "csv"])
 def test_nonfinite_nutrition_rate_rejected_before_integrating(tmp_path, capsys, monkeypatch, source):
     calls = []
@@ -837,10 +863,18 @@ def test_a_null_config_path_is_unset(tmp_path, short_obs_csv, monkeypatch):
     (["estimate", "--obs", "{obs}", "--config", "{tmp}/absent.json"], None, "run_command: config file not found"),
     (["estimate", "--config", "{tmp}/config.json"], {"paths": {"kicks": None}},
      "estimate: observations path required (--obs or config)"),
+    (["estimate", "--obs", "{obs}", "--config", "{tmp}"], None, "run_command: config file is not a file"),
+    (["estimate", "--obs", "{obs}", "--config", "{tmp}/config.json"], b"{bad",
+     "run_command: config file is not JSON: Expecting property name enclosed in double quotes: line 1 column 2"),
+    (["estimate", "--obs", "{obs}", "--config", "{tmp}/config.json"], b'{"\xff": 1}',
+     "run_command: config file is not UTF-8 text"),
+    (["estimate", "--obs", "{tmp}"], None, "load_observations: not a file"),
 ])
 def test_a_run_without_its_inputs_is_rejected(tmp_path, short_obs_csv, capsys, monkeypatch, argv, config, message):
     monkeypatch.chdir(tmp_path)
-    if config is not None:
+    if isinstance(config, bytes):
+        (tmp_path / "config.json").write_bytes(config)
+    elif config is not None:
         (tmp_path / "config.json").write_text(json.dumps(config), encoding="utf-8")
     before = files_under(tmp_path)
     assert run_command([arg.format(obs=short_obs_csv, tmp=tmp_path) for arg in argv]) == 1

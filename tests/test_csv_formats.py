@@ -227,6 +227,22 @@ class TestReadingRules:
         with pytest.raises(FileNotFoundError, match=f"{reader.op}: file not found"):
             reader.read(tmp_path / "missing.csv")
 
+    def test_a_path_that_is_not_a_file_is_named(self, tmp_path, reader):
+        with pytest.raises(OSError, match=f"{reader.op}: not a file: "):
+            reader.read(tmp_path)
+
+    # Line 2; line 3001, past the first block text mode decodes; an encoded surrogate
+    # among \r\n line ends; a sequence cut off at the end of the file.
+    @pytest.mark.parametrize("bad_line, ending, bad", [
+        (2, "\n", b"\xff\n"), (3001, "\n", b"\xff\n"), (3, "\r\n", b"\xed\xa0\x80\r\n"), (4, "\n", b"\xc3"),
+    ])
+    def test_a_byte_that_is_not_utf8_is_named_by_its_line(self, tmp_path, reader, bad_line, ending, bad):
+        text = "".join(good(reader, k) + ending for k in range(bad_line - 1)) + good(reader, bad_line)
+        path = tmp_path / "file.csv"
+        path.write_bytes(text.encode("utf-8") + bad)
+        with pytest.raises(ValueError, match=f"^{reader.op}: line {bad_line}: not UTF-8 text$"):
+            reader.read(path)
+
 
 class TestReadColumns:
     def test_returns_the_requested_columns_in_order(self, tmp_path):

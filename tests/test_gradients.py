@@ -68,7 +68,7 @@ class TestStructuralZeros:
         state, obs, tables = make_random_fixture(4)
         g = grad_total(state, tables, WeightSchedule())
         assert all(np.all(b == 0.0) for b in vars(g).values())
-        assert fd_check(state, tables, WeightSchedule()) == 0.0
+        assert fd_check(state, tables, WeightSchedule()).worst == 0.0
 
 
 class TestFiniteDifferences:
@@ -77,14 +77,14 @@ class TestFiniteDifferences:
         for seed in range(10):
             state, obs, tables = make_random_fixture(seed)
             sched = WeightSchedule(*ONE_HOT[component])
-            assert fd_check(state, tables, sched) <= 1e-5
+            assert fd_check(state, tables, sched).worst <= 1e-5
 
     def test_mixed_schedule(self):
         rng = np.random.default_rng(77)
         for seed in range(5):
             state, obs, tables = make_random_fixture(100 + seed)
             sched = WeightSchedule(*rng.uniform(0.1, 2.0, 7))
-            assert fd_check(state, tables, sched) <= 1e-5
+            assert fd_check(state, tables, sched).worst <= 1e-5
 
     @settings(max_examples=30, deadline=None)
     @given(seed=st.integers(0, 2**16), n=st.integers(2, 24), with_kicks=st.booleans(),
@@ -95,19 +95,33 @@ class TestFiniteDifferences:
     def test_random_sizes_and_schedules(self, seed, n, with_kicks, lambdas):
         state, obs, tables = make_random_fixture(seed, n=n, with_kicks=with_kicks)
         assert tables.alpha == FIXTURE_ALPHA
-        assert fd_check(state, tables, WeightSchedule(*lambdas)) <= 1e-5
+        assert fd_check(state, tables, WeightSchedule(*lambdas)).worst <= 1e-5
 
     def test_a_wrong_smallest_entry_is_caught(self, monkeypatch):
         # The example above: its smallest entry, 4.6e-11, lies within a few
         # roundings of its quotient, yet a relative error of 1e-4 in it shows.
         state, obs, tables = make_random_fixture(677, n=4, with_kicks=False)
         sched = WeightSchedule(*ONE_HOT[0])
-        assert fd_check(state, tables, sched) == 0.0
+        assert fd_check(state, tables, sched).worst == 0.0
         g = grad_total(state, tables, sched)
         d_x = g.d_x.copy()
         d_x[np.argmin(np.abs(d_x))] *= 1.0 + 1e-4
         monkeypatch.setattr(mcsmooth.objective, "grad_total", lambda *args: replace(g, d_x=d_x))
-        assert fd_check(state, tables, sched) > 1e-5
+        assert fd_check(state, tables, sched).worst > 1e-5
+
+    @pytest.mark.parametrize("seed, kwargs, lambdas, sees_1e_4", [
+        (677, dict(n=4, with_kicks=False), ONE_HOT[0], True),  # 8.1e-5
+        (9967, dict(n=2, with_kicks=False), ONE_HOT[0], False),  # 5.5e-3
+        (0, dict(n=2), (0, 0, 0, 0, 0, 1, 1e-12), False),  # 4.1e-2
+    ])
+    def test_resolution_says_what_the_check_cannot_see(self, seed, kwargs, lambdas, sees_1e_4):
+        # The case above reads worst 0 and would show a 1e-4 error in any entry; in the
+        # other two, worst reads about 0 as well, yet an entry's quotient cannot tell
+        # a 1e-4 error from rounding.
+        state, obs, tables = make_random_fixture(seed, **kwargs)
+        check = fd_check(state, tables, WeightSchedule(*lambdas))
+        assert check.worst <= 1e-14
+        assert (check.resolution < 1e-4) == sees_1e_4
 
     # A NaN step makes every quotient NaN, which would pass any gradient.
     @pytest.mark.parametrize("step", [0.0, float("nan"), float("inf")])
@@ -124,7 +138,7 @@ class TestFiniteDifferences:
         d_x = g.d_x.copy()
         d_x[2] = bad
         monkeypatch.setattr(mcsmooth.objective, "grad_total", lambda *args: replace(g, d_x=d_x))
-        assert fd_check(state, tables, sched) == np.inf
+        assert fd_check(state, tables, sched).worst == np.inf
 
 
 class TestPolarSingularity:

@@ -20,8 +20,50 @@ def test_library_modules_found():
 
 @pytest.mark.parametrize("module", LIBRARY_MODULES)
 def test_public_names_are_exported_by_the_package(module):
-    names = importlib.import_module(f"mcsmooth.{module}").__all__
-    assert [name for name in names if not hasattr(mcsmooth, name)] == []
+    # Each module's __all__ is the one list of its public names: the package
+    # star-imports every module and names none itself, so a name in two lists
+    # would be shadowed silently by the later import.
+    source = importlib.import_module(f"mcsmooth.{module}")
+    assert [name for name in source.__all__ if getattr(mcsmooth, name, None) is not getattr(source, name)] == []
+    for other in LIBRARY_MODULES:
+        if other != module:
+            assert set(source.__all__).isdisjoint(importlib.import_module(f"mcsmooth.{other}").__all__), other
+    tree = ast.parse(Path(mcsmooth.__file__).read_text(encoding="utf-8"))
+    imports = [node for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))]
+    assert all(isinstance(node, ast.ImportFrom) and [alias.name for alias in node.names] == ["*"]
+               for node in imports)
+    assert module in [node.module for node in imports]
+    assert not hasattr(mcsmooth, "__all__")
+
+
+def test_the_readme_library_block_runs(tmp_path, monkeypatch, constant_feed):
+    # The block uses the package's exports as a reader would, so it cannot drift from them.
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"^## Library\n.*?^```python\n(.*?)^```$", readme, re.MULTILINE | re.DOTALL).group(1)
+    mcsmooth.write_observations(mcsmooth.subsample(constant_feed, mcsmooth.MeasurementSpec("h2", rng_seed=11)),
+                                tmp_path / "obs.csv")
+    (tmp_path / "kicks.csv").write_text("", encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    exec(compile(block, "README.md", "exec"), {})
+
+
+def test_every_benchmark_hook_resolves_but_the_two_known_dead_ones():
+    # The tracer skips a hook whose name no longer resolves, and its per-layer
+    # metric then vanishes without a failure. HOOKS is read as source, so the
+    # benchmark's tracer is neither imported nor changed here.
+    tracing = (Path(__file__).parents[1] / "perfbench" / "tracing.py").read_text(encoding="utf-8")
+    hooks = next(ast.literal_eval(node.value) for node in ast.parse(tracing).body
+                 if isinstance(node, ast.Assign) and [t.id for t in node.targets] == ["HOOKS"])
+    dead = set()
+    for module_name, attr, _ in hooks:
+        if module_name.split(".")[0] == "mcsmooth":
+            try:
+                module = importlib.import_module(module_name)
+            except ImportError:
+                module = None
+            if not callable(getattr(module, attr, None)):
+                dead.add(f"{module_name}.{attr}")
+    assert dead <= {"mcsmooth.optimizer.eval_total", "mcsmooth.gradients.transition_quantities"}
 
 
 def test_only_read_columns_parses_csv():
