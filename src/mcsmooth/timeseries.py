@@ -233,6 +233,14 @@ def read_columns(path: str | Path, ncols: int, op: str, usecols=None) -> np.ndar
         raise
 
 
+def _named(op: str, make, *args):
+    """``make(*args)``, with the reader's ``op`` put on its ValueError, a fault of the values read."""
+    try:
+        return make(*args)
+    except ValueError as exc:
+        raise ValueError(f"{op}: {exc}") from exc
+
+
 def write_columns(path: str | Path, *columns) -> None:
     """Write equal-length columns as headerless CSV rows, the mirror of ``read_columns``.
 
@@ -260,19 +268,12 @@ def load_observations(path: str | Path) -> ObservationSeries:
     times, values = read_columns(path, 2, "load_observations")
     if times.size < 2:
         raise ValueError(f"load_observations: need at least 2 rows, got {times.size}")
-    try:
-        return ObservationSeries(times, values)
-    except ValueError as exc:
-        raise ValueError(f"load_observations: {exc}") from exc
+    return _named("load_observations", ObservationSeries, times, values)
 
 
 def load_kicks(path: str | Path) -> KickSeries:
     """Read a "time_min,intensity" CSV into a KickSeries; an empty file gives no kicks."""
-    times, intensities = read_columns(path, 2, "load_kicks")
-    try:
-        return KickSeries(times, intensities)
-    except ValueError as exc:
-        raise ValueError(f"load_kicks: {exc}") from exc
+    return _named("load_kicks", KickSeries, *read_columns(path, 2, "load_kicks"))
 
 
 def write_observations(series: ObservationSeries, path: str | Path) -> None:

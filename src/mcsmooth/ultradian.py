@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .timeseries import ObservationSeries, _is_number, read_columns, write_columns
+from .timeseries import ObservationSeries, _is_number, _named, read_columns, write_columns
 
 __all__ = [
     "UltradianParams",
@@ -36,12 +36,11 @@ class BlowUpError(RuntimeError):
 
 @dataclass(frozen=True)
 class UltradianParams:
-    """The 21 model constants; defaults are the nominal values.
+    """The 20 model constants; defaults are the nominal values.
 
     ``alpha`` (delayed-utilization exponent) and ``a_1`` (secretion exponent)
     are distinct parameters that merely happen to share the value 7.5 in the
-    ICU fit. ``k`` is carried for completeness but unused by this right-hand
-    side, which has no meal-absorption compartment.
+    ICU fit.
     """
 
     v_p: float = 3.0      # plasma volume, l
@@ -51,7 +50,6 @@ class UltradianParams:
     t_p: float = 6.0      # plasma insulin degradation time, min
     t_i: float = 100.0    # interstitial insulin degradation time, min
     t_d: float = 12.0     # hepatic delay per chain stage, min
-    k: float = 0.5        # ingested-glucose decay rate, 1/min
     r_m: float = 209.0    # max insulin secretion, mU/min
     a_1: float = 6.6      # secretion exponent
     c_1: float = 300.0    # secretion scale, mg/l
@@ -152,7 +150,7 @@ class NutritionSchedule:
     @classmethod
     def from_csv(cls, path) -> "NutritionSchedule":
         """Read "t_start,t_end,rate_mg_per_min" rows."""
-        return cls(read_columns(path, 3, "load_nutrition").T.tolist())
+        return _named("load_nutrition", cls, read_columns(path, 3, "load_nutrition").T.tolist())
 
     def segment(self, t: float) -> tuple[float, float, float]:
         """``(rate, lo, hi)``: the rate at t and the span [lo, hi) it holds on.
@@ -378,5 +376,4 @@ def read_trace(path) -> ObservationSeries:
 
     Every nonblank line must have seven fields; only the first two are parsed.
     """
-    times, glucose = read_columns(path, 7, "read_trace", usecols=(0, 1))
-    return ObservationSeries(times, glucose)
+    return _named("read_trace", ObservationSeries, *read_columns(path, 7, "read_trace", usecols=(0, 1)))

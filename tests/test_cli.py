@@ -72,6 +72,19 @@ def test_simulate_with_nutrition_file(tmp_path):
     assert np.loadtxt(out, delimiter=",").shape == (41, 7)
 
 
+@pytest.mark.parametrize("text, message", [
+    ("0,100,80\n300,200,80\n", "interval start must precede end"),
+    ("0,100,80\n200,300,-5\n", "negative rate"),
+])
+def test_a_fault_of_the_nutrition_files_values_names_its_reader(tmp_path, capsys, text, message):
+    sched = tmp_path / "n.csv"
+    sched.write_text(text, encoding="utf-8")
+    out = tmp_path / "g.csv"
+    assert run_command(["simulate", "--nutrition", str(sched), "--t-end", "40", "--out", str(out)]) == 1
+    assert f"error: load_nutrition: NutritionSchedule: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_estimate_missing_observations(tmp_path, capsys):
     code = run_command(["estimate", "--obs", str(tmp_path / "missing.csv"),
                         "--out-dir", str(tmp_path)])
@@ -89,6 +102,9 @@ def test_estimate_missing_observations(tmp_path, capsys):
     # The byte is decoded with the first line, which still picks the reader.
     (b"0,1,2,3,4,5,6\n5,1,2,3,4,5,6\n\xff10,1,2,3,4,5,6\n", "read_trace: line 3: not UTF-8 text"),
     (IsADirectoryError, "load_observations: not a file"),
+    ("0,1,2,3,4,5,6\n5,1,2,3,4,5,6\n5,1,2,3,4,5,6\n",
+     "read_trace: ObservationSeries: times must be strictly increasing"),
+    ("0,1,2,3,4,5,6\n5,nan,2,3,4,5,6\n", "read_trace: ObservationSeries: non-finite entry"),
 ])
 def test_subsample_reports_the_fault_of_the_files_own_format(tmp_path, capsys, text, message):
     # The first nonblank line's width picks the reader: 7 fields a trace, else observations.
@@ -712,12 +728,13 @@ def test_nonfinite_nutrition_rate_rejected_before_integrating(tmp_path, capsys, 
     monkeypatch.setattr(NutritionSchedule, "segment", lambda self, t: calls.append(t))
     if source == "csv":
         (tmp_path / "feed.csv").write_text("0,100,80\n100,200,nan\n", encoding="utf-8")
-        feed, rate = ["--nutrition", str(tmp_path / "feed.csv")], "nan"
+        # A file's fault names its reader; a flag's is the schedule's own.
+        feed, rate, reader = ["--nutrition", str(tmp_path / "feed.csv")], "nan", "load_nutrition: "
     else:
-        feed, rate = ["--constant-nutrition", source], source
+        feed, rate, reader = ["--constant-nutrition", source], source, ""
     out = tmp_path / "sim.csv"
     assert run_command(["simulate", "--t-end", "60", *feed, "--out", str(out)]) == 1
-    assert f"error: NutritionSchedule: rate must be finite, got {rate}" in capsys.readouterr().err
+    assert f"error: {reader}NutritionSchedule: rate must be finite, got {rate}" in capsys.readouterr().err
     assert calls == []
     assert not out.exists()
 
@@ -880,3 +897,17 @@ def test_a_run_without_its_inputs_is_rejected(tmp_path, short_obs_csv, capsys, m
     assert run_command([arg.format(obs=short_obs_csv, tmp=tmp_path) for arg in argv]) == 1
     assert f"error: {message}" in capsys.readouterr().err
     assert files_under(tmp_path) == before
+
+
+def test_the_reference_outputs_are_written_alike_twice(tmp_path):
+    # tests/reference_outputs.py is the byte-identity check between two checkouts; run on
+    # one record, its two runs in one checkout must write the same files and bytes.
+    from reference_outputs import write_references
+
+    for side in ("a", "b"):
+        write_references(tmp_path / side, records=["h2_seed11"])
+    files = ["h2_seed11.csv", "week.csv",
+             *(f"h2_seed11/{f}" for f in ("densities.csv", "reconstruction.csv", "states.csv", "trace.csv"))]
+    assert files_under(tmp_path / "a") == files_under(tmp_path / "b") == sorted(map(Path, ["h2_seed11", *files]))
+    for name in files:
+        assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes(), name

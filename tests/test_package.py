@@ -76,6 +76,24 @@ def test_only_read_columns_parses_csv():
         assert source.count("np.loadtxt") == inside, path.name
 
 
+def test_only_named_puts_a_readers_op_on_a_value_fault():
+    # A reader's container raises on a fault of the values read; timeseries._named
+    # is the one place that puts the reader's op on it, the op its read_columns
+    # call passes for a fault of the text.
+    timeseries, ultradian = mcsmooth.timeseries, mcsmooth.ultradian
+    prefixing = re.compile(r'except ValueError as (\w+):\s*raise ValueError\(f"[^"]*\{\1\}')
+    assert len(prefixing.findall(inspect.getsource(timeseries._named))) == 1
+    for module in (timeseries, ultradian):
+        inside = 1 if module is timeseries else 0
+        assert len(prefixing.findall(inspect.getsource(module))) == inside, module.__name__
+    readers = (timeseries.load_observations, timeseries.load_kicks, ultradian.read_trace,
+               ultradian.NutritionSchedule.from_csv)
+    for reader in readers:
+        source = inspect.getsource(reader)
+        op = re.search(r'read_columns\(path, \d, "(\w+)"', source).group(1)
+        assert f'_named("{op}", ' in source, reader.__qualname__
+
+
 def test_the_package_reads_numbers_only():
     # The reconstruction, densities and objective trace are written but never read
     # back, so read_columns parses floats only and no source filters numpy's

@@ -43,7 +43,7 @@ class TestParams:
     def test_nominal_table_values(self):
         p = nominal_params()
         assert (p.v_p, p.v_i, p.v_g) == (3.0, 11.0, 10.0)
-        assert (p.e, p.t_p, p.t_i, p.t_d, p.k) == (0.2, 6.0, 100.0, 12.0, 0.5)
+        assert (p.e, p.t_p, p.t_i, p.t_d) == (0.2, 6.0, 100.0, 12.0)
         assert (p.r_m, p.a_1) == (209.0, 6.6)
         assert (p.c_1, p.c_2, p.c_3, p.c_4, p.c_5) == (300.0, 144.0, 100.0, 80.0, 26.0)
         assert (p.u_b, p.u_0, p.u_m) == (72.0, 4.0, 94.0)
@@ -53,7 +53,7 @@ class TestParams:
         p = icu_fit_params()
         assert (p.t_p, p.a_1, p.r_g) == (5.5, 7.5, 225.0)
         nominal = nominal_params()
-        for name in ("v_p", "v_i", "v_g", "e", "t_i", "t_d", "k", "r_m",
+        for name in ("v_p", "v_i", "v_g", "e", "t_i", "t_d", "r_m",
                      "c_1", "c_2", "c_3", "c_4", "c_5", "u_b", "u_0", "u_m",
                      "alpha", "beta"):
             assert getattr(p, name) == getattr(nominal, name)
